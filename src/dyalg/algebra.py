@@ -233,11 +233,6 @@ def compose_basis(n: int, s_key: Key, t_key: Key,
     return out
 
 
-def clear_cache() -> None:
-    with _CACHE_LOCK:
-        _CACHE.clear()
-
-
 # ---------------------------------------------------------------------------
 # structured strand form: per-slot coaction/action orders plus decorations
 

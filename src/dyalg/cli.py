@@ -29,13 +29,26 @@ from .twists import (GaugeObstruction, associator_2jet,
 OK, FAIL, PARSE, MISMATCH, INVALID = 0, 1, 2, 3, 4
 
 
-def _load(path: str) -> dict:
+def _load(path: str, decode):
+    """Read a JSON file and decode it with ``decode``.  An unreadable file,
+    malformed JSON, or JSON of the wrong shape is a parse error."""
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+            return decode(json.load(fh))
+    except (OSError, LookupError, TypeError, ValueError,
+            AttributeError) as exc:
+        print(f"parse error: {type(exc).__name__}: {exc}", file=sys.stderr)
         raise SystemExit(PARSE)
+
+
+def _object(data) -> dict:
+    if not isinstance(data, dict):
+        raise TypeError(f"expected a JSON object, got {type(data).__name__}")
+    return data
+
+
+def _gcm(data) -> tuple:
+    return data["cartan"], data.get("cap", 2), data.get("symmetrizers")
 
 
 def _emit(data, fmt: str) -> None:
@@ -67,8 +80,8 @@ def _emit_text(data, indent: int = 0) -> None:
 
 
 def cmd_multiply(args) -> int:
-    x = AlgebraElement.from_json(_load(args.left))
-    y = AlgebraElement.from_json(_load(args.right))
+    x = _load(args.left, AlgebraElement.from_json)
+    y = _load(args.right, AlgebraElement.from_json)
     if x.n != y.n or x.monoid.key() != y.monoid.key():
         print("algebra mismatch", file=sys.stderr)
         return MISMATCH
@@ -77,13 +90,13 @@ def cmd_multiply(args) -> int:
 
 
 def cmd_dh(args) -> int:
-    x = AlgebraElement.from_json(_load(args.element))
+    x = _load(args.element, AlgebraElement.from_json)
     _emit(hochschild_d(x).to_json(), args.format)
     return OK
 
 
 def cmd_face(args) -> int:
-    x = AlgebraElement.from_json(_load(args.element))
+    x = _load(args.element, AlgebraElement.from_json)
     if not 0 <= args.index <= x.n + 1:
         print("face index out of range", file=sys.stderr)
         return MISMATCH
@@ -92,7 +105,7 @@ def cmd_face(args) -> int:
 
 
 def cmd_invariant_check(args) -> int:
-    x = AlgebraElement.from_json(_load(args.element))
+    x = _load(args.element, AlgebraElement.from_json)
     flag = is_invariant(x)
     _emit({"invariant": flag}, args.format)
     return OK
@@ -111,7 +124,7 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_nested_sets(args) -> int:
-    dia = Diagram.from_json(_load(args.diagram))
+    dia = _load(args.diagram, Diagram.from_json)
     mns = maximal_nested_sets(dia)
     out = {"count": len(mns),
            "nested_sets": [sorted(sorted(m) for m in f) for f in mns]}
@@ -120,7 +133,7 @@ def cmd_nested_sets(args) -> int:
 
 
 def cmd_quotient_diagram(args) -> int:
-    dia = Diagram.from_json(_load(args.diagram))
+    dia = _load(args.diagram, Diagram.from_json)
     try:
         quot = quotient_diagram(dia, set(args.vertices))
     except ValueError as exc:
@@ -131,8 +144,8 @@ def cmd_quotient_diagram(args) -> int:
 
 
 def cmd_realize(args) -> int:
-    x = AlgebraElement.from_json(_load(args.element))
-    bia = LieBialgebraData.from_json(_load(args.bialgebra))
+    x = _load(args.element, AlgebraElement.from_json)
+    bia = _load(args.bialgebra, LieBialgebraData.from_json)
     report = validate_bialgebra(bia)
     if report:
         _emit({"validation": report}, args.format)
@@ -155,14 +168,13 @@ def cmd_realize(args) -> int:
 
 
 def cmd_km_build(args) -> int:
-    data = _load(args.gcm)
+    cartan, cap, symmetrizers = _load(args.gcm, _gcm)
     try:
-        borel = build_kac_moody_borel(data["cartan"], data.get("cap", 2),
-                                      data.get("symmetrizers"))
+        borel = build_kac_moody_borel(cartan, cap, symmetrizers)
     except ValueError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return INVALID
-    report = validate_bialgebra_windowed(borel, data.get("cap", 2))
+    report = validate_bialgebra_windowed(borel, cap)
     _emit({"dim": borel.dim, "basis": borel.basis_names,
            "weights": borel.weights,
            "windowed_validation": report or "ok"}, args.format)
@@ -177,8 +189,8 @@ def cmd_associator_check(args) -> int:
 
 
 def cmd_solve_gauge(args) -> int:
-    j1 = GradedSeries.from_json(_load(args.left))
-    j2 = GradedSeries.from_json(_load(args.right))
+    j1 = _load(args.left, GradedSeries.from_json)
+    j2 = _load(args.right, GradedSeries.from_json)
     phi = GradedSeries.one(3, j1.order, j1.monoid)
     try:
         u = solve_gauge(j1, j2, phi)
@@ -193,7 +205,7 @@ def cmd_solve_gauge(args) -> int:
 
 
 def cmd_coxeter_check(args) -> int:
-    dia = Diagram.from_json(_load(args.diagram))
+    dia = _load(args.diagram, Diagram.from_json)
     fam = (build_central_family(dia, args.max_degree) if args.family ==
            "central" else build_unit_family(dia, args.max_degree))
     report = check_coxeter_family(fam, dia, args.max_degree)
@@ -293,8 +305,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.config:
-        cfg = _load(args.config)
-        for key, val in cfg.items():
+        for key, val in _load(args.config, _object).items():
             attr = key.replace("-", "_")
             if hasattr(args, attr):
                 setattr(args, attr, val)

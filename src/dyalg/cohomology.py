@@ -114,7 +114,8 @@ def decompose_cocycle(eta: AlgebraElement
 
     The harmonic complement is spanned by antisymmetrized elements; when the
     cocycle is exact the harmonic part is zero and v is the canonical
-    echelon solution.  Raises :class:`NotClosed` when d(eta) != 0.
+    echelon solution (free variables zero; see :mod:`dyalg.linalg` for the
+    convention).  Raises :class:`NotClosed` when d(eta) != 0.
     """
     n = eta.n
     monoid = eta.monoid
@@ -159,50 +160,25 @@ def harmonic_complement(n: int, degree: int, monoid: DecorationMonoid
     basis, index = _slice_data(n, degree, monoid)
     # echelon seeded with the coboundaries so chosen vectors are
     # independent modulo them
-    echelon: dict[int, dict] = {}
-
-    def insert(col: dict) -> bool:
-        row = dict(col)
-        while row:
-            piv = min(row)
-            if piv in echelon:
-                f = row.pop(piv)
-                for c2, v2 in echelon[piv].items():
-                    if c2 == piv:
-                        continue
-                    nv = row.get(c2, Fraction(0)) - f * v2
-                    if nv:
-                        row[c2] = nv
-                    else:
-                        row.pop(c2, None)
-            else:
-                inv = Fraction(1) / row[piv]
-                echelon[piv] = {c: v * inv for c, v in row.items()}
-                return True
-        return False
-
+    echelon = linalg.Echelon()
     if n >= 1 and degree > 0:
         img_cols, _, _ = differential_columns(n - 1, degree, monoid)
         for col in img_cols:
-            insert(col)
+            echelon.insert(col)
     chosen_cols, chosen_elts = [], []
     for k in basis:
         cand = alt(AlgebraElement.basis(n, k, monoid))
         if cand.is_zero() or not hochschild_d(cand).is_zero():
             continue
         col = _coords(cand, index)
-        if insert(col):
+        if echelon.insert(col):
             chosen_cols.append(col)
             chosen_elts.append(cand)
     # complete from the kernel of the outgoing differential
-    out_cols, _, tindex = differential_columns(n, degree, monoid)
-    dense = [[Fraction(0)] * len(basis) for _ in range(len(tindex))]
-    for j, col in enumerate(out_cols):
-        for r, c in col.items():
-            dense[r][j] = c
-    for vec in linalg.nullspace(dense):
-        col = {i: c for i, c in enumerate(vec) if c}
-        if insert(col):
+    out_cols, _, _ = differential_columns(n, degree, monoid)
+    d_out = linalg.Echelon(linalg.rows_of_columns(out_cols))
+    for col in d_out.kernel(len(basis)):
+        if echelon.insert(col):
             chosen_cols.append(col)
             chosen_elts.append(AlgebraElement(
                 n, monoid, {basis[i]: c for i, c in col.items()}))

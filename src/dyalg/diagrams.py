@@ -191,11 +191,6 @@ def lift_subdiagram(cbar: frozenset, dia: Diagram, sub) -> frozenset:
     return frozenset(lift)
 
 
-def restrict_nested_set(h, inner_quotient: Diagram) -> frozenset:
-    """Members of a nested set that live inside a smaller quotient diagram."""
-    return frozenset(m for m in h if m <= inner_quotient.vertices)
-
-
 def mns_union(f, g, dia: Diagram, b2, b1, b0) -> frozenset:
     """Combine maximal nested sets on nested quotients.
 

@@ -154,38 +154,17 @@ class _RootSpaces:
             def sparse(vec: dict) -> dict:
                 return {widx[w]: c for w, c in vec.items() if c}
 
-            echelon: dict[int, dict] = {}
-
-            def insert(row: dict) -> bool:
-                row = dict(row)
-                while row:
-                    piv = min(row)
-                    if piv in echelon:
-                        f = row.pop(piv)
-                        for c2, v2 in echelon[piv].items():
-                            if c2 == piv:
-                                continue
-                            nv = row.get(c2, Fraction(0)) - f * v2
-                            if nv:
-                                row[c2] = nv
-                            else:
-                                row.pop(c2, None)
-                    else:
-                        inv = Fraction(1) / row[piv]
-                        echelon[piv] = {c: v * inv for c, v in row.items()}
-                        return True
-                return False
-
+            echelon = linalg.Echelon()
             ideal_cols = []
             for vec in ideal_vecs:
                 row = sparse(vec)
-                if insert(row):
+                if echelon.insert(row):
                     ideal_cols.append(row)
             trees, tree_cols = [], []
             for word in words:
                 tree = _left_normed(word)
                 col = sparse(expand_to_assoc(tree))
-                if insert(col):
+                if echelon.insert(col):
                     trees.append(tree)
                     tree_cols.append(col)
             self.basis_trees[weight] = trees
@@ -511,7 +490,7 @@ class KacMoodyBorel:
                 for b in range(len(gram)):
                     pairing[self.index[("e", w, a)]][
                         self.index[("e", w, b)]] = gram[a][b]
-        pinv = _invert(pairing)
+        pinv = linalg.inverse(pairing)
         # lower-Borel basis mirrors the upper one; bracket of lower basis
         # elements, paired against z, gives delta(z)
         lower = []
@@ -568,25 +547,6 @@ def _tree_word(tree) -> tuple:
     if isinstance(tree, int):
         return (tree,)
     return _tree_word(tree[0]) + _tree_word(tree[1])
-
-
-def _invert(matrix):
-    n = len(matrix)
-    aug = [list(map(Fraction, row)) + [Fraction(1 if i == j else 0)
-                                       for j in range(n)]
-           for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise ArithmeticError("pairing matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 def _transpose(m):

@@ -2,6 +2,13 @@
 
 Dense matrices are lists of lists of Fractions; sparse rows are dicts
 mapping column index to Fraction.  Nothing here ever touches floats.
+
+Every elimination goes through :class:`Echelon`, under one convention: the
+pivot of a row is its smallest column index, and pivot entries are 1.  The
+reduced row-echelon form is unique for a row space, so every result below
+depends on the column order only, never on the order of the rows.  Solutions
+set the free (non-pivot) variables to zero.  Null-space bases hold one
+vector per free column, in increasing column order, with entry 1 there.
 """
 
 from __future__ import annotations
@@ -9,133 +16,150 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+class Echelon:
+    """Sparse row-echelon form over the rationals, built one row at a time.
+
+    ``rows`` maps each pivot column to its row, whose smallest column is
+    that pivot, with entry 1.
+    """
+
+    def __init__(self, rows=()):
+        self.rows: dict[int, dict] = {}
+        for row in rows:
+            self.insert(row)
+
+    def insert(self, row: dict) -> bool:
+        """Reduce ``row`` against the pivots present; store it and return
+        True if it is independent of them, else return False."""
+        row = {c: v for c, v in row.items() if v}
+        while row:
+            piv = min(row)
+            prow = self.rows.get(piv)
+            if prow is None:
+                inv = Fraction(1) / row[piv]
+                self.rows[piv] = {c: v * inv for c, v in row.items()}
+                return True
+            self._eliminate(row, piv, prow)
+        return False
+
+    def reduce(self) -> dict[int, dict]:
+        """Back-substitute into the reduced row-echelon form, where each
+        pivot column is zero outside its own row; returns ``rows``."""
+        rows = self.rows
+        for piv in sorted(rows, reverse=True):
+            row = rows[piv]
+            for c in [c for c in row if c != piv and c in rows]:
+                self._eliminate(row, c, rows[c])
+        return rows
+
+    @staticmethod
+    def _eliminate(row: dict, piv: int, prow: dict) -> None:
+        """Clear column ``piv`` of ``row`` with the pivot row ``prow``."""
+        f = row.pop(piv)
+        for c, v in prow.items():
+            if c != piv:
+                new = row.get(c, 0) - f * v
+                if new:
+                    row[c] = new
+                else:
+                    row.pop(c, None)
+
+    def solution(self, ncols: int):
+        """The solution of the system whose augmented column is ``ncols``,
+        with free variables zero, or None if the system is inconsistent."""
+        if ncols in self.rows:
+            return None
+        x = [Fraction(0)] * ncols
+        for piv, row in self.reduce().items():
+            x[piv] = row.get(ncols, Fraction(0))
+        return x
+
+    def kernel(self, ncols: int) -> list[dict]:
+        """Sparse basis of the null space of the stored rows, taken as a
+        matrix with ``ncols`` columns."""
+        rows = self.reduce()
+        by_col: dict[int, dict] = {}
+        for piv, row in rows.items():
+            for c, v in row.items():
+                if c != piv:
+                    by_col.setdefault(c, {})[piv] = -v
+        basis = []
+        for free in range(ncols):
+            if free not in rows:
+                vec = by_col.get(free, {})
+                vec[free] = Fraction(1)
+                basis.append({c: vec[c] for c in sorted(vec)})
+        return basis
+
+
+def _sparse(row) -> dict:
+    return {j: v for j, v in enumerate(row) if v}
+
+
+def rows_of_columns(columns) -> list[dict]:
+    """Sparse rows (keyed by column position) of a matrix given as sparse
+    columns (dict row key -> Fraction)."""
+    rows: dict = {}
+    for j, col in enumerate(columns):
+        for r, v in col.items():
+            if v:
+                rows.setdefault(r, {})[j] = v
+    return list(rows.values())
+
+
 def rank(matrix: list[list[Fraction]]) -> int:
-    if not matrix:
-        return 0
-    rows = [row[:] for row in matrix]
-    ncols = len(rows[0])
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+    return len(Echelon(map(_sparse, matrix)).rows)
 
 
 def sparse_rank(rows: list[dict], ncols: int) -> int:
     """Rank of a matrix given as sparse rows (dict col -> coeff)."""
-    echelon: dict[int, dict] = {}  # pivot col -> reduced row
-    r = 0
-    for row in rows:
-        row = dict(row)
-        while row:
-            piv = min(row)
-            if piv in echelon:
-                f = row[piv]
-                for c, v in echelon[piv].items():
-                    new = row.get(c, Fraction(0)) - f * v
-                    if new:
-                        row[c] = new
-                    else:
-                        row.pop(c, None)
-            else:
-                inv = Fraction(1) / row[piv]
-                echelon[piv] = {c: v * inv for c, v in row.items()}
-                r += 1
-                break
-    return r
+    return len(Echelon(rows).rows)
 
 
 def solve(matrix: list[list[Fraction]], rhs: list[Fraction]):
     """One exact solution of ``matrix @ x = rhs`` with free variables set to
-    zero, or None if inconsistent.  The solution is canonical given the
-    column order (reduced echelon, pivot-first)."""
-    m = len(matrix)
+    zero, or None if inconsistent."""
     n = len(matrix[0]) if matrix else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])]
-           for i, row in enumerate(matrix)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, m) if aug[i][col]), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = Fraction(1) / aug[r][col]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append((r, col))
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n]:
-            return None
-    x = [Fraction(0)] * n
-    for row, col in pivots:
-        x[col] = aug[row][n]
-    return x
+    echelon = Echelon()
+    for row, b in zip(matrix, rhs):
+        row = _sparse(row)
+        if b:
+            row[n] = b
+        echelon.insert(row)
+    return echelon.solution(n)
 
 
-def sparse_solve(columns: list[dict], rhs: dict, nrows_hint: int = 0):
+def sparse_solve(columns: list[dict], rhs: dict):
     """Solve ``sum_j x_j * columns[j] = rhs`` where columns and rhs are sparse
     vectors (dict row-index -> Fraction).  Returns a coefficient list with
     free variables zero, or None if inconsistent."""
-    rows = sorted(set().union(rhs, *columns)) if columns else sorted(rhs)
-    index = {rkey: i for i, rkey in enumerate(rows)}
-    matrix = [[Fraction(0)] * len(columns) for _ in rows]
-    for j, col in enumerate(columns):
-        for rkey, v in col.items():
-            matrix[index[rkey]][j] = v
-    vec = [Fraction(0)] * len(rows)
-    for rkey, v in rhs.items():
-        vec[index[rkey]] = v
-    if not rows:
-        return [Fraction(0)] * len(columns)
-    return solve(matrix, vec)
+    return Echelon(rows_of_columns(columns + [rhs])).solution(len(columns))
 
 
 def nullspace(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the right null space, reduced-echelon convention."""
-    m = len(matrix)
+    """Basis of the right null space, as dense vectors."""
     n = len(matrix[0]) if matrix else 0
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, m) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    free = [c for c in range(n) if c not in pivots]
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -rows[i][fc]
-        basis.append(vec)
+    for vec in Echelon(map(_sparse, matrix)).kernel(n):
+        dense = [Fraction(0)] * n
+        for c, v in vec.items():
+            dense[c] = v
+        basis.append(dense)
     return basis
+
+
+def inverse(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Inverse of a square matrix; ArithmeticError if it is singular."""
+    n = len(matrix)
+    echelon = Echelon()
+    for i, row in enumerate(matrix):
+        row = _sparse(row)
+        row[n + i] = Fraction(1)
+        echelon.insert(row)
+    # every augmented row is independent, so A is singular exactly when
+    # some pivot falls in the identity block
+    if any(p >= n for p in echelon.rows):
+        raise ArithmeticError("matrix is singular")
+    rows = echelon.reduce()
+    return [[rows[i].get(n + j, Fraction(0)) for j in range(n)]
+            for i in range(n)]

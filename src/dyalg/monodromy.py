@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bialgebra import Matrix, eye, madd, matmul, mscale, zeros
-from .linalg import solve
+from .linalg import inverse
 
 
 def sl2_irrep(m: int) -> tuple[Matrix, Matrix, Matrix]:
@@ -60,21 +60,7 @@ def triple_exponential(e: Matrix, f: Matrix) -> Matrix:
 
 
 def mat_inverse(a: Matrix) -> Matrix:
-    n = len(a)
-    aug = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise ArithmeticError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                fct = aug[r][col]
-                aug[r] = [x - fct * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    return tuple(map(tuple, inverse(a)))
 
 
 # matrix series: list of matrices indexed by the formal-parameter power

@@ -602,8 +602,3 @@ def term_of_basis_pair(n: int, s_key: tuple, t_key: tuple) -> _Term:
             decor = dec[p - 1]
             t.connect(("c", cid), ("a", actions[p]), decor)
     return t
-
-
-def term_of_key(n: int, key: tuple) -> _Term:
-    unit = ((0,) * n, (0,) * n, (), ())
-    return term_of_basis_pair(n, key, unit)

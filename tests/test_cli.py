@@ -48,11 +48,18 @@ def test_mismatch_exit_code(tmp_path):
     assert proc.returncode == 3
 
 
-def test_parse_error_exit_code(tmp_path):
+@pytest.mark.parametrize("command, text", [
+    ("multiply", "{ not json"),
+    ("dH", '{"n": 1}'),
+    ("dH", "[1, 2]"),
+], ids=["malformed-json", "missing-key", "not-an-object"])
+def test_parse_error_exit_code(tmp_path, command, text):
     bad = tmp_path / "bad.json"
-    bad.write_text("{ not json")
-    proc = run_cli(["multiply", str(bad), str(bad)])
+    bad.write_text(text)
+    args = {"multiply": [str(bad), str(bad)], "dH": [str(bad)]}[command]
+    proc = run_cli([command, *args])
     assert proc.returncode == 2
+    assert proc.stderr.startswith("parse error: ")
 
 
 def test_invalid_bialgebra_exit_code(tmp_path):
