@@ -356,7 +356,14 @@ def face_map(i: int, x: AlgebraElement) -> AlgebraElement:
     if not 0 <= i <= n + 1:
         raise ValueError(f"face index {i} out of range 0..{n + 1}")
     out: dict[Key, Fraction] = {}
+    _add_face(out, i, x, Fraction(1))
+    return AlgebraElement(n + 1, x.monoid, out)
+
+
+def _add_face(out: dict, i: int, x: AlgebraElement, sign: Fraction) -> None:
+    """Add ``sign`` times the i-th face map of x into the terms ``out``."""
     for (co, ac, perm, dec), c in x.terms.items():
+        c = sign * c
         for co2, ac2, perm2, order in _face_shapes(i, co, ac, perm):
             dec2 = tuple(dec[perm[s - 1] - 1] for s in order)
             key = (co2, ac2, perm2, dec2)
@@ -365,7 +372,6 @@ def face_map(i: int, x: AlgebraElement) -> AlgebraElement:
                 out[key] = new
             else:
                 out.pop(key, None)
-    return AlgebraElement(n + 1, x.monoid, out)
 
 
 def _subsequences(block: list):
@@ -377,16 +383,7 @@ def hochschild_d(x: AlgebraElement) -> AlgebraElement:
     """Alternating sum of the face maps; squares to zero."""
     out: dict[Key, Fraction] = {}
     for i in range(x.n + 2):
-        sign = Fraction(-1) ** i
-        for (co, ac, perm, dec), c in x.terms.items():
-            for co2, ac2, perm2, order in _face_shapes(i, co, ac, perm):
-                dec2 = tuple(dec[perm[s - 1] - 1] for s in order)
-                key = (co2, ac2, perm2, dec2)
-                new = out.get(key, Fraction(0)) + sign * c
-                if new:
-                    out[key] = new
-                else:
-                    out.pop(key, None)
+        _add_face(out, i, x, Fraction(-1) ** i)
     return AlgebraElement(x.n + 1, x.monoid, out)
 
 

@@ -3,7 +3,13 @@ modules, and exact evaluation of diagram elements as matrices.
 
 Evaluation is the independent oracle for the straightening engine: every
 rewrite rule and every normally ordered element can be checked against
-matrices over the rationals on a fleet of concrete modules.
+matrices over the rationals on a fleet of concrete modules.  There is one
+evaluator, :func:`evaluate_slices`, on slice terms; :func:`evaluate` runs
+each basis key through it in its slice form
+(:func:`dyalg.terms.slices_of_key`).  Three tests keep the convention that
+turns a key into a matrix independent of that path: module-matrix products
+built by hand for sample keys, the straightening of every small key's slice
+form back to the key, and multiplicativity on one- and two-slot products.
 
 Conventions.  ``bracket[i][j]`` is the coefficient vector of [x_i, x_j];
 ``cobracket[i]`` is the matrix of delta(x_i) with entry (j, k) the
@@ -17,8 +23,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .algebra import AlgebraElement, Key
-from .monoids import DecorationMonoid, TRIVIAL
+from .algebra import AlgebraElement
+from .terms import slices_of_key
 
 Matrix = tuple  # tuple of tuples of Fractions
 
@@ -58,13 +64,6 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
         tuple(a[i][j] * b[k][l] for j in range(len(a[0]))
               for l in range(len(b[0])))
         for i in range(len(a)) for k in range(len(b)))
-
-
-def kron_list(mats: list[Matrix]) -> Matrix:
-    out = mats[0]
-    for m in mats[1:]:
-        out = kron(out, m)
-    return out
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
@@ -150,11 +149,13 @@ def validate_bialgebra(a: LieBialgebraData,
         if not inside(i, j, k):
             continue
         jac = [Fraction(0)] * d
-        for m in range(d):
-            for l in range(d):
-                jac[l] += (a.bracket[i][j][m] * a.bracket[m][k][l]
-                           + a.bracket[j][k][m] * a.bracket[m][i][l]
-                           + a.bracket[k][i][m] * a.bracket[m][j][l])
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, c in enumerate(a.bracket[x][y]):
+                if not c:
+                    continue
+                for l, e in enumerate(a.bracket[m][z]):
+                    if e:
+                        jac[l] += c * e
         if any(jac):
             report.append(f"Jacobi fails at ({i},{j},{k})")
     for i in range(d):
@@ -375,69 +376,25 @@ def _weight_of(a: LieBialgebraData, idx: int):
 
 def evaluate(x: AlgebraElement, modules: list[DYModuleData]) -> Matrix:
     """Exact matrix of a normally ordered element on the tensor product of
-    the modules.  Linear in x; multiplicative on products."""
+    the modules.  Linear in x; multiplicative on products.
+
+    Each basis key is evaluated through its slice form
+    (:func:`dyalg.terms.slices_of_key`) by :func:`evaluate_slices`; the
+    sparse results are summed and made dense once."""
     if len(modules) != x.n:
         raise ValueError("slot count mismatch")
     a = modules[0].bialgebra
-    dims = [m.dim for m in modules]
-    total = 1
-    for m in dims:
-        total *= m
     decorated = not x.monoid.is_trivial()
     if decorated and a.weights is None:
         raise ValueError("decorated element needs a weight-graded bialgebra")
-    out = zeros(total)
+    total: dict = {}
     for key, coeff in x.terms.items():
-        out = madd(out, mscale(coeff, _evaluate_key(key, a, modules,
-                                                    decorated)))
-    return out
-
-
-def _evaluate_key(key: Key, a: LieBialgebraData,
-                  modules: list[DYModuleData],
-                  decorated: bool = False) -> Matrix:
-    co, ac, perm, dec = key
-    n, N = len(co), len(perm)
-    d = a.dim
-    dims = [m.dim for m in modules]
-    total = 1
-    for m in dims:
-        total *= m
-    if N == 0:
-        return eye(total)
-    co_starts, acc = [], 0
-    for c in co:
-        co_starts.append(acc)
-        acc += c
-    ac_starts, acc = [], 0
-    for c in ac:
-        ac_starts.append(acc)
-        acc += c
-    out = zeros(total)
-    inv = [0] * N
-    for q in range(N):
-        inv[perm[q] - 1] = q
-    allowed: list[list[int]] = []
-    for q in range(N):
-        want = dec[perm[q] - 1]
-        if not decorated:
-            allowed.append(list(range(d)))
-        else:
-            allowed.append([i for i in range(d) if a.weights[i] == want])
-    for assign in itertools.product(*allowed):
-        factors = []
-        for k in range(n):
-            m = modules[k]
-            op = eye(m.dim)
-            legs = range(co_starts[k], co_starts[k] + co[k])
-            for q in legs:  # first-applied leg innermost
-                op = matmul(m.coactions[assign[q]], op)
-            act_ops = eye(m.dim)
-            for p in range(ac_starts[k], ac_starts[k] + ac[k]):
-                act_ops = matmul(act_ops, m.actions[assign[inv[p]]])
-            factors.append(matmul(act_ops, op))
-        out = madd(out, kron_list(factors))
-    return out
+        op = evaluate_slices(slices_of_key(key, decorated), x.n, a, modules)
+        for out_state, row in op.items():
+            tgt = total.setdefault(out_state, {})
+            for in_state, c in row.items():
+                tgt[in_state] = tgt.get(in_state, 0) + coeff * c
+    return dense_of_sparse(total, modules)
 
 
 # slice terms ----------------------------------------------------------------

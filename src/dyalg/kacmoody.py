@@ -22,7 +22,7 @@ import itertools
 from fractions import Fraction
 
 from . import linalg
-from .bialgebra import LieBialgebraData
+from .bialgebra import LieBialgebraData, matmul, validate_bialgebra
 from .freelie import expand_to_assoc, lie_bracket_assoc
 
 Weight = tuple  # multidegree over the simple roots
@@ -223,6 +223,7 @@ class KacMoodyBorel:
                              + (f"#{j}" if self.roots.dim(w) > 1 else ""))
         self.dim = len(names)
         self.names = names
+        self.basis_keys = list(self.index)  # inverse of self.index
         self._mixed_cache: dict = {}
         self._pairing_blocks: dict = {}
 
@@ -436,7 +437,7 @@ class KacMoodyBorel:
     # -- assembled bialgebra data -------------------------------------------
 
     def _elt_from_basis(self, idx: int):
-        key = [k for k, v in self.index.items() if v == idx][0]
+        key = self.basis_keys[idx]
         out = self._zero()
         if key[0] == "h":
             out[0][key[1]] = Fraction(1)
@@ -491,6 +492,7 @@ class KacMoodyBorel:
                     pairing[self.index[("e", w, a)]][
                         self.index[("e", w, b)]] = gram[a][b]
         pinv = linalg.inverse(pairing)
+        pt = tuple(zip(*pinv))
         # lower-Borel basis mirrors the upper one; bracket of lower basis
         # elements, paired against z, gives delta(z)
         lower = []
@@ -498,19 +500,16 @@ class KacMoodyBorel:
             elt = self._elt_from_basis(i)
             if elt[1]:
                 w = next(iter(elt[1]))
-                lower.append((Fraction(0),) + (("f", w, elt[1][w]),))
+                lower.append(("f", w, elt[1][w]))
             else:
-                lower.append((Fraction(0),) + (("h", elt[0]),))
+                lower.append(("h", elt[0]))
+        brackets = [[self._lower_bracket(xa, xb) for xb in lower]
+                    for xa in lower]
         cob = []
         for z in range(d):
-            m = [[Fraction(0)] * d for _ in range(d)]
-            for a in range(d):
-                for b in range(d):
-                    br = self._lower_bracket(lower[a][1], lower[b][1])
-                    m[a][b] = self._pair_upper(z, br)
-            pt = _transpose(pinv)
-            mid = _matmul_frac(pt, _matmul_frac(m, pinv))
-            cob.append(mid)
+            m = [[self._pair_upper(z, br, cform) for br in row]
+                 for row in brackets]
+            cob.append(matmul(pt, matmul(m, pinv)))
         return cob
 
     def _lower_bracket(self, xa, xb):
@@ -527,11 +526,11 @@ class KacMoodyBorel:
             out[2][x[1]] = list(x[2])
         return out
 
-    def _pair_upper(self, z: int, elt) -> Fraction:
+    def _pair_upper(self, z: int, elt, cform) -> Fraction:
         """Pairing of upper basis element z against a generic element of
-        the lower Borel (only its f and Cartan parts pair)."""
-        key = [k for k, v in self.index.items() if v == z][0]
-        cform = self.cartan_form()
+        the lower Borel (only its f and Cartan parts pair); ``cform`` is
+        :meth:`cartan_form`."""
+        key = self.basis_keys[z]
         if key[0] in ("h", "cw"):
             i = key[1] if key[0] == "h" else self.rank + key[1]
             return 2 * sum(cform[i][j] * elt[0][j]
@@ -549,15 +548,6 @@ def _tree_word(tree) -> tuple:
     return _tree_word(tree[0]) + _tree_word(tree[1])
 
 
-def _transpose(m):
-    return [list(col) for col in zip(*m)]
-
-
-def _matmul_frac(a, b):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
 def build_kac_moody_borel(cartan, cap: int,
                           symmetrizers=None) -> LieBialgebraData:
     """Assembled bialgebra data of the truncated extended Borel."""
@@ -569,5 +559,4 @@ def build_kac_moody_borel(cartan, cap: int,
 def validate_bialgebra_windowed(a: LieBialgebraData, cap: int) -> list[str]:
     """Bialgebra axioms restricted to instances whose total weight stays
     inside the height window (truncated brackets cannot contaminate them)."""
-    from .bialgebra import validate_bialgebra
     return validate_bialgebra(a, max_weight=cap)

@@ -20,8 +20,9 @@ from __future__ import annotations
 import random
 
 from .monoids import DecorationMonoid, TRIVIAL, monoid_from_json
+from .permutations import block_starts
 from .rewrite import _Term, Scheduler, straighten_graph
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, Key
 
 
 def leg_count(slices: list, n: int) -> int:
@@ -59,6 +60,33 @@ def leg_count(slices: list, n: int) -> int:
 def _check_slot(k: int, n: int) -> None:
     if not 1 <= k <= n:
         raise ValueError(f"slot {k} out of range 1..{n}")
+
+
+def slices_of_key(key: Key, decorated: bool) -> list:
+    """The slice form of a basis key (see :mod:`dyalg.algebra`).
+
+    The coactions come first, in slot-block order, so the prefix lists the
+    legs by coaction position.  The actions are applied slot by slot and,
+    within a slot, from the last action position to the first; since an
+    action consumes the rightmost leg, one permutation moves the leg of the
+    r-th applied action (counting from 0) to prefix position N - r.  With
+    ``decorated`` set, each strand's decoration sits on that position.
+    """
+    co, ac, perm, dec = key
+    N = len(perm)
+    applied = [p for start, a in zip(block_starts(ac), ac)
+               for p in reversed(range(start, start + a))]
+    target = [0] * N  # prefix position of the leg with action position p
+    for r, p in enumerate(applied):
+        target[p] = N - r
+    slices: list = [("coaction", k + 1)
+                    for k, c in enumerate(co) for _ in range(c)]
+    slices.append(("perm", tuple(target[s - 1] for s in perm)))
+    if decorated:
+        slices.extend(("decor", target[p], dec[p]) for p in applied)
+    slices.extend(("action", k + 1)
+                  for k, a in enumerate(ac) for _ in range(a))
+    return slices
 
 
 def term_graph(slices: list, n: int) -> _Term:

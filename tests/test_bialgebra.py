@@ -1,20 +1,22 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dyalg.algebra import (AlgebraElement, alpha_map, beta_map,
                            enumerate_basis, face_map, kappa, r_matrix)
 from dyalg.bialgebra import (DYModuleData, LieBialgebraData, abelian_bialgebra,
                              adjoint_module, borel_sl2, cartan_of_borel_sl2,
                              dense_of_sparse, double_pairing, drinfeld_double,
-                             evaluate, evaluate_slices, eye, madd, matmul,
-                             mscale, restrict_module, tensor_module,
+                             evaluate, evaluate_slices, eye, kron, madd,
+                             matmul, mscale, restrict_module, tensor_module,
                              trivial_module, validate_bialgebra,
                              validate_dy_module, zeros)
-from dyalg.monoids import SPLIT
-from dyalg.terms import random_term, straighten
+from dyalg.monoids import SPLIT, TRIVIAL, RootCone
+from dyalg.terms import random_term, slices_of_key, straighten
 
 
 def test_borel_valid():
@@ -29,6 +31,19 @@ def test_seeded_cobracket_failure_named():
         [[[0, 0], [0, 0]], [[0, 1], [1, 0]]])  # non-antisymmetric delta(e)
     report = validate_bialgebra(bad)
     assert any("cobracket antisymmetry" in line for line in report)
+
+
+def test_seeded_jacobi_failure_named():
+    # [x1,x2] = x3, [x1,x3] = x1, [x2,x3] = 0: the Jacobiator of
+    # (x1, x2, x3) is -x3; triples with a repeated index always pass
+    bracket = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for i, j, vec in ((0, 1, [0, 0, 1]), (0, 2, [1, 0, 0])):
+        bracket[i][j] = vec
+        bracket[j][i] = [-c for c in vec]
+    zero = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    report = validate_bialgebra(LieBialgebraData(3, bracket, zero))
+    assert report == [f"Jacobi fails at ({i},{j},{k})"
+                      for i, j, k in itertools.permutations(range(3))]
 
 
 def test_double_structure():
@@ -78,6 +93,58 @@ def test_evaluate_unit_and_linearity():
     assert evaluate(AlgebraElement.unit(1), [adj]) == eye(4)
     k = kappa(1, 1)
     assert evaluate(3 * k, [adj]) == mscale(3, evaluate(k, [adj]))
+
+
+def _msum(mats):
+    return functools.reduce(madd, mats)
+
+
+def test_key_matrices_against_hand_built_products():
+    # the key -> matrix convention, built from the module tensors alone
+    adj = adjoint_module(borel_sl2())
+    A, K, d = adj.actions, adj.coactions, 2
+    pairs = list(itertools.product(range(d), repeat=2))
+    cases = [
+        (((1,), (1,), (1,), (0,)),
+         _msum(matmul(A[i], K[i]) for i in range(d))),
+        (((2,), (2,), (1, 2), (0, 0)),
+         _msum(matmul(matmul(A[i], A[j]), matmul(K[j], K[i]))
+               for i, j in pairs)),
+        (((2,), (2,), (2, 1), (0, 0)),
+         _msum(matmul(matmul(A[j], A[i]), matmul(K[j], K[i]))
+               for i, j in pairs)),
+    ]
+    for key, want in cases:
+        assert evaluate(AlgebraElement.basis(1, key), [adj]) == want
+    two = [
+        (((1, 0), (0, 1), (1,), (0,)),
+         _msum(kron(K[i], A[i]) for i in range(d))),
+        (((0, 1), (1, 0), (1,), (0,)),
+         _msum(kron(A[i], K[i]) for i in range(d))),
+    ]
+    for key, want in two:
+        assert evaluate(AlgebraElement.basis(2, key), [adj, adj]) == want
+
+
+def test_slices_of_key_straighten_back_to_the_key():
+    for monoid in (TRIVIAL, SPLIT, RootCone(2, 1)):
+        decorated = not monoid.is_trivial()
+        for n, max_deg in ((1, 3), (2, 3), (3, 2)):
+            for deg in range(max_deg + 1):
+                for key in enumerate_basis(n, deg, monoid):
+                    assert straighten(slices_of_key(key, decorated), n,
+                                      monoid) == AlgebraElement.basis(
+                                          n, key, monoid)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(0, 2 ** 32))
+def test_realization_homomorphism_two_slots(seed_x, seed_y):
+    adj = adjoint_module(borel_sl2())
+    x, y = (straighten(random_term(2, random.Random(seed), max_nodes=4), 2)
+            for seed in (seed_x, seed_y))
+    assert evaluate(x * y, [adj, adj]) == matmul(evaluate(x, [adj, adj]),
+                                                 evaluate(y, [adj, adj]))
 
 
 def test_realization_homomorphism_all_pairs_strings_leq_3():
