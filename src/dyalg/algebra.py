@@ -18,13 +18,13 @@ canonical sorted order.  Multiplication straightens the composite diagram
 from __future__ import annotations
 
 import itertools
-import threading
+import math
 from fractions import Fraction
 
 from .monoids import (DecorationMonoid, RootCone, RootConeMod, SPLIT, Split,
                       TRIVIAL, Trivial, monoid_from_json)
 from .permutations import (all_permutations, block_starts, compositions,
-                           identity, inverse, sign)
+                           inverse, sign)
 from . import rewrite
 
 Key = tuple  # (coactions, actions, perm, decor)
@@ -55,6 +55,17 @@ class AlgebraElement:
         self.terms = {k: Fraction(c) for k, c in (terms or {}).items() if c}
 
     # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def _of_fractions(cls, n: int, monoid: DecorationMonoid,
+                      terms: dict[Key, Fraction]) -> "AlgebraElement":
+        """Wrap ``terms`` without copying: every value must already be a
+        non-zero ``Fraction``."""
+        self = cls.__new__(cls)
+        self.n = n
+        self.monoid = monoid
+        self.terms = terms
+        return self
 
     @staticmethod
     def zero(n: int, monoid: DecorationMonoid = TRIVIAL) -> "AlgebraElement":
@@ -206,15 +217,15 @@ def _check_key(n: int, key: Key, monoid: DecorationMonoid) -> None:
 
 
 _CACHE: dict[tuple, dict[Key, Fraction]] = {}
-_CACHE_LOCK = threading.Lock()
 
 
 def compose_basis(n: int, s_key: Key, t_key: Key,
                   monoid: DecorationMonoid = TRIVIAL) -> dict[Key, Fraction]:
     """Structure constants of ``s after t``, memoized.
 
-    The cache is observationally transparent: entries are only ever the
-    canonical straightening output, so concurrent recomputation is benign.
+    The cache is observationally transparent: an entry is the canonical
+    straightening output of its pair, so recomputing it gives the same
+    entry.
     """
     if s_key == unit_key(n):
         return {t_key: Fraction(1)}
@@ -228,8 +239,7 @@ def compose_basis(n: int, s_key: Key, t_key: Key,
     out = rewrite.straighten_graph(term, monoid)
     deg = key_degree(s_key) + key_degree(t_key)
     assert all(key_degree(k) == deg for k in out), "grading violated"
-    with _CACHE_LOCK:
-        _CACHE[ck] = out
+    _CACHE[ck] = out
     return out
 
 
@@ -295,53 +305,53 @@ def _map_structured(x: AlgebraElement, fn, n_new: int,
 _FACE_SHAPES: dict[tuple, list] = {}
 
 
-def _face_shapes(i: int, co: tuple, ac: tuple, perm: tuple) -> list:
-    """Decoration-independent output shapes of a face map: each entry is
-    (co2, ac2, perm2, strand_order) where strand_order lists, per new
-    action position, the source strand (its coaction position)."""
-    ck = (i, co, ac, perm)
+def _face_shapes(i: int, co: tuple, ac: tuple) -> list:
+    """Output shapes of the i-th face map on keys with compositions co, ac.
+
+    A face map only regroups the coaction and action positions of slot i,
+    so a shape is independent of the permutation and the decorations.
+    Each entry is ``(co2, ac2, qinv, pmap, pinv)`` with 0-based positions:
+    ``qinv`` gives, per new coaction position, the old one; ``pinv`` gives,
+    per new action position, the old one; ``pmap`` is the inverse of
+    ``pinv`` shifted to 1-based new positions.  A key then maps to
+    ``perm2 = (pmap[perm[q] - 1] for q in qinv)`` and
+    ``dec2 = (dec[p] for p in pinv)``.
+    """
+    ck = (i, co, ac)
     hit = _FACE_SHAPES.get(ck)
     if hit is not None:
         return hit
-    n = len(co)
-    key = (co, ac, perm, (None,) * len(perm))
-    co_list, ac_list, decor = _structured(key)
+    ac_splits = _face_blocks(_position_blocks(ac), i)
     out = []
-
-    def emit(new_co, new_ac):
-        co2 = tuple(len(b) for b in new_co)
-        ac2 = tuple(len(b) for b in new_ac)
-        strand_q = {}
-        q = 0
-        for block in new_co:
-            for s in block:
-                q += 1
-                strand_q[s] = q
-        perm2 = [0] * q
-        order = []
-        for block in new_ac:
-            for s in block:
-                order.append(s)
-                perm2[strand_q[s] - 1] = len(order)
-        out.append((co2, ac2, tuple(perm2), tuple(order)))
-
-    if i == 0:
-        emit([[]] + co_list, [[]] + ac_list)
-    elif i == n + 1:
-        emit(co_list + [[]], ac_list + [[]])
-    else:
-        co_block = co_list[i - 1]
-        ac_block = ac_list[i - 1]
-        for co_take in _subsequences(co_block):
-            co_rest = [s for s in co_block if s not in co_take]
-            for ac_take in _subsequences(ac_block):
-                ac_rest = [s for s in ac_block if s not in ac_take]
-                emit(co_list[:i - 1] + [list(co_take), co_rest]
-                     + co_list[i:],
-                     ac_list[:i - 1] + [list(ac_take), ac_rest]
-                     + ac_list[i:])
+    for new_co in _face_blocks(_position_blocks(co), i):
+        qinv = tuple(q for block in new_co for q in block)
+        for new_ac in ac_splits:
+            pinv = tuple(p for block in new_ac for p in block)
+            pmap = [0] * len(pinv)
+            for new_p, old_p in enumerate(pinv, 1):
+                pmap[old_p] = new_p
+            out.append((tuple(map(len, new_co)), tuple(map(len, new_ac)),
+                        qinv, tuple(pmap), pinv))
     _FACE_SHAPES[ck] = out
     return out
+
+
+def _position_blocks(comp: tuple) -> list[list[int]]:
+    """The 0-based positions of each slot of a composition."""
+    return [list(range(start, start + c))
+            for start, c in zip(block_starts(comp), comp)]
+
+
+def _face_blocks(blocks: list, i: int) -> list:
+    """The slot blocks after the i-th face map: an empty slot inserted for
+    i = 0 and i = n+1, otherwise every order-preserving split of slot i."""
+    if not 1 <= i <= len(blocks):
+        return [blocks[:i] + [[]] + blocks[i:]]
+    block = blocks[i - 1]
+    return [blocks[:i - 1] + [list(take), [p for p in block if p not in take]]
+            + blocks[i:]
+            for r in range(len(block) + 1)
+            for take in itertools.combinations(block, r)]
 
 
 def face_map(i: int, x: AlgebraElement) -> AlgebraElement:
@@ -350,41 +360,48 @@ def face_map(i: int, x: AlgebraElement) -> AlgebraElement:
     i = 0 and i = n+1 insert a trivial slot; for 1 <= i <= n the strands of
     slot i distribute over the two tensor factors of the split slot in all
     ways, preserving their relative order.  Decorations ride along on their
-    strands.
+    strands.  The shapes come from ``_face_shapes``; the coefficients are
+    summed exactly as integers (see ``_face_sum``).
     """
     n = x.n
     if not 0 <= i <= n + 1:
         raise ValueError(f"face index {i} out of range 0..{n + 1}")
-    out: dict[Key, Fraction] = {}
-    _add_face(out, i, x, Fraction(1))
-    return AlgebraElement(n + 1, x.monoid, out)
-
-
-def _add_face(out: dict, i: int, x: AlgebraElement, sign: Fraction) -> None:
-    """Add ``sign`` times the i-th face map of x into the terms ``out``."""
-    for (co, ac, perm, dec), c in x.terms.items():
-        c = sign * c
-        for co2, ac2, perm2, order in _face_shapes(i, co, ac, perm):
-            dec2 = tuple(dec[perm[s - 1] - 1] for s in order)
-            key = (co2, ac2, perm2, dec2)
-            new = out.get(key, Fraction(0)) + c
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
-
-
-def _subsequences(block: list):
-    for r in range(len(block) + 1):
-        yield from itertools.combinations(block, r)
+    return _face_sum(x, ((i, 1),))
 
 
 def hochschild_d(x: AlgebraElement) -> AlgebraElement:
     """Alternating sum of the face maps; squares to zero."""
-    out: dict[Key, Fraction] = {}
-    for i in range(x.n + 2):
-        _add_face(out, i, x, Fraction(-1) ** i)
-    return AlgebraElement(x.n + 1, x.monoid, out)
+    return _face_sum(x, ((i, (-1) ** i) for i in range(x.n + 2)))
+
+
+def _face_sum(x: AlgebraElement, faces) -> AlgebraElement:
+    """The sum of ``sign * face_map(i, x)`` over ``(i, sign)`` in faces.
+
+    Every face sign is +-1, so with ``scale`` the lcm of x's coefficient
+    denominators every term is an integer multiple of ``1 / scale``: the
+    terms are summed as Python ints and divided by ``scale`` once.
+    """
+    scale = math.lcm(*(c.denominator for c in x.terms.values()))
+    out: dict[Key, int] = {}
+    for i, sign in faces:
+        _add_face(out, i, x, sign * scale)
+    return AlgebraElement._of_fractions(
+        x.n + 1, x.monoid, {k: Fraction(v, scale) for k, v in out.items()})
+
+
+def _add_face(out: dict, i: int, x: AlgebraElement, factor: int) -> None:
+    """Add ``factor`` times the i-th face map of x into the integer terms
+    ``out``; ``factor * c`` must be an integer for every coefficient c."""
+    for (co, ac, perm, dec), c in x.terms.items():
+        v = factor // c.denominator * c.numerator
+        for co2, ac2, qinv, pmap, pinv in _face_shapes(i, co, ac):
+            key = (co2, ac2, tuple([pmap[perm[q] - 1] for q in qinv]),
+                   tuple([dec[p] for p in pinv]))
+            new = out.get(key, 0) + v
+            if new:
+                out[key] = new
+            else:
+                del out[key]
 
 
 def slot_permute(x: AlgebraElement, perm: tuple[int, ...]) -> AlgebraElement:

@@ -419,8 +419,6 @@ class KacMoodyBorel:
             br = self._mixed_tree(trees[i], trees[j])
             assert not br[1] and not br[2], "mixed bracket left the Cartan"
             hv = br[0]
-            coeffs = {Fraction(hv[k], t_alpha[k]) for k in range(2 * self.rank)
-                      if t_alpha[k]} - {None}
             nonzero = [k for k in range(2 * self.rank) if hv[k] or t_alpha[k]]
             if all(not hv[k] for k in nonzero):
                 gram[i][j] = Fraction(0)

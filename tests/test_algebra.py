@@ -4,13 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from dyalg.algebra import (AlgebraElement, alpha_map, alt, beta_map,
-                           cone_elements, dim_formula, embed_slots,
-                           enumerate_basis, face_map, filter_window,
-                           forget_split, hochschild_d, is_invariant, kappa,
-                           kappa_alpha, omega, quotient_allowed, r_matrix,
-                           rho_tilde_b, rho_tilde_pair, slot_permute)
+from dyalg import algebra
+from dyalg.algebra import (AlgebraElement, _key_of_structured, _structured,
+                           alpha_map, alt, beta_map, cone_elements,
+                           dim_formula, embed_slots, enumerate_basis,
+                           face_map, filter_window, forget_split,
+                           hochschild_d, is_invariant, kappa, kappa_alpha,
+                           omega, quotient_allowed, r_matrix, rho_tilde_b,
+                           rho_tilde_pair, slot_permute)
 from dyalg.monoids import RootCone, RootConeMod, SPLIT, TRIVIAL
+from dyalg.permutations import compositions
+
+FACE_MONOIDS = (TRIVIAL, SPLIT, RootCone(2, 1))
 
 
 def test_dimension_formulas():
@@ -41,6 +46,115 @@ def test_d_squared_zero_sweep():
             for b in enumerate_basis(n, deg):
                 x = AlgebraElement.basis(n, b)
                 assert hochschild_d(hochschild_d(x)).is_zero()
+
+
+def _reference_face(i, x):
+    """The i-th face map strand by strand: slot i's coaction strands and
+    its action strands each split in two in every order-preserving way."""
+    def splits(blocks):
+        if i == 0:
+            return [[[]] + blocks]
+        if i == x.n + 1:
+            return [blocks + [[]]]
+        block = blocks[i - 1]
+        return [blocks[:i - 1] + [list(take), [s for s in block
+                                               if s not in take]]
+                + blocks[i:]
+                for r in range(len(block) + 1)
+                for take in itertools.combinations(block, r)]
+
+    out = {}
+    for key, c in x.terms.items():
+        co_list, ac_list, decor = _structured(key)
+        for new_co in splits(co_list):
+            for new_ac in splits(ac_list):
+                k2 = _key_of_structured(new_co, new_ac, decor)
+                out[k2] = out.get(k2, Fraction(0)) + c
+    return AlgebraElement(x.n + 1, x.monoid, out)
+
+
+def _small_basis_elements(max_n=2, max_degree=3):
+    for monoid in FACE_MONOIDS:
+        for n in range(1, max_n + 1):
+            for deg in range(max_degree + 1):
+                for key in enumerate_basis(n, deg, monoid):
+                    yield AlgebraElement.basis(n, key, monoid)
+
+
+def _rational_combinations(seed, count):
+    rng = random.Random(seed)
+    for monoid in FACE_MONOIDS:
+        for n in (1, 2):
+            keys = [k for deg in range(4)
+                    for k in enumerate_basis(n, deg, monoid)]
+            for _ in range(count):
+                yield AlgebraElement(n, monoid, {
+                    k: Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7)))
+                    for k in rng.sample(keys, rng.randint(1, 5))})
+
+
+def _assert_fraction_terms(x):
+    assert all(type(c) is Fraction for c in x.terms.values())
+
+
+def test_face_maps_match_strandwise_reference():
+    elements = itertools.chain(_small_basis_elements(),
+                               _rational_combinations(seed=7, count=15))
+    for x in elements:
+        want_d = AlgebraElement.zero(x.n + 1, x.monoid)
+        for i in range(x.n + 2):
+            want = _reference_face(i, x)
+            got = face_map(i, x)
+            assert got == want, (i, x)
+            _assert_fraction_terms(got)
+            want_d = want_d + (-1) ** i * want
+        got_d = hochschild_d(x)
+        assert got_d == want_d, x
+        _assert_fraction_terms(got_d)
+
+
+def test_face_shape_cache_is_transparent_and_small():
+    algebra._FACE_SHAPES.clear()
+    for x in _small_basis_elements():
+        assert hochschild_d(hochschild_d(x)).is_zero()
+    # the cache key is (i, co, ac): the permutation and the decorations
+    # must stay out of it
+    triples = sum((m + 2) * len(compositions(deg, m)) ** 2
+                  for m in (1, 2, 3) for deg in range(4))
+    assert len(algebra._FACE_SHAPES) <= triples
+    for x in itertools.chain(_small_basis_elements(max_degree=2),
+                             _rational_combinations(seed=11, count=5)):
+        warm = [face_map(i, x) for i in range(x.n + 2)] + [hochschild_d(x)]
+        cold = []
+        for i in range(x.n + 2):
+            algebra._FACE_SHAPES.clear()
+            cold.append(face_map(i, x))
+        algebra._FACE_SHAPES.clear()
+        cold.append(hochschild_d(x))
+        assert [y.to_json() for y in cold] == [y.to_json() for y in warm]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hochschild_of_zero_and_unit(n):
+    for monoid in FACE_MONOIDS:
+        zero = hochschild_d(AlgebraElement.zero(n, monoid))
+        assert zero == AlgebraElement.zero(n + 1, monoid)
+        # n + 2 faces each send the unit to the unit with sign (-1)^i
+        want = (AlgebraElement.unit(n + 1, monoid) if n % 2
+                else AlgebraElement.zero(n + 1, monoid))
+        assert hochschild_d(AlgebraElement.unit(n, monoid)) == want
+
+
+def test_face_map_of_rational_multiple():
+    rng = random.Random(5)
+    for monoid in FACE_MONOIDS:
+        for key in rng.sample(enumerate_basis(2, 2, monoid), 6):
+            x = AlgebraElement.basis(2, key, monoid)
+            for q in (Fraction(2, 3), Fraction(-5, 7), Fraction(1, 2)):
+                for i in range(4):
+                    got = face_map(i, q * x)
+                    assert got == q * face_map(i, x)
+                    _assert_fraction_terms(got)
 
 
 def test_cosimplicial_identities():
@@ -194,8 +308,9 @@ def test_mismatch_errors():
         kappa(1, 1) + kappa(1, 1, SPLIT, decor=0)
     with pytest.raises(ValueError):
         r_matrix(2, 1, 1)
-    with pytest.raises(ValueError):
-        face_map(4, kappa(1, 1))
+    for i in (-1, 3, 4):
+        with pytest.raises(ValueError, match="face index"):
+            face_map(i, kappa(1, 1))
 
 
 def test_counit():
