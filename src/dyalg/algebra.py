@@ -98,15 +98,18 @@ class AlgebraElement:
                 terms[k] = new
             else:
                 terms.pop(k, None)
-        return AlgebraElement(self.n, self.monoid, terms)
+        return AlgebraElement._of_fractions(self.n, self.monoid, terms)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (-1) * other
 
     def __rmul__(self, scalar) -> "AlgebraElement":
         if isinstance(scalar, (int, Fraction)):
-            return AlgebraElement(self.n, self.monoid,
-                                  {k: c * scalar for k, c in self.terms.items()})
+            if not scalar:
+                return AlgebraElement.zero(self.n, self.monoid)
+            return AlgebraElement._of_fractions(
+                self.n, self.monoid,
+                {k: c * scalar for k, c in self.terms.items()})
         return NotImplemented
 
     def __neg__(self) -> "AlgebraElement":
@@ -125,7 +128,7 @@ class AlgebraElement:
                         out[k] = new
                     else:
                         out.pop(k, None)
-        return AlgebraElement(self.n, self.monoid, out)
+        return AlgebraElement._of_fractions(self.n, self.monoid, out)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, AlgebraElement) and self.n == other.n
@@ -223,6 +226,9 @@ def compose_basis(n: int, s_key: Key, t_key: Key,
                   monoid: DecorationMonoid = TRIVIAL) -> dict[Key, Fraction]:
     """Structure constants of ``s after t``, memoized.
 
+    The composite is the slice form of t followed by that of s (see
+    :func:`dyalg.rewrite.slices_of_key`), straightened.
+
     The cache is observationally transparent: an entry is the canonical
     straightening output of its pair, so recomputing it gives the same
     entry.
@@ -235,7 +241,9 @@ def compose_basis(n: int, s_key: Key, t_key: Key,
     hit = _CACHE.get(ck)
     if hit is not None:
         return hit
-    term = rewrite.term_of_basis_pair(n, s_key, t_key)
+    decorated = not monoid.is_trivial()
+    term = rewrite.term_graph(rewrite.slices_of_key(t_key, decorated)
+                              + rewrite.slices_of_key(s_key, decorated), n)
     out = rewrite.straighten_graph(term, monoid)
     deg = key_degree(s_key) + key_degree(t_key)
     assert all(key_degree(k) == deg for k in out), "grading violated"
@@ -244,96 +252,60 @@ def compose_basis(n: int, s_key: Key, t_key: Key,
 
 
 # ---------------------------------------------------------------------------
-# structured strand form: per-slot coaction/action orders plus decorations
-
-
-def _structured(key: Key):
-    co, ac, perm, dec = key
-    co_list, q = [], 0
-    for c in co:
-        co_list.append(list(range(q + 1, q + c + 1)))
-        q += c
-    inv = inverse(perm)
-    ac_list, p = [], 0
-    for a in ac:
-        ac_list.append([inv[p + i] for i in range(a)])
-        p += a
-    decor = {inv[p0]: dec[p0] for p0 in range(len(dec))}
-    return co_list, ac_list, decor
-
-
-def _key_of_structured(co_list, ac_list, decor) -> Key:
-    co = tuple(len(b) for b in co_list)
-    ac = tuple(len(b) for b in ac_list)
-    strand_q = {}
-    q = 0
-    for block in co_list:
-        for s in block:
-            q += 1
-            strand_q[s] = q
-    perm = [0] * q
-    dec = [None] * q
-    p = 0
-    for block in ac_list:
-        for s in block:
-            p += 1
-            perm[strand_q[s] - 1] = p
-            dec[p - 1] = decor[s]
-    return (co, ac, tuple(perm), tuple(dec))
-
-
-def _map_structured(x: AlgebraElement, fn, n_new: int,
-                    monoid=None) -> AlgebraElement:
-    """Apply ``fn(co_list, ac_list, decor) -> iterable of
-    (co_list, ac_list, decor, coeff)`` to every term."""
-    out: dict[Key, Fraction] = {}
-    for k, c in x.terms.items():
-        for co_list, ac_list, decor, c2 in fn(*_structured(k)):
-            key = _key_of_structured(co_list, ac_list, decor)
-            new = out.get(key, Fraction(0)) + c * c2
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
-    return AlgebraElement(n_new, monoid or x.monoid, out)
-
-
-# ---------------------------------------------------------------------------
-# cosimplicial structure
+# cosimplicial structure and slot maps: regroupings of a key's positions
 
 
 _FACE_SHAPES: dict[tuple, list] = {}
+_SLOT_SHAPES: dict[tuple, list] = {}
+
+
+def _shape(new_co: list, new_ac: list) -> tuple:
+    """The position shape of a regrouping of a key's slot blocks.
+
+    ``new_co`` and ``new_ac`` list, per new slot, the old 0-based coaction
+    and action positions placed there, in order.  The shape is
+    ``(co2, ac2, qinv, pmap, pinv)``: ``qinv`` gives, per new coaction
+    position, the old one; ``pinv`` gives, per new action position, the old
+    one; ``pmap`` is the inverse of ``pinv`` shifted to 1-based new
+    positions.  A key then maps to ``perm2 = (pmap[perm[q] - 1] for q in
+    qinv)`` and ``dec2 = (dec[p] for p in pinv)``, so a shape is
+    independent of the permutation and the decorations.
+    """
+    pinv = tuple(p for block in new_ac for p in block)
+    pmap = [0] * len(pinv)
+    for new_p, old_p in enumerate(pinv, 1):
+        pmap[old_p] = new_p
+    return (tuple(map(len, new_co)), tuple(map(len, new_ac)),
+            tuple(q for block in new_co for q in block), tuple(pmap), pinv)
 
 
 def _face_shapes(i: int, co: tuple, ac: tuple) -> list:
-    """Output shapes of the i-th face map on keys with compositions co, ac.
+    """The shapes of the i-th face map on keys with compositions co, ac.
 
-    A face map only regroups the coaction and action positions of slot i,
-    so a shape is independent of the permutation and the decorations.
-    Each entry is ``(co2, ac2, qinv, pmap, pinv)`` with 0-based positions:
-    ``qinv`` gives, per new coaction position, the old one; ``pinv`` gives,
-    per new action position, the old one; ``pmap`` is the inverse of
-    ``pinv`` shifted to 1-based new positions.  A key then maps to
-    ``perm2 = (pmap[perm[q] - 1] for q in qinv)`` and
-    ``dec2 = (dec[p] for p in pinv)``.
+    A face map only regroups the coaction and action positions of slot i.
     """
     ck = (i, co, ac)
     hit = _FACE_SHAPES.get(ck)
-    if hit is not None:
-        return hit
-    ac_splits = _face_blocks(_position_blocks(ac), i)
-    out = []
-    for new_co in _face_blocks(_position_blocks(co), i):
-        qinv = tuple(q for block in new_co for q in block)
-        for new_ac in ac_splits:
-            pinv = tuple(p for block in new_ac for p in block)
-            pmap = [0] * len(pinv)
-            for new_p, old_p in enumerate(pinv, 1):
-                pmap[old_p] = new_p
-            out.append((tuple(map(len, new_co)), tuple(map(len, new_ac)),
-                        qinv, tuple(pmap), pinv))
-    _FACE_SHAPES[ck] = out
-    return out
+    if hit is None:
+        ac_splits = _face_blocks(_position_blocks(ac), i)
+        hit = _FACE_SHAPES[ck] = [
+            _shape(new_co, new_ac)
+            for new_co in _face_blocks(_position_blocks(co), i)
+            for new_ac in ac_splits]
+    return hit
+
+
+def _slot_shapes(placement: tuple, co: tuple, ac: tuple) -> list:
+    """The one shape that moves old slot ``placement[k]`` to new slot k+1;
+    a 0 in ``placement`` leaves that new slot empty."""
+    ck = (placement, co, ac)
+    hit = _SLOT_SHAPES.get(ck)
+    if hit is None:
+        co_blocks, ac_blocks = _position_blocks(co), _position_blocks(ac)
+        hit = _SLOT_SHAPES[ck] = [_shape(
+            [co_blocks[s - 1] if s else [] for s in placement],
+            [ac_blocks[s - 1] if s else [] for s in placement])]
+    return hit
 
 
 def _position_blocks(comp: tuple) -> list[list[int]]:
@@ -354,6 +326,33 @@ def _face_blocks(blocks: list, i: int) -> list:
             for take in itertools.combinations(block, r)]
 
 
+def _shape_sum(x: AlgebraElement, n_new: int, shapes,
+               images) -> AlgebraElement:
+    """The sum of ``sign`` times x mapped through ``shapes(arg, co, ac)``
+    over ``(arg, sign)`` in images, on n_new slots.
+
+    Every sign is +-1, so with ``scale`` the lcm of x's coefficient
+    denominators every term is an integer multiple of ``1 / scale``: the
+    terms are summed as Python ints and divided by ``scale`` once.
+    """
+    scale = math.lcm(*(c.denominator for c in x.terms.values()))
+    out: dict[Key, int] = {}
+    for arg, sign in images:
+        factor = sign * scale
+        for (co, ac, perm, dec), c in x.terms.items():
+            v = factor // c.denominator * c.numerator
+            for co2, ac2, qinv, pmap, pinv in shapes(arg, co, ac):
+                key = (co2, ac2, tuple([pmap[perm[q] - 1] for q in qinv]),
+                       tuple([dec[p] for p in pinv]))
+                new = out.get(key, 0) + v
+                if new:
+                    out[key] = new
+                else:
+                    del out[key]
+    return AlgebraElement._of_fractions(
+        n_new, x.monoid, {k: Fraction(v, scale) for k, v in out.items()})
+
+
 def face_map(i: int, x: AlgebraElement) -> AlgebraElement:
     """The i-th insertion/coproduct map into n+1 slots, 0 <= i <= n+1.
 
@@ -361,47 +360,18 @@ def face_map(i: int, x: AlgebraElement) -> AlgebraElement:
     slot i distribute over the two tensor factors of the split slot in all
     ways, preserving their relative order.  Decorations ride along on their
     strands.  The shapes come from ``_face_shapes``; the coefficients are
-    summed exactly as integers (see ``_face_sum``).
+    summed exactly as integers (see ``_shape_sum``).
     """
     n = x.n
     if not 0 <= i <= n + 1:
         raise ValueError(f"face index {i} out of range 0..{n + 1}")
-    return _face_sum(x, ((i, 1),))
+    return _shape_sum(x, n + 1, _face_shapes, ((i, 1),))
 
 
 def hochschild_d(x: AlgebraElement) -> AlgebraElement:
     """Alternating sum of the face maps; squares to zero."""
-    return _face_sum(x, ((i, (-1) ** i) for i in range(x.n + 2)))
-
-
-def _face_sum(x: AlgebraElement, faces) -> AlgebraElement:
-    """The sum of ``sign * face_map(i, x)`` over ``(i, sign)`` in faces.
-
-    Every face sign is +-1, so with ``scale`` the lcm of x's coefficient
-    denominators every term is an integer multiple of ``1 / scale``: the
-    terms are summed as Python ints and divided by ``scale`` once.
-    """
-    scale = math.lcm(*(c.denominator for c in x.terms.values()))
-    out: dict[Key, int] = {}
-    for i, sign in faces:
-        _add_face(out, i, x, sign * scale)
-    return AlgebraElement._of_fractions(
-        x.n + 1, x.monoid, {k: Fraction(v, scale) for k, v in out.items()})
-
-
-def _add_face(out: dict, i: int, x: AlgebraElement, factor: int) -> None:
-    """Add ``factor`` times the i-th face map of x into the integer terms
-    ``out``; ``factor * c`` must be an integer for every coefficient c."""
-    for (co, ac, perm, dec), c in x.terms.items():
-        v = factor // c.denominator * c.numerator
-        for co2, ac2, qinv, pmap, pinv in _face_shapes(i, co, ac):
-            key = (co2, ac2, tuple([pmap[perm[q] - 1] for q in qinv]),
-                   tuple([dec[p] for p in pinv]))
-            new = out.get(key, 0) + v
-            if new:
-                out[key] = new
-            else:
-                del out[key]
+    return _shape_sum(x, x.n + 1, _face_shapes,
+                      ((i, (-1) ** i) for i in range(x.n + 2)))
 
 
 def slot_permute(x: AlgebraElement, perm: tuple[int, ...]) -> AlgebraElement:
@@ -409,26 +379,14 @@ def slot_permute(x: AlgebraElement, perm: tuple[int, ...]) -> AlgebraElement:
     slot perm[k-1]."""
     if sorted(perm) != list(range(1, x.n + 1)):
         raise ValueError("bad slot permutation")
-
-    def fn(co_list, ac_list, decor):
-        new_co = [None] * x.n
-        new_ac = [None] * x.n
-        for k in range(x.n):
-            new_co[perm[k] - 1] = co_list[k]
-            new_ac[perm[k] - 1] = ac_list[k]
-        yield new_co, new_ac, decor, Fraction(1)
-
-    return _map_structured(x, fn, x.n)
+    return _shape_sum(x, x.n, _slot_shapes, ((inverse(perm), 1),))
 
 
 def alt(x: AlgebraElement) -> AlgebraElement:
     """Antisymmetrization over slot permutations (a projector)."""
-    out = AlgebraElement.zero(x.n, x.monoid)
-    count = 0
-    for perm in all_permutations(x.n):
-        out = out + Fraction(sign(perm)) * slot_permute(x, perm)
-        count += 1
-    return Fraction(1, count) * out
+    perms = list(all_permutations(x.n))
+    return Fraction(1, len(perms)) * _shape_sum(
+        x, x.n, _slot_shapes, ((inverse(p), sign(p)) for p in perms))
 
 
 # ---------------------------------------------------------------------------
@@ -478,16 +436,10 @@ def embed_slots(x: AlgebraElement, n_new: int,
     if len(set(mapping.values())) != x.n or not all(
             1 <= v <= n_new for v in mapping.values()):
         raise ValueError("bad target slots")
-
-    def fn(co_list, ac_list, decor):
-        new_co = [[] for _ in range(n_new)]
-        new_ac = [[] for _ in range(n_new)]
-        for k in range(x.n):
-            new_co[mapping[k + 1] - 1] = co_list[k]
-            new_ac[mapping[k + 1] - 1] = ac_list[k]
-        yield new_co, new_ac, decor, Fraction(1)
-
-    return _map_structured(x, fn, n_new)
+    placement = [0] * n_new
+    for k, v in mapping.items():
+        placement[v - 1] = k
+    return _shape_sum(x, n_new, _slot_shapes, ((tuple(placement), 1),))
 
 
 def is_invariant(x: AlgebraElement, small_r: AlgebraElement | None = None

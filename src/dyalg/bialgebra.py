@@ -6,8 +6,9 @@ rewrite rule and every normally ordered element can be checked against
 matrices over the rationals on a fleet of concrete modules.  There is one
 evaluator, :func:`evaluate_slices`, on slice terms; :func:`evaluate` runs
 each basis key through it in its slice form
-(:func:`dyalg.terms.slices_of_key`).  Three tests keep the convention that
-turns a key into a matrix independent of that path: module-matrix products
+(:func:`dyalg.rewrite.slices_of_key`).  The straightening engine multiplies
+basis keys through the same slice form, so three tests keep the convention
+that turns a key into a matrix independent of it: module-matrix products
 built by hand for sample keys, the straightening of every small key's slice
 form back to the key, and multiplicativity on one- and two-slot products.
 
@@ -24,7 +25,7 @@ import itertools
 from fractions import Fraction
 
 from .algebra import AlgebraElement
-from .terms import slices_of_key
+from .rewrite import slices_of_key
 
 Matrix = tuple  # tuple of tuples of Fractions
 
@@ -83,18 +84,6 @@ class LieBialgebraData:
         self.weights = list(weights) if weights is not None else None
         self.basis_names = (list(basis_names) if basis_names
                             else [f"x{i + 1}" for i in range(dim)])
-
-    def bracket_vec(self, u: list[Fraction], v: list[Fraction]) -> list:
-        out = [Fraction(0)] * self.dim
-        for i, ci in enumerate(u):
-            if not ci:
-                continue
-            for j, cj in enumerate(v):
-                if not cj:
-                    continue
-                for k in range(self.dim):
-                    out[k] += ci * cj * self.bracket[i][j][k]
-        return out
 
     def to_json(self) -> dict:
         return {
@@ -379,7 +368,7 @@ def evaluate(x: AlgebraElement, modules: list[DYModuleData]) -> Matrix:
     the modules.  Linear in x; multiplicative on products.
 
     Each basis key is evaluated through its slice form
-    (:func:`dyalg.terms.slices_of_key`) by :func:`evaluate_slices`; the
+    (:func:`dyalg.rewrite.slices_of_key`) by :func:`evaluate_slices`; the
     sparse results are summed and made dense once."""
     if len(modules) != x.n:
         raise ValueError("slot count mismatch")

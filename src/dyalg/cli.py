@@ -10,11 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from .algebra import (AlgebraElement, face_map, hochschild_d, is_invariant)
-from .bialgebra import (DYModuleData, LieBialgebraData, adjoint_module,
-                        borel_sl2, drinfeld_double, evaluate,
+from .algebra import AlgebraElement, face_map, hochschild_d, is_invariant
+from .bialgebra import (LieBialgebraData, adjoint_module, evaluate,
                         trivial_module, validate_bialgebra)
 from .cohomology import cohomology_table
 from .coxeter import build_central_family, build_unit_family, \
@@ -24,7 +22,7 @@ from .kacmoody import build_kac_moody_borel, validate_bialgebra_windowed
 from .monoids import TRIVIAL, monoid_from_json
 from .series import GradedSeries
 from .twists import (GaugeObstruction, associator_2jet,
-                     check_associator_axioms, gauge, solve_gauge)
+                     check_associator_axioms, solve_gauge)
 
 OK, FAIL, PARSE, MISMATCH, INVALID = 0, 1, 2, 3, 4
 
@@ -236,7 +234,6 @@ def main(argv=None) -> int:
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--max-degree", type=int, default=2)
-    parser.add_argument("--weight-cap", type=int, default=4)
     parser.add_argument("--window", type=int, default=3)
     parser.add_argument("--config", default=None,
                         help="JSON file with defaults for the flags above")

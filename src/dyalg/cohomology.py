@@ -14,8 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .algebra import (AlgebraElement, Key, alt, enumerate_basis, hochschild_d,
-                      sort_key)
+from .algebra import AlgebraElement, Key, alt, enumerate_basis, hochschild_d
 from .freelie import hochschild_target_dim
 from .monoids import DecorationMonoid, TRIVIAL
 

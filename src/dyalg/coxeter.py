@@ -17,13 +17,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .algebra import (AlgebraElement, filter_window, kappa)
-from .diagrams import (Diagram, lift_subdiagram, maximal_nested_sets,
-                       mns_union, quotient_diagram)
+from .algebra import AlgebraElement, cone_elements, filter_window, kappa
+from .diagrams import (Diagram, maximal_nested_sets, mns_union,
+                       quotient_diagram)
 from .monoids import RootCone
 from .series import GradedSeries
 from .twists import gauge, twist_equation_residual
-from .algebra import cone_elements
 
 
 def _window_filter(series: GradedSeries, window: int | None) -> GradedSeries:

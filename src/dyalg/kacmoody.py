@@ -19,6 +19,7 @@ e_i with h_i.  Identities are only asserted inside the height window.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from . import linalg
@@ -57,25 +58,15 @@ def symmetrizer(cartan: list[list[int]]) -> list[int]:
                 else:
                     ratio[j] = want
                     frontier.append(j)
-    denom = 1
-    for r in ratio.values():
-        denom = denom * r.denominator // _gcd(denom, r.denominator)
+    denom = math.lcm(*(r.denominator for r in ratio.values()))
     ds = [int(ratio[i] * denom) for i in range(l)]
-    g = 0
-    for d in ds:
-        g = _gcd(g, d)
+    g = math.gcd(*ds)
     ds = [d // g for d in ds]
     for i in range(l):
         for j in range(l):
             if ds[i] * cartan[i][j] != ds[j] * cartan[j][i]:
                 raise ValueError("GCM is not symmetrizable")
     return ds
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a) if a else abs(b)
 
 
 def _weights_upto(rank: int, cap: int) -> list[Weight]:

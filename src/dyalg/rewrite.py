@@ -14,6 +14,12 @@ line all coactions precede all actions, no bracket or cobracket nodes
 remain, and every leg runs from one coaction to one action carrying a
 single decoration.
 
+Slice terms (:mod:`dyalg.terms`) are the one way into straightening:
+:func:`term_graph` builds the working graph of a slice term, and
+:func:`slices_of_key` gives the slice form of a basis key.  A product of two
+basis keys (``algebra.compose_basis``) is the concatenation of their slice
+forms, the same form the matrix evaluator (``bialgebra.evaluate``) runs.
+
 Oriented rules
 --------------
 
@@ -87,6 +93,7 @@ import random
 from fractions import Fraction
 
 from .monoids import DecorationMonoid, RootConeMod
+from .permutations import block_starts
 
 # ports: producer ("c", nid) | ("m", nid) | ("d", nid, 0 | 1)
 #        consumer ("a", nid) | ("m", nid, 0 | 1) | ("d", nid)
@@ -575,30 +582,114 @@ def _extract(t: _Term, monoid: DecorationMonoid
 
 
 # ---------------------------------------------------------------------------
-# building terms
+# building terms: slice terms (see :mod:`dyalg.terms`) are the one way in
 
 
-def term_of_basis_pair(n: int, s_key: tuple, t_key: tuple) -> _Term:
-    """Graph of the composite ``s after t`` of two canonical basis keys."""
+def leg_count(slices: list, n: int) -> int:
+    """Final number of open legs; raises on ill-typed composites."""
+    p = 0
+    for sl in slices:
+        kind = sl[0]
+        if kind == "coaction":
+            _check_slot(sl[1], n)
+            p += 1
+        elif kind == "action":
+            _check_slot(sl[1], n)
+            if p < 1:
+                raise ValueError("action with no open leg")
+            p -= 1
+        elif kind == "mu":
+            if p < 2:
+                raise ValueError("bracket needs two open legs")
+            p -= 1
+        elif kind == "delta":
+            if p < 1:
+                raise ValueError("cobracket needs an open leg")
+            p += 1
+        elif kind == "perm":
+            if sorted(sl[1]) != list(range(1, p + 1)):
+                raise ValueError("permutation does not match leg count")
+        elif kind == "decor":
+            if not 1 <= sl[1] <= p:
+                raise ValueError("decoration position out of range")
+        else:
+            raise ValueError(f"unknown slice kind {kind!r}")
+    return p
+
+
+def _check_slot(k: int, n: int) -> None:
+    if not 1 <= k <= n:
+        raise ValueError(f"slot {k} out of range 1..{n}")
+
+
+def slices_of_key(key: tuple, decorated: bool) -> list:
+    """The slice form of a basis key (see :mod:`dyalg.algebra`).
+
+    The coactions come first, in slot-block order, so the prefix lists the
+    legs by coaction position.  The actions are applied slot by slot and,
+    within a slot, from the last action position to the first; since an
+    action consumes the rightmost leg, one permutation moves the leg of the
+    r-th applied action (counting from 0) to prefix position N - r.  With
+    ``decorated`` set, each strand's decoration sits on that position.
+    """
+    co, ac, perm, dec = key
+    N = len(perm)
+    applied = [p for start, a in zip(block_starts(ac), ac)
+               for p in reversed(range(start, start + a))]
+    target = [0] * N  # prefix position of the leg with action position p
+    for r, p in enumerate(applied):
+        target[p] = N - r
+    slices: list = [("coaction", k + 1)
+                    for k, c in enumerate(co) for _ in range(c)]
+    slices.append(("perm", tuple(target[s - 1] for s in perm)))
+    if decorated:
+        slices.extend(("decor", target[p], dec[p]) for p in applied)
+    slices.extend(("action", k + 1)
+                  for k, a in enumerate(ac) for _ in range(a))
+    return slices
+
+
+def term_graph(slices: list, n: int) -> _Term | None:
+    """Build the rewriting graph of an endomorphism-typed slice term;
+    None if two different decorations meet on one leg (the term is 0)."""
+    if leg_count(slices, n) != 0:
+        raise ValueError("term is not an endomorphism of the module slots")
     t = _Term(n)
-    for key in (t_key, s_key):
-        co_comp, ac_comp, perm, dec = key
-        legs = {}
-        for slot in range(n):
-            for _ in range(co_comp[slot]):
-                cid = t.fresh("c")
-                t.lines[slot].append(cid)
-                legs[len(legs) + 1] = cid
-        actions = {}
-        abase = 0
-        for slot in range(n):
-            acts = [t.fresh("a") for _ in range(ac_comp[slot])]
-            t.lines[slot].extend(reversed(acts))
-            for i, aid in enumerate(acts):
-                actions[abase + i + 1] = aid
-            abase += len(acts)
-        for q, cid in legs.items():
-            p = perm[q - 1]
-            decor = dec[p - 1]
-            t.connect(("c", cid), ("a", actions[p]), decor)
+    prefix: list = []  # producer port per open leg, leftmost first
+    decor: dict = {}
+    for sl in slices:
+        kind = sl[0]
+        if kind == "coaction":
+            cid = t.fresh("c")
+            t.lines[sl[1] - 1].append(cid)
+            prefix.append(("c", cid))
+        elif kind == "action":
+            aid = t.fresh("a")
+            t.lines[sl[1] - 1].append(aid)
+            prod = prefix.pop()
+            t.connect(prod, ("a", aid), decor.pop(prod, None))
+        elif kind == "mu":
+            mid = t.fresh("m")
+            y = prefix.pop()
+            x = prefix.pop()
+            t.connect(x, ("m", mid, 0), decor.pop(x, None))
+            t.connect(y, ("m", mid, 1), decor.pop(y, None))
+            prefix.append(("m", mid))
+        elif kind == "delta":
+            did = t.fresh("d")
+            x = prefix.pop()
+            t.connect(x, ("d", did), decor.pop(x, None))
+            prefix.extend([("d", did, 0), ("d", did, 1)])
+        elif kind == "perm":
+            sigma = sl[1]
+            new = [None] * len(prefix)
+            for q, prod in enumerate(prefix):
+                new[sigma[q] - 1] = prod
+            prefix = new
+        elif kind == "decor":
+            prod = prefix[sl[1] - 1]
+            old = decor.get(prod)
+            if old is not None and old != sl[2]:
+                return None  # orthogonal idempotents compose to zero
+            decor[prod] = sl[2]
     return t

@@ -12,8 +12,7 @@ from fractions import Fraction
 from .algebra import (AlgebraElement, enumerate_basis, face_map,
                       hochschild_d, kappa, omega, r_matrix)
 from .bialgebra import (adjoint_module, borel_sl2, dense_of_sparse, evaluate,
-                        evaluate_slices, matmul, tensor_module,
-                        trivial_module)
+                        evaluate_slices, matmul)
 from .cohomology import cohomology_table
 from .coxeter import build_central_family, check_coxeter_family
 from .diagrams import Diagram, maximal_nested_sets

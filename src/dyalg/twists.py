@@ -9,13 +9,10 @@ reported instead of being absorbed.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
-from .algebra import (AlgebraElement, alpha_map, beta_map, face_map, omega,
-                      slot_permute)
+from .algebra import AlgebraElement, omega
 from .cohomology import NotClosed, decompose_cocycle
-from .monoids import DecorationMonoid, TRIVIAL
 from .series import GradedSeries, series_face, series_slot_permute
 
 
@@ -177,11 +174,11 @@ def solve_gauge(j1: GradedSeries, j2: GradedSeries, phi: GradedSeries,
             raise ValueError("inputs violate twist equation")
     u = GradedSeries.one(1, order, j1.monoid)
     for k in range(1, order + 1):
-        current = gauge(u, j1)
-        eta = (j2 - current).component(k)
+        diff = j2 - gauge(u, j1)
         for low in range(k):
-            if not (j2 - current).component(low).is_zero():
+            if not diff.component(low).is_zero():
                 raise AssertionError("lower-degree discrepancy left behind")
+        eta = diff.component(k)
         if eta.is_zero():
             continue
         try:

@@ -5,15 +5,14 @@ from fractions import Fraction
 import pytest
 
 from dyalg import algebra
-from dyalg.algebra import (AlgebraElement, _key_of_structured, _structured,
-                           alpha_map, alt, beta_map, cone_elements,
-                           dim_formula, embed_slots, enumerate_basis,
-                           face_map, filter_window, forget_split,
-                           hochschild_d, is_invariant, kappa, kappa_alpha,
-                           omega, quotient_allowed, r_matrix, rho_tilde_b,
-                           rho_tilde_pair, slot_permute)
+from dyalg.algebra import (AlgebraElement, alpha_map, alt, beta_map,
+                           cone_elements, dim_formula, embed_slots,
+                           enumerate_basis, face_map, filter_window,
+                           forget_split, hochschild_d, is_invariant, kappa,
+                           kappa_alpha, omega, quotient_allowed, r_matrix,
+                           rho_tilde_b, rho_tilde_pair, slot_permute)
 from dyalg.monoids import RootCone, RootConeMod, SPLIT, TRIVIAL
-from dyalg.permutations import compositions
+from dyalg.permutations import compositions, inverse
 
 FACE_MONOIDS = (TRIVIAL, SPLIT, RootCone(2, 1))
 
@@ -46,6 +45,55 @@ def test_d_squared_zero_sweep():
             for b in enumerate_basis(n, deg):
                 x = AlgebraElement.basis(n, b)
                 assert hochschild_d(hochschild_d(x)).is_zero()
+
+
+# The strand form: a key as per-slot lists of strands (named by coaction
+# position), coaction blocks and action blocks, plus a decoration per strand.
+# The package maps keys through position shapes instead; this independent
+# form is the reference for the face maps and the slot maps.
+
+
+def _structured(key):
+    co, ac, perm, dec = key
+    co_list, q = [], 0
+    for c in co:
+        co_list.append(list(range(q + 1, q + c + 1)))
+        q += c
+    inv = inverse(perm)
+    ac_list, p = [], 0
+    for a in ac:
+        ac_list.append([inv[p + i] for i in range(a)])
+        p += a
+    decor = {inv[p0]: dec[p0] for p0 in range(len(dec))}
+    return co_list, ac_list, decor
+
+
+def _key_of_structured(co_list, ac_list, decor):
+    strand_q = {s: q for q, s in
+                enumerate((s for block in co_list for s in block), 1)}
+    perm = [0] * len(strand_q)
+    dec = [None] * len(strand_q)
+    for p, s in enumerate((s for block in ac_list for s in block), 1):
+        perm[strand_q[s] - 1] = p
+        dec[p - 1] = decor[s]
+    return (tuple(map(len, co_list)), tuple(map(len, ac_list)), tuple(perm),
+            tuple(dec))
+
+
+def _reference_slot_map(x, n_new, targets):
+    """Old slot k moves to new slot targets[k-1]; the other slots stay
+    empty."""
+    out = {}
+    for key, c in x.terms.items():
+        co_list, ac_list, decor = _structured(key)
+        new_co = [[] for _ in range(n_new)]
+        new_ac = [[] for _ in range(n_new)]
+        for k, t in enumerate(targets):
+            new_co[t - 1] = co_list[k]
+            new_ac[t - 1] = ac_list[k]
+        k2 = _key_of_structured(new_co, new_ac, decor)
+        out[k2] = out.get(k2, Fraction(0)) + c
+    return AlgebraElement(n_new, x.monoid, out)
 
 
 def _reference_face(i, x):
@@ -111,6 +159,24 @@ def test_face_maps_match_strandwise_reference():
         got_d = hochschild_d(x)
         assert got_d == want_d, x
         _assert_fraction_terms(got_d)
+
+
+def test_slot_maps_match_strandwise_reference():
+    three_slots = (x for x in _small_basis_elements(max_n=3, max_degree=2)
+                   if x.n == 3)
+    elements = itertools.chain(_small_basis_elements(), three_slots,
+                               _rational_combinations(seed=7, count=15))
+    for x in elements:
+        for perm in itertools.permutations(range(1, x.n + 1)):
+            got = slot_permute(x, perm)
+            assert got == _reference_slot_map(x, x.n, perm), (perm, x)
+            _assert_fraction_terms(got)
+        for n_new in (x.n, x.n + 1):
+            for targets in itertools.permutations(range(1, n_new + 1), x.n):
+                got = embed_slots(x, n_new, dict(enumerate(targets, 1)))
+                assert got == _reference_slot_map(x, n_new, targets), (
+                    targets, x)
+                _assert_fraction_terms(got)
 
 
 def test_face_shape_cache_is_transparent_and_small():

@@ -16,7 +16,8 @@ from dyalg.bialgebra import (DYModuleData, LieBialgebraData, abelian_bialgebra,
                              trivial_module, validate_bialgebra,
                              validate_dy_module, zeros)
 from dyalg.monoids import SPLIT, TRIVIAL, RootCone
-from dyalg.terms import random_term, slices_of_key, straighten
+from dyalg.rewrite import slices_of_key
+from dyalg.terms import random_term, straighten
 
 
 def test_borel_valid():

@@ -132,6 +132,20 @@ def test_deterministic_output(tmp_path):
     assert one == two
 
 
+def test_config_file_sets_text_format(tmp_path):
+    dia = tmp_path / "a3.json"
+    dia.write_text(json.dumps(
+        {"vertices": [1, 2, 3], "edges": [[1, 2], [2, 3]]}))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"format": "text", "no-such-flag": 1}))
+    via_config = run_cli(["--config", str(config), "nested-sets", str(dia)],
+                         check=True).stdout
+    via_flag = run_cli(["--format", "text", "nested-sets", str(dia)],
+                       check=True).stdout
+    assert via_config.startswith("count: 5\nnested_sets:\n")
+    assert via_config == via_flag
+
+
 def test_dh_and_face_commands(tmp_path):
     elt = tmp_path / "k.json"
     elt.write_text(json.dumps(kappa(1, 1).to_json()))

@@ -7,9 +7,8 @@ from dyalg.algebra import AlgebraElement, compose_basis, enumerate_basis, \
     kappa
 from dyalg.monoids import RootCone, SPLIT, TRIVIAL
 from dyalg.rewrite import (RandomScheduler, Scheduler, ScriptedScheduler,
-                           straighten_graph, term_of_basis_pair)
-from dyalg.terms import random_term, straighten, term_from_json, \
-    term_graph, term_to_json
+                           term_graph)
+from dyalg.terms import random_term, straighten, term_from_json, term_to_json
 
 
 def test_casimir_square():
