@@ -93,11 +93,15 @@ class AlgebraElement:
         self._assert_compatible(other)
         terms = dict(self.terms)
         for k, c in other.terms.items():
-            new = terms.get(k, Fraction(0)) + c
+            old = terms.get(k)
+            if old is None:
+                terms[k] = c
+                continue
+            new = old + c
             if new:
                 terms[k] = new
             else:
-                terms.pop(k, None)
+                del terms[k]
         return AlgebraElement._of_fractions(self.n, self.monoid, terms)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
@@ -119,16 +123,32 @@ class AlgebraElement:
         if isinstance(other, (int, Fraction)):
             return other * self
         self._assert_compatible(other)
-        out: dict[Key, Fraction] = {}
-        for ks, cs in self.terms.items():
-            for kt, ct in other.terms.items():
-                for k, c in compose_basis(self.n, ks, kt, self.monoid).items():
-                    new = out.get(k, Fraction(0)) + cs * ct * c
+        n, monoid = self.n, self.monoid
+        if not self.terms or not other.terms:
+            return AlgebraElement.zero(n, monoid)
+        unit = {unit_key(n): 1}
+        if self.terms == unit:
+            return other
+        if other.terms == unit:
+            return self
+        # Every structure constant is an integer, so with each factor scaled
+        # to integers by the lcm of its denominators the product is summed
+        # as Python ints and divided by the two scales once per output term.
+        sa, left = _integer_terms(self)
+        sb, right = _integer_terms(other)
+        out: dict[Key, int] = {}
+        for ks, cs in left:
+            for kt, ct in right:
+                v = cs * ct
+                for k, c in compose_basis(n, ks, kt, monoid).items():
+                    new = out.get(k, 0) + v * c
                     if new:
                         out[k] = new
                     else:
-                        out.pop(k, None)
-        return AlgebraElement._of_fractions(self.n, self.monoid, out)
+                        del out[k]
+        scale = sa * sb
+        return AlgebraElement._of_fractions(
+            n, monoid, {k: Fraction(v, scale) for k, v in out.items()})
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, AlgebraElement) and self.n == other.n
@@ -196,6 +216,14 @@ class AlgebraElement:
         return AlgebraElement(n, monoid, terms)
 
 
+def _integer_terms(x: AlgebraElement) -> tuple[int, list[tuple[Key, int]]]:
+    """``(scale, [(key, numerator), ...])`` with ``scale`` the lcm of x's
+    coefficient denominators, so that x is the terms over ``scale``."""
+    scale = math.lcm(*(c.denominator for c in x.terms.values()))
+    return scale, [(k, scale // c.denominator * c.numerator)
+                   for k, c in x.terms.items()]
+
+
 def _dec_json(d):
     return list(d) if isinstance(d, tuple) else d
 
@@ -219,24 +247,25 @@ def _check_key(n: int, key: Key, monoid: DecorationMonoid) -> None:
 # structure constants
 
 
-_CACHE: dict[tuple, dict[Key, Fraction]] = {}
+_CACHE: dict[tuple, dict[Key, int]] = {}
 
 
 def compose_basis(n: int, s_key: Key, t_key: Key,
-                  monoid: DecorationMonoid = TRIVIAL) -> dict[Key, Fraction]:
+                  monoid: DecorationMonoid = TRIVIAL) -> dict[Key, int]:
     """Structure constants of ``s after t``, memoized.
 
     The composite is the slice form of t followed by that of s (see
-    :func:`dyalg.rewrite.slices_of_key`), straightened.
+    :func:`dyalg.rewrite.slices_of_key`), straightened.  Every rewrite rule
+    has coefficient +-1, so the constants are exact Python ints.
 
     The cache is observationally transparent: an entry is the canonical
     straightening output of its pair, so recomputing it gives the same
     entry.
     """
     if s_key == unit_key(n):
-        return {t_key: Fraction(1)}
+        return {t_key: 1}
     if t_key == unit_key(n):
-        return {s_key: Fraction(1)}
+        return {s_key: 1}
     ck = (monoid.key(), n, s_key, t_key)
     hit = _CACHE.get(ck)
     if hit is not None:
@@ -335,12 +364,11 @@ def _shape_sum(x: AlgebraElement, n_new: int, shapes,
     denominators every term is an integer multiple of ``1 / scale``: the
     terms are summed as Python ints and divided by ``scale`` once.
     """
-    scale = math.lcm(*(c.denominator for c in x.terms.values()))
+    scale, terms = _integer_terms(x)
     out: dict[Key, int] = {}
     for arg, sign in images:
-        factor = sign * scale
-        for (co, ac, perm, dec), c in x.terms.items():
-            v = factor // c.denominator * c.numerator
+        for (co, ac, perm, dec), c in terms:
+            v = sign * c
             for co2, ac2, qinv, pmap, pinv in shapes(arg, co, ac):
                 key = (co2, ac2, tuple([pmap[perm[q] - 1] for q in qinv]),
                        tuple([dec[p] for p in pinv]))

@@ -227,16 +227,47 @@ def cmd_verify(args) -> int:
     return OK if all(r["ok"] for r in results["assertions"]) else FAIL
 
 
+def _apply_config(parser: argparse.ArgumentParser, flags: list,
+                  config: dict) -> None:
+    """Make the values in ``config`` of the global ``flags`` (argparse
+    actions) the parser's defaults, so that a flag given on the command line
+    still wins.  Each value is checked as the same text on the command line
+    would be: converted through the option's type and matched against its
+    choices.  Other keys are ignored."""
+    actions = {a.dest: a for a in flags}
+    defaults = {}
+    for key, raw in config.items():
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            continue
+        try:
+            value = (action.type or str)(str(raw))
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(f"{value!r} is not one of "
+                                 f"{', '.join(map(repr, action.choices))}")
+        except ValueError as exc:
+            print(f"parse error: config key {key!r}: {exc}", file=sys.stderr)
+            raise SystemExit(PARSE)
+        defaults[action.dest] = value
+    parser.set_defaults(**defaults)
+
+
 def main(argv=None) -> int:
+    config_parser = argparse.ArgumentParser(add_help=False)
+    config_parser.add_argument(
+        "--config", default=None,
+        help="JSON file with defaults for --format, --seed, --max-degree "
+             "and --window; flags given on the command line win")
     parser = argparse.ArgumentParser(
         prog="dyalg",
-        description="exact computations in diagram algebras")
-    parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-degree", type=int, default=2)
-    parser.add_argument("--window", type=int, default=3)
-    parser.add_argument("--config", default=None,
-                        help="JSON file with defaults for the flags above")
+        description="exact computations in diagram algebras",
+        parents=[config_parser])
+    flags = [
+        parser.add_argument("--format", choices=("json", "text"),
+                            default="json"),
+        parser.add_argument("--seed", type=int, default=0),
+        parser.add_argument("--max-degree", type=int, default=2),
+        parser.add_argument("--window", type=int, default=3)]
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("multiply", help="product of two element files")
@@ -300,12 +331,10 @@ def main(argv=None) -> int:
     p.add_argument("suite")
     p.set_defaults(fn=cmd_verify)
 
+    config = config_parser.parse_known_args(argv)[0].config
+    if config:
+        _apply_config(parser, flags, _load(config, _object))
     args = parser.parse_args(argv)
-    if args.config:
-        for key, val in _load(args.config, _object).items():
-            attr = key.replace("-", "_")
-            if hasattr(args, attr):
-                setattr(args, attr, val)
     return args.fn(args)
 
 

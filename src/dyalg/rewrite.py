@@ -39,6 +39,12 @@ Oriented rules
 ``PUSH_DELTA``  a decoration on a cobracket's input enumerates two-part
                 decompositions onto its outputs.
 
+Every rule term carries the coefficient +1 or -1 (the pushes and the
+readout only +1), so a straightened term's coefficients are sums of signs:
+the engine multiplies and sums Python ints, and :func:`straighten_graph`
+returns ``dict[key, int]``.  Rational coefficients enter only with the
+elements of :mod:`dyalg.algebra`.
+
 Termination
 -----------
 
@@ -90,7 +96,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 
 from .monoids import DecorationMonoid, RootConeMod
 from .permutations import block_starts
@@ -194,10 +199,10 @@ def _merge_dec(term: _Term, prod: tuple, decor) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# rule applications: each returns [(term, coefficient factor), ...]
+# rule applications: each returns [(term, sign), ...] with sign +1 or -1
 
 
-def _apply_act_mu(t: _Term, act_id: int) -> list[tuple[_Term, Fraction]]:
+def _apply_act_mu(t: _Term, act_id: int) -> list[tuple[_Term, int]]:
     mid = t.wire_from[("a", act_id)][1]
     x_prod = t.wire_from[("m", mid, 0)]
     y_prod = t.wire_from[("m", mid, 1)]
@@ -219,11 +224,11 @@ def _apply_act_mu(t: _Term, act_id: int) -> list[tuple[_Term, Fraction]]:
         dec_of = {x_prod: dx, y_prod: dy}
         s.connect(first, ("a", a1), dec_of[first])
         s.connect(second, ("a", a2), dec_of[second])
-        out.append((s, Fraction(sgn)))
+        out.append((s, sgn))
     return out
 
 
-def _apply_delta_coact(t: _Term, did: int) -> list[tuple[_Term, Fraction]]:
+def _apply_delta_coact(t: _Term, did: int) -> list[tuple[_Term, int]]:
     cid = t.wire_from[("d", did)][1]
     cons0 = t.wire_to[("d", did, 0)]
     cons1 = t.wire_to[("d", did, 1)]
@@ -249,11 +254,11 @@ def _apply_delta_coact(t: _Term, did: int) -> list[tuple[_Term, Fraction]]:
         legs = {"first": ("c", c1), "second": ("c", c2)}
         s.connect(legs[wiring[0]], cons0, d0)
         s.connect(legs[wiring[1]], cons1, d1)
-        out.append((s, Fraction(sgn)))
+        out.append((s, sgn))
     return out
 
 
-def _apply_cocycle(t: _Term, did: int) -> list[tuple[_Term, Fraction]]:
+def _apply_cocycle(t: _Term, did: int) -> list[tuple[_Term, int]]:
     mid = t.wire_from[("d", did)][1]
     x_prod = t.wire_from[("m", mid, 0)]
     y_prod = t.wire_from[("m", mid, 1)]
@@ -289,12 +294,12 @@ def _apply_cocycle(t: _Term, did: int) -> list[tuple[_Term, Fraction]]:
         else:
             s.connect(("d", nd, 0), cons1, d1)
             s.connect(("m", nm), cons0, d0)
-        out.append((s, Fraction(sgn)))
+        out.append((s, sgn))
     return out
 
 
 def _apply_exchange(t: _Term, act_id: int, coact_id: int
-                    ) -> list[tuple[_Term, Fraction]]:
+                    ) -> list[tuple[_Term, int]]:
     x_prod = t.wire_from[("a", act_id)]
     cons_y = t.wire_to[("c", coact_id)]
     dy = t.dec.get(("c", coact_id))
@@ -305,7 +310,7 @@ def _apply_exchange(t: _Term, act_id: int, coact_id: int
 
     s = t.copy()  # swap
     s.lines[slot][pi], s.lines[slot][pi + 1] = coact_id, act_id
-    out.append((s, Fraction(1)))
+    out.append((s, 1))
 
     s = t.copy()  # bracket term: action and coaction fuse through a bracket
     dx = s.dec.pop(x_prod, None)
@@ -319,7 +324,7 @@ def _apply_exchange(t: _Term, act_id: int, coact_id: int
     s.connect(x_prod, ("m", nm, 0), dx)
     s.connect(("c", c2), ("m", nm, 1))
     s.connect(("m", nm), cons_y, dy)
-    out.append((s, Fraction(1)))
+    out.append((s, 1))
 
     s = t.copy()  # cobracket term
     dx = s.dec.pop(x_prod, None)
@@ -333,12 +338,12 @@ def _apply_exchange(t: _Term, act_id: int, coact_id: int
     s.connect(x_prod, ("d", nd), dx)
     s.connect(("d", nd, 0), cons_y, dy)
     s.connect(("d", nd, 1), ("a", a2))
-    out.append((s, Fraction(-1)))
+    out.append((s, -1))
     return out
 
 
 def _apply_push_mu(t: _Term, mid: int,
-                   monoid: DecorationMonoid) -> list[tuple[_Term, Fraction]]:
+                   monoid: DecorationMonoid) -> list[tuple[_Term, int]]:
     alpha = t.dec[("m", mid)]
     x_prod = t.wire_from[("m", mid, 0)]
     y_prod = t.wire_from[("m", mid, 1)]
@@ -347,12 +352,12 @@ def _apply_push_mu(t: _Term, mid: int,
         s = t.copy()
         s.dec.pop(("m", mid))
         if _merge_dec(s, x_prod, beta) and _merge_dec(s, y_prod, gamma):
-            out.append((s, Fraction(1)))
+            out.append((s, 1))
     return out
 
 
 def _apply_push_delta(t: _Term, did: int,
-                      monoid: DecorationMonoid) -> list[tuple[_Term, Fraction]]:
+                      monoid: DecorationMonoid) -> list[tuple[_Term, int]]:
     prod = t.wire_from[("d", did)]
     alpha = t.dec[prod]
     out = []
@@ -361,7 +366,7 @@ def _apply_push_delta(t: _Term, did: int,
         s.dec.pop(prod)
         if (_merge_dec(s, ("d", did, 0), beta)
                 and _merge_dec(s, ("d", did, 1), gamma)):
-            out.append((s, Fraction(1)))
+            out.append((s, 1))
     return out
 
 
@@ -440,10 +445,10 @@ def _topo_order(t: _Term) -> dict[int, int]:
     return order
 
 
-def _resolve_mu_bundle(t: _Term, coeff: Fraction, monoid: DecorationMonoid,
-                       sched: Scheduler) -> list[tuple[_Term, Fraction]]:
+def _resolve_mu_bundle(t: _Term, coeff: int, monoid: DecorationMonoid,
+                       sched: Scheduler) -> list[tuple[_Term, int]]:
     """Eliminate every bracket node, returning bracket-free terms."""
-    done: list[tuple[_Term, Fraction]] = []
+    done: list[tuple[_Term, int]] = []
     work = [(t, coeff)]
     while work:
         s, c = work.pop()
@@ -468,16 +473,18 @@ def _resolve_mu_bundle(t: _Term, coeff: Fraction, monoid: DecorationMonoid,
 
 
 def straighten_graph(t0: _Term, monoid: DecorationMonoid,
-                     sched: Scheduler | None = None) -> dict[tuple, Fraction]:
-    """Run the staged strategy; returns canonical basis keys -> coefficients."""
+                     sched: Scheduler | None = None) -> dict[tuple, int]:
+    """Run the staged strategy; returns canonical basis keys -> integer
+    coefficients.  Every rule multiplies by +-1, so the coefficients are
+    sums of signs, and a zero sum is dropped."""
     sched = sched or Scheduler()
-    out: dict[tuple, Fraction] = {}
+    out: dict[tuple, int] = {}
 
     # stage 1: brackets
-    arch = _resolve_mu_bundle(t0, Fraction(1), monoid, sched)
+    arch = _resolve_mu_bundle(t0, 1, monoid, sched)
 
     # stage 2: inversions (latest-action patterns; brackets resolved inline)
-    sorted_terms: list[tuple[_Term, Fraction]] = []
+    sorted_terms: list[tuple[_Term, int]] = []
     work = arch
     while work:
         t, c = work.pop()
@@ -496,7 +503,7 @@ def straighten_graph(t0: _Term, monoid: DecorationMonoid,
             work.extend(_resolve_mu_bundle(s, c * c2, monoid, sched))
 
     # stage 3: latent cobracket trees
-    resolved: list[tuple[_Term, Fraction]] = []
+    resolved: list[tuple[_Term, int]] = []
     work = sorted_terms
     while work:
         t, c = work.pop()
@@ -516,7 +523,7 @@ def straighten_graph(t0: _Term, monoid: DecorationMonoid,
     # stage 4: decoration expansion and readout
     for t, c in resolved:
         for key, c2 in _extract(t, monoid):
-            new = out.get(key, Fraction(0)) + c * c2
+            new = out.get(key, 0) + c * c2
             if new:
                 out[key] = new
             else:
@@ -525,8 +532,9 @@ def straighten_graph(t0: _Term, monoid: DecorationMonoid,
 
 
 def _extract(t: _Term, monoid: DecorationMonoid
-             ) -> list[tuple[tuple, Fraction]]:
-    """Read the canonical basis key off an arch term.
+             ) -> list[tuple[tuple, int]]:
+    """Read the canonical basis keys off an arch term, each with
+    coefficient 1.
 
     Key layout: (coactions, actions, perm, decor) with compositions per
     slot, the permutation sending coaction position to action position,
@@ -577,7 +585,7 @@ def _extract(t: _Term, monoid: DecorationMonoid
         if quotient and any(not monoid.is_allowed(d) for d in dec):
             continue
         key = (tuple(co_comp), tuple(ac_comp), tuple(perm), tuple(dec))
-        out.append((key, Fraction(1)))
+        out.append((key, 1))
     return out
 
 

@@ -6,11 +6,12 @@ import pytest
 
 from dyalg import algebra
 from dyalg.algebra import (AlgebraElement, alpha_map, alt, beta_map,
-                           cone_elements, dim_formula, embed_slots,
-                           enumerate_basis, face_map, filter_window,
-                           forget_split, hochschild_d, is_invariant, kappa,
-                           kappa_alpha, omega, quotient_allowed, r_matrix,
-                           rho_tilde_b, rho_tilde_pair, slot_permute)
+                           compose_basis, cone_elements, dim_formula,
+                           embed_slots, enumerate_basis, face_map,
+                           filter_window, forget_split, hochschild_d,
+                           is_invariant, kappa, kappa_alpha, omega,
+                           quotient_allowed, r_matrix, rho_tilde_b,
+                           rho_tilde_pair, slot_permute)
 from dyalg.monoids import RootCone, RootConeMod, SPLIT, TRIVIAL
 from dyalg.permutations import compositions, inverse
 
@@ -198,6 +199,76 @@ def test_face_shape_cache_is_transparent_and_small():
         algebra._FACE_SHAPES.clear()
         cold.append(hochschild_d(x))
         assert [y.to_json() for y in cold] == [y.to_json() for y in warm]
+
+
+def _reference_product(x, y):
+    """x * y as the Fraction sum of cs * ct * c over the structure
+    constants, with no integer scaling and no unit or zero shortcut."""
+    out = {}
+    for ks, cs in x.terms.items():
+        for kt, ct in y.terms.items():
+            for k, c in compose_basis(x.n, ks, kt, x.monoid).items():
+                out[k] = out.get(k, Fraction(0)) + cs * ct * c
+    return {k: c for k, c in out.items() if c}
+
+
+def _product_factors(seed, count):
+    """Seeded pairs of combinations of degree <= 2 with denominators 1, 2,
+    3 and 7, among them units, scaled units, single terms and zeros."""
+    rng = random.Random(seed)
+    for monoid in FACE_MONOIDS:
+        for n in (1, 2):
+            keys = [k for deg in range(3)
+                    for k in enumerate_basis(n, deg, monoid)]
+            specials = [AlgebraElement.unit(n, monoid),
+                        AlgebraElement.zero(n, monoid),
+                        Fraction(2, 3) * AlgebraElement.unit(n, monoid),
+                        AlgebraElement.basis(n, rng.choice(keys), monoid)]
+
+            def combination():
+                return AlgebraElement(n, monoid, {
+                    k: Fraction(rng.choice((-3, -2, -1, 1, 2, 5)),
+                                rng.choice((1, 2, 3, 7)))
+                    for k in rng.sample(keys, rng.randint(1, 4))})
+
+            for special in specials:
+                yield special, combination()
+                yield combination(), special
+            for _ in range(count):
+                yield combination(), combination()
+
+
+def _cancelling_pair(n, monoid, rng):
+    """x = (q a - p b) / 3 and y = t / 7 for basis keys a, b, t such that
+    a * t and b * t share a key k, with coefficients p and q there: the k
+    terms of x * y cancel."""
+    keys = [k for deg in (1, 2) for k in enumerate_basis(n, deg, monoid)]
+    while True:
+        a, b, t = rng.sample(keys, 3)
+        at, bt = compose_basis(n, a, t, monoid), compose_basis(n, b, t, monoid)
+        shared = sorted(set(at) & set(bt), key=repr)
+        if shared:
+            k = shared[0]
+            x = AlgebraElement(n, monoid, {a: Fraction(bt[k], 3),
+                                           b: Fraction(-at[k], 3)})
+            return x, Fraction(1, 7) * AlgebraElement.basis(n, t, monoid), k
+
+
+def test_product_matches_fraction_reference():
+    pairs = list(_product_factors(seed=8, count=28))
+    assert len(pairs) >= 200
+    for x, y in pairs:
+        got = x * y
+        assert got.terms == _reference_product(x, y)
+        _assert_fraction_terms(got)
+    rng = random.Random(9)
+    for monoid in FACE_MONOIDS:
+        for n in (1, 2):
+            x, y, k = _cancelling_pair(n, monoid, rng)
+            got = x * y
+            assert k not in got.terms and not got.is_zero()
+            assert got.terms == _reference_product(x, y)
+            _assert_fraction_terms(got)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -1,0 +1,83 @@
+import json
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "bench_pair.py"
+METRICS = ("setup_s", "wall_s", "peak_rss_mb", "cmd_geomean_s")
+
+
+def _write_run(directory, workload, seed, started, sha, wall, rss,
+               trace=0, failed=0):
+    directory.mkdir(exist_ok=True)
+    raw = {"provenance": {"workload": workload, "seed": seed,
+                          "seconds": 18.0, "trace": trace,
+                          "source_sha256": sha, "python": "3.11.7",
+                          "nproc": 2, "cpu_model": "test cpu",
+                          "started_utc": started},
+           "result": {"correct": failed == 0, "attempted": 4,
+                      "failed": failed,
+                      "metrics": {
+                          name: {"value": {"wall_s": wall,
+                                           "peak_rss_mb": rss}.get(name, 0.1)}
+                          for name in METRICS}}}
+    path = directory / f"{workload}-seed{seed}-trace{trace}-{started}.json"
+    path.write_text(json.dumps(raw))
+
+
+def _run_tool(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), "--workload", "gauge", "--pr", "7",
+         "--parent", str(tmp_path / "parent"),
+         "--change", str(tmp_path / "change")],
+        cwd=tmp_path, capture_output=True, text=True)
+    return proc, tmp_path / "BENCH_7.json"
+
+
+def test_bench_pair_folds_alternating_runs(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    # three alternating pairs; the change loses the second on wall_s and
+    # ties the third on peak_rss_mb
+    for seed, (t_p, t_c), (w_p, w_c), (r_p, r_c) in (
+            (1, ("01", "02"), (4.0, 2.0), (25.0, 24.0)),
+            (2, ("04", "03"), (4.4, 4.6), (25.0, 24.0)),
+            (3, ("05", "06"), (4.2, 2.2), (25.0, 25.0))):
+        _write_run(parent, "gauge", seed, t_p, "aaa", w_p, r_p)
+        _write_run(change, "gauge", seed, t_c, "bbb", w_c, r_c)
+    # runs of another workload and traced runs are left out
+    _write_run(parent, "products", 1, "07", "aaa", 9.0, 30.0)
+    _write_run(change, "gauge", 1, "08", "bbb", 0.1, 1.0, trace=1)
+    proc, out = _run_tool(tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(out.read_text())
+    assert record["pr"] == 7 and record["workload"] == "gauge"
+    assert record["host"] == {"cpu_model": "test cpu", "nproc": 2}
+    assert record["python"] == "3.11.7"
+    assert record["parent"]["source_sha256"] == "aaa"
+    assert record["change"]["source_sha256"] == "bbb"
+    assert record["parent"]["seeds"] == [1, 2, 3]
+    assert record["change"]["all_correct"] and record["change"]["failed"] == 0
+    wall = record["metrics"]["wall_s"]
+    assert wall["parent"] == pytest.approx(
+        {"q1": 4.1, "median": 4.2, "q3": 4.3})
+    assert wall["change"]["median"] == 2.2
+    assert wall["parent_quartile_spread"] == pytest.approx(0.2)
+    assert (wall["pairs"], wall["pairs_won"], wall["pairs_lost"]) == (3, 2, 1)
+    rss = record["metrics"]["peak_rss_mb"]
+    assert (rss["pairs_won"], rss["pairs_lost"]) == (2, 0)
+    assert rss["bound"] == 0.05 and rss["unit"] == "MB"
+    # every end-to-end metric of the benchmark is folded; a tie is no win
+    assert sorted(record["metrics"]) == sorted(METRICS)
+    setup = record["metrics"]["setup_s"]
+    assert (setup["pairs_won"], setup["pairs_lost"]) == (0, 0)
+
+
+def test_bench_pair_rejects_unpaired_runs(tmp_path):
+    _write_run(tmp_path / "parent", "gauge", 1, "01", "aaa", 4.0, 25.0)
+    _write_run(tmp_path / "change", "gauge", 2, "02", "bbb", 2.0, 24.0)
+    proc, out = _run_tool(tmp_path)
+    assert proc.returncode == 2 and "seed" in proc.stderr
+    assert not out.exists()

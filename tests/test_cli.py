@@ -168,3 +168,45 @@ def test_coxeter_check_command(tmp_path):
     proc = run_cli(["coxeter-check", str(dia)], check=True)
     summary = json.loads(proc.stdout)
     assert all(v["failures"] == 0 for v in summary.values())
+
+
+def test_config_value_of_wrong_type_is_parse_error(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"window": "x"}))
+    proc = run_cli(["--config", str(config), "cohomology"])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("parse error: ")
+    config.write_text(json.dumps({"format": "yaml"}))
+    proc = run_cli(["--config", str(config), "associator-check"])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("parse error: ")
+
+
+def test_config_ignores_keys_that_are_not_global_flags(tmp_path):
+    dia = tmp_path / "a3.json"
+    dia.write_text(json.dumps(
+        {"vertices": [1, 2, 3], "edges": [[1, 2], [2, 3]]}))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"fn": 1, "command": "verify"}))
+    via_config = run_cli(["--config", str(config), "nested-sets", str(dia)],
+                         check=True).stdout
+    plain = run_cli(["nested-sets", str(dia)], check=True).stdout
+    assert via_config == plain
+
+
+def test_command_line_flag_beats_config(tmp_path, monkeypatch, capsys):
+    from dyalg import cli, suites
+    monkeypatch.setitem(suites.SUITES, "seed-echo", lambda seed: {
+        "seed": seed, "assertions": [{"ok": True}]})
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 3}))
+
+    def seed_of(args):
+        assert cli.main(args) == 0
+        return json.loads(capsys.readouterr().out)["seed"]
+
+    assert seed_of(["--config", str(config), "verify", "seed-echo"]) == 3
+    assert seed_of(["--config", str(config), "--seed", "5", "verify",
+                    "seed-echo"]) == 5
+    assert seed_of(["--seed", "5", "--config", str(config), "verify",
+                    "seed-echo"]) == 5

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from dyalg import algebra
 from dyalg.algebra import AlgebraElement, compose_basis, enumerate_basis, \
     kappa
 from dyalg.monoids import RootCone, SPLIT, TRIVIAL
@@ -119,3 +120,34 @@ def test_structure_constant_cache_transparent():
     first = compose_basis(1, b, b)
     second = compose_basis(1, b, b)
     assert first == second and first is second
+
+
+def test_structure_constant_cache_is_transparent_and_integer():
+    rng = random.Random(6)
+    pairs = []
+    for monoid in (TRIVIAL, SPLIT, RootCone(2, 1)):
+        for _ in range(70):
+            n = rng.choice((1, 2))
+            s, t = (rng.choice(enumerate_basis(n, rng.randint(0, 2), monoid))
+                    for _ in range(2))
+            pairs.append((n, s, t, monoid))
+    warm = [compose_basis(*pair) for pair in pairs]
+    assert all(type(c) is int and c
+               for constants in warm for c in constants.values())
+    for pair, constants in zip(pairs, warm):
+        algebra._CACHE.clear()
+        assert compose_basis(*pair) == constants
+    for monoid in (TRIVIAL, SPLIT, RootCone(2, 1)):
+        keys = [k for deg in range(3) for k in enumerate_basis(2, deg, monoid)]
+        elements = [AlgebraElement(2, monoid, {
+            k: Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2, 7)))
+            for k in rng.sample(keys, 3)}) for _ in range(6)]
+        pairs = [(x, y) for x in elements for y in elements]
+        for x, y in pairs:
+            x * y
+        warm = [(x * y).to_json() for x, y in pairs]
+        cold = []
+        for x, y in pairs:
+            algebra._CACHE.clear()
+            cold.append((x * y).to_json())
+        assert cold == warm
