@@ -26,7 +26,8 @@ Oriented rules
 ``ACT_MU``      an action fed by a bracket expands into the two orderings
                 of the bracket's arguments acting in sequence (signs +, -).
 ``DELTA_COACT`` a cobracket fed by a coaction leg splits the coaction in
-                two (signs +, - with the leg swap).
+                two (signs +, - with the leg swap); stage 3 reads it off
+                without rewriting.
 ``COCYCLE``     a cobracket fed by a bracket is reordered into the four
                 terms with the cobracket applied to one argument and the
                 bracket recombining one of its halves.
@@ -37,12 +38,12 @@ Oriented rules
 ``PUSH_MU``     a decoration on a bracket's output enumerates two-part
                 decompositions onto its inputs.
 ``PUSH_DELTA``  a decoration on a cobracket's input enumerates two-part
-                decompositions onto its outputs.
+                decompositions onto its outputs; read off like DELTA_COACT.
 
-Every rule term carries the coefficient +1 or -1 (the pushes and the
-readout only +1), so a straightened term's coefficients are sums of signs:
-the engine multiplies and sums Python ints, and :func:`straighten_graph`
-returns ``dict[key, int]``.  Rational coefficients enter only with the
+Every rule term carries the coefficient +1 or -1 (the pushes only +1), so
+a straightened term's coefficients are sums of signs: the engine
+multiplies and sums Python ints, and :func:`straighten_graph` returns
+``dict[key, int]``.  Rational coefficients enter only with the
 elements of :mod:`dyalg.algebra`.
 
 Termination
@@ -77,19 +78,20 @@ Stage 2  While some action immediately precedes a coaction on a line,
          a finite cobracket tree (COCYCLE) and vanishes (ACT_MU) before
          the next pattern is touched.
 
-Stage 3  No inversions remain; resolve latent cobracket trees top-down
-         (DELTA_COACT after PUSH_DELTA).  Coaction splits keep every line
-         sorted, so stage 2 never reopens.  Measure: (cobracket count,
-         push potential).
+Stage 3  No inversions remain: every line is sorted, and every cobracket
+         hangs in a finite latent tree under a coaction leg.  Nothing more
+         is rewritten; :func:`_readout` reads the keys straight off each
+         sorted term.  A split coaction's two legs take its place on the
+         line, so :func:`_leaves`, a structural recursion over the finite
+         tree, gives the leaf orders and signs that DELTA_COACT after
+         PUSH_DELTA would.  The readout then expands undecorated legs over
+         the monoid (the identity is the sum of the decoration
+         idempotents), drops terms outside the allowed set in quotient
+         mode, and sums the canonical basis keys.
 
-Stage 4  Expand undecorated legs over the monoid (the identity is the sum
-         of the decoration idempotents), drop terms outside the allowed
-         set in quotient mode, and read off the canonical basis data.
-
-Randomized schedules vary the stage-1 resolution order, the stage-2
-pattern among the provably safe ones, and the stage-3 tree order; all
-terminate by the same measures and the canonical output is schedule
-independent (a tested contract).
+Randomized schedules vary the stage-1 resolution order and the stage-2
+pattern among the provably safe ones; all terminate by the same measures
+and the canonical output is schedule independent (a tested contract).
 """
 
 from __future__ import annotations
@@ -151,9 +153,6 @@ class _Term:
 
     def mus(self) -> list[int]:
         return [n for n, k in self.kind.items() if k == "m"]
-
-    def deltas(self) -> list[int]:
-        return [n for n, k in self.kind.items() if k == "d"]
 
     def inversions(self) -> list[tuple[int, int]]:
         """Adjacent (action, coaction) patterns per line."""
@@ -224,36 +223,6 @@ def _apply_act_mu(t: _Term, act_id: int) -> list[tuple[_Term, int]]:
         dec_of = {x_prod: dx, y_prod: dy}
         s.connect(first, ("a", a1), dec_of[first])
         s.connect(second, ("a", a2), dec_of[second])
-        out.append((s, sgn))
-    return out
-
-
-def _apply_delta_coact(t: _Term, did: int) -> list[tuple[_Term, int]]:
-    cid = t.wire_from[("d", did)][1]
-    cons0 = t.wire_to[("d", did, 0)]
-    cons1 = t.wire_to[("d", did, 1)]
-    d0 = t.dec.get(("d", did, 0))
-    d1 = t.dec.get(("d", did, 1))
-    pos = t.line_pos()[cid]
-    slot = pos[0]
-    out = []
-    # the split's first output feeds (second-emitted leg, +) then
-    # (first-emitted leg, -)
-    for wiring, sgn in ((("second", "first"), 1), (("first", "second"), -1)):
-        s = t.copy()
-        s.disconnect(("c", cid))
-        s.wire_to.pop(("d", did, 0)), s.wire_from.pop(cons0)
-        s.wire_to.pop(("d", did, 1)), s.wire_from.pop(cons1)
-        s.dec.pop(("d", did, 0), None)
-        s.dec.pop(("d", did, 1), None)
-        s.drop_node(did)
-        s.drop_node(cid)
-        c1 = s.fresh("c")  # first in time
-        c2 = s.fresh("c")
-        s.lines[slot][pos[1]:pos[1] + 1] = [c1, c2]
-        legs = {"first": ("c", c1), "second": ("c", c2)}
-        s.connect(legs[wiring[0]], cons0, d0)
-        s.connect(legs[wiring[1]], cons1, d1)
         out.append((s, sgn))
     return out
 
@@ -352,20 +321,6 @@ def _apply_push_mu(t: _Term, mid: int,
         s = t.copy()
         s.dec.pop(("m", mid))
         if _merge_dec(s, x_prod, beta) and _merge_dec(s, y_prod, gamma):
-            out.append((s, 1))
-    return out
-
-
-def _apply_push_delta(t: _Term, did: int,
-                      monoid: DecorationMonoid) -> list[tuple[_Term, int]]:
-    prod = t.wire_from[("d", did)]
-    alpha = t.dec[prod]
-    out = []
-    for beta, gamma in monoid.decompositions(alpha):
-        s = t.copy()
-        s.dec.pop(prod)
-        if (_merge_dec(s, ("d", did, 0), beta)
-                and _merge_dec(s, ("d", did, 1), gamma)):
             out.append((s, 1))
     return out
 
@@ -481,16 +436,15 @@ def straighten_graph(t0: _Term, monoid: DecorationMonoid,
     out: dict[tuple, int] = {}
 
     # stage 1: brackets
-    arch = _resolve_mu_bundle(t0, 1, monoid, sched)
+    work = _resolve_mu_bundle(t0, 1, monoid, sched)
 
-    # stage 2: inversions (latest-action patterns; brackets resolved inline)
-    sorted_terms: list[tuple[_Term, int]] = []
-    work = arch
+    # stage 2: inversions (latest-action patterns; brackets resolved inline),
+    # each sorted term read out as stage 3
     while work:
         t, c = work.pop()
         inv = t.inversions()
         if not inv:
-            sorted_terms.append((t, c))
+            _readout(t, monoid, c, out)
             continue
         order = _topo_order(t)
         safe = [p for p in inv
@@ -499,94 +453,126 @@ def straighten_graph(t0: _Term, monoid: DecorationMonoid,
         safe.sort(key=lambda p: -order[p[0]])
         assert safe, "no safe pattern despite inversions"
         act_id, coact_id = sched.choose("exchange", safe)
-        for s, c2 in _apply_exchange(t, act_id, coact_id):
-            work.extend(_resolve_mu_bundle(s, c * c2, monoid, sched))
-
-    # stage 3: latent cobracket trees
-    resolved: list[tuple[_Term, int]] = []
-    work = sorted_terms
-    while work:
-        t, c = work.pop()
-        deltas = t.deltas()
-        if not deltas:
-            resolved.append((t, c))
-            continue
-        rooted = [d for d in deltas if t.wire_from[("d", d)][0] == "c"]
-        assert rooted, "unrooted cobracket"
-        did = sched.choose("delta", sorted(rooted))
-        if t.wire_from[("d", did)] in t.dec:
-            results = _apply_push_delta(t, did, monoid)
-        else:
-            results = _apply_delta_coact(t, did)
-        work.extend((s, c * c2) for s, c2 in results)
-
-    # stage 4: decoration expansion and readout
-    for t, c in resolved:
-        for key, c2 in _extract(t, monoid):
-            new = out.get(key, 0) + c * c2
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
+        # only the bracket branch holds a bracket
+        (swap, c1), (fused, c2), (split, c3) = _apply_exchange(
+            t, act_id, coact_id)
+        work.append((swap, c * c1))
+        work.extend(_resolve_mu_bundle(fused, c * c2, monoid, sched))
+        work.append((split, c * c3))
     return out
 
 
-def _extract(t: _Term, monoid: DecorationMonoid
-             ) -> list[tuple[tuple, int]]:
-    """Read the canonical basis keys off an arch term, each with
-    coefficient 1.
+# ---------------------------------------------------------------------------
+# stage 3: reading keys off sorted terms
+
+
+def _leaves(t: _Term, prod: tuple, above, monoid: DecorationMonoid
+            ) -> list[tuple[tuple, int]]:
+    """Resolve the latent cobracket tree under the leg leaving ``prod``.
+
+    Returns ``[(leaves, sign), ...]``: ``leaves`` lists the (action id,
+    decoration) pairs in the time order of the coactions that DELTA_COACT
+    would split the leg into.  The leg's decoration is ``above`` (pushed
+    from the parent cobracket, or None) merged with its own; two different
+    decorations kill the branch.  A decorated cobracket input enumerates
+    its decompositions onto the outputs (PUSH_DELTA).  For leaf lists A of
+    output 0 and B of output 1 the split gives ``B + A`` with sign + (the
+    coaction first in time feeds output 1) and ``A + B`` with sign -.
+    """
+    dec = t.dec.get(prod)
+    if above is not None:
+        if dec is None:
+            dec = above
+        elif dec != above:
+            return []
+    cons = t.wire_to[prod]
+    if cons[0] == "a":
+        return [(((cons[1], dec),), 1)]
+    assert cons[0] == "d", "unexpected consumer in latent tree"
+    did = cons[1]
+    out = []
+    for beta, gamma in (monoid.decompositions(dec) if dec is not None
+                        else ((None, None),)):
+        right = _leaves(t, ("d", did, 1), gamma, monoid)
+        if not right:
+            continue
+        for a, sa in _leaves(t, ("d", did, 0), beta, monoid):
+            for b, sb in right:
+                out.append((b + a, sa * sb))
+                out.append((a + b, -sa * sb))
+    return out
+
+
+def _readout(t: _Term, monoid: DecorationMonoid, coeff: int,
+             out: dict[tuple, int]) -> None:
+    """Add ``coeff`` times the canonical basis keys of a sorted term into
+    ``out``, dropping zero sums.
 
     Key layout: (coactions, actions, perm, decor) with compositions per
     slot, the permutation sending coaction position to action position,
-    and decorations indexed by action position.
+    and decorations indexed by action position.  Each coaction contributes
+    the leaves of its latent tree (:func:`_leaves`) in time order.
     """
-    n = len(t.lines)
-    co_comp, ac_comp = [], []
-    co_pos: dict[int, int] = {}
-    ac_pos: dict[int, int] = {}
-    cbase = 0
+    kind = t.kind
+    ac_comp, ac_pos, line_coacts = [], {}, []
+    total = 0
     for line in t.lines:
-        coacts = [x for x in line if t.kind[x] == "c"]
-        acts = [x for x in line if t.kind[x] == "a"]
-        assert line == coacts + acts, "line not sorted at extraction"
-        for i, x in enumerate(coacts):
-            co_pos[x] = cbase + i + 1
-        cbase += len(coacts)
-        co_comp.append(len(coacts))
-        ac_comp.append(len(acts))
-    abase = 0
-    for line in t.lines:
-        acts = [x for x in line if t.kind[x] == "a"]
+        acts = [x for x in line if kind[x] == "a"]
+        nc = len(line) - len(acts)
+        assert line[nc:] == acts, "line not sorted at extraction"
+        line_coacts.append(line[:nc])
         for i, x in enumerate(acts):
-            ac_pos[x] = abase + len(acts) - i
-        abase += len(acts)
-    total = cbase
-    perm = [0] * total
-    strand_dec: list = [None] * total  # by action position
-    for prod, cons in t.wire_to.items():
-        assert prod[0] == "c" and cons[0] == "a", "non-arch wire at extraction"
-        q = co_pos[prod[1]]
-        p = ac_pos[cons[1]]
-        perm[q - 1] = p
-        strand_dec[p - 1] = t.dec.get(prod)
-    open_positions = [i for i, d in enumerate(strand_dec) if d is None]
-    zero = monoid.zero()
-    quotient = isinstance(monoid, RootConeMod)
-    choices = (itertools.product(monoid.elements(), repeat=len(open_positions))
-               if not monoid.is_trivial() else [()])
-    out = []
-    for choice in choices:
-        if monoid.is_trivial():
-            dec = [zero] * total
+            ac_pos[x] = total + len(acts) - i
+        total += len(acts)
+        ac_comp.append(len(acts))
+    factors, co_comp = [], []  # per coaction: its _leaves options
+    for coacts in line_coacts:
+        width = 0
+        for cid in coacts:
+            options = _leaves(t, ("c", cid), None, monoid)
+            if not options:
+                return
+            width += len(options[0][0])
+            factors.append(options)
+        co_comp.append(width)
+    assert sum(co_comp) == total, "unrooted cobracket at extraction"
+    co_comp, ac_comp = tuple(co_comp), tuple(ac_comp)
+    trivial = monoid.is_trivial()
+    if trivial:
+        zeros = (monoid.zero(),) * total
+    else:
+        quotient = isinstance(monoid, RootConeMod)
+        elements = monoid.elements()
+    for combo in itertools.product(*factors):
+        leaves: list = []
+        sign = coeff
+        for part, s in combo:
+            leaves += part
+            sign *= s
+        perm = tuple([ac_pos[a] for a, _ in leaves])
+        if trivial:
+            decors = [zeros]
         else:
-            dec = list(strand_dec)
-            for i, pos in enumerate(open_positions):
-                dec[pos] = choice[i]
-        if quotient and any(not monoid.is_allowed(d) for d in dec):
-            continue
-        key = (tuple(co_comp), tuple(ac_comp), tuple(perm), tuple(dec))
-        out.append((key, 1))
-    return out
+            dec = [None] * total
+            for p, (_, d) in zip(perm, leaves):
+                dec[p - 1] = d
+            if quotient and not all(d is None or monoid.is_allowed(d)
+                                    for d in dec):
+                continue
+            open_positions = [i for i, d in enumerate(dec) if d is None]
+            decors = []
+            for choice in itertools.product(elements,
+                                            repeat=len(open_positions)):
+                for i, d in zip(open_positions, choice):
+                    dec[i] = d
+                decors.append(tuple(dec))
+        for decor in decors:
+            key = (co_comp, ac_comp, perm, decor)
+            new = out.get(key, 0) + sign
+            if new:
+                out[key] = new
+            else:
+                del out[key]
 
 
 # ---------------------------------------------------------------------------

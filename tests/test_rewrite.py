@@ -1,12 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from dyalg import algebra
+from dyalg import algebra, rewrite
 from dyalg.algebra import AlgebraElement, compose_basis, enumerate_basis, \
     kappa
-from dyalg.monoids import RootCone, SPLIT, TRIVIAL
+from dyalg.monoids import RootCone, RootConeMod, SPLIT, TRIVIAL
 from dyalg.rewrite import (RandomScheduler, Scheduler, ScriptedScheduler,
                            term_graph)
 from dyalg.terms import random_term, straighten, term_from_json, term_to_json
@@ -151,3 +152,207 @@ def test_structure_constant_cache_is_transparent_and_integer():
             algebra._CACHE.clear()
             cold.append((x * y).to_json())
         assert cold == warm
+
+
+# -- stage 3 against stepwise rewriting --------------------------------------
+#
+# The reference below resolves the latent cobracket trees stepwise:
+# DELTA_COACT and PUSH_DELTA rewrite every tree away, one term copy per
+# branch, and a readout then reads one key per decoration choice off each
+# arch term.  It is kept here, apart from the package, so that the package's
+# recursive readout is checked against an independent implementation.
+
+# the positive roots of B2 and 0: not closed under decomposition, since
+# (1, 2) = (1, 0) + (0, 2), so the quotient filter has work to do
+B2_MOD = RootConeMod(2, 3, frozenset({(0, 0), (1, 0), (0, 1), (1, 1), (1, 2)}))
+
+
+def _ref_merge(t, prod, decor):
+    old = t.dec.get(prod)
+    if old is None:
+        t.dec[prod] = decor
+        return True
+    return old == decor
+
+
+def _ref_delta_coact(t, did):
+    cid = t.wire_from[("d", did)][1]
+    cons0 = t.wire_to[("d", did, 0)]
+    cons1 = t.wire_to[("d", did, 1)]
+    d0 = t.dec.get(("d", did, 0))
+    d1 = t.dec.get(("d", did, 1))
+    slot, pi = t.line_pos()[cid]
+    out = []
+    # c1 is first in time; + feeds output 0 from c2, - from c1
+    for first_to_0, sgn in ((False, 1), (True, -1)):
+        s = t.copy()
+        s.disconnect(("c", cid))
+        s.wire_to.pop(("d", did, 0)), s.wire_from.pop(cons0)
+        s.wire_to.pop(("d", did, 1)), s.wire_from.pop(cons1)
+        s.dec.pop(("d", did, 0), None)
+        s.dec.pop(("d", did, 1), None)
+        s.drop_node(did)
+        s.drop_node(cid)
+        c1 = s.fresh("c")
+        c2 = s.fresh("c")
+        s.lines[slot][pi:pi + 1] = [c1, c2]
+        to0, to1 = (c1, c2) if first_to_0 else (c2, c1)
+        s.connect(("c", to0), cons0, d0)
+        s.connect(("c", to1), cons1, d1)
+        out.append((s, sgn))
+    return out
+
+
+def _ref_push_delta(t, did, monoid):
+    prod = t.wire_from[("d", did)]
+    alpha = t.dec[prod]
+    out = []
+    for beta, gamma in monoid.decompositions(alpha):
+        s = t.copy()
+        s.dec.pop(prod)
+        if (_ref_merge(s, ("d", did, 0), beta)
+                and _ref_merge(s, ("d", did, 1), gamma)):
+            out.append((s, 1))
+    return out
+
+
+def _ref_extract(t, monoid):
+    co_comp, ac_comp = [], []
+    co_pos, ac_pos = {}, {}
+    cbase = abase = 0
+    for line in t.lines:
+        coacts = [x for x in line if t.kind[x] == "c"]
+        acts = [x for x in line if t.kind[x] == "a"]
+        assert line == coacts + acts
+        for i, x in enumerate(coacts):
+            co_pos[x] = cbase + i + 1
+        for i, x in enumerate(acts):
+            ac_pos[x] = abase + len(acts) - i
+        cbase += len(coacts)
+        abase += len(acts)
+        co_comp.append(len(coacts))
+        ac_comp.append(len(acts))
+    perm = [0] * cbase
+    strand_dec = [None] * cbase
+    for prod, cons in t.wire_to.items():
+        assert prod[0] == "c" and cons[0] == "a"
+        perm[co_pos[prod[1]] - 1] = ac_pos[cons[1]]
+        strand_dec[ac_pos[cons[1]] - 1] = t.dec.get(prod)
+    if monoid.is_trivial():
+        return [(tuple(co_comp), tuple(ac_comp), tuple(perm),
+                 (monoid.zero(),) * cbase)], 0
+    keys, dropped = [], 0
+    open_positions = [i for i, d in enumerate(strand_dec) if d is None]
+    for choice in itertools.product(monoid.elements(),
+                                    repeat=len(open_positions)):
+        dec = list(strand_dec)
+        for i, pos in enumerate(open_positions):
+            dec[pos] = choice[i]
+        if (isinstance(monoid, RootConeMod)
+                and not all(monoid.is_allowed(d) for d in dec)):
+            dropped += 1
+            continue
+        keys.append((tuple(co_comp), tuple(ac_comp), tuple(perm), tuple(dec)))
+    return keys, dropped
+
+
+def _ref_stage_3(sorted_terms, monoid, fired):
+    out = {}
+    work = list(sorted_terms)
+    while work:
+        t, c = work.pop()
+        rooted = sorted(d for d, k in t.kind.items()
+                        if k == "d" and t.wire_from[("d", d)][0] == "c")
+        if rooted:
+            if t.wire_from[("d", rooted[0])] in t.dec:
+                fired["push_delta"] += 1
+                results = _ref_push_delta(t, rooted[0], monoid)
+            else:
+                fired["delta_coact"] += 1
+                results = _ref_delta_coact(t, rooted[0])
+            work.extend((s, c * c2) for s, c2 in results)
+            continue
+        assert "d" not in t.kind.values(), "unrooted cobracket"
+        keys, dropped = _ref_extract(t, monoid)
+        fired["quotient_drop"] += dropped
+        for key in keys:
+            out[key] = out.get(key, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def test_readout_matches_stepwise_reference(monkeypatch):
+    rng = random.Random(41)
+    fired = dict.fromkeys(("delta_coact", "push_delta", "quotient_drop"), 0)
+    nonzero = 0
+    for trial in range(320):
+        monoid = (TRIVIAL, SPLIT, RootCone(2, 2), B2_MOD)[trial % 4]
+        n = rng.choice((1, 2))
+        slices = random_term(n, rng, max_nodes=6, monoid=monoid)
+        if term_graph(slices, n) is None:
+            continue
+        sorted_terms = []
+        with monkeypatch.context() as m:
+            # stages 1 and 2 through the package, stopped before stage 3
+            m.setattr(rewrite, "_readout",
+                      lambda t, _monoid, c, _out: sorted_terms.append((t, c)))
+            rewrite.straighten_graph(term_graph(slices, n), monoid)
+        want = _ref_stage_3(sorted_terms, monoid, fired)
+        got = rewrite.straighten_graph(term_graph(slices, n), monoid)
+        assert got == want, slices
+        nonzero += bool(want)
+    assert nonzero >= 200
+    assert fired["delta_coact"] >= 500
+    assert fired["push_delta"] >= 50
+    assert fired["quotient_drop"] >= 20
+
+
+def test_quotient_straightening_is_restricted_cone_straightening():
+    allowed = frozenset({(0, 0), (1, 0), (0, 1), (1, 1)})
+    mod, cone = RootConeMod(2, 4, allowed), RootCone(2, 4)
+    rng = random.Random(8)
+    for _ in range(300):
+        n = rng.choice((1, 2))
+        s, t = (rng.choice(enumerate_basis(n, rng.randint(0, 2), mod))
+                for _ in range(2))
+        got = compose_basis(n, s, t, mod)
+        full = compose_basis(n, s, t, cone)
+        assert got
+        assert got == {k: c for k, c in full.items()
+                       if all(d in allowed for d in k[3])}
+
+
+def _action_coaction_pairs(t):
+    """The stage-2 measure: (action A, coaction C) pairs with A before C on
+    a common line."""
+    pairs = 0
+    for line in t.lines:
+        actions = 0
+        for x in line:
+            if t.kind[x] == "a":
+                actions += 1
+            elif t.kind[x] == "c":
+                pairs += actions
+    return pairs
+
+
+def test_stage_two_measure_strictly_drops(monkeypatch):
+    exchange = rewrite._apply_exchange
+    transitions = []
+
+    def checked_exchange(t, act_id, coact_id):
+        before = _action_coaction_pairs(t)
+        results = exchange(t, act_id, coact_id)
+        for s, _ in results:
+            for r, _ in rewrite._resolve_mu_bundle(s, 1, monoid, Scheduler()):
+                transitions.append(_action_coaction_pairs(r) < before)
+        return results
+
+    monkeypatch.setattr(rewrite, "_apply_exchange", checked_exchange)
+    rng = random.Random(29)
+    for trial in range(300):
+        monoid = (TRIVIAL, SPLIT, RootCone(2, 2))[trial % 3]
+        n = rng.choice((1, 2))
+        slices = random_term(n, rng, max_nodes=6, monoid=monoid)
+        straighten(slices, n, monoid, scheduler=RandomScheduler(seed=trial))
+    assert len(transitions) >= 500
+    assert all(transitions)
