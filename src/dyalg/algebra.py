@@ -494,29 +494,34 @@ def is_invariant(x: AlgebraElement, small_r: AlgebraElement | None = None
 # maps between the differently decorated algebras
 
 
+def _redecorate(x: AlgebraElement, monoid: DecorationMonoid,
+                pool) -> AlgebraElement:
+    """Replace each strand decoration d of ``x`` by the sum of the
+    decorations in ``pool(d)`` (an empty pool kills the term); the result
+    is decorated by ``monoid``."""
+    out: dict[Key, Fraction] = {}
+    for (co, ac, perm, dec), c in x.terms.items():
+        for choice in itertools.product(*map(pool, dec)):
+            key = (co, ac, perm, choice)
+            out[key] = out.get(key, 0) + c
+    return AlgebraElement(x.n, monoid, out)
+
+
+def _check_source(x: AlgebraElement, kind: type, name: str) -> None:
+    if not isinstance(x.monoid, kind):
+        raise ValueError(f"source must be {name}")
+
+
 def alpha_map(x: AlgebraElement) -> AlgebraElement:
     """Undecorated -> split: every strand decorated 0."""
-    return _redecorate(x, SPLIT, lambda total: [((0,) * total, Fraction(1))])
+    _check_source(x, Trivial, "undecorated")
+    return _redecorate(x, SPLIT, lambda d: (0,))
 
 
 def beta_map(x: AlgebraElement) -> AlgebraElement:
     """Undecorated -> split: sum over all 0/1 decorations."""
-    return _redecorate(
-        x, SPLIT,
-        lambda total: [(d, Fraction(1))
-                       for d in itertools.product((0, 1), repeat=total)])
-
-
-def _redecorate(x: AlgebraElement, monoid: DecorationMonoid,
-                decorations) -> AlgebraElement:
-    if not isinstance(x.monoid, Trivial):
-        raise ValueError("source must be undecorated")
-    out: dict[Key, Fraction] = {}
-    for (co, ac, perm, _), c in x.terms.items():
-        for dec, c2 in decorations(len(perm)):
-            key = (co, ac, perm, dec)
-            out[key] = out.get(key, Fraction(0)) + c * c2
-    return AlgebraElement(x.n, monoid, out)
+    _check_source(x, Trivial, "undecorated")
+    return _redecorate(x, SPLIT, lambda d: (0, 1))
 
 
 def cone_elements(monoid: RootCone | RootConeMod, support: set[int],
@@ -535,33 +540,23 @@ def rho_tilde_b(x: AlgebraElement, monoid: RootCone, support: set[int],
                 window: int) -> AlgebraElement:
     """Undecorated -> cone: sum strand decorations over the sub-cone on the
     given diagram support, each strand truncated at the weight window."""
-    if not isinstance(x.monoid, Trivial):
-        raise ValueError("source must be undecorated")
+    _check_source(x, Trivial, "undecorated")
     elts = cone_elements(monoid, support, window)
-    return _redecorate(
-        x, monoid,
-        lambda total: [(d, Fraction(1))
-                       for d in itertools.product(elts, repeat=total)])
+    return _redecorate(x, monoid, lambda d: elts)
 
 
 def rho_tilde_pair(x: AlgebraElement, monoid: RootCone, small: set[int],
                    big: set[int], window: int) -> AlgebraElement:
     """Split -> cone for a nested pair of diagram supports: 0-strands sum
     over the small sub-cone, 1-strands over the big cone minus the small."""
-    if not isinstance(x.monoid, Split):
-        raise ValueError("source must be split-decorated")
+    _check_source(x, Split, "split-decorated")
     if not small <= big:
         raise ValueError("supports not nested")
     small_elts = cone_elements(monoid, small, window)
     big_elts = [a for a in cone_elements(monoid, big, window)
                 if a not in set(small_elts)]
-    out: dict[Key, Fraction] = {}
-    for (co, ac, perm, dec), c in x.terms.items():
-        pools = [small_elts if d == 0 else big_elts for d in dec]
-        for choice in itertools.product(*pools):
-            key = (co, ac, perm, tuple(choice))
-            out[key] = out.get(key, Fraction(0)) + c
-    return AlgebraElement(x.n, monoid, out)
+    return _redecorate(x, monoid,
+                       lambda d: small_elts if d == 0 else big_elts)
 
 
 def forget_split(x: AlgebraElement, zero_to: str = "id") -> AlgebraElement:
@@ -570,30 +565,23 @@ def forget_split(x: AlgebraElement, zero_to: str = "id") -> AlgebraElement:
     ``zero_to="id"``   keeps exactly the all-0 terms (1-strands die);
     ``zero_to="zero"`` keeps exactly the all-1 terms.
     """
-    if not isinstance(x.monoid, Split):
-        raise ValueError("source must be split-decorated")
+    _check_source(x, Split, "split-decorated")
     keep = 0 if zero_to == "id" else 1
-    out = {}
-    for (co, ac, perm, dec), c in x.terms.items():
-        if all(d == keep for d in dec):
-            out[(co, ac, perm, (0,) * len(dec))] = c
-    return AlgebraElement(x.n, TRIVIAL, out)
+    return _redecorate(x, TRIVIAL, lambda d: (0,) if d == keep else ())
 
 
 def quotient_allowed(x: AlgebraElement,
                      monoid: RootConeMod) -> AlgebraElement:
     """Project a cone-decorated element to the quotient by the ideal of
     non-allowed decorations."""
-    out = {k: c for k, c in x.terms.items()
-           if all(monoid.is_allowed(d) for d in k[3])}
-    return AlgebraElement(x.n, monoid, out)
+    return _redecorate(x, monoid,
+                       lambda d: (d,) if monoid.is_allowed(d) else ())
 
 
 def filter_window(x: AlgebraElement, window: int) -> AlgebraElement:
     """Keep terms whose strand decorations all have total weight <= window."""
-    out = {k: c for k, c in x.terms.items()
-           if all(sum(d) <= window for d in k[3])}
-    return AlgebraElement(x.n, x.monoid, out)
+    return _redecorate(x, x.monoid,
+                       lambda d: (d,) if sum(d) <= window else ())
 
 
 # ---------------------------------------------------------------------------

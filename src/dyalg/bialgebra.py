@@ -490,14 +490,16 @@ def evaluate_slices(slices: list, n: int, a: LieBialgebraData,
 
 
 def dense_of_sparse(op: dict, modules: list[DYModuleData]) -> Matrix:
-    """Convert a closed (no open legs) sparse slice evaluation to a dense
-    matrix on the module tensor product."""
+    """Convert a closed (no open legs) sparse slice evaluation, whose
+    entries are Fractions, to a dense matrix on the module tensor
+    product."""
     dims = [m.dim for m in modules]
     states = list(itertools.product(*[range(m) for m in dims]))
     index = {((), v): i for i, v in enumerate(states)}
     total = len(states)
-    rows = [[Fraction(0)] * total for _ in range(total)]
+    zero = Fraction(0)
+    rows = [[zero] * total for _ in range(total)]
     for out_state, row in op.items():
         for in_state, c in row.items():
             rows[index[out_state]][index[in_state]] = c
-    return mat(rows)
+    return tuple(map(tuple, rows))

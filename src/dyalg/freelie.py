@@ -18,11 +18,12 @@ All linear algebra is over exact rationals.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from . import linalg
 from .monoids import DecorationMonoid
-from .permutations import all_permutations, inverse
+from .permutations import all_permutations, block_starts, inverse, sign
 
 # A Lie monomial is a nested-tuple binary tree whose leaves are variable
 # indices: 3, or (1, 2), or ((1, 2), 3).  An associative combination is a
@@ -142,14 +143,7 @@ def symmetrized_product(monomials: tuple) -> AssocElt:
         for i in order:
             term = assoc_product(term, expanded[i])
         for w, c in term.items():
-            _add(out, w, Fraction(c, _factorial(k)))
-    return out
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
+            _add(out, w, Fraction(c, math.factorial(k)))
     return out
 
 
@@ -188,10 +182,7 @@ def pbw_decompose_blocks(w: dict, blocks: tuple[int, ...]) -> dict:
     block is decomposed independently and the results are tensored.
     Returns a dict mapping tuples of per-block PBW keys to coefficients.
     """
-    starts, acc = [], 0
-    for p in blocks:
-        starts.append(acc)
-        acc += p
+    starts = block_starts(blocks)
     out: dict = {}
     for words, coeff in w.items():
         if len(words) != len(blocks):
@@ -247,14 +238,8 @@ def _wedge_action(perm: tuple, wedge: tuple) -> tuple[int, dict]:
 
     factors = [relabel(m) for m in wedge]
     order = sorted(range(len(factors)), key=lambda i: min(variables(factors[i])))
-    sgn = _permutation_sign_from_order(order)
+    sgn = sign([o + 1 for o in order])
     return sgn, [factors[i] for i in order]
-
-
-def _permutation_sign_from_order(order: list[int]) -> int:
-    inversions = sum(1 for i, j in itertools.combinations(range(len(order)), 2)
-                     if order[i] > order[j])
-    return -1 if inversions % 2 else 1
 
 
 def _lie_coords(m, block: tuple, basis_cache: dict) -> dict:
@@ -328,7 +313,8 @@ def wedge_pair_dim(a: int, b: int, n_vars: int,
                 for (wb_, cb) in coords_b.items():
                     j = idx[(wa, pd, wb_)]
                     row[j] = row.get(j, Fraction(0)) + Fraction(sa * sb) * ca * cb
-        rows.append({j: c / _factorial(n_vars) for j, c in row.items() if c})
+        rows.append({j: c / math.factorial(n_vars)
+                     for j, c in row.items() if c})
     return linalg.sparse_rank(rows, dim)
 
 

@@ -25,6 +25,7 @@ from fractions import Fraction
 from . import linalg
 from .bialgebra import LieBialgebraData, matmul, validate_bialgebra
 from .freelie import expand_to_assoc, lie_bracket_assoc
+from .monoids import RootCone
 
 Weight = tuple  # multidegree over the simple roots
 
@@ -67,15 +68,6 @@ def symmetrizer(cartan: list[list[int]]) -> list[int]:
             if ds[i] * cartan[i][j] != ds[j] * cartan[j][i]:
                 raise ValueError("GCM is not symmetrizable")
     return ds
-
-
-def _weights_upto(rank: int, cap: int) -> list[Weight]:
-    out = []
-    for h in range(1, cap + 1):
-        for w in itertools.product(range(h + 1), repeat=rank):
-            if sum(w) == h:
-                out.append(w)
-    return out
 
 
 def _content(word: tuple, rank: int) -> Weight:
@@ -128,7 +120,7 @@ class _RootSpaces:
         return out
 
     def _build(self) -> None:
-        for weight in _weights_upto(self.rank, self.cap):
+        for weight in RootCone(self.rank, self.cap).elements()[1:]:
             words = _words_of(weight)
             widx = {w: i for i, w in enumerate(words)}
             ideal_vecs = [dict(v) for v in self._serre_relators(weight)]
@@ -197,7 +189,7 @@ class KacMoodyBorel:
         else:
             self.sym = symmetrizer(self.cartan)
         self.roots = _RootSpaces(self.cartan, cap)
-        self.weights_list = [w for w in _weights_upto(self.rank, cap)
+        self.weights_list = [w for w in RootCone(self.rank, cap).elements()[1:]
                              if self.roots.dim(w) > 0]
         self.index: dict = {}
         names = []

@@ -55,28 +55,38 @@ cobracket; the engine therefore runs a staged strategy whose stages each
 carry a strict measure.  Node count (actions + coactions + brackets +
 cobrackets) is invariant under every rule, which bounds everything else.
 
-Stage 1  While any bracket node exists, resolve one whose output feeds an
-         action or cobracket (such exists: output chains are finite and
-         end there).  Measure: (bracket count, number of bracket-above-
-         cobracket pairs in leg reachability, decoration-push potential).
-         ACT_MU lowers the first component; COCYCLE keeps it and lowers
-         the second (the resolved pair stops counting, no new pair forms);
-         pushes lower the third.  Afterwards every cobracket hangs in a
-         tree rooted at a coaction leg, and such trees stay latent until
-         stage 3.
+One work list runs all three stages: :func:`straighten_graph` pops a
+term, resolves one bracket if it has any (stage 1), else applies one
+EXCHANGE if it has an inversion (stage 2), else reads it out (stage 3).  A
+term with a bracket is always resolved first, so each lineage of terms
+passes through stages 1, 2 and 3 in order.
+
+Stage 1  While the term has a bracket node, resolve one whose output feeds
+         an action or cobracket (:func:`_resolve_bracket`; such exists:
+         output chains are finite and end there).  Measure: (bracket
+         count, number of bracket-above-cobracket pairs in leg
+         reachability, decoration-push potential).  ACT_MU lowers the
+         first component; COCYCLE keeps it and lowers the second (the
+         resolved pair stops counting, no new pair forms); pushes lower
+         the third.  Afterwards every cobracket hangs in a tree rooted at
+         a coaction leg, and such trees stay latent until stage 3.
 
 Stage 2  While some action immediately precedes a coaction on a line,
-         apply EXCHANGE at a pattern whose action is latest in a fixed
-         topological order (so every action that consumes the coaction's
-         leg tree is inversion-free).  Measure: the number of pairs
-         (action A, coaction C, A before C on a common line) drops by at
-         least one in all three branches: the swap removes the pattern
-         pair; the bracket branch deletes the action and resolves the
-         spawned bracket against inversion-free actions only, whose
-         splitting creates no new pair; the cobracket branch deletes the
-         pattern and extends a latent tree.  The spawned bracket descends
-         a finite cobracket tree (COCYCLE) and vanishes (ACT_MU) before
-         the next pattern is touched.
+         apply EXCHANGE at a safe pattern: one whose coaction's leg tree
+         feeds only inversion-free actions (no coaction after them on
+         their line).  Any safe pattern will do.  One always exists: the
+         pattern whose action is latest in a topological order of the
+         node graph (line order and legs) is safe, since any action fed by
+         its coaction comes later in that order, and a coaction after it
+         on its line would give a pattern with a later action still.
+         Measure: the number of pairs (action A, coaction C, A before C on
+         a common line) drops by at least one in all three branches: the
+         swap removes the pattern pair; the bracket branch deletes the
+         action and resolves the spawned bracket against inversion-free
+         actions only, whose splitting creates no new pair; the cobracket
+         branch deletes the pattern and extends a latent tree.  The
+         spawned bracket descends a finite cobracket tree (COCYCLE) and
+         vanishes (ACT_MU) before the lineage's next pattern is touched.
 
 Stage 3  No inversions remain: every line is sorted, and every cobracket
          hangs in a finite latent tree under a coaction leg.  Nothing more
@@ -90,8 +100,8 @@ Stage 3  No inversions remain: every line is sorted, and every cobracket
          mode, and sums the canonical basis keys.
 
 Randomized schedules vary the stage-1 resolution order and the stage-2
-pattern among the provably safe ones; all terminate by the same measures
-and the canonical output is schedule independent (a tested contract).
+pattern among the safe ones; all terminate by the same measures and the
+canonical output is schedule independent (a tested contract).
 """
 
 from __future__ import annotations
@@ -372,93 +382,47 @@ class ScriptedScheduler(Scheduler):
         return idx
 
 
-def _topo_order(t: _Term) -> dict[int, int]:
-    """A topological linearization of the node DAG (line order + legs)."""
-    succ: dict[int, set] = {n: set() for n in t.kind}
-    indeg = {n: 0 for n in t.kind}
-    for line in t.lines:
-        for a, b in zip(line, line[1:]):
-            if b not in succ[a]:
-                succ[a].add(b)
-                indeg[b] += 1
-    for prod, cons in t.wire_to.items():
-        a, b = prod[1], cons[1]
-        if b not in succ[a]:
-            succ[a].add(b)
-            indeg[b] += 1
-    ready = sorted(n for n, d in indeg.items() if d == 0)
-    order, k = {}, 0
-    while ready:
-        n = ready.pop(0)
-        order[n] = k
-        k += 1
-        for m in sorted(succ[n]):
-            indeg[m] -= 1
-            if indeg[m] == 0:
-                ready.append(m)
-    assert len(order) == len(t.kind), "cycle in term graph"
-    return order
-
-
-def _resolve_mu_bundle(t: _Term, coeff: int, monoid: DecorationMonoid,
-                       sched: Scheduler) -> list[tuple[_Term, int]]:
-    """Eliminate every bracket node, returning bracket-free terms."""
-    done: list[tuple[_Term, int]] = []
-    work = [(t, coeff)]
-    while work:
-        s, c = work.pop()
-        mus = s.mus()
-        if not mus:
-            done.append((s, c))
-            continue
-        # follow an output chain down to an action or cobracket consumer
-        mid = sched.choose("mu", sorted(mus))
-        while s.wire_to[("m", mid)][0] == "m":
-            mid = s.wire_to[("m", mid)][1]
-        if ("m", mid) in s.dec:
-            results = _apply_push_mu(s, mid, monoid)
-        else:
-            cons = s.wire_to[("m", mid)]
-            if cons[0] == "a":
-                results = _apply_act_mu(s, cons[1])
-            else:
-                results = _apply_cocycle(s, cons[1])
-        work.extend((s2, c * c2) for s2, c2 in results)
-    return done
+def _resolve_bracket(t: _Term, mid: int, monoid: DecorationMonoid
+                     ) -> list[tuple[_Term, int]]:
+    """One stage-1 step: follow the output chain of bracket ``mid`` down to
+    the bracket that feeds an action or a cobracket, then push its
+    decoration (PUSH_MU) or apply ACT_MU or COCYCLE there."""
+    while t.wire_to[("m", mid)][0] == "m":
+        mid = t.wire_to[("m", mid)][1]
+    if ("m", mid) in t.dec:
+        return _apply_push_mu(t, mid, monoid)
+    cons = t.wire_to[("m", mid)]
+    if cons[0] == "a":
+        return _apply_act_mu(t, cons[1])
+    return _apply_cocycle(t, cons[1])
 
 
 def straighten_graph(t0: _Term, monoid: DecorationMonoid,
                      sched: Scheduler | None = None) -> dict[tuple, int]:
-    """Run the staged strategy; returns canonical basis keys -> integer
-    coefficients.  Every rule multiplies by +-1, so the coefficients are
-    sums of signs, and a zero sum is dropped."""
+    """Run the staged strategy on one work list; returns canonical basis
+    keys -> integer coefficients.  Every rule multiplies by +-1, so the
+    coefficients are sums of signs, and a zero sum is dropped."""
     sched = sched or Scheduler()
     out: dict[tuple, int] = {}
-
-    # stage 1: brackets
-    work = _resolve_mu_bundle(t0, 1, monoid, sched)
-
-    # stage 2: inversions (latest-action patterns; brackets resolved inline),
-    # each sorted term read out as stage 3
+    work = [(t0, 1)]
     while work:
         t, c = work.pop()
-        inv = t.inversions()
-        if not inv:
-            _readout(t, monoid, c, out)
-            continue
-        order = _topo_order(t)
-        safe = [p for p in inv
-                if not any(t.has_bad_pair(a)
-                           for a in t.leaf_actions(("c", p[1])))]
-        safe.sort(key=lambda p: -order[p[0]])
-        assert safe, "no safe pattern despite inversions"
-        act_id, coact_id = sched.choose("exchange", safe)
-        # only the bracket branch holds a bracket
-        (swap, c1), (fused, c2), (split, c3) = _apply_exchange(
-            t, act_id, coact_id)
-        work.append((swap, c * c1))
-        work.extend(_resolve_mu_bundle(fused, c * c2, monoid, sched))
-        work.append((split, c * c3))
+        mus = t.mus()
+        if mus:  # stage 1
+            results = _resolve_bracket(t, sched.choose("mu", sorted(mus)),
+                                       monoid)
+        else:
+            inv = t.inversions()
+            if not inv:  # stage 3
+                _readout(t, monoid, c, out)
+                continue
+            # stage 2
+            safe = [p for p in inv
+                    if not any(t.has_bad_pair(a)
+                               for a in t.leaf_actions(("c", p[1])))]
+            assert safe, "no safe pattern despite inversions"
+            results = _apply_exchange(t, *sched.choose("exchange", safe))
+        work.extend((s, c * c2) for s, c2 in results)
     return out
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from dyalg import algebra, rewrite
 from dyalg.algebra import AlgebraElement, compose_basis, enumerate_basis, \
-    kappa
+    kappa, quotient_allowed
 from dyalg.monoids import RootCone, RootConeMod, SPLIT, TRIVIAL
 from dyalg.rewrite import (RandomScheduler, Scheduler, ScriptedScheduler,
                            term_graph)
@@ -86,7 +86,6 @@ def test_undecorated_strand_expands_over_monoid():
 
 
 def test_quotient_monoid_drops_non_allowed():
-    from dyalg.monoids import RootConeMod
     mod = RootConeMod(1, 4, frozenset({(0,), (1,)}))
     sl = [("coaction", 1), ("decor", 1, (1,)), ("action", 1),
           ("coaction", 1), ("decor", 1, (1,)), ("action", 1)]
@@ -94,6 +93,15 @@ def test_quotient_monoid_drops_non_allowed():
     # the exchange terms merging the two strands into weight (2,) must die
     for key in elt.terms:
         assert all(d in mod.allowed for d in key[3])
+    # (2,) splits into (1,) + (1,), which is not allowed: the quotient must
+    # drop those keys from the cone result
+    mod = RootConeMod(1, 4, frozenset({(0,), (2,)}))
+    sl = [("coaction", 1), ("decor", 1, (2,)), ("delta",),
+          ("action", 1), ("action", 1)]
+    got = straighten(sl, 1, mod)
+    cone = straighten(sl, 1, RootCone(1, 4))
+    assert got == quotient_allowed(cone, mod)
+    assert len(cone.terms) > len(got.terms)
 
 
 def test_term_json_round_trip():
@@ -335,6 +343,19 @@ def _action_coaction_pairs(t):
     return pairs
 
 
+def _resolve_brackets(t, monoid):
+    """Stage 1 alone: resolve the lowest bracket until none is left."""
+    work, done = [t], []
+    while work:
+        s = work.pop()
+        if s.mus():
+            work.extend(r for r, _ in
+                        rewrite._resolve_bracket(s, min(s.mus()), monoid))
+        else:
+            done.append(s)
+    return done
+
+
 def test_stage_two_measure_strictly_drops(monkeypatch):
     exchange = rewrite._apply_exchange
     transitions = []
@@ -343,7 +364,7 @@ def test_stage_two_measure_strictly_drops(monkeypatch):
         before = _action_coaction_pairs(t)
         results = exchange(t, act_id, coact_id)
         for s, _ in results:
-            for r, _ in rewrite._resolve_mu_bundle(s, 1, monoid, Scheduler()):
+            for r in _resolve_brackets(s, monoid):
                 transitions.append(_action_coaction_pairs(r) < before)
         return results
 
@@ -356,3 +377,59 @@ def test_stage_two_measure_strictly_drops(monkeypatch):
         straighten(slices, n, monoid, scheduler=RandomScheduler(seed=trial))
     assert len(transitions) >= 500
     assert all(transitions)
+
+
+def _stage_one_measure(t):
+    """(bracket count, (bracket, cobracket) pairs with the cobracket
+    reachable along legs from the bracket's output, sum over decorated
+    bracket outputs of the number of brackets in the tree feeding it)."""
+
+    def below(prod):  # cobrackets reachable from a producer port
+        cons = t.wire_to[prod]
+        if cons[0] == "m":
+            return below(("m", cons[1]))
+        if cons[0] == "d":
+            return ({cons[1]} | below(("d", cons[1], 0))
+                    | below(("d", cons[1], 1)))
+        return set()
+
+    def above(mid):  # brackets in the tree feeding a bracket, itself too
+        return 1 + sum(above(prod[1]) for prod in
+                       (t.wire_from[("m", mid, 0)], t.wire_from[("m", mid, 1)])
+                       if prod[0] == "m")
+
+    mus = t.mus()
+    return (len(mus), sum(len(below(("m", m))) for m in mus),
+            sum(above(m) for m in mus if ("m", m) in t.dec))
+
+
+def test_stage_one_measure_strictly_drops(monkeypatch):
+    resolve = rewrite._resolve_bracket
+    transitions = []
+    fired = dict.fromkeys(("act_mu", "cocycle", "push_mu"), 0)
+
+    def checked_resolve(t, mid, monoid):
+        before = _stage_one_measure(t)
+        results = resolve(t, mid, monoid)
+        transitions.extend(_stage_one_measure(s) < before for s, _ in results)
+        return results
+
+    def counted(name, rule):
+        def wrapped(*args):
+            fired[name] += 1
+            return rule(*args)
+        return wrapped
+
+    monkeypatch.setattr(rewrite, "_resolve_bracket", checked_resolve)
+    for name in fired:
+        monkeypatch.setattr(rewrite, f"_apply_{name}",
+                            counted(name, getattr(rewrite, f"_apply_{name}")))
+    rng = random.Random(31)
+    for trial in range(300):
+        monoid = (TRIVIAL, SPLIT, RootCone(2, 2))[trial % 3]
+        n = rng.choice((1, 2))
+        slices = random_term(n, rng, max_nodes=7, monoid=monoid)
+        straighten(slices, n, monoid, scheduler=RandomScheduler(seed=trial))
+    assert len(transitions) >= 5000
+    assert all(transitions)
+    assert min(fired.values()) >= 100, fired
