@@ -66,20 +66,25 @@ def _rank_d(n: int, degree: int, monoid: DecorationMonoid) -> int:
     return linalg.sparse_rank(cols, len(tindex))
 
 
+def _kernel_image_dims(degree: int, n_max: int, monoid: DecorationMonoid
+                       ) -> list[tuple[int, int, int]]:
+    """(slice dimension, dim ker d_n, dim im d_{n-1}) for n = 0..n_max."""
+    ranks = [_rank_d(n, degree, monoid) for n in range(n_max + 1)]
+    out = []
+    for n in range(n_max + 1):
+        dim_n = _slice_dim(n, degree, monoid)
+        out.append((dim_n, dim_n - ranks[n], ranks[n - 1] if n >= 1 else 0))
+    return out
+
+
 def cohomology_dims(degree: int, n_max: int,
                     monoid: DecorationMonoid = TRIVIAL) -> list[int]:
     """Dimensions of the cohomology in degrees 0..n_max at a fixed strand
     degree, by exact rank computation."""
     if degree > 3 or n_max > 4:
         raise ValueError("size guard: strand degree <= 3, window <= 4")
-    dims = []
-    ranks = {n: _rank_d(n, degree, monoid) for n in range(n_max + 1)}
-    for n in range(n_max + 1):
-        dim_n = _slice_dim(n, degree, monoid)
-        ker = dim_n - ranks[n]
-        im_prev = ranks[n - 1] if n >= 1 else 0
-        dims.append(ker - im_prev)
-    return dims
+    return [ker - im for _, ker, im in
+            _kernel_image_dims(degree, n_max, monoid)]
 
 
 def cohomology_table(degree: int, n_max: int,
@@ -89,11 +94,8 @@ def cohomology_table(degree: int, n_max: int,
     The oracle comparison is contractual in cohomological degrees 2 and 3;
     lower degrees report the computed value with oracle None."""
     rows = []
-    ranks = {n: _rank_d(n, degree, monoid) for n in range(n_max + 1)}
-    for n in range(n_max + 1):
-        dim_n = _slice_dim(n, degree, monoid)
-        ker = dim_n - ranks[n]
-        im_prev = ranks[n - 1] if n >= 1 else 0
+    for n, (dim_n, ker, im_prev) in enumerate(
+            _kernel_image_dims(degree, n_max, monoid)):
         h = ker - im_prev
         oracle = None
         if n >= 2 and 1 <= degree <= 4:

@@ -1,68 +1,79 @@
 """Exact linear algebra over the rationals.
 
 Dense matrices are lists of lists of Fractions; sparse rows are dicts
-mapping column index to Fraction.  Nothing here ever touches floats.
+mapping column index to Fraction (ints are accepted as well).  Nothing here
+ever touches floats.
 
-Every elimination goes through :class:`Echelon`, under one convention: the
-pivot of a row is its smallest column index, and pivot entries are 1.  The
-reduced row-echelon form is unique for a row space, so every result below
-depends on the column order only, never on the order of the rows.  Solutions
-set the free (non-pivot) variables to zero.  Null-space bases hold one
-vector per free column, in increasing column order, with entry 1 there.
+Every elimination goes through :class:`Echelon`, which computes in Python
+ints: a row is scaled once to integers by the lcm of its denominators, and
+Fractions are built only when a result is read off.  Results follow one
+convention: the pivot of a row is its smallest column index, and pivot
+entries are 1.  The reduced row-echelon form is unique for a row space, so
+every result below depends on the column order only, never on the order of
+the rows.  Solutions set the free (non-pivot) variables to zero.  Null-space
+bases hold one vector per free column, in increasing column order, with
+entry 1 there.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class Echelon:
     """Sparse row-echelon form over the rationals, built one row at a time.
 
-    ``rows`` maps each pivot column to its row, whose smallest column is
-    that pivot, with entry 1.
+    ``rows`` maps each pivot column to a primitive integer row: its
+    smallest column is that pivot, the pivot entry is positive, and the gcd
+    of its entries is 1.  Each stored row is a positive multiple of the row
+    that elimination over the rationals would hold, so the pivots are the
+    same; :meth:`reduce` divides by the pivot entries to give Fractions.
     """
 
     def __init__(self, rows=()):
-        self.rows: dict[int, dict] = {}
+        self.rows: dict[int, dict[int, int]] = {}
         for row in rows:
             self.insert(row)
 
     def insert(self, row: dict) -> bool:
         """Reduce ``row`` against the pivots present; store it and return
         True if it is independent of them, else return False."""
-        row = {c: v for c, v in row.items() if v}
+        scale = lcm(*[v.denominator for v in row.values()])
+        row = {c: v.numerator * (scale // v.denominator)
+               for c, v in row.items() if v}
         while row:
             piv = min(row)
             prow = self.rows.get(piv)
             if prow is None:
-                inv = Fraction(1) / row[piv]
-                self.rows[piv] = {c: v * inv for c, v in row.items()}
+                g = gcd(*row.values())
+                if row[piv] < 0:
+                    g = -g
+                self.rows[piv] = {c: v // g for c, v in row.items()}
                 return True
-            self._eliminate(row, piv, prow)
+            _eliminate(row, piv, prow)
         return False
 
-    def reduce(self) -> dict[int, dict]:
-        """Back-substitute into the reduced row-echelon form, where each
-        pivot column is zero outside its own row; returns ``rows``."""
+    def _back_substitute(self) -> dict[int, dict[int, int]]:
+        """Clear every pivot column outside its own row, in integers, from
+        the largest pivot down; returns ``rows``, still primitive."""
         rows = self.rows
         for piv in sorted(rows, reverse=True):
             row = rows[piv]
-            for c in [c for c in row if c != piv and c in rows]:
-                self._eliminate(row, c, rows[c])
+            cols = [c for c in row if c != piv and c in rows]
+            if cols:
+                for c in cols:
+                    _eliminate(row, c, rows[c])
+                g = gcd(*row.values())
+                for c in row:
+                    row[c] //= g
         return rows
 
-    @staticmethod
-    def _eliminate(row: dict, piv: int, prow: dict) -> None:
-        """Clear column ``piv`` of ``row`` with the pivot row ``prow``."""
-        f = row.pop(piv)
-        for c, v in prow.items():
-            if c != piv:
-                new = row.get(c, 0) - f * v
-                if new:
-                    row[c] = new
-                else:
-                    row.pop(c, None)
+    def reduce(self) -> dict[int, dict]:
+        """The reduced row-echelon form, where each pivot column is zero
+        outside its own row: pivot -> row of Fractions with pivot entry 1."""
+        return {piv: {c: Fraction(v, row[piv]) for c, v in row.items()}
+                for piv, row in self._back_substitute().items()}
 
     def solution(self, ncols: int):
         """The solution of the system whose augmented column is ``ncols``,
@@ -70,19 +81,22 @@ class Echelon:
         if ncols in self.rows:
             return None
         x = [Fraction(0)] * ncols
-        for piv, row in self.reduce().items():
-            x[piv] = row.get(ncols, Fraction(0))
+        for piv, row in self._back_substitute().items():
+            v = row.get(ncols)
+            if v:
+                x[piv] = Fraction(v, row[piv])
         return x
 
     def kernel(self, ncols: int) -> list[dict]:
         """Sparse basis of the null space of the stored rows, taken as a
         matrix with ``ncols`` columns."""
-        rows = self.reduce()
+        rows = self._back_substitute()
         by_col: dict[int, dict] = {}
         for piv, row in rows.items():
+            p = row[piv]
             for c, v in row.items():
                 if c != piv:
-                    by_col.setdefault(c, {})[piv] = -v
+                    by_col.setdefault(c, {})[piv] = Fraction(-v, p)
         basis = []
         for free in range(ncols):
             if free not in rows:
@@ -90,6 +104,26 @@ class Echelon:
                 vec[free] = Fraction(1)
                 basis.append({c: vec[c] for c in sorted(vec)})
         return basis
+
+
+def _eliminate(row: dict, piv: int, prow: dict) -> None:
+    """Clear column ``piv`` of the integer ``row`` with the pivot row
+    ``prow``: with f and p their entries there and g = gcd(f, p), ``row``
+    becomes (p/g)·row − (f/g)·prow, a positive multiple of row − (f/p)·prow."""
+    f = row.pop(piv)
+    p = prow[piv]
+    g = gcd(f, p)
+    a, b = p // g, f // g
+    if a != 1:
+        for c in row:
+            row[c] *= a
+    for c, v in prow.items():
+        if c != piv:
+            new = row.get(c, 0) - b * v
+            if new:
+                row[c] = new
+            else:
+                row.pop(c, None)
 
 
 def _sparse(row) -> dict:

@@ -117,7 +117,9 @@ from .permutations import block_starts
 
 
 class _Term:
-    """Mutable working graph; treated as value via .copy() before edits."""
+    """Mutable working graph.  A rule consumes its input: it edits copies
+    for all its output terms but the last, which it builds on the input
+    itself, so a term handed to a rule must not be used afterwards."""
 
     __slots__ = ("lines", "kind", "wire_to", "wire_from", "dec", "nxt")
 
@@ -219,7 +221,7 @@ def _apply_act_mu(t: _Term, act_id: int) -> list[tuple[_Term, int]]:
     slot = pos[0]
     out = []
     for first, second, sgn in ((y_prod, x_prod, 1), (x_prod, y_prod, -1)):
-        s = t.copy()
+        s = t if sgn == -1 else t.copy()  # the last branch takes t
         s.disconnect(("m", mid))
         dx = s.dec.pop(x_prod, None)
         dy = s.dec.pop(y_prod, None)
@@ -248,7 +250,8 @@ def _apply_cocycle(t: _Term, did: int) -> list[tuple[_Term, int]]:
     out = []
     for delta_on, straight, sgn in (
             ("x", True, 1), ("y", True, -1), ("x", False, -1), ("y", False, 1)):
-        s = t.copy()
+        last = delta_on == "y" and not straight
+        s = t if last else t.copy()  # the last branch takes t
         dx = s.dec.pop(x_prod, None)
         dy = s.dec.pop(y_prod, None)
         s.disconnect(("m", mid))
@@ -305,7 +308,7 @@ def _apply_exchange(t: _Term, act_id: int, coact_id: int
     s.connect(("m", nm), cons_y, dy)
     out.append((s, 1))
 
-    s = t.copy()  # cobracket term
+    s = t  # cobracket term, built on the input itself
     dx = s.dec.pop(x_prod, None)
     s.wire_to.pop(x_prod), s.wire_from.pop(("a", act_id))
     s.disconnect(("c", coact_id))

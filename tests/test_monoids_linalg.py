@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -166,3 +167,134 @@ def test_pivot_first_solution_by_hand():
     assert linalg.solve(a, [3, 7, 11]) is None
     assert linalg.nullspace(a) == [[-2, 1, 0]]
     assert linalg.rank(a) == 2
+
+
+# -- the integer kernel against a dense Fraction Gauss-Jordan ----------------
+
+
+def _ref_rref(a, ncols):
+    """Dense Gauss-Jordan over Fractions, independent of ``linalg``:
+    (pivot column -> dense reduced row, pivot columns in order)."""
+    m = [[Fraction(v) for v in row] for row in a]
+    rows, pivots = {}, []
+    for c in range(ncols):
+        p = next((i for i, row in enumerate(m) if row[c]), None)
+        if p is None:
+            continue
+        prow = m.pop(p)
+        prow = [v / prow[c] for v in prow]
+        m = [[x - row[c] * y for x, y in zip(row, prow)] for row in m]
+        for q in pivots:
+            rows[q] = [x - rows[q][c] * y for x, y in zip(rows[q], prow)]
+        rows[c] = prow
+        pivots.append(c)
+    return rows, pivots
+
+
+def _ref_solve(a, b, n):
+    rows, pivots = _ref_rref([row + [v] for row, v in zip(a, b)], n + 1)
+    if n in pivots:
+        return None
+    x = [Fraction(0)] * n
+    for p in pivots:
+        x[p] = rows[p][n]
+    return x
+
+
+def _ref_kernel(rows, pivots, n):
+    basis = []
+    for free in range(n):
+        if free not in pivots:
+            vec = {free: Fraction(1)}
+            vec.update((p, -rows[p][free]) for p in pivots if rows[p][free])
+            basis.append(sorted(vec.items()))
+    return basis
+
+
+def _entry(rng, dens, big):
+    num = rng.choice((0, rng.randint(-9, 9), rng.randint(-big, big)))
+    den = rng.choice(dens)
+    return num if dens == (1,) else Fraction(num, den)
+
+
+def _reference_cases(seed, count):
+    """Matrices up to 7 x 7 over three denominator sets, some rows rational
+    combinations of earlier ones, with a consistent or a random rhs."""
+    rng = random.Random(seed)
+    for k in range(count):
+        dens = ((1,), (1, 2, 3), (1, 5, 7, 49))[k % 3]
+        big = rng.choice((10, 10 ** 6, 10 ** 12))
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        a = []
+        for _ in range(m):
+            if a and rng.random() < 0.35:
+                cs = [_entry(rng, dens, 10) for _ in a]
+                a.append([sum(c * row[j] for c, row in zip(cs, a))
+                          for j in range(n)])
+            else:
+                a.append([_entry(rng, dens, big) for _ in range(n)])
+        x0 = [_entry(rng, dens, big) for _ in range(n)]
+        b = ([sum(v * x for v, x in zip(row, x0)) for row in a]
+             if rng.random() < 0.5 else [_entry(rng, dens, big) for _ in a])
+        yield a, b
+
+
+def _fractions(values):
+    return all(type(v) is Fraction for v in values)
+
+
+def _sparse_row(row):
+    return {j: v for j, v in enumerate(row) if v}
+
+
+def test_echelon_matches_fraction_reference():
+    cases = 0
+    for a, b in _reference_cases(11, 420):
+        cases += 1
+        n = len(a[0])
+        rows, pivots = _ref_rref(a, n)
+        assert linalg.rank(a) == len(pivots)
+        echelon = linalg.Echelon()
+        verdicts = [echelon.insert(_sparse_row(row)) for row in a]
+        assert verdicts == [len(_ref_rref(a[:i + 1], n)[1])
+                            > len(_ref_rref(a[:i], n)[1])
+                            for i in range(len(a))]
+        rref = echelon.reduce()
+        assert rref == {p: _sparse_row(rows[p]) for p in pivots}
+        assert all(_fractions(row.values()) for row in rref.values())
+        want_kernel = _ref_kernel(rows, pivots, n)
+        kernel = echelon.kernel(n)
+        assert [list(v.items()) for v in kernel] == want_kernel
+        assert all(_fractions(v.values()) for v in kernel)
+        null = linalg.nullspace(a)
+        assert null == [[dict(v).get(c, 0) for c in range(n)]
+                        for v in want_kernel]
+        assert all(_fractions(v) for v in null)
+        want_x = _ref_solve(a, b, n)
+        augmented = linalg.Echelon(_sparse_row(row + [v])
+                                   for row, v in zip(a, b))
+        for x in (linalg.solve(a, b), augmented.solution(n)):
+            assert x == want_x
+            assert x is None or _fractions(x)
+        if len(a) == n:
+            eye = [[int(i == j) for j in range(n)] for i in range(n)]
+            rows, pivots = _ref_rref([r + e for r, e in zip(a, eye)], 2 * n)
+            if pivots[:n] == list(range(n)):
+                inv = linalg.inverse(a)
+                assert inv == [rows[i][n:] for i in range(n)]
+                assert all(_fractions(row) for row in inv)
+            else:
+                with pytest.raises(ArithmeticError):
+                    linalg.inverse(a)
+    assert cases >= 400
+
+
+def test_echelon_stores_primitive_integer_rows():
+    for a, _ in _reference_cases(12, 200):
+        echelon = linalg.Echelon(map(_sparse_row, a))
+        for stage in ("insert", "reduce"):
+            for p, row in echelon.rows.items():
+                assert all(type(v) is int for v in row.values())
+                assert min(row) == p and row[p] > 0
+                assert math.gcd(*row.values()) == 1, stage
+            echelon.reduce()

@@ -344,8 +344,9 @@ def _action_coaction_pairs(t):
 
 
 def _resolve_brackets(t, monoid):
-    """Stage 1 alone: resolve the lowest bracket until none is left."""
-    work, done = [t], []
+    """Stage 1 alone: resolve the lowest bracket until none is left.  A
+    rule consumes its input, so this works on a copy of ``t``."""
+    work, done = [t.copy()], []
     while work:
         s = work.pop()
         if s.mus():
