@@ -20,7 +20,7 @@ from fractions import Fraction
 from .algebra import AlgebraElement, cone_elements, filter_window, kappa
 from .diagrams import (Diagram, maximal_nested_sets, mns_union,
                        quotient_diagram)
-from .monoids import RootCone
+from .monoids import TRIVIAL, RootCone
 from .series import GradedSeries
 from .twists import gauge, twist_equation_residual
 
@@ -131,24 +131,10 @@ def build_unit_family(dia: Diagram, order: int, monoid=None) -> dict:
     Satisfies every axiom exactly; exercises the full indexing machinery
     (all nested pairs, maximal nested sets, unions along chains).
     """
-    from .monoids import TRIVIAL
     monoid = monoid or TRIVIAL
-    one3 = GradedSeries.one(3, order, monoid)
-    one2 = GradedSeries.one(2, order, monoid)
-    one1 = GradedSeries.one(1, order, monoid)
-    phis, twists, dcp = {}, {}, {}
-    for b, b0 in subdiagram_pairs(dia):
-        phis.setdefault(b, one3)
-        phis.setdefault(b0, one3)
-        quot = quotient_diagram(dia.induced(b), b0)
-        if not quot.vertices:
-            continue
-        mns = maximal_nested_sets(quot)
-        for f in mns:
-            twists[(b, b0, f)] = one2
-        for f, g in itertools.product(mns, repeat=2):
-            dcp[(b, b0, f, g)] = one1
-    return {"phi": phis, "twists": twists, "dcp": dcp, "window": None}
+    return _family_from_gauges(
+        dia, monoid, order,
+        lambda support: GradedSeries.one(1, order, monoid))
 
 
 def build_central_family(dia: Diagram, order: int,
@@ -161,7 +147,6 @@ def build_central_family(dia: Diagram, order: int,
     exactly.  Vertical decomposition of the twists themselves requires a
     genuine relative twist and is not satisfied by gauged-trivial data.
     """
-    from .monoids import TRIVIAL
     coeffs = seed_coeffs or {}
 
     def gauge_of(support: frozenset) -> GradedSeries:

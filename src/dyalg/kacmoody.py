@@ -14,6 +14,12 @@ The cobracket comes from the Manin-triple pairing of the two Borels inside
 (h_i, h_j) = a_ij / D_j, (h_i, cw_j) = delta_ij / D_i, (e_i, f_j) =
 delta_ij / D_i, which makes delta(e_i) = (1/2) D_i^{-1}-scaled wedge of
 e_i with h_i.  Identities are only asserted inside the height window.
+
+Every element of the extended algebra, upper or lower Borel, is one sparse
+dict {label: coefficient} over the labels ("h", i), ("cw", i), ("e", w, j)
+and ("f", w, j), where j indexes the chosen basis of the root space at
+weight w.  There is one bracket: the bilinear extension of a memoized
+bracket of two basis labels.
 """
 
 from __future__ import annotations
@@ -173,7 +179,10 @@ class KacMoodyBorel:
 
     Basis order: h_1..h_l, cw_1..cw_l, then root vectors sorted by
     (height, weight).  ``cw`` are the coweight generators of the extended
-    Cartan."""
+    Cartan.  ``basis_keys`` lists the upper-Borel labels in basis order and
+    ``index`` is its inverse; the lower-Borel basis is the same list with
+    "e" replaced by "f".  Brackets of label dicts go through
+    :meth:`_basis_bracket`, which covers every pair of labels."""
 
     def __init__(self, cartan, cap: int, symmetrizers=None):
         self.cartan = [list(map(int, row)) for row in cartan]
@@ -207,159 +216,92 @@ class KacMoodyBorel:
         self.dim = len(names)
         self.names = names
         self.basis_keys = list(self.index)  # inverse of self.index
+        self._cartan_keys = self.basis_keys[:2 * self.rank]
         self._mixed_cache: dict = {}
+        self._bracket_cache: dict = {}
         self._pairing_blocks: dict = {}
 
-    # -- generic elements: (h-vector over 2l, e: weight->coords,
-    #    f: weight->coords) ------------------------------------------------
+    # -- elements are sparse dicts {label: coefficient} --------------------
 
-    def _zero(self):
-        return ([Fraction(0)] * (2 * self.rank), {}, {})
+    def _alpha(self, cartan_label, weight: Weight) -> int:
+        """alpha(h) for a Cartan basis label of the extended Cartan."""
+        kind, i = cartan_label
+        if kind == "cw":
+            return weight[i]
+        return sum(weight[j] * self.cartan[i][j] for j in range(self.rank))
 
-    def _add(self, a, b, scale=Fraction(1)):
-        h = [x + scale * y for x, y in zip(a[0], b[0])]
-        e = {w: list(v) for w, v in a[1].items()}
-        for w, v in b[1].items():
-            cur = e.setdefault(w, [Fraction(0)] * len(v))
-            for i, c in enumerate(v):
-                cur[i] += scale * c
-        f = {w: list(v) for w, v in a[2].items()}
-        for w, v in b[2].items():
-            cur = f.setdefault(w, [Fraction(0)] * len(v))
-            for i, c in enumerate(v):
-                cur[i] += scale * c
-        e = {w: v for w, v in e.items() if any(v)}
-        f = {w: v for w, v in f.items() if any(v)}
-        return (h, e, f)
-
-    def _weight_action(self, hvec, weight: Weight) -> Fraction:
-        """alpha(h) for h in the extended Cartan."""
-        out = Fraction(0)
-        for i in range(self.rank):
-            out += hvec[i] * sum(Fraction(weight[j] * self.cartan[i][j])
-                                 for j in range(self.rank))
-            out += hvec[self.rank + i] * weight[i]
+    def _basis_bracket(self, x, y) -> dict:
+        """[x, y] for two basis labels, truncated at the height cap and
+        memoized; the returned dict is shared and must not be mutated."""
+        key = (x, y)
+        if key in self._bracket_cache:
+            return self._bracket_cache[key]
+        if x[0] in ("h", "cw"):
+            if y[0] in ("h", "cw"):
+                out = {}
+            else:
+                c = self._alpha(x, y[1])
+                out = {y: Fraction(c if y[0] == "e" else -c)} if c else {}
+        elif y[0] in ("h", "cw") or (x[0], y[0]) == ("f", "e"):
+            out = {k: -c for k, c in self._basis_bracket(y, x).items()}
+        else:
+            tx = self.roots.basis_trees[x[1]][x[2]]
+            ty = self.roots.basis_trees[y[1]][y[2]]
+            if x[0] != y[0]:
+                out = self._mixed_tree(tx, ty)
+            else:
+                target = tuple(a + b for a, b in zip(x[1], y[1]))
+                out = {}
+                if sum(target) <= self.cap:
+                    coords = self.roots.coords(target, lie_bracket_assoc(
+                        expand_to_assoc(tx), expand_to_assoc(ty)))
+                    out = {(x[0], target, k): c
+                           for k, c in enumerate(coords) if c}
+        self._bracket_cache[key] = out
         return out
 
-    def _mixed_tree(self, etree, ftree):
-        """[e-tree, f-tree] as a generic element, memoized."""
+    def _bracket(self, a: dict, b: dict) -> dict:
+        """The bilinear extension of :meth:`_basis_bracket`."""
+        out: dict = {}
+        for x, ca in a.items():
+            for y, cb in b.items():
+                for z, c in self._basis_bracket(x, y).items():
+                    out[z] = out.get(z, 0) + ca * cb * c
+        return {z: c for z, c in out.items() if c}
+
+    def _root_elt(self, side: str, tree) -> dict:
+        """The e-tree (side "e") or f-tree (side "f") in the label basis."""
+        w = _content(_tree_word(tree), self.rank)
+        if sum(w) > self.cap:
+            return {}
+        coords = self.roots.coords(w, expand_to_assoc(tree))
+        return {(side, w, k): c for k, c in enumerate(coords) if c}
+
+    def _mixed_tree(self, etree, ftree) -> dict:
+        """[e-tree, f-tree] by the Jacobi recursion down to [e_i, f_j] =
+        delta_ij h_i, memoized."""
         key = (etree, ftree)
         if key in self._mixed_cache:
             return self._mixed_cache[key]
         if isinstance(etree, int) and isinstance(ftree, int):
-            out = self._zero()
-            if etree == ftree:
-                out[0][etree - 1] = Fraction(1)
+            out = {("h", etree - 1): Fraction(1)} if etree == ftree else {}
         elif isinstance(etree, int):
+            # [e, [fu, fv]] = [[e, fu], fv] - [[e, fv], fu]
             u, v = ftree
-            t1 = self._br_generic(self._mixed_tree(etree, u),
-                                  self._f_elt(v))
-            t2 = self._br_generic(self._f_elt(u),
-                                  self._mixed_tree(etree, v))
-            out = self._add(t1, t2)
+            out = _difference(
+                self._bracket(self._mixed_tree(etree, u),
+                              self._root_elt("f", v)),
+                self._bracket(self._mixed_tree(etree, v),
+                              self._root_elt("f", u)))
         else:
+            # [[eu, ev], F] = [eu, [ev, F]] - [ev, [eu, F]]
             u, v = etree
-            t1 = self._br_generic(self._e_elt(u),
-                                  self._mixed_tree(v, ftree))
-            t2 = self._br_generic(self._e_elt(v),
-                                  self._mixed_tree(u, ftree))
-            out = self._add(t1, t2, Fraction(-1))
+            out = _difference(
+                self._bracket(self._root_elt("e", u),
+                              self._mixed_tree(v, ftree)),
+                self._bracket(self._root_elt("e", v),
+                              self._mixed_tree(u, ftree)))
         self._mixed_cache[key] = out
-        return out
-
-    def _e_elt(self, tree):
-        w = _content(_tree_word(tree), self.rank)
-        if sum(w) > self.cap:
-            return self._zero()
-        coords = self.roots.coords(w, expand_to_assoc(tree))
-        out = self._zero()
-        if any(coords):
-            out[1][w] = coords
-        return out
-
-    def _f_elt(self, tree):
-        w = _content(_tree_word(tree), self.rank)
-        if sum(w) > self.cap:
-            return self._zero()
-        coords = self.roots.coords(w, expand_to_assoc(tree))
-        out = self._zero()
-        if any(coords):
-            out[2][w] = coords
-        return out
-
-    def _br_generic(self, a, b):
-        """Bracket of generic elements, truncated at the height cap."""
-        out = self._zero()
-        # h against everything
-        for w, v in b[1].items():
-            c = self._weight_action(a[0], w)
-            if c:
-                out = self._add(out, ([Fraction(0)] * (2 * self.rank),
-                                      {w: [c * x for x in v]}, {}))
-        for w, v in b[2].items():
-            c = -self._weight_action(a[0], w)
-            if c:
-                out = self._add(out, ([Fraction(0)] * (2 * self.rank),
-                                      {}, {w: [c * x for x in v]}))
-        for w, v in a[1].items():
-            c = self._weight_action(b[0], w)
-            if c:
-                out = self._add(out, ([Fraction(0)] * (2 * self.rank),
-                                      {w: [-c * x for x in v]}, {}))
-        for w, v in a[2].items():
-            c = -self._weight_action(b[0], w)
-            if c:
-                out = self._add(out, ([Fraction(0)] * (2 * self.rank),
-                                      {}, {w: [-c * x for x in v]}))
-        # e against e, f against f
-        for (w1, v1), (w2, v2) in itertools.product(a[1].items(),
-                                                    b[1].items()):
-            out = self._add(out, self._ee_bracket(w1, v1, w2, v2, side=1))
-        for (w1, v1), (w2, v2) in itertools.product(a[2].items(),
-                                                    b[2].items()):
-            out = self._add(out, self._ee_bracket(w1, v1, w2, v2, side=2))
-        # e against f
-        for (w1, v1), (w2, v2) in itertools.product(a[1].items(),
-                                                    b[2].items()):
-            out = self._add(out, self._ef_bracket(w1, v1, w2, v2))
-        for (w1, v1), (w2, v2) in itertools.product(a[2].items(),
-                                                    b[1].items()):
-            out = self._add(out, self._ef_bracket(w2, v2, w1, v1),
-                            Fraction(-1))
-        return out
-
-    def _ee_bracket(self, w1, v1, w2, v2, side: int):
-        target = tuple(x + y for x, y in zip(w1, w2))
-        out = self._zero()
-        if sum(target) > self.cap:
-            return out
-        t1 = self.roots.basis_trees[w1]
-        t2 = self.roots.basis_trees[w2]
-        acc: dict = {}
-        for (c1, tr1), (c2, tr2) in itertools.product(
-                zip(v1, t1), zip(v2, t2)):
-            if not c1 or not c2:
-                continue
-            vec = lie_bracket_assoc(expand_to_assoc(tr1),
-                                    expand_to_assoc(tr2))
-            for wd, c in vec.items():
-                acc[wd] = acc.get(wd, Fraction(0)) + c1 * c2 * c
-        acc = {w: c for w, c in acc.items() if c}
-        if not acc:
-            return out
-        coords = self.roots.coords(target, acc)
-        if any(coords):
-            out[side][target] = coords
-        return out
-
-    def _ef_bracket(self, we, ve, wf, vf):
-        out = self._zero()
-        te = self.roots.basis_trees[we]
-        tf = self.roots.basis_trees[wf]
-        for (c1, tr1), (c2, tr2) in itertools.product(
-                zip(ve, te), zip(vf, tf)):
-            if c1 and c2:
-                out = self._add(out, self._mixed_tree(tr1, tr2), c1 * c2)
         return out
 
     # -- form and cobracket -------------------------------------------------
@@ -377,13 +319,7 @@ class KacMoodyBorel:
 
     def _t_alpha(self, weight: Weight) -> list[Fraction]:
         """The Cartan element representing a weight through the form."""
-        l = self.rank
-        rhs = []
-        for i in range(l):
-            rhs.append(sum(Fraction(weight[j] * self.cartan[i][j])
-                           for j in range(l)))
-        for i in range(l):
-            rhs.append(Fraction(weight[i]))
+        rhs = [Fraction(self._alpha(k, weight)) for k in self._cartan_keys]
         sol = linalg.solve(self.cartan_form(), rhs)
         if sol is None:
             raise ArithmeticError("degenerate extended Cartan form")
@@ -399,9 +335,9 @@ class KacMoodyBorel:
         gram = [[Fraction(0)] * dim for _ in range(dim)]
         trees = self.roots.basis_trees[weight]
         for i, j in itertools.product(range(dim), repeat=2):
-            br = self._mixed_tree(trees[i], trees[j])
-            assert not br[1] and not br[2], "mixed bracket left the Cartan"
-            hv = br[0]
+            br = dict(self._mixed_tree(trees[i], trees[j]))
+            hv = [br.pop(k, 0) for k in self._cartan_keys]
+            assert not br, "mixed bracket left the Cartan"
             nonzero = [k for k in range(2 * self.rank) if hv[k] or t_alpha[k]]
             if all(not hv[k] for k in nonzero):
                 gram[i][j] = Fraction(0)
@@ -417,39 +353,17 @@ class KacMoodyBorel:
 
     # -- assembled bialgebra data -------------------------------------------
 
-    def _elt_from_basis(self, idx: int):
-        key = self.basis_keys[idx]
-        out = self._zero()
-        if key[0] == "h":
-            out[0][key[1]] = Fraction(1)
-        elif key[0] == "cw":
-            out[0][self.rank + key[1]] = Fraction(1)
-        else:
-            _, w, j = key
-            vec = [Fraction(0)] * self.roots.dim(w)
-            vec[j] = Fraction(1)
-            out[1][w] = vec
-        return out
-
-    def _coords_of_elt(self, elt) -> list[Fraction]:
-        vec = [Fraction(0)] * self.dim
-        for i in range(self.rank):
-            vec[self.index[("h", i)]] = elt[0][i]
-            vec[self.index[("cw", i)]] = elt[0][self.rank + i]
-        for w, v in elt[1].items():
-            for j, c in enumerate(v):
-                vec[self.index[("e", w, j)]] = c
-        if elt[2]:
-            raise ArithmeticError("element leaves the Borel")
-        return vec
-
     def bialgebra(self) -> LieBialgebraData:
         d = self.dim
-        basis = [self._elt_from_basis(i) for i in range(d)]
         bracket = [[None] * d for _ in range(d)]
         for i, j in itertools.product(range(d), repeat=2):
-            bracket[i][j] = self._coords_of_elt(
-                self._br_generic(basis[i], basis[j]))
+            row = [Fraction(0)] * d
+            for z, c in self._basis_bracket(self.basis_keys[i],
+                                            self.basis_keys[j]).items():
+                if z[0] == "f":
+                    raise ArithmeticError("element leaves the Borel")
+                row[self.index[z]] = c
+            bracket[i][j] = row
         cobracket = self._cobracket_table()
         weights = [(0,) * self.rank] * (2 * self.rank) + [
             w for w in self.weights_list for _ in range(self.roots.dim(w))]
@@ -474,17 +388,11 @@ class KacMoodyBorel:
                         self.index[("e", w, b)]] = gram[a][b]
         pinv = linalg.inverse(pairing)
         pt = tuple(zip(*pinv))
-        # lower-Borel basis mirrors the upper one; bracket of lower basis
-        # elements, paired against z, gives delta(z)
-        lower = []
-        for i in range(d):
-            elt = self._elt_from_basis(i)
-            if elt[1]:
-                w = next(iter(elt[1]))
-                lower.append(("f", w, elt[1][w]))
-            else:
-                lower.append(("h", elt[0]))
-        brackets = [[self._lower_bracket(xa, xb) for xb in lower]
+        # the lower-Borel basis mirrors the upper one (e -> f); brackets of
+        # lower basis elements, paired against z, give delta(z)
+        lower = [("f",) + k[1:] if k[0] == "e" else k
+                 for k in self.basis_keys]
+        brackets = [[self._basis_bracket(xa, xb) for xb in lower]
                     for xa in lower]
         cob = []
         for z in range(d):
@@ -493,34 +401,26 @@ class KacMoodyBorel:
             cob.append(matmul(pt, matmul(m, pinv)))
         return cob
 
-    def _lower_bracket(self, xa, xb):
-        ea = self._lower_to_generic(xa)
-        eb = self._lower_to_generic(xb)
-        return self._br_generic(ea, eb)
-
-    def _lower_to_generic(self, x):
-        out = self._zero()
-        if x[0] == "h":
-            for i, c in enumerate(x[1]):
-                out[0][i] = c
-        else:
-            out[2][x[1]] = list(x[2])
-        return out
-
-    def _pair_upper(self, z: int, elt, cform) -> Fraction:
-        """Pairing of upper basis element z against a generic element of
-        the lower Borel (only its f and Cartan parts pair); ``cform`` is
+    def _pair_upper(self, z: int, elt: dict, cform) -> Fraction:
+        """Pairing of upper basis element z against an element of the lower
+        Borel (only its f and Cartan parts pair); ``cform`` is
         :meth:`cartan_form`."""
         key = self.basis_keys[z]
         if key[0] in ("h", "cw"):
-            i = key[1] if key[0] == "h" else self.rank + key[1]
-            return 2 * sum(cform[i][j] * elt[0][j]
-                           for j in range(2 * self.rank))
+            return 2 * sum(cform[z][j] * elt.get(k, 0)
+                           for j, k in enumerate(self._cartan_keys))
         _, w, j = key
-        if w not in elt[2]:
-            return Fraction(0)
         gram = self.root_pairing(w)
-        return sum(gram[j][b] * elt[2][w][b] for b in range(len(gram)))
+        return sum(gram[j][b] * elt.get(("f", w, b), 0)
+                   for b in range(len(gram)))
+
+
+def _difference(a: dict, b: dict) -> dict:
+    """a - b for label dicts, dropping zero coefficients."""
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) - c
+    return {k: c for k, c in out.items() if c}
 
 
 def _tree_word(tree) -> tuple:

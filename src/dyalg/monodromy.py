@@ -99,6 +99,14 @@ def series_scalar_h_exp(coeffs: list[Fraction], h: Matrix,
     return out
 
 
+def _conjugate(s: list[Matrix], h: Matrix, coeffs: list[Fraction],
+               order: int) -> list[Matrix]:
+    """exp(u h) S exp(-u h) for the matrix series S of one module."""
+    eu = series_scalar_h_exp(coeffs, h, order)
+    eu_inv = series_scalar_h_exp([-c for c in coeffs], h, order)
+    return series_mul(series_mul(eu, s, order), eu_inv, order)
+
+
 class MonodromyMismatch(ValueError):
     """The degree corrector is not proportional to the Cartan generator."""
 
@@ -131,9 +139,7 @@ def solve_local_monodromy(s1: dict, s2: dict, fleet: dict,
         c_found = None
         for name in names:
             st, st_inv, h = stilde[name]
-            eu = series_scalar_h_exp(coeffs, h, order)
-            eu_inv = series_scalar_h_exp([-c for c in coeffs], h, order)
-            s1c = series_mul(series_mul(eu, s1[name], order), eu_inv, order)
+            s1c = _conjugate(s1[name], h, coeffs, order)
             diff = matmul(st_inv, madd(s2[name][k], mscale(-1, s1c[k])))
             # solve diff == c * h on this module
             entries = [(i, j) for i in range(len(h)) for j in range(len(h))
@@ -161,11 +167,7 @@ def solve_local_monodromy(s1: dict, s2: dict, fleet: dict,
                     "inputs not monodromy pair: fleet disagreement")
         coeffs[k] = coeffs[k] - (c_found or Fraction(0)) / 2
     for name in names:
-        _, _, h = stilde[name]
-        eu = series_scalar_h_exp(coeffs, h, order)
-        eu_inv = series_scalar_h_exp([-c for c in coeffs], h, order)
-        s1c = series_mul(series_mul(eu, s1[name], order), eu_inv, order)
-        if s1c != s2[name]:
+        if _conjugate(s1[name], stilde[name][2], coeffs, order) != s2[name]:
             raise AssertionError("monodromy reconstruction failed to close")
     return coeffs
 
@@ -173,12 +175,8 @@ def solve_local_monodromy(s1: dict, s2: dict, fleet: dict,
 def conjugate_by_scalar_h(s: dict, fleet: dict, coeffs: list[Fraction],
                           order: int) -> dict:
     """exp(u h) S exp(-u h) on every fleet module."""
-    out = {}
-    for name, (e, f, h) in fleet.items():
-        eu = series_scalar_h_exp(coeffs, h, order)
-        eu_inv = series_scalar_h_exp([-c for c in coeffs], h, order)
-        out[name] = series_mul(series_mul(eu, s[name], order), eu_inv, order)
-    return out
+    return {name: _conjugate(s[name], h, coeffs, order)
+            for name, (e, f, h) in fleet.items()}
 
 
 def weight_zero_correction_series(fleet: dict, corrections: list,

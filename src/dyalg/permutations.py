@@ -14,30 +14,6 @@ import itertools
 from typing import Iterator, Sequence
 
 
-def is_permutation(word: Sequence[int]) -> bool:
-    """True iff word is a rearrangement of 1..len(word).
-
-    >>> is_permutation((2, 1, 3)), is_permutation((1, 1, 2))
-    (True, False)
-    """
-    return sorted(word) == list(range(1, len(word) + 1))
-
-
-def identity(n: int) -> tuple[int, ...]:
-    return tuple(range(1, n + 1))
-
-
-def compose(s: Sequence[int], t: Sequence[int]) -> tuple[int, ...]:
-    """The permutation ``s after t``: (s*t)(i) = s(t(i)).
-
-    >>> compose((2, 1, 3), (3, 2, 1))
-    (3, 1, 2)
-    """
-    if len(s) != len(t):
-        raise ValueError("size mismatch")
-    return tuple(s[t[i] - 1] for i in range(len(t)))
-
-
 def inverse(s: Sequence[int]) -> tuple[int, ...]:
     inv = [0] * len(s)
     for i, v in enumerate(s):
@@ -64,15 +40,6 @@ def sign(s: Sequence[int]) -> int:
 
 def all_permutations(n: int) -> Iterator[tuple[int, ...]]:
     return itertools.permutations(range(1, n + 1))
-
-
-def reversal(n: int) -> tuple[int, ...]:
-    """The order-reversing involution i -> n + 1 - i.
-
-    >>> reversal(3)
-    (3, 2, 1)
-    """
-    return tuple(n - i for i in range(n))
 
 
 def compositions(total: int, parts: int) -> list[tuple[int, ...]]:

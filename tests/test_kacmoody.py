@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -99,3 +101,43 @@ def test_guards():
                                [0, 0, 0, 2]], 2)
     with pytest.raises(ValueError):
         build_kac_moody_borel(A1, 9)
+
+
+# SHA-256 of the sorted-key JSON of each assembled Borel, and the root
+# pairing gram at every weight: any change to a bracket, cobracket or
+# pairing entry shows up here.  Affine A2 has a 2-dimensional root space
+# at (1, 1, 1).
+PINNED_BORELS = [
+    ("A1", A1, 4,
+     "3a1826f2784398053320107000d768dc949f6248726e129d8c2120f8e612a957",
+     {(1,): [["1"]]}),
+    ("A2", A2, 3,
+     "7bf680b683d66c6f740fcebd6ad463142103f458170959199a920418198dd6b5",
+     {(0, 1): [["1"]], (1, 0): [["1"]], (1, 1): [["-1"]]}),
+    ("B2", B2, 4,
+     "cc9a9721b7dd9d98d61209dc011bbaed5ae6374d05c60f20b63b81c547c35d26",
+     {(0, 1): [["1"]], (1, 0): [["1/2"]], (1, 1): [["-1"]],
+      (1, 2): [["2"]]}),
+    ("G2", [[2, -1], [-3, 2]], 4,
+     "3768711f972e9d454851c0200a477e0f0c702b61fee0e7e3440c07ff73f1b4bd",
+     {(0, 1): [["1"]], (1, 0): [["1/3"]], (1, 1): [["-1"]],
+      (1, 2): [["4"]], (1, 3): [["-12"]]}),
+    ("affine A1", AFFINE, 4,
+     "3d5b019b56aa89f797a92f1172be4d421e4ac1930104812f66bf880db3ddbd93",
+     {(0, 1): [["1"]], (1, 0): [["1"]], (1, 1): [["-2"]], (1, 2): [["4"]],
+      (2, 1): [["4"]], (2, 2): [["-8"]]}),
+    ("affine A2", [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], 3,
+     "91ed77bb2a8e71a57ce23c900700f14a1fe4799bebbe91f7499acca18c64d4d4",
+     {(0, 0, 1): [["1"]], (0, 1, 0): [["1"]], (1, 0, 0): [["1"]],
+      (0, 1, 1): [["-1"]], (1, 0, 1): [["-1"]], (1, 1, 0): [["-1"]],
+      (1, 1, 1): [["2", "1"], ["1", "2"]]}),
+]
+
+
+def test_borel_tables_pinned():
+    for name, cartan, cap, digest, grams in PINNED_BORELS:
+        km = KacMoodyBorel(cartan, cap)
+        text = json.dumps(km.bialgebra().to_json(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, name
+        assert {w: [[str(x) for x in row] for row in km.root_pairing(w)]
+                for w in km.weights_list} == grams, name

@@ -21,7 +21,6 @@ def test_triple_exponential_negates_cartan():
     for e, f, h in FLEET.values():
         st = triple_exponential(e, f)
         # s h s^-1 = -h, checked as s h = -h s
-        assert matmul(st, h) == matmul(madd(h, h), st) or True
         assert matmul(st, h) == matmul(
             tuple(tuple(-x for x in row) for row in h), st)
 
