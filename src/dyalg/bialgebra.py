@@ -17,12 +17,23 @@ Conventions.  ``bracket[i][j]`` is the coefficient vector of [x_i, x_j];
 coefficient of x_j (x) x_k.  A Drinfeld-Yetter module stores the action
 matrices A_i of x_i and the coaction matrices K_i defined by
 pi*(v) = sum_i x_i (x) K_i v.
+
+Arithmetic.  These dense Fraction attributes are read-only after
+construction.  On first use each object builds sparse integer tables of
+them, one common denominator per kind of table, and caches them
+(:attr:`LieBialgebraData.bracket_table`, ``cobracket_table``,
+:attr:`DYModuleData.action_table`, ``coaction_table``).  The evaluator and
+both validators read only these tables and compute in Python ints: an
+evaluation carries the product of the denominators of the slices it
+applied and builds one Fraction per output entry at the end.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import AlgebraElement
 from .rewrite import slices_of_key
@@ -67,23 +78,76 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
         for i in range(len(a)) for k in range(len(b)))
 
 
-def commutator(a: Matrix, b: Matrix) -> Matrix:
-    return madd(matmul(a, b), mscale(-1, matmul(b, a)))
+def _is_cube(t, dim: int) -> bool:
+    """Whether ``t`` is a dim x dim x dim nested sequence."""
+    return len(t) == dim and all(
+        len(m) == dim and all(len(row) == dim for row in m) for m in t)
+
+
+def _lcm_of_denominators(values) -> int:
+    return math.lcm(1, *(c.denominator for c in values))
+
+
+def _integer_entries(m: Matrix, scale: int) -> list:
+    """The non-zero entries of ``m`` as ``(row, col, c)``, c = entry * scale
+    (an int when scale is a common denominator)."""
+    return [(r, k, c.numerator * (scale // c.denominator))
+            for r, row in enumerate(m) for k, c in enumerate(row) if c]
+
+
+def _collect(entries) -> dict:
+    """The non-zero sums of ``(position, value)`` pairs, by position."""
+    out: dict = {}
+    for pos, v in entries:
+        out[pos] = out.get(pos, 0) + v
+    return {pos: v for pos, v in out.items() if v}
 
 
 class LieBialgebraData:
     """Structure constants of a finite-dimensional Lie bialgebra, with an
-    optional weight grading of the basis (split labels or cone weights)."""
+    optional weight grading of the basis (split labels or cone weights).
+
+    ``bracket`` and ``cobracket`` are read-only after construction: the
+    sparse integer tables are built from them on first use and cached.
+    A tensor of the wrong shape, or a weight list whose length is not
+    ``dim``, raises ``ValueError``."""
 
     def __init__(self, dim: int, bracket, cobracket, weights=None,
                  basis_names=None):
+        if not _is_cube(bracket, dim):
+            raise ValueError(f"bracket must be {dim} x {dim} x {dim}")
+        if not _is_cube(cobracket, dim):
+            raise ValueError(
+                f"cobracket must be {dim} matrices of {dim} x {dim}")
+        if weights is not None and len(weights) != dim:
+            raise ValueError(f"{len(weights)} weights for dimension {dim}")
         self.dim = dim
-        self.bracket = [[list(map(Fraction, bracket[i][j]))
-                         for j in range(dim)] for i in range(dim)]
-        self.cobracket = [mat(cobracket[i]) for i in range(dim)]
+        self.bracket = [[list(map(Fraction, vec)) for vec in plane]
+                        for plane in bracket]
+        self.cobracket = [mat(m) for m in cobracket]
         self.weights = list(weights) if weights is not None else None
         self.basis_names = (list(basis_names) if basis_names
                             else [f"x{i + 1}" for i in range(dim)])
+
+    @cached_property
+    def bracket_table(self) -> tuple[int, dict]:
+        """``(scale, {(i, j): [(k, c), ...]})``: [x_i, x_j] is the sum of
+        (c / scale) x_k over the non-zero integer constants c."""
+        scale = _lcm_of_denominators(
+            c for plane in self.bracket for vec in plane for c in vec)
+        table: dict = {}
+        for i, plane in enumerate(self.bracket):
+            for j, k, c in _integer_entries(plane, scale):
+                table.setdefault((i, j), []).append((k, c))
+        return scale, table
+
+    @cached_property
+    def cobracket_table(self) -> tuple[int, list]:
+        """``(scale, [[(j, k, c), ...] for each i])``: delta(x_i) is the sum
+        of (c / scale) x_j (x) x_k over the non-zero integer constants c."""
+        scale = _lcm_of_denominators(
+            c for m in self.cobracket for row in m for c in row)
+        return scale, [_integer_entries(m, scale) for m in self.cobracket]
 
     def to_json(self) -> dict:
         return {
@@ -101,13 +165,9 @@ class LieBialgebraData:
         weights = data.get("weights")
         if weights is not None:
             weights = [tuple(w) if isinstance(w, list) else w for w in weights]
-        return LieBialgebraData(
-            data["dim"],
-            [[[Fraction(c) for c in data["bracket"][i][j]]
-              for j in range(data["dim"])] for i in range(data["dim"])],
-            [[[Fraction(c) for c in row] for row in data["cobracket"][i]]
-             for i in range(data["dim"])],
-            weights, data.get("basis_names"))
+        return LieBialgebraData(data["dim"], data["bracket"],
+                                data["cobracket"], weights,
+                                data.get("basis_names"))
 
 
 def validate_bialgebra(a: LieBialgebraData,
@@ -129,76 +189,58 @@ def validate_bialgebra(a: LieBialgebraData,
     def inside(*idx) -> bool:
         return max_weight is None or sum(ht(i) for i in idx) <= max_weight
 
+    bt = a.bracket_table[1]
+    cobt = a.cobracket_table[1]
     report = []
-    for i, j in itertools.product(range(d), repeat=2):
-        for k in range(d):
-            if a.bracket[i][j][k] != -a.bracket[j][i][k]:
-                report.append(f"bracket antisymmetry fails at ({i},{j},{k})")
+    entry = {(i, j, k): c for (i, j), vec in bt.items() for k, c in vec}
+    skew = set()
+    for (i, j, k), c in entry.items():
+        if entry.get((j, i, k), 0) != -c:
+            skew.update(((i, j, k), (j, i, k)))
+    report += [f"bracket antisymmetry fails at ({i},{j},{k})"
+               for i, j, k in sorted(skew)]
     for i, j, k in itertools.product(range(d), repeat=3):
         if not inside(i, j, k):
             continue
-        jac = [Fraction(0)] * d
-        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, c in enumerate(a.bracket[x][y]):
-                if not c:
-                    continue
-                for l, e in enumerate(a.bracket[m][z]):
-                    if e:
-                        jac[l] += c * e
-        if any(jac):
+        jac = _collect(((l, c * e) for x, y, z in ((i, j, k), (j, k, i),
+                                                   (k, i, j))
+                        for m, c in bt.get((x, y), ())
+                        for l, e in bt.get((m, z), ())))
+        if jac:
             report.append(f"Jacobi fails at ({i},{j},{k})")
     for i in range(d):
-        if any(a.cobracket[i][j][k] != -a.cobracket[i][k][j]
-               for j, k in itertools.product(range(d), repeat=2)):
+        delta = {(j, k): c for j, k, c in cobt[i]}
+        if any(delta.get((k, j), 0) != -c for (j, k), c in delta.items()):
             report.append(f"cobracket antisymmetry fails at generator {i}")
     for i in range(d):
         # sum of the three cyclic rotations of (delta (x) id) delta
-        tens = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-        for j in range(d):
-            for c in range(d):
-                djc = a.cobracket[i][j][c]
-                if not djc:
-                    continue
-                for x in range(d):
-                    for y in range(d):
-                        dxy = a.cobracket[j][x][y]
-                        if dxy:
-                            tens[x][y][c] += djc * dxy
-        bad = False
-        for x, y, z in itertools.product(range(d), repeat=3):
-            if tens[x][y][z] + tens[y][z][x] + tens[z][x][y]:
-                bad = True
-                break
-        if bad:
+        tens = _collect(((x, y, c), e * f) for j, c, e in cobt[i]
+                        for x, y, f in cobt[j])
+        if any(tens.get((x, y, z), 0) + tens.get((y, z, x), 0)
+               + tens.get((z, x, y), 0) for x, y, z in tens):
             report.append(f"co-Jacobi fails at generator {i}")
     for i, j in itertools.product(range(d), repeat=2):
         if not inside(i, j):
             continue
-        lhs = [[Fraction(0)] * d for _ in range(d)]
-        for k in range(d):
-            ck = a.bracket[i][j][k]
-            if not ck:
-                continue
-            for x, y in itertools.product(range(d), repeat=2):
-                lhs[x][y] += ck * a.cobracket[k][x][y]
-        t = [[Fraction(0)] * d for _ in range(d)]
-        for m in range(d):
-            for x in range(d):
-                dix = a.cobracket[i][x][m]
-                djx = a.cobracket[j][x][m]
-                for c in range(d):
-                    if dix:
-                        t[x][c] += dix * a.bracket[m][j][c]
-                    if djx:
-                        t[x][c] -= djx * a.bracket[m][i][c]
-        rhs = [[t[x][y] - t[y][x] for y in range(d)] for x in range(d)]
+        lhs = _collect(((x, y), c * e) for k, c in bt.get((i, j), ())
+                       for x, y, e in cobt[k])
+        t = _collect(itertools.chain(
+            (((x, c), e * f) for x, m, e in cobt[i]
+             for c, f in bt.get((m, j), ())),
+            (((x, c), -e * f) for x, m, e in cobt[j]
+             for c, f in bt.get((m, i), ()))))
+        rhs = _collect(itertools.chain(
+            t.items(), (((y, x), -v) for (x, y), v in t.items())))
         if lhs != rhs:
             report.append(f"cocycle condition fails at ({i},{j})")
     return report
 
 
 class DYModuleData:
-    """Action and coaction matrices of a Drinfeld-Yetter module."""
+    """Action and coaction matrices of a Drinfeld-Yetter module.
+
+    ``actions`` and ``coactions`` are read-only after construction: the
+    sparse integer tables are built from them on first use and cached."""
 
     def __init__(self, bialgebra: LieBialgebraData, actions, coactions,
                  name: str = "V"):
@@ -208,33 +250,94 @@ class DYModuleData:
         self.dim = len(self.actions[0]) if self.actions else 0
         self.name = name
 
+    @cached_property
+    def action_table(self) -> tuple[int, list]:
+        """``(scale, [columns of A_i for each i])`` where column ``col`` of
+        A_i lists ``(row, c)``: A_i v_col is the sum of (c / scale) v_row."""
+        scale = _lcm_of_denominators(
+            c for m in self.actions for row in m for c in row)
+        table = []
+        for m in self.actions:
+            columns = [[] for _ in range(self.dim)]
+            for row, col, c in _integer_entries(m, scale):
+                columns[col].append((row, c))
+            table.append(columns)
+        return scale, table
+
+    @cached_property
+    def coaction_table(self) -> tuple[int, list]:
+        """``(scale, [[(i, row, c), ...] for each col])``: pi*(v_col) is the
+        sum of (c / scale) x_i (x) v_row."""
+        scale = _lcm_of_denominators(
+            c for m in self.coactions for row in m for c in row)
+        table = [[] for _ in range(self.dim)]
+        for i, m in enumerate(self.coactions):
+            for row, col, c in _integer_entries(m, scale):
+                table[col].append((i, row, c))
+        return scale, table
+
+
+def _product(p: list, q: list, factor: int):
+    """``((row, col), factor * entry)`` over the terms of the matrix product
+    p q of two column lists (see :attr:`DYModuleData.action_table`)."""
+    for col, column in enumerate(q):
+        for mid, c in column:
+            for row, e in p[mid]:
+                yield (row, col), factor * e * c
+
+
+def _terms(p: list, factor: int):
+    """``((row, col), factor * entry)`` over the entries of a column list."""
+    for col, column in enumerate(p):
+        for row, c in column:
+            yield (row, col), factor * c
+
 
 def validate_dy_module(a: LieBialgebraData, v: DYModuleData) -> list[str]:
+    """All violated module axioms, with the offending indices; empty iff
+    valid."""
     d, report = a.dim, []
     if len(v.actions) != d or len(v.coactions) != d:
         return ["tensor count does not match bialgebra dimension"]
+    bscale, bt = a.bracket_table
+    cscale, cobt = a.cobracket_table
+    ascale, act = v.action_table
+    kscale, by_col = v.coaction_table
+    coact = [[[] for _ in range(v.dim)] for _ in range(d)]
+    for col, column in enumerate(by_col):
+        for i, row, c in column:
+            coact[i][col].append((row, c))
+    # both sides of each identity are multiplied by the product of the
+    # table scales it involves, so that they compare as ints
     for i, j in itertools.product(range(d), repeat=2):
-        lhs = zeros(v.dim)
-        for k in range(d):
-            if a.bracket[i][j][k]:
-                lhs = madd(lhs, mscale(a.bracket[i][j][k], v.actions[k]))
-        if lhs != commutator(v.actions[i], v.actions[j]):
+        lhs = _collect(itertools.chain.from_iterable(
+            _terms(act[k], ascale * c) for k, c in bt.get((i, j), ())))
+        rhs = _collect(itertools.chain(_product(act[i], act[j], bscale),
+                                       _product(act[j], act[i], -bscale)))
+        if lhs != rhs:
             report.append(f"action axiom fails at ({i},{j})")
+    by_pair: dict = {}
+    for i, delta in enumerate(cobt):
+        for p, q, c in delta:
+            by_pair.setdefault((p, q), []).append((i, c))
     for p, q in itertools.product(range(d), repeat=2):
-        lhs = zeros(v.dim)
-        for i in range(d):
-            if a.cobracket[i][p][q]:
-                lhs = madd(lhs, mscale(a.cobracket[i][p][q], v.coactions[i]))
-        if lhs != commutator(v.coactions[p], v.coactions[q]):
+        lhs = _collect(itertools.chain.from_iterable(
+            _terms(coact[i], kscale * c) for i, c in by_pair.get((p, q), ())))
+        rhs = _collect(itertools.chain(_product(coact[p], coact[q], cscale),
+                                       _product(coact[q], coact[p], -cscale)))
+        if lhs != rhs:
             report.append(f"coaction axiom fails at ({p},{q})")
     for i, j in itertools.product(range(d), repeat=2):
-        lhs = commutator(v.coactions[j], v.actions[i])
-        rhs = zeros(v.dim)
-        for p in range(d):
-            if a.bracket[i][p][j]:
-                rhs = madd(rhs, mscale(a.bracket[i][p][j], v.coactions[p]))
-            if a.cobracket[i][j][p]:
-                rhs = madd(rhs, mscale(-a.cobracket[i][j][p], v.actions[p]))
+        lhs = _collect(itertools.chain(
+            _product(coact[j], act[i], bscale * cscale),
+            _product(act[i], coact[j], -bscale * cscale)))
+        rhs = _collect(itertools.chain(
+            itertools.chain.from_iterable(
+                _terms(coact[p], ascale * cscale * c)
+                for p in range(d) for k, c in bt.get((i, p), ()) if k == j),
+            itertools.chain.from_iterable(
+                _terms(act[p], -kscale * bscale * c)
+                for r, p, c in cobt[i] if r == j)))
         if lhs != rhs:
             report.append(f"action-coaction compatibility fails at ({i},{j})")
     return report
@@ -357,33 +460,37 @@ def cartan_of_borel_sl2() -> LieBialgebraData:
 # evaluation
 
 
-def _weight_of(a: LieBialgebraData, idx: int):
-    if a.weights is None:
-        return None
-    return a.weights[idx]
-
-
 def evaluate(x: AlgebraElement, modules: list[DYModuleData]) -> Matrix:
     """Exact matrix of a normally ordered element on the tensor product of
     the modules.  Linear in x; multiplicative on products.
 
     Each basis key is evaluated through its slice form
-    (:func:`dyalg.rewrite.slices_of_key`) by :func:`evaluate_slices`; the
-    sparse results are summed and made dense once."""
+    (:func:`dyalg.rewrite.slices_of_key`) by the integer kernel of
+    :func:`evaluate_slices`; the integer results are summed per
+    denominator, and Fractions are built once per entry of the sum."""
     if len(modules) != x.n:
         raise ValueError("slot count mismatch")
     a = modules[0].bialgebra
     decorated = not x.monoid.is_trivial()
     if decorated and a.weights is None:
         raise ValueError("decorated element needs a weight-graded bialgebra")
-    total: dict = {}
+    sums: dict = {}  # denominator -> {(out, in): integer numerator}
     for key, coeff in x.terms.items():
-        op = evaluate_slices(slices_of_key(key, decorated), x.n, a, modules)
+        op, scale = _integer_slices(slices_of_key(key, decorated), a,
+                                    modules)
+        acc = sums.setdefault(coeff.denominator * scale, {})
+        num = coeff.numerator
         for out_state, row in op.items():
-            tgt = total.setdefault(out_state, {})
             for in_state, c in row.items():
-                tgt[in_state] = tgt.get(in_state, 0) + coeff * c
-    return dense_of_sparse(total, modules)
+                pos = out_state, in_state
+                acc[pos] = acc.get(pos, 0) + num * c
+    den = math.lcm(1, *sums)
+    total = _collect((pos, v * (den // part)) for part, acc in sums.items()
+                     for pos, v in acc.items())
+    op: dict = {}
+    for (out_state, in_state), v in total.items():
+        op.setdefault(out_state, {})[in_state] = Fraction(v, den)
+    return dense_of_sparse(op, modules)
 
 
 # slice terms ----------------------------------------------------------------
@@ -393,100 +500,110 @@ def evaluate_slices(slices: list, n: int, a: LieBialgebraData,
                     modules: list[DYModuleData], initial_legs: int = 0
                     ) -> dict:
     """Generic evaluation of a slice term (see :mod:`dyalg.terms`) as a
-    sparse matrix keyed by ((a-indices, module-indices) out, (..) in).
+    sparse matrix keyed by ((a-indices, module-indices) out, (..) in),
+    with non-zero Fraction entries.
 
     Works for any leg count and for open inputs (``initial_legs`` legs are
     present before the first slice), so it also evaluates the two sides of
     a single rewrite rule."""
-    dims = [m.dim for m in modules]
+    op, scale = _integer_slices(slices, a, modules, initial_legs)
+    return {out_state: {in_state: Fraction(c, scale)
+                        for in_state, c in row.items()}
+            for out_state, row in op.items()}
+
+
+def _integer_slices(slices: list, a: LieBialgebraData,
+                    modules: list[DYModuleData], initial_legs: int = 0
+                    ) -> tuple[dict, int]:
+    """The integer kernel of :func:`evaluate_slices`: ``(op, scale)``, where
+    the entries of op are non-zero ints and each stands for entry / scale.
+    The scale is the product of the table scales of the slices applied."""
     d = a.dim
     states = [(aidx, v)
               for aidx in itertools.product(range(d), repeat=initial_legs)
-              for v in itertools.product(*[range(m) for m in dims])]
-    op = {s: {s: Fraction(1)} for s in states}
-
-    def apply(fn):
-        new: dict = {}
-        for out_state, row in op.items():
-            for new_state, c in fn(out_state):
-                if not c:
-                    continue
-                tgt = new.setdefault(new_state, {})
-                for in_state, c0 in row.items():
-                    val = tgt.get(in_state, Fraction(0)) + c * c0
-                    if val:
-                        tgt[in_state] = val
-                    else:
-                        tgt.pop(in_state, None)
-        return {k: v for k, v in new.items() if v}
-
+              for v in itertools.product(*[range(m.dim) for m in modules])]
+    op = {s: {s: 1} for s in states}
+    scale = 1
     for sl in slices:
         kind = sl[0]
+        if kind == "perm":
+            sigma = sl[1]
+            op = {(_permuted(aidx, sigma), vidx): row
+                  for (aidx, vidx), row in op.items()}
+            continue
+        if kind == "decor":
+            pos, alpha = sl[1] - 1, sl[2]
+            weights = a.weights if a.weights is not None else [None] * d
+            op = {s: row for s, row in op.items()
+                  if weights[s[0][pos]] == alpha}
+            continue
         if kind == "coaction":
             slot = sl[1] - 1
+            den, by_col = modules[slot].coaction_table
 
-            def fn(state, slot=slot):
-                aidx, vidx = state
-                m = modules[slot]
-                col = vidx[slot]
-                for i in range(d):
-                    for row in range(m.dim):
-                        c = m.coactions[i][row][col]
-                        if c:
-                            yield ((aidx + (i,),
-                                    vidx[:slot] + (row,) + vidx[slot + 1:]), c)
+            def images(aidx, vidx, slot=slot, by_col=by_col):
+                head, tail = vidx[:slot], vidx[slot + 1:]
+                return [((aidx + (i,), head + (row,) + tail), c)
+                        for i, row, c in by_col[vidx[slot]]]
         elif kind == "action":
             slot = sl[1] - 1
+            den, act = modules[slot].action_table
 
-            def fn(state, slot=slot):
-                aidx, vidx = state
-                m = modules[slot]
-                i = aidx[-1]
-                col = vidx[slot]
-                for row in range(m.dim):
-                    c = m.actions[i][row][col]
-                    if c:
-                        yield ((aidx[:-1],
-                                vidx[:slot] + (row,) + vidx[slot + 1:]), c)
+            def images(aidx, vidx, slot=slot, act=act):
+                head, tail = vidx[:slot], vidx[slot + 1:]
+                return [((aidx[:-1], head + (row,) + tail), c)
+                        for row, c in act[aidx[-1]][vidx[slot]]]
         elif kind == "mu":
+            den, bt = a.bracket_table
 
-            def fn(state):
-                aidx, vidx = state
-                i, j = aidx[-2], aidx[-1]
-                for k in range(d):
-                    c = a.bracket[i][j][k]
-                    if c:
-                        yield ((aidx[:-2] + (k,), vidx), c)
+            def images(aidx, vidx, bt=bt):
+                rest = aidx[:-2]
+                return [((rest + (k,), vidx), c)
+                        for k, c in bt.get(aidx[-2:], ())]
         elif kind == "delta":
+            den, cobt = a.cobracket_table
 
-            def fn(state):
-                aidx, vidx = state
-                i = aidx[-1]
-                for j in range(d):
-                    for k in range(d):
-                        c = a.cobracket[i][j][k]
-                        if c:
-                            yield ((aidx[:-1] + (j, k), vidx), c)
-        elif kind == "perm":
-            sigma = sl[1]
-
-            def fn(state, sigma=sigma):
-                aidx, vidx = state
-                new = [0] * len(sigma)
-                for q in range(len(sigma)):
-                    new[sigma[q] - 1] = aidx[q]
-                yield ((tuple(new), vidx), Fraction(1))
-        elif kind == "decor":
-            pos, alpha = sl[1], sl[2]
-
-            def fn(state, pos=pos, alpha=alpha):
-                aidx, vidx = state
-                if _weight_of(a, aidx[pos - 1]) == alpha:
-                    yield (state, Fraction(1))
+            def images(aidx, vidx, cobt=cobt):
+                rest = aidx[:-1]
+                return [((rest + (j, k), vidx), c)
+                        for j, k, c in cobt[aidx[-1]]]
         else:
             raise ValueError(f"unknown slice {sl!r}")
-        op = apply(fn)
-    return op
+        op = _apply(op, images)
+        scale *= den
+    return op, scale
+
+
+def _permuted(aidx: tuple, sigma: tuple) -> tuple:
+    """Leg q of ``aidx`` moved to position sigma[q] (1-based)."""
+    new = [0] * len(sigma)
+    for q, target in enumerate(sigma):
+        new[target - 1] = aidx[q]
+    return tuple(new)
+
+
+def _apply(op: dict, images) -> dict:
+    """Compose the integer sparse matrix ``op`` with the linear map sending
+    each out state (aidx, vidx) to ``images(aidx, vidx)``, a list of
+    (state, non-zero int)."""
+    new: dict = {}
+    merged = set()  # states reached twice: only their rows can cancel
+    for (aidx, vidx), row in op.items():
+        for state, c in images(aidx, vidx):
+            tgt = new.get(state)
+            if tgt is None:
+                new[state] = {i: c * c0 for i, c0 in row.items()}
+            else:
+                merged.add(state)
+                for i, c0 in row.items():
+                    tgt[i] = tgt.get(i, 0) + c * c0
+    for state in merged:
+        row = {i: c for i, c in new[state].items() if c}
+        if row:
+            new[state] = row
+        else:
+            del new[state]
+    return new
 
 
 def dense_of_sparse(op: dict, modules: list[DYModuleData]) -> Matrix:

@@ -29,7 +29,7 @@ import math
 from fractions import Fraction
 
 from . import linalg
-from .bialgebra import LieBialgebraData, matmul, validate_bialgebra
+from .bialgebra import LieBialgebraData, validate_bialgebra
 from .freelie import expand_to_assoc, lie_bracket_assoc
 from .monoids import RootCone
 
@@ -387,7 +387,7 @@ class KacMoodyBorel:
                     pairing[self.index[("e", w, a)]][
                         self.index[("e", w, b)]] = gram[a][b]
         pinv = linalg.inverse(pairing)
-        pt = tuple(zip(*pinv))
+        rows = [[(r, c) for r, c in enumerate(row) if c] for row in pinv]
         # the lower-Borel basis mirrors the upper one (e -> f); brackets of
         # lower basis elements, paired against z, give delta(z)
         lower = [("f",) + k[1:] if k[0] == "e" else k
@@ -396,9 +396,19 @@ class KacMoodyBorel:
                     for xa in lower]
         cob = []
         for z in range(d):
-            m = [[self._pair_upper(z, br, cform) for br in row]
-                 for row in brackets]
-            cob.append(matmul(pt, matmul(m, pinv)))
+            # pinv^T m pinv, over the non-zero entries of m and of pinv
+            out = [[Fraction(0)] * d for _ in range(d)]
+            for a, row in enumerate(brackets):
+                for b, br in enumerate(row):
+                    m = self._pair_upper(z, br, cform)
+                    if not m:
+                        continue
+                    for r, p in rows[a]:
+                        mp = m * p
+                        target = out[r]
+                        for s, q in rows[b]:
+                            target[s] += mp * q
+            cob.append(out)
         return cob
 
     def _pair_upper(self, z: int, elt: dict, cform) -> Fraction:

@@ -30,8 +30,11 @@ def test_seeded_cobracket_failure_named():
     bad = LieBialgebraData(
         2, b.bracket,
         [[[0, 0], [0, 0]], [[0, 1], [1, 0]]])  # non-antisymmetric delta(e)
-    report = validate_bialgebra(bad)
-    assert any("cobracket antisymmetry" in line for line in report)
+    assert validate_bialgebra(bad) == [
+        "cobracket antisymmetry fails at generator 1",
+        "co-Jacobi fails at generator 1",
+        "cocycle condition fails at (0,1)",
+        "cocycle condition fails at (1,0)"]
 
 
 def test_seeded_jacobi_failure_named():
@@ -85,7 +88,238 @@ def test_seeded_module_failure():
     adj = adjoint_module(b)
     bad = DYModuleData(b, [madd(adj.actions[0], eye(4)), adj.actions[1]],
                        adj.coactions)
-    assert validate_dy_module(b, bad)
+    assert validate_dy_module(b, bad) == [
+        "action-coaction compatibility fails at (1,1)"]
+    short = DYModuleData(b, adj.actions[:1], adj.coactions)
+    assert validate_dy_module(b, short) == [
+        "tensor count does not match bialgebra dimension"]
+
+
+def _perturbed(tensors, seed):
+    """A copy of a list of d x d matrices (or bracket planes) with one
+    seeded entry shifted by a seeded non-zero rational."""
+    rng = random.Random(seed)
+    out = [[list(row) for row in m] for m in tensors]
+    i = rng.randrange(len(out))
+    j, k = rng.randrange(len(out[i])), rng.randrange(len(out[i]))
+    out[i][j][k] += Fraction(rng.choice((-2, -1, 1, 2)),
+                             rng.choice((1, 2, 3)))
+    return out
+
+
+# The reports of the dense Fraction validators on these perturbations,
+# recorded before the validators moved onto the sparse integer tables.
+PINNED_REPORTS = {
+    ("borel", "bracket", 0): [
+        "bracket antisymmetry fails at (1,1,0)",
+        "Jacobi fails at (1,1,1)",
+    ],
+    ("borel", "cobracket", 0): [
+        "cobracket antisymmetry fails at generator 1",
+        "co-Jacobi fails at generator 1",
+        "cocycle condition fails at (0,1)",
+        "cocycle condition fails at (1,0)",
+    ],
+    ("double", "bracket", 0): [
+        "bracket antisymmetry fails at (3,3,0)",
+        "Jacobi fails at (1,3,3)",
+        "Jacobi fails at (3,1,3)",
+        "Jacobi fails at (3,3,1)",
+        "Jacobi fails at (3,3,3)",
+    ],
+    ("double", "cobracket", 0): [
+        "cobracket antisymmetry fails at generator 3",
+        "co-Jacobi fails at generator 3",
+        "cocycle condition fails at (0,3)",
+        "cocycle condition fails at (1,3)",
+        "cocycle condition fails at (2,3)",
+        "cocycle condition fails at (3,0)",
+        "cocycle condition fails at (3,1)",
+        "cocycle condition fails at (3,2)",
+    ],
+    ("adjoint", "actions", 0): [
+        "action axiom fails at (0,1)",
+        "action axiom fails at (1,0)",
+        "action-coaction compatibility fails at (1,0)",
+        "action-coaction compatibility fails at (1,1)",
+    ],
+    ("adjoint", "coactions", 0): [
+        "action-coaction compatibility fails at (1,1)",
+    ],
+    ("borel", "bracket", 1): [
+        "bracket antisymmetry fails at (0,0,1)",
+        "Jacobi fails at (0,0,0)",
+        "cocycle condition fails at (0,0)",
+    ],
+    ("borel", "cobracket", 1): [
+        "cobracket antisymmetry fails at generator 0",
+        "co-Jacobi fails at generator 0",
+        "co-Jacobi fails at generator 1",
+    ],
+    ("double", "bracket", 1): [
+        "bracket antisymmetry fails at (0,1,2)",
+        "bracket antisymmetry fails at (1,0,2)",
+        "Jacobi fails at (0,1,1)",
+        "Jacobi fails at (0,1,2)",
+        "Jacobi fails at (0,2,1)",
+        "Jacobi fails at (0,3,1)",
+        "Jacobi fails at (1,0,1)",
+        "Jacobi fails at (1,0,2)",
+        "Jacobi fails at (1,0,3)",
+        "Jacobi fails at (1,1,0)",
+        "Jacobi fails at (1,2,0)",
+        "Jacobi fails at (2,0,1)",
+        "Jacobi fails at (2,1,0)",
+        "Jacobi fails at (3,1,0)",
+        "cocycle condition fails at (0,1)",
+        "cocycle condition fails at (1,0)",
+    ],
+    ("double", "cobracket", 1): [
+        "cobracket antisymmetry fails at generator 1",
+        "co-Jacobi fails at generator 1",
+        "cocycle condition fails at (0,1)",
+        "cocycle condition fails at (1,0)",
+        "cocycle condition fails at (1,2)",
+        "cocycle condition fails at (1,3)",
+        "cocycle condition fails at (2,1)",
+        "cocycle condition fails at (3,1)",
+    ],
+    ("adjoint", "actions", 1): [
+        "action axiom fails at (0,1)",
+        "action axiom fails at (1,0)",
+        "action-coaction compatibility fails at (0,1)",
+        "action-coaction compatibility fails at (1,1)",
+    ],
+    ("adjoint", "coactions", 1): [
+        "coaction axiom fails at (0,1)",
+        "coaction axiom fails at (1,0)",
+        "action-coaction compatibility fails at (1,0)",
+        "action-coaction compatibility fails at (1,1)",
+    ],
+    ("borel", "bracket", 2): [
+        "bracket antisymmetry fails at (0,0,0)",
+        "Jacobi fails at (0,0,0)",
+        "Jacobi fails at (0,0,1)",
+        "Jacobi fails at (0,1,0)",
+        "Jacobi fails at (1,0,0)",
+        "cocycle condition fails at (0,1)",
+        "cocycle condition fails at (1,0)",
+    ],
+    ("borel", "cobracket", 2): [
+        "cobracket antisymmetry fails at generator 0",
+        "co-Jacobi fails at generator 0",
+        "co-Jacobi fails at generator 1",
+        "cocycle condition fails at (0,1)",
+        "cocycle condition fails at (1,0)",
+    ],
+    ("double", "bracket", 2): [
+        "bracket antisymmetry fails at (0,0,0)",
+        "Jacobi fails at (0,0,0)",
+        "Jacobi fails at (0,0,1)",
+        "Jacobi fails at (0,0,3)",
+        "Jacobi fails at (0,1,0)",
+        "Jacobi fails at (0,1,3)",
+        "Jacobi fails at (0,3,0)",
+        "Jacobi fails at (0,3,1)",
+        "Jacobi fails at (1,0,0)",
+        "Jacobi fails at (1,0,3)",
+        "Jacobi fails at (1,3,0)",
+        "Jacobi fails at (3,0,0)",
+        "Jacobi fails at (3,0,1)",
+        "Jacobi fails at (3,1,0)",
+        "cocycle condition fails at (0,1)",
+        "cocycle condition fails at (1,0)",
+    ],
+    ("double", "cobracket", 2): [
+        "cobracket antisymmetry fails at generator 0",
+        "co-Jacobi fails at generator 0",
+        "co-Jacobi fails at generator 1",
+        "cocycle condition fails at (0,1)",
+        "cocycle condition fails at (0,3)",
+        "cocycle condition fails at (1,0)",
+        "cocycle condition fails at (1,3)",
+        "cocycle condition fails at (3,0)",
+        "cocycle condition fails at (3,1)",
+    ],
+    ("adjoint", "actions", 2): [
+        "action axiom fails at (0,1)",
+        "action axiom fails at (1,0)",
+        "action-coaction compatibility fails at (0,1)",
+        "action-coaction compatibility fails at (1,1)",
+    ],
+    ("adjoint", "coactions", 2): [
+        "coaction axiom fails at (0,1)",
+        "coaction axiom fails at (1,0)",
+        "action-coaction compatibility fails at (1,0)",
+        "action-coaction compatibility fails at (1,1)",
+    ],
+    ("borel", "bracket", 3): [
+        "bracket antisymmetry fails at (0,0,1)",
+        "Jacobi fails at (0,0,0)",
+        "cocycle condition fails at (0,0)",
+    ],
+    ("borel", "cobracket", 3): [
+        "cobracket antisymmetry fails at generator 0",
+        "co-Jacobi fails at generator 0",
+        "co-Jacobi fails at generator 1",
+    ],
+    ("double", "bracket", 3): [
+        "bracket antisymmetry fails at (1,1,2)",
+        "Jacobi fails at (1,1,1)",
+        "Jacobi fails at (1,1,3)",
+        "Jacobi fails at (1,3,1)",
+        "Jacobi fails at (3,1,1)",
+    ],
+    ("double", "cobracket", 3): [
+        "cobracket antisymmetry fails at generator 1",
+        "co-Jacobi fails at generator 1",
+        "cocycle condition fails at (0,1)",
+        "cocycle condition fails at (1,0)",
+        "cocycle condition fails at (1,2)",
+        "cocycle condition fails at (1,3)",
+        "cocycle condition fails at (2,1)",
+        "cocycle condition fails at (3,1)",
+    ],
+    ("adjoint", "actions", 3): [
+        "action axiom fails at (0,1)",
+        "action axiom fails at (1,0)",
+        "action-coaction compatibility fails at (0,0)",
+        "action-coaction compatibility fails at (0,1)",
+        "action-coaction compatibility fails at (1,1)",
+    ],
+    ("adjoint", "coactions", 3): [
+        "coaction axiom fails at (0,1)",
+        "coaction axiom fails at (1,0)",
+        "action-coaction compatibility fails at (0,0)",
+        "action-coaction compatibility fails at (1,0)",
+        "action-coaction compatibility fails at (1,1)",
+    ],
+}
+
+
+def _perturbed_report(target, tensor, seed):
+    b = borel_sl2()
+    if target == "adjoint":
+        adj = adjoint_module(b)
+        actions, coactions = adj.actions, adj.coactions
+        if tensor == "actions":
+            actions = _perturbed(actions, seed)
+        else:
+            coactions = _perturbed(coactions, seed)
+        return validate_dy_module(b, DYModuleData(b, actions, coactions))
+    a = b if target == "borel" else drinfeld_double(b)
+    bracket, cobracket = a.bracket, a.cobracket
+    if tensor == "bracket":
+        bracket = _perturbed(bracket, seed)
+    else:
+        cobracket = _perturbed(cobracket, seed)
+    return validate_bialgebra(LieBialgebraData(a.dim, bracket, cobracket))
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_REPORTS),
+                         ids=lambda case: "-".join(map(str, case)))
+def test_validator_reports_pinned(case):
+    assert _perturbed_report(*case) == PINNED_REPORTS[case]
 
 
 def test_evaluate_unit_and_linearity():

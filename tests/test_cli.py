@@ -73,6 +73,35 @@ def test_invalid_bialgebra_exit_code(tmp_path):
     assert proc.returncode == 4
 
 
+def _short_vectors(data):
+    data["bracket"] = [[vec[:1] for vec in plane] for plane in data["bracket"]]
+
+
+def _missing_row(data):
+    del data["cobracket"][1][1]
+
+
+def _short_weights(data):
+    data["weights"] = data["weights"][:1]
+
+
+@pytest.mark.parametrize("malform, message", [
+    (_short_vectors, "bracket must be 2 x 2 x 2"),
+    (_missing_row, "cobracket must be 2 matrices of 2 x 2"),
+    (_short_weights, "1 weights for dimension 2"),
+], ids=["short-bracket-vectors", "missing-cobracket-row", "short-weights"])
+def test_malformed_bialgebra_is_parse_error(tmp_path, malform, message):
+    elt = tmp_path / "elt.json"
+    elt.write_text(json.dumps(kappa(1, 1).to_json()))
+    data = borel_sl2().to_json()
+    malform(data)
+    bia = tmp_path / "bia.json"
+    bia.write_text(json.dumps(data))
+    proc = run_cli(["realize", str(elt), str(bia)])
+    assert proc.returncode == 2
+    assert proc.stderr == f"parse error: ValueError: {message}\n"
+
+
 def test_realize_kappa(tmp_path):
     elt = tmp_path / "elt.json"
     elt.write_text(json.dumps(kappa(1, 1).to_json()))
