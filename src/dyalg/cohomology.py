@@ -24,31 +24,72 @@ class NotClosed(ValueError):
 
 
 def _coords(x: AlgebraElement, index: dict[Key, int]) -> dict[int, Fraction]:
-    out = {}
-    for k, c in x.terms.items():
-        if k not in index:
-            raise ValueError("element outside the enumerated slice")
-        out[index[k]] = c
-    return out
-
-
-def _slice_data(n: int, degree: int, monoid: DecorationMonoid):
-    basis = enumerate_basis(n, degree, monoid)
-    index = {k: i for i, k in enumerate(basis)}
-    return basis, index
+    if not x.terms.keys() <= index.keys():
+        raise ValueError("element outside the enumerated slice")
+    return {index[k]: c for k, c in x.terms.items()}
 
 
 def differential_columns(n: int, degree: int,
-                         monoid: DecorationMonoid) -> tuple[list, dict, dict]:
+                         monoid: DecorationMonoid) -> tuple[list, list, dict]:
     """Images of the slice basis under the differential, as sparse vectors
     in the target slice coordinates."""
-    basis, _ = _slice_data(n, degree, monoid)
-    _, tindex = _slice_data(n + 1, degree, monoid)
-    cols = []
-    for k in basis:
-        img = hochschild_d(AlgebraElement.basis(n, k, monoid))
-        cols.append(_coords(img, tindex))
-    return cols, basis, tindex
+    basis = enumerate_basis(n, degree, monoid)
+    tindex = {k: i for i, k in enumerate(enumerate_basis(n + 1, degree,
+                                                         monoid))}
+    return ([_coords(hochschild_d(AlgebraElement.basis(n, k, monoid)), tindex)
+             for k in basis], basis, tindex)
+
+
+class _Slice:
+    """One slice (n, strand degree, monoid): basis, index, and on first use
+    the solver, a Span over the columns of d_{n-1} (d_0 is zero, see
+    :func:`_rank_d`).  The harmonic complement appends its candidates to
+    that Span, so that one reduction splits a cocycle over [D | H]."""
+
+    def __init__(self, n: int, degree: int, monoid: DecorationMonoid):
+        self.n, self.degree, self.monoid = n, degree, monoid
+        self.basis = enumerate_basis(n, degree, monoid)
+        self.index = {k: i for i, k in enumerate(self.basis)}
+        self.src = self._span = self._harmonic = None  # src: basis of n - 1
+
+    def solver(self) -> linalg.Span:
+        if self._span is None:
+            cols, self.src = [], []
+            if self.n > 1:
+                cols, self.src, _ = differential_columns(
+                    self.n - 1, self.degree, self.monoid)
+            self._span = linalg.Span(cols)
+        return self._span
+
+    def harmonic(self) -> list[tuple[int, dict, AlgebraElement]]:
+        """(solver column, coordinates, element) per harmonic element."""
+        if self._harmonic is None:
+            n, monoid, basis = self.n, self.monoid, self.basis
+            alts = (alt(AlgebraElement.basis(n, k, monoid)) for k in basis)
+            cands = [(_coords(a, self.index), a) for a in alts
+                     if not a.is_zero() and hochschild_d(a).is_zero()]
+            # complete from the kernel of the outgoing differential
+            out_cols, _, _ = differential_columns(n, self.degree, monoid)
+            d_out = linalg.Echelon(linalg.rows_of_columns(out_cols))
+            cands += [(col, AlgebraElement(n, monoid, {
+                basis[i]: c for i, c in col.items()}))
+                for col in d_out.kernel(len(basis))]
+            # add() appends column ncols - 1 before its triple is made
+            span = self.solver()
+            self._harmonic = [(span.ncols - 1, col, elt)
+                              for col, elt in cands if span.add(col)]
+        return self._harmonic
+
+
+# (n, strand degree, monoid key) -> _Slice; cohomology_table keeps none
+_SLICES: dict[tuple, _Slice] = {}
+
+
+def _slice(n: int, degree: int, monoid: DecorationMonoid) -> _Slice:
+    key = (n, degree, monoid.key())
+    if key not in _SLICES:
+        _SLICES[key] = _Slice(n, degree, monoid)
+    return _SLICES[key]
 
 
 def _slice_dim(n: int, degree: int, monoid: DecorationMonoid) -> int:
@@ -129,24 +170,20 @@ def decompose_cocycle(eta: AlgebraElement
     degree = degs.pop()
     if not hochschild_d(eta).is_zero():
         raise NotClosed("not closed")
-    cols, src_basis, index = differential_columns(n - 1, degree, monoid)
-    rhs = _coords(eta, index)
-    sol = linalg.sparse_solve(cols, rhs)
-    if sol is not None:
-        v = AlgebraElement(n - 1, monoid,
-                           {src_basis[i]: c for i, c in enumerate(sol) if c})
-        return v, AlgebraElement.zero(n, monoid)
-    harm_cols, harm_elts = harmonic_complement(n, degree, monoid)
-    sol = linalg.sparse_solve(cols + harm_cols, rhs)
+    rec = _slice(n, degree, monoid)
+    span, rhs = rec.solver(), _coords(eta, rec.index)
+    sol = span.coords(rhs)
     if sol is None:
-        raise ValueError("cocycle escapes image + harmonic complement")
+        rec.harmonic()
+        sol = span.coords(rhs)
+        if sol is None:
+            raise ValueError("cocycle escapes image + harmonic complement")
     v = AlgebraElement(n - 1, monoid,
-                       {src_basis[i]: c for i, c in enumerate(sol[:len(cols)])
-                        if c})
+                       {k: c for k, c in zip(rec.src, sol) if c})
     mu = AlgebraElement.zero(n, monoid)
-    for i, c in enumerate(sol[len(cols):]):
-        if c:
-            mu = mu + c * harm_elts[i]
+    for at, _, elt in rec._harmonic or ():
+        if sol[at]:
+            mu = mu + sol[at] * elt
     return v, mu
 
 
@@ -158,29 +195,5 @@ def harmonic_complement(n: int, degree: int, monoid: DecorationMonoid
     closed; the family is then completed from the canonically ordered
     kernel basis of the differential.  Deterministic and reproducible.
     """
-    basis, index = _slice_data(n, degree, monoid)
-    # echelon seeded with the coboundaries so chosen vectors are
-    # independent modulo them
-    echelon = linalg.Echelon()
-    if n >= 1 and degree > 0:
-        img_cols, _, _ = differential_columns(n - 1, degree, monoid)
-        for col in img_cols:
-            echelon.insert(col)
-    chosen_cols, chosen_elts = [], []
-    for k in basis:
-        cand = alt(AlgebraElement.basis(n, k, monoid))
-        if cand.is_zero() or not hochschild_d(cand).is_zero():
-            continue
-        col = _coords(cand, index)
-        if echelon.insert(col):
-            chosen_cols.append(col)
-            chosen_elts.append(cand)
-    # complete from the kernel of the outgoing differential
-    out_cols, _, _ = differential_columns(n, degree, monoid)
-    d_out = linalg.Echelon(linalg.rows_of_columns(out_cols))
-    for col in d_out.kernel(len(basis)):
-        if echelon.insert(col):
-            chosen_cols.append(col)
-            chosen_elts.append(AlgebraElement(
-                n, monoid, {basis[i]: c for i, c in col.items()}))
-    return chosen_cols, chosen_elts
+    chosen = _slice(n, degree, monoid).harmonic()
+    return [col for _, col, _ in chosen], [elt for _, _, elt in chosen]

@@ -161,17 +161,30 @@ def pbw_decompose(w: AssocElt, n_vars: int) -> dict:
     for word in w:
         if tuple(sorted(word)) != vars:
             raise ValueError("input is not multilinear in x_1..x_N")
-    basis: list[tuple] = []
-    for blocks in range(1, n_vars + 1):
-        basis.extend(pbw_basis(vars, blocks))
-    words = sorted(itertools.permutations(vars))
-    cols = [symmetrized_product(b) for b in basis]
-    matrix = [[col.get(word, Fraction(0)) for col in cols] for word in words]
-    rhs = [w.get(word, Fraction(0)) for word in words]
-    sol = linalg.solve(matrix, rhs)
-    if sol is None:
+    dec = _multilinear_coords(w, vars, symmetrized_product, lambda vs: [
+        b for k in range(1, len(vs) + 1) for b in pbw_basis(vs, k)])
+    if dec is None:
         raise ValueError("PBW system inconsistent")
-    return {basis[j]: c for j, c in enumerate(sol) if c}
+    return dec
+
+
+# (expansion, variables) -> (basis, word index, Span of the expanded basis)
+_SOLVERS: dict[tuple, tuple] = {}
+
+
+def _multilinear_coords(w: AssocElt, vars: tuple, expand, basis_of):
+    """Coordinates of the multilinear element ``w`` on ``vars`` in the basis
+    ``basis_of(vars)``, which ``expand`` takes to associative elements, or
+    None if ``w`` is outside its span."""
+    if (expand, vars) not in _SOLVERS:
+        basis = basis_of(vars)
+        widx = {wd: i for i, wd in enumerate(itertools.permutations(vars))}
+        _SOLVERS[expand, vars] = basis, widx, linalg.Span(
+            {widx[wd]: c for wd, c in expand(b).items()} for b in basis)
+    basis, widx, span = _SOLVERS[expand, vars]
+    sol = span.coords({widx[wd]: c for wd, c in w.items()})
+    return None if sol is None else {
+        basis[j]: c for j, c in enumerate(sol) if c}
 
 
 def pbw_decompose_blocks(w: dict, blocks: tuple[int, ...]) -> dict:
@@ -187,25 +200,27 @@ def pbw_decompose_blocks(w: dict, blocks: tuple[int, ...]) -> dict:
     for words, coeff in w.items():
         if len(words) != len(blocks):
             raise ValueError("word count does not match block count")
-        partial = {(): coeff}
+        decs = []
         for b, word in enumerate(words):
             expected = tuple(range(starts[b] + 1, starts[b] + blocks[b] + 1))
             if tuple(sorted(word)) != expected:
                 raise ValueError("block word uses wrong variables")
-            shifted = tuple(x - starts[b] for x in word)
-            dec = pbw_decompose({shifted: Fraction(1)}, blocks[b])
-            new = {}
-            for prefix, c0 in partial.items():
-                for key, c1 in dec.items():
-                    unshifted = _shift_monomials(key, starts[b])
-                    new[prefix + (unshifted,)] = c0 * c1
-            partial = new
-        for key, c in partial.items():
-            val = out.get(key, Fraction(0)) + c
-            if val:
-                out[key] = val
-            else:
-                out.pop(key, None)
+            dec = pbw_decompose({tuple(x - starts[b] for x in word):
+                                 Fraction(1)}, blocks[b])
+            decs.append({_shift_monomials(key, starts[b]): c
+                         for key, c in dec.items()})
+        for key, c in _tensor(decs, coeff).items():
+            _add(out, key, c)
+    return out
+
+
+def _tensor(factors, coeff=Fraction(1)) -> dict:
+    """Tensor product of coordinate dicts, scaled by ``coeff``: tuples of
+    keys, one per factor, to products of coefficients."""
+    out = {(): coeff}
+    for coords in factors:
+        out = {prefix + (k,): c0 * c1
+               for prefix, c0 in out.items() for k, c1 in coords.items()}
     return out
 
 
@@ -240,24 +255,6 @@ def _wedge_action(perm: tuple, wedge: tuple) -> tuple[int, dict]:
     order = sorted(range(len(factors)), key=lambda i: min(variables(factors[i])))
     sgn = sign([o + 1 for o in order])
     return sgn, [factors[i] for i in order]
-
-
-def _lie_coords(m, block: tuple, basis_cache: dict) -> dict:
-    """Coordinates of a multilinear Lie monomial in the left-normed basis of
-    its variable block, via associative expansion and a linear solve."""
-    key = tuple(sorted(block))
-    if key not in basis_cache:
-        basis = lie_multilinear_basis(0, key)
-        cols = [expand_to_assoc(b) for b in basis]
-        words = sorted(itertools.permutations(key))
-        matrix = [[col.get(wd, Fraction(0)) for col in cols] for wd in words]
-        basis_cache[key] = (basis, matrix, words)
-    basis, matrix, words = basis_cache[key]
-    target = expand_to_assoc(m)
-    rhs = [target.get(wd, Fraction(0)) for wd in words]
-    sol = linalg.solve(matrix, rhs)
-    assert sol is not None, "Lie monomial outside Lie span"
-    return {basis[j]: c for j, c in enumerate(sol) if c}
 
 
 def wedge_multilinear_dim(n: int, n_vars: int,
@@ -298,7 +295,6 @@ def wedge_pair_dim(a: int, b: int, n_vars: int,
             for y in vb:
                 idx[(x, d, y)] = len(triples)
                 triples.append((x, d, y))
-    cache: dict = {}
     dim = len(triples)
     rows = []
     for x, d, y in triples:
@@ -307,27 +303,18 @@ def wedge_pair_dim(a: int, b: int, n_vars: int,
             sa, fa = _wedge_action(perm, x)
             sb, fb = _wedge_action(perm, y)
             pd = tuple(d[j - 1] for j in inverse(perm))
-            coords_a = _tensor_coords(fa, cache)
-            coords_b = _tensor_coords(fb, cache)
-            for (wa, ca) in coords_a.items():
-                for (wb_, cb) in coords_b.items():
-                    j = idx[(wa, pd, wb_)]
-                    row[j] = row.get(j, Fraction(0)) + Fraction(sa * sb) * ca * cb
+            image = _tensor([_tensor(map(_lie_coords, fa)), {pd: 1},
+                             _tensor(map(_lie_coords, fb))], Fraction(sa * sb))
+            for key, c in image.items():
+                row[idx[key]] = row.get(idx[key], 0) + c
         rows.append({j: c / math.factorial(n_vars)
                      for j, c in row.items() if c})
     return linalg.sparse_rank(rows, dim)
 
 
-def _tensor_coords(factors: list, cache: dict) -> dict:
-    """Coordinates of a list of per-block Lie monomials in the wedge basis
-    (factors already sorted by block minimum)."""
-    out = {(): Fraction(1)}
-    for m in factors:
-        block = tuple(sorted(variables(m)))
-        coords = _lie_coords(m, block, cache)
-        new = {}
-        for prefix, c0 in out.items():
-            for mono, c1 in coords.items():
-                new[prefix + (mono,)] = c0 * c1
-        out = new
-    return out
+def _lie_coords(m) -> dict:
+    """Coordinates of a multilinear Lie monomial in the left-normed basis of
+    its variables."""
+    return _multilinear_coords(
+        expand_to_assoc(m), tuple(sorted(variables(m))), expand_to_assoc,
+        lambda vs: lie_multilinear_basis(0, vs))

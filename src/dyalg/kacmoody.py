@@ -107,7 +107,8 @@ class _RootSpaces:
         self.cartan = cartan
         self.ideal: dict[Weight, list[dict]] = {}
         self.basis_trees: dict[Weight, list] = {}
-        self.reducers: dict[Weight, tuple] = {}
+        # weight -> (word index, Span of ideal then trees, tree columns)
+        self.solvers: dict[Weight, tuple] = {}
         self._build()
 
     def _serre_relators(self, weight: Weight) -> list[dict]:
@@ -127,8 +128,7 @@ class _RootSpaces:
 
     def _build(self) -> None:
         for weight in RootCone(self.rank, self.cap).elements()[1:]:
-            words = _words_of(weight)
-            widx = {w: i for i, w in enumerate(words)}
+            widx = {w: i for i, w in enumerate(_words_of(weight))}
             ideal_vecs = [dict(v) for v in self._serre_relators(weight)]
             for i in range(1, self.rank + 1):
                 prev = tuple(weight[t] - (1 if t == i - 1 else 0)
@@ -139,25 +139,17 @@ class _RootSpaces:
                 for v in self.ideal.get(prev, []):
                     ideal_vecs.append(lie_bracket_assoc(gen, v))
             self.ideal[weight] = ideal_vecs
-
-            def sparse(vec: dict) -> dict:
-                return {widx[w]: c for w, c in vec.items() if c}
-
-            echelon = linalg.Echelon()
-            ideal_cols = []
-            for vec in ideal_vecs:
-                row = sparse(vec)
-                if echelon.insert(row):
-                    ideal_cols.append(row)
-            trees, tree_cols = [], []
-            for word in words:
+            span = linalg.Span({widx[w]: c for w, c in vec.items()}
+                               for vec in ideal_vecs)
+            trees, columns = [], []
+            for word in widx:
                 tree = _left_normed(word)
-                col = sparse(expand_to_assoc(tree))
-                if echelon.insert(col):
+                if span.add({widx[w]: c
+                             for w, c in expand_to_assoc(tree).items()}):
                     trees.append(tree)
-                    tree_cols.append(col)
+                    columns.append(span.ncols - 1)
             self.basis_trees[weight] = trees
-            self.reducers[weight] = (widx, tree_cols, ideal_cols)
+            self.solvers[weight] = (widx, span, columns)
 
     def dim(self, weight: Weight) -> int:
         return len(self.basis_trees.get(weight, []))
@@ -166,12 +158,11 @@ class _RootSpaces:
         """Coordinates of an associative expansion in the chosen root-space
         basis, modulo the Serre ideal.  Unique because the basis trees are
         independent modulo the ideal."""
-        widx, tree_cols, ideal_cols = self.reducers[weight]
-        rhs = {widx[w]: c for w, c in vec.items() if c}
-        sol = linalg.sparse_solve(tree_cols + ideal_cols, rhs)
+        widx, span, columns = self.solvers[weight]
+        sol = span.coords({widx[w]: c for w, c in vec.items()})
         if sol is None:
             raise ArithmeticError("vector outside Lie span")
-        return sol[:len(tree_cols)]
+        return [sol[j] for j in columns]
 
 
 class KacMoodyBorel:
@@ -220,6 +211,9 @@ class KacMoodyBorel:
         self._mixed_cache: dict = {}
         self._bracket_cache: dict = {}
         self._pairing_blocks: dict = {}
+        # the form is symmetric, so its rows are its columns
+        self._form = linalg.Span({j: c for j, c in enumerate(row) if c}
+                                 for row in self.cartan_form())
 
     # -- elements are sparse dicts {label: coefficient} --------------------
 
@@ -317,37 +311,27 @@ class KacMoodyBorel:
             form[l + i][i] = Fraction(1, self.sym[i])
         return form
 
-    def _t_alpha(self, weight: Weight) -> list[Fraction]:
-        """The Cartan element representing a weight through the form."""
-        rhs = [Fraction(self._alpha(k, weight)) for k in self._cartan_keys]
-        sol = linalg.solve(self.cartan_form(), rhs)
-        if sol is None:
-            raise ArithmeticError("degenerate extended Cartan form")
-        return sol
-
     def root_pairing(self, weight: Weight):
         """Gram matrix of the raising/lowering pairing at a weight, from
-        [x, y] = (x, y) t_weight."""
+        [x, y] = (x, y) t_weight, t_weight being the Cartan element that
+        represents the weight through the (non-degenerate) form."""
         if weight in self._pairing_blocks:
             return self._pairing_blocks[weight]
-        t_alpha = self._t_alpha(weight)
+        keys = self._cartan_keys
+        t_weight = self._form.coords({j: self._alpha(k, weight)
+                                      for j, k in enumerate(keys)})
+        line = linalg.Span([dict(enumerate(t_weight))])
         dim = self.roots.dim(weight)
         gram = [[Fraction(0)] * dim for _ in range(dim)]
         trees = self.roots.basis_trees[weight]
         for i, j in itertools.product(range(dim), repeat=2):
             br = dict(self._mixed_tree(trees[i], trees[j]))
-            hv = [br.pop(k, 0) for k in self._cartan_keys]
+            hv = {m: br.pop(k) for m, k in enumerate(keys) if k in br}
             assert not br, "mixed bracket left the Cartan"
-            nonzero = [k for k in range(2 * self.rank) if hv[k] or t_alpha[k]]
-            if all(not hv[k] for k in nonzero):
-                gram[i][j] = Fraction(0)
-                continue
-            ratios = {Fraction(hv[k]) / t_alpha[k] for k in nonzero
-                      if t_alpha[k]}
-            assert len(ratios) == 1 and all(
-                hv[k] == 0 for k in nonzero if not t_alpha[k]), \
+            c = line.coords(hv)
+            assert c is not None, \
                 "mixed bracket not proportional to the weight element"
-            gram[i][j] = next(iter(ratios))
+            gram[i][j] = c[0]
         self._pairing_blocks[weight] = gram
         return gram
 
@@ -374,20 +358,16 @@ class KacMoodyBorel:
         with the upper through 2*(Cartan form) on the Cartan block and the
         root pairing on each root block."""
         d = self.dim
-        l = self.rank
-        pairing = [[Fraction(0)] * d for _ in range(d)]
         cform = self.cartan_form()
-        for i in range(2 * l):
-            for j in range(2 * l):
-                pairing[i][j] = 2 * cform[i][j]
-        for w in self.weights_list:
-            gram = self.root_pairing(w)
-            for a in range(len(gram)):
-                for b in range(len(gram)):
-                    pairing[self.index[("e", w, a)]][
-                        self.index[("e", w, b)]] = gram[a][b]
-        pinv = linalg.inverse(pairing)
-        rows = [[(r, c) for r, c in enumerate(row) if c] for row in pinv]
+        # the pairing is block diagonal, so its inverse is too: rows[a] holds
+        # the non-zero (column, entry) pairs of row a of the inverse
+        blocks = [(range(2 * self.rank), [[2 * c for c in r] for r in cform])]
+        blocks += [([self.index[("e", w, a)] for a in range(self.roots.dim(w))],
+                    self.root_pairing(w)) for w in self.weights_list]
+        rows = [None] * d
+        for at, block in blocks:
+            for a, row in zip(at, linalg.inverse(block)):
+                rows[a] = [(at[r], c) for r, c in enumerate(row) if c]
         # the lower-Borel basis mirrors the upper one (e -> f); brackets of
         # lower basis elements, paired against z, give delta(z)
         lower = [("f",) + k[1:] if k[0] == "e" else k
@@ -396,7 +376,8 @@ class KacMoodyBorel:
                     for xa in lower]
         cob = []
         for z in range(d):
-            # pinv^T m pinv, over the non-zero entries of m and of pinv
+            # pinv^T m pinv, pinv the inverse of the pairing, over the
+            # non-zero entries of m and of pinv
             out = [[Fraction(0)] * d for _ in range(d)]
             for a, row in enumerate(brackets):
                 for b, br in enumerate(row):

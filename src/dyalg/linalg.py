@@ -2,17 +2,17 @@
 
 Dense matrices are lists of lists of Fractions; sparse rows are dicts
 mapping column index to Fraction (ints are accepted as well).  Nothing here
-ever touches floats.
+ever touches floats.  Every elimination scales its input once to primitive
+integer rows, reduces them with :func:`_eliminate`, and builds Fractions
+only when it reads off a result.  It has two views:
 
-Every elimination goes through :class:`Echelon`, which computes in Python
-ints: a row is scaled once to integers by the lcm of its denominators, and
-Fractions are built only when a result is read off.  Results follow one
-convention: the pivot of a row is its smallest column index, and pivot
-entries are 1.  The reduced row-echelon form is unique for a row space, so
-every result below depends on the column order only, never on the order of
-the rows.  Solutions set the free (non-pivot) variables to zero.  Null-space
-bases hold one vector per free column, in increasing column order, with
-entry 1 there.
+* :class:`Echelon` takes rows, for rank, kernel and inverse.  Pivots are
+  smallest columns and pivot entries 1, so results depend on the column
+  order only.  A null-space basis holds one vector per free column, in
+  increasing order, with entry 1 there.
+* :class:`Span` takes columns, eliminates them once, and reduces each
+  right-hand side once.  Solutions are zero on the columns that depend on
+  earlier ones: the free variables of the reduced echelon form.
 """
 
 from __future__ import annotations
@@ -39,19 +39,13 @@ class Echelon:
     def insert(self, row: dict) -> bool:
         """Reduce ``row`` against the pivots present; store it and return
         True if it is independent of them, else return False."""
-        scale = lcm(*[v.denominator for v in row.values()])
-        row = {c: v.numerator * (scale // v.denominator)
-               for c, v in row.items() if v}
+        _, row = _integer(row)
         while row:
             piv = min(row)
-            prow = self.rows.get(piv)
-            if prow is None:
-                g = gcd(*row.values())
-                if row[piv] < 0:
-                    g = -g
-                self.rows[piv] = {c: v // g for c, v in row.items()}
+            if piv not in self.rows:
+                self.rows[piv] = _primitive(row, piv)
                 return True
-            _eliminate(row, piv, prow)
+            _eliminate(row, piv, self.rows[piv])
         return False
 
     def _back_substitute(self) -> dict[int, dict[int, int]]:
@@ -74,18 +68,6 @@ class Echelon:
         outside its own row: pivot -> row of Fractions with pivot entry 1."""
         return {piv: {c: Fraction(v, row[piv]) for c, v in row.items()}
                 for piv, row in self._back_substitute().items()}
-
-    def solution(self, ncols: int):
-        """The solution of the system whose augmented column is ``ncols``,
-        with free variables zero, or None if the system is inconsistent."""
-        if ncols in self.rows:
-            return None
-        x = [Fraction(0)] * ncols
-        for piv, row in self._back_substitute().items():
-            v = row.get(ncols)
-            if v:
-                x[piv] = Fraction(v, row[piv])
-        return x
 
     def kernel(self, ncols: int) -> list[dict]:
         """Sparse basis of the null space of the stored rows, taken as a
@@ -126,6 +108,68 @@ def _eliminate(row: dict, piv: int, prow: dict) -> None:
                 row.pop(c, None)
 
 
+class Span:
+    """Coordinates in a growing list of columns, each eliminated once.
+
+    Columns are sparse vectors keyed by non-negative ints.  ``rows`` maps a
+    pivot, the largest non-negative key of its row, to a primitive integer
+    row r that also holds the column combination it equals under keys ~j:
+    sum_{k >= 0} r[k] e_k = sum_j r[~j] col_j.  Only columns independent of
+    the earlier ones are stored."""
+
+    def __init__(self, columns=()):
+        self.ncols = 0
+        self.rows: dict[int, dict[int, int]] = {}
+        for col in columns:
+            self.add(col)
+
+    def _reduce(self, row: dict):
+        """Clear stored pivots from ``row``, largest first; return the first
+        key without a stored row, or None once only ~j keys remain."""
+        while (piv := max(row)) >= 0:
+            if piv not in self.rows:
+                return piv
+            _eliminate(row, piv, self.rows[piv])
+        return None
+
+    def add(self, col: dict) -> bool:
+        """Append ``col`` as the next column; store it and return True if it
+        is independent of the columns added before, else return False."""
+        scale, row = _integer(col)
+        row[~self.ncols] = scale
+        self.ncols += 1
+        if (piv := self._reduce(row)) is not None:
+            self.rows[piv] = _primitive(row, piv)
+        return piv is not None
+
+    def coords(self, b: dict):
+        """The x with sum_j x_j col_j = ``b``, zero on the dependent columns,
+        or None if ``b`` lies outside the span."""
+        scale, row = _integer(b)
+        tag = ~self.ncols  # a key no stored row holds, standing for b
+        row[tag] = scale
+        if self._reduce(row) is not None:
+            return None
+        d = row.pop(tag)  # now 0 = d b + sum_j row[~j] col_j
+        x = [Fraction(0)] * self.ncols
+        for k, v in row.items():
+            x[~k] = Fraction(-v, d)
+        return x
+
+
+def _integer(vec: dict) -> tuple[int, dict]:
+    """(s, s * vec without its zeros), s the lcm of the denominators."""
+    scale = lcm(*[v.denominator for v in vec.values()])
+    return scale, {c: v.numerator * (scale // v.denominator)
+                   for c, v in vec.items() if v}
+
+
+def _primitive(row: dict, piv: int) -> dict:
+    """``row`` over the gcd of its entries, positive at ``piv``."""
+    g = gcd(*row.values()) * (1 if row[piv] > 0 else -1)
+    return {c: v // g for c, v in row.items()}
+
+
 def _sparse(row) -> dict:
     return {j: v for j, v in enumerate(row) if v}
 
@@ -153,38 +197,31 @@ def sparse_rank(rows: list[dict], ncols: int) -> int:
 def solve(matrix: list[list[Fraction]], rhs: list[Fraction]):
     """One exact solution of ``matrix @ x = rhs`` with free variables set to
     zero, or None if inconsistent."""
+    if len(rhs) != len(matrix):
+        raise ValueError("right-hand side length differs from the row count")
     n = len(matrix[0]) if matrix else 0
-    echelon = Echelon()
-    for row, b in zip(matrix, rhs):
-        row = _sparse(row)
-        if b:
-            row[n] = b
-        echelon.insert(row)
-    return echelon.solution(n)
+    return Span({i: row[j] for i, row in enumerate(matrix) if row[j]}
+                for j in range(n)).coords(_sparse(rhs))
 
 
 def sparse_solve(columns: list[dict], rhs: dict):
-    """Solve ``sum_j x_j * columns[j] = rhs`` where columns and rhs are sparse
-    vectors (dict row-index -> Fraction).  Returns a coefficient list with
+    """Solve ``sum_j x_j * columns[j] = rhs`` for sparse vectors: a list with
     free variables zero, or None if inconsistent."""
-    return Echelon(rows_of_columns(columns + [rhs])).solution(len(columns))
+    return Span(columns).coords(rhs)
 
 
 def nullspace(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
     """Basis of the right null space, as dense vectors."""
     n = len(matrix[0]) if matrix else 0
-    basis = []
-    for vec in Echelon(map(_sparse, matrix)).kernel(n):
-        dense = [Fraction(0)] * n
-        for c, v in vec.items():
-            dense[c] = v
-        basis.append(dense)
-    return basis
+    return [[vec.get(c, Fraction(0)) for c in range(n)]
+            for vec in Echelon(map(_sparse, matrix)).kernel(n)]
 
 
 def inverse(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
     """Inverse of a square matrix; ArithmeticError if it is singular."""
     n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix is not square")
     echelon = Echelon()
     for i, row in enumerate(matrix):
         row = _sparse(row)

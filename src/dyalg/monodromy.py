@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bialgebra import Matrix, eye, madd, matmul, mscale, zeros
-from .linalg import inverse
+from . import linalg
 
 
 def sl2_irrep(m: int) -> tuple[Matrix, Matrix, Matrix]:
@@ -57,10 +57,6 @@ def triple_exponential(e: Matrix, f: Matrix) -> Matrix:
     return matmul(mat_exp_nilpotent(e),
                   matmul(mat_exp_nilpotent(mscale(-1, f)),
                          mat_exp_nilpotent(e)))
-
-
-def mat_inverse(a: Matrix) -> Matrix:
-    return tuple(map(tuple, inverse(a)))
 
 
 # matrix series: list of matrices indexed by the formal-parameter power
@@ -126,7 +122,7 @@ def solve_local_monodromy(s1: dict, s2: dict, fleet: dict,
     for name in names:
         e, f, h = fleet[name]
         st = triple_exponential(e, f)
-        stilde[name] = (st, mat_inverse(st), h)
+        stilde[name] = (st, linalg.inverse(st), h)
         for s in (s1, s2):
             if s[name][0] != st:
                 raise ValueError("leading term is not the triple exponential")
@@ -134,38 +130,24 @@ def solve_local_monodromy(s1: dict, s2: dict, fleet: dict,
                 corr = matmul(stilde[name][1], s[name][k])
                 if matmul(corr, h) != matmul(h, corr):
                     raise ValueError("corrections are not weight zero")
+    # each corrector is c h on all modules at once: c is one coordinate
+    def stacked(mats) -> dict:
+        flat = (x for m in mats for row in m for x in row)
+        return {i: x for i, x in enumerate(flat) if x}
+
+    cartan = linalg.Span([stacked(stilde[name][2] for name in names)])
     coeffs: list[Fraction] = [Fraction(0)] * (order + 1)
     for k in range(1, order + 1):
-        c_found = None
+        diffs = []
         for name in names:
-            st, st_inv, h = stilde[name]
+            _, st_inv, h = stilde[name]
             s1c = _conjugate(s1[name], h, coeffs, order)
-            diff = matmul(st_inv, madd(s2[name][k], mscale(-1, s1c[k])))
-            # solve diff == c * h on this module
-            entries = [(i, j) for i in range(len(h)) for j in range(len(h))
-                       if h[i][j] or diff[i][j]]
-            c_local = None
-            for i, j in entries:
-                if not h[i][j]:
-                    if diff[i][j]:
-                        raise MonodromyMismatch(
-                            "inputs not monodromy pair: corrector leaves "
-                            "the Cartan line")
-                    continue
-                ratio = diff[i][j] / h[i][j]
-                if c_local is None:
-                    c_local = ratio
-                elif c_local != ratio:
-                    raise MonodromyMismatch(
-                        "inputs not monodromy pair: corrector leaves the "
-                        "Cartan line")
-            c_local = c_local if c_local is not None else Fraction(0)
-            if c_found is None:
-                c_found = c_local
-            elif c_found != c_local:
-                raise MonodromyMismatch(
-                    "inputs not monodromy pair: fleet disagreement")
-        coeffs[k] = coeffs[k] - (c_found or Fraction(0)) / 2
+            diffs.append(matmul(st_inv, madd(s2[name][k], mscale(-1, s1c[k]))))
+        c = cartan.coords(stacked(diffs))
+        if c is None:
+            raise MonodromyMismatch(
+                "inputs not monodromy pair: corrector leaves the Cartan line")
+        coeffs[k] -= c[0] / 2
     for name in names:
         if _conjugate(s1[name], stilde[name][2], coeffs, order) != s2[name]:
             raise AssertionError("monodromy reconstruction failed to close")

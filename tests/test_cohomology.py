@@ -1,13 +1,17 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from dyalg import cohomology, twists
 from dyalg.algebra import (AlgebraElement, enumerate_basis, hochschild_d,
                            kappa, omega)
 from dyalg.cohomology import (NotClosed, cohomology_dims, cohomology_table,
                               decompose_cocycle, harmonic_complement)
 from dyalg.monoids import RootCone, SPLIT, TRIVIAL
+from dyalg.series import GradedSeries
 
 
 def test_low_degrees_vanish_all_monoids():
@@ -84,7 +88,102 @@ def test_harmonic_part_detected():
 
 
 def test_harmonic_complement_dimension_matches_h():
+    # strand degree 0 and n = 1 included: the coboundaries d_0 = 0 and
+    # d_1(1) = 1 (x) 1 are outside every complement
     for monoid in (TRIVIAL, SPLIT):
-        for deg in (1, 2):
-            _, elts = harmonic_complement(2, deg, monoid)
-            assert len(elts) == cohomology_dims(deg, 2, monoid)[2]
+        for deg in (0, 1, 2):
+            dims = cohomology_dims(deg, 3, monoid)
+            for n in (1, 2, 3):
+                _, elts = harmonic_complement(n, deg, monoid)
+                assert len(elts) == dims[n], (monoid, deg, n)
+
+
+def _criterion_09_cocycles(monkeypatch):
+    """The cocycles that solve_gauge decomposes in acceptance criterion 09:
+    its twenty seeded round trips and its harmonic obstruction."""
+    seen = []
+    real = twists.decompose_cocycle
+
+    def record(eta):
+        seen.append(eta)
+        return real(eta)
+
+    monkeypatch.setattr(twists, "decompose_cocycle", record)
+    rng = random.Random(20260809)
+    order = 3
+    one3 = GradedSeries.one(3, order, SPLIT)
+    j0 = GradedSeries.one(2, order, SPLIT)
+    for _ in range(20):
+        parts = {}
+        for d in range(1, order + 1):
+            keys = enumerate_basis(1, d, SPLIT)
+            parts[d] = AlgebraElement(1, SPLIT, {
+                k: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                for k in rng.sample(keys, 2)})
+        u = (GradedSeries.one(1, order, SPLIT)
+             + GradedSeries(1, order, SPLIT, parts))
+        assert twists.solve_gauge(j0, twists.gauge(u, j0), one3) == u
+    _, elts = harmonic_complement(2, 2, SPLIT)
+    perturbed = twists.gauge(
+        GradedSeries.one(1, 2, SPLIT), GradedSeries.one(2, 2, SPLIT)
+    ) + GradedSeries.of_element(elts[0], 2)
+    with pytest.raises(twists.GaugeObstruction):
+        twists.solve_gauge(GradedSeries.one(2, 2, SPLIT), perturbed,
+                           GradedSeries.one(3, 2, SPLIT), order=2)
+    monkeypatch.undo()
+    return seen
+
+
+def _seeded_cocycles():
+    """Exact cocycles d(u) in cohomological degrees 2 and 3, and the same
+    plus a seeded combination of harmonic elements."""
+    rng = random.Random(7)
+    exact, harmonic = [], []
+    for monoid in (TRIVIAL, SPLIT):
+        for n, degrees in ((1, (1, 2, 3)), (2, (1, 2))):
+            for degree in degrees:
+                keys = enumerate_basis(n, degree, monoid)
+                _, harm = harmonic_complement(n + 1, degree, monoid)
+                for _ in range(3):
+                    u = AlgebraElement(n, monoid, {
+                        k: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                        for k in rng.sample(keys, min(3, len(keys)))})
+                    eta = hochschild_d(u)
+                    exact.append(eta)
+                    if harm:
+                        mu = AlgebraElement.zero(n + 1, monoid)
+                        for h in rng.sample(harm, min(2, len(harm))):
+                            mu = mu + Fraction(rng.randint(1, 3),
+                                               rng.randint(1, 2)) * h
+                        harmonic.append(eta + mu)
+    return exact, harmonic
+
+
+def _digest(results) -> str:
+    out = [[v.to_json(), mu.to_json()] for v, mu in results]
+    return hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
+
+
+def test_decompose_cocycle_pinned_and_slice_memo_transparent(monkeypatch):
+    # digests of (v, mu) recorded with the per-call elimination that the
+    # memoized slice solvers replaced
+    pinned = {
+        "criterion 09": (60, "d6577b6c3289c049c8c054a9d1005b5d"
+                             "c79bb6ecbceacce2520f73db3c3d8122"),
+        "exact": (30, "df63d3b669498db43611152e4f37e307"
+                      "22ad6da780f6b7e424388c478a43b3c2"),
+        "harmonic": (24, "72c03469eb948a3a21b5fa166dcaca15"
+                         "d09231a1f271d5c8ba7af888b6cdf1d4"),
+    }
+    cases = {"criterion 09": _criterion_09_cocycles(monkeypatch)}
+    cases["exact"], cases["harmonic"] = _seeded_cocycles()
+    results = {name: [decompose_cocycle(eta) for eta in etas]
+               for name, etas in cases.items()}
+    for name, (count, digest) in pinned.items():
+        assert (len(cases[name]), _digest(results[name])) == (count, digest)
+    assert all(not mu.is_zero() for _, mu in results["harmonic"])
+    # the same results from empty memos, called in the reverse order
+    cohomology._SLICES.clear()
+    for name in reversed(list(cases)):
+        again = [decompose_cocycle(eta) for eta in reversed(cases[name])]
+        assert again[::-1] == results[name]

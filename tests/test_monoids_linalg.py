@@ -248,7 +248,7 @@ def _sparse_row(row):
 
 
 def test_echelon_matches_fraction_reference():
-    cases = 0
+    cases = inconsistent = 0
     for a, b in _reference_cases(11, 420):
         cases += 1
         n = len(a[0])
@@ -271,9 +271,13 @@ def test_echelon_matches_fraction_reference():
                         for v in want_kernel]
         assert all(_fractions(v) for v in null)
         want_x = _ref_solve(a, b, n)
-        augmented = linalg.Echelon(_sparse_row(row + [v])
-                                   for row, v in zip(a, b))
-        for x in (linalg.solve(a, b), augmented.solution(n)):
+        inconsistent += want_x is None
+        span = linalg.Span()
+        columns = [{i: row[j] for i, row in enumerate(a) if row[j]}
+                   for j in range(n)]
+        assert [span.add(col) for col in columns] == [
+            j in pivots for j in range(n)]
+        for x in (linalg.solve(a, b), span.coords(_sparse_row(b))):
             assert x == want_x
             assert x is None or _fractions(x)
         if len(a) == n:
@@ -286,7 +290,14 @@ def test_echelon_matches_fraction_reference():
             else:
                 with pytest.raises(ArithmeticError):
                     linalg.inverse(a)
-    assert cases >= 400
+    assert cases == 420 and inconsistent == 144
+
+
+def test_shape_mismatch_raises():
+    with pytest.raises(ValueError):
+        linalg.inverse([[1, 0, 5], [0, 1, 0]])
+    with pytest.raises(ValueError):
+        linalg.solve([[1, 0], [0, 1], [1, 1]], [1, 2])
 
 
 def test_echelon_stores_primitive_integer_rows():
@@ -298,3 +309,22 @@ def test_echelon_stores_primitive_integer_rows():
                 assert min(row) == p and row[p] > 0
                 assert math.gcd(*row.values()) == 1, stage
             echelon.reduce()
+
+
+def test_span_stores_primitive_rows_with_their_combinations():
+    # a stored row r stands for sum_{k >= 0} r[k] e_k = sum_j r[~j] column_j
+    for a, _ in _reference_cases(13, 200):
+        columns = [{i: row[j] for i, row in enumerate(a) if row[j]}
+                   for j in range(len(a[0]))]
+        span = linalg.Span(columns)
+        for p, row in span.rows.items():
+            assert all(type(v) is int for v in row.values())
+            assert max(row) == p and row[p] > 0
+            assert math.gcd(*row.values()) == 1
+            combo = {}
+            for k, v in row.items():
+                if k < 0:
+                    for i, c in columns[~k].items():
+                        combo[i] = combo.get(i, 0) + v * c
+            assert {i: c for i, c in combo.items() if c} == {
+                k: v for k, v in row.items() if k >= 0}
