@@ -10,9 +10,12 @@ A basis element is stored as a key ``(coactions, actions, perm, decor)``:
   action position perm[q-1];
 * ``decor``      decoration per strand, indexed by action position.
 
-An algebra element is a finite rational linear combination of such keys in
-canonical sorted order.  Multiplication straightens the composite diagram
-(``x * y`` is "x after y") and is graded by the strand count N.
+An algebra element is a finite rational linear combination of such keys:
+integer numerators ``num`` (none zero) over one denominator ``den`` > 0 with
+``gcd(den, *num.values()) == 1``, so equal elements are stored alike and all
+arithmetic is in Python ints.  ``terms`` is a Fraction view built on demand.
+Multiplication straightens the composite diagram (``x * y`` is "x after y")
+and is graded by the strand count N.
 """
 
 from __future__ import annotations
@@ -46,40 +49,51 @@ def unit_key(n: int) -> Key:
 class AlgebraElement:
     """Immutable-by-convention linear combination of basis keys."""
 
-    __slots__ = ("n", "monoid", "terms")
+    __slots__ = ("n", "monoid", "num", "den")
 
     def __init__(self, n: int, monoid: DecorationMonoid,
-                 terms: dict[Key, Fraction] | None = None):
+                 terms: dict | None = None):
+        # the lcm of reduced denominators leaves num and den coprime
+        terms = {k: c for k, c in (terms or {}).items() if c}
         self.n = n
         self.monoid = monoid
-        self.terms = {k: Fraction(c) for k, c in (terms or {}).items() if c}
+        self.den = den = math.lcm(*[c.denominator for c in terms.values()])
+        self.num = {k: c.numerator * (den // c.denominator)
+                    for k, c in terms.items()}
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def _of_fractions(cls, n: int, monoid: DecorationMonoid,
-                      terms: dict[Key, Fraction]) -> "AlgebraElement":
-        """Wrap ``terms`` without copying: every value must already be a
-        non-zero ``Fraction``."""
+    def from_integers(cls, n: int, monoid: DecorationMonoid,
+                      num: dict[Key, int], den: int) -> "AlgebraElement":
+        """``num`` (no zero values; kept, not copied) over ``den`` > 0,
+        reduced by their gcd."""
+        g = math.gcd(den, *num.values())
         self = cls.__new__(cls)
         self.n = n
         self.monoid = monoid
-        self.terms = terms
+        self.num = {k: v // g for k, v in num.items()} if g > 1 else num
+        self.den = den // g
         return self
 
     @staticmethod
     def zero(n: int, monoid: DecorationMonoid = TRIVIAL) -> "AlgebraElement":
-        return AlgebraElement(n, monoid)
+        return AlgebraElement.from_integers(n, monoid, {}, 1)
 
     @staticmethod
     def unit(n: int, monoid: DecorationMonoid = TRIVIAL) -> "AlgebraElement":
-        return AlgebraElement(n, monoid, {unit_key(n): Fraction(1)})
+        return AlgebraElement.from_integers(n, monoid, {unit_key(n): 1}, 1)
 
     @staticmethod
     def basis(n: int, key: Key,
               monoid: DecorationMonoid = TRIVIAL) -> "AlgebraElement":
         _check_key(n, key, monoid)
-        return AlgebraElement(n, monoid, {key: Fraction(1)})
+        return AlgebraElement.from_integers(n, monoid, {key: 1}, 1)
+
+    @property
+    def terms(self) -> dict[Key, Fraction]:
+        """The coefficients as Fractions, built on each access."""
+        return {k: Fraction(v, self.den) for k, v in self.num.items()}
 
     # -- linear structure ---------------------------------------------------
 
@@ -89,31 +103,34 @@ class AlgebraElement:
         if self.monoid.key() != other.monoid.key():
             raise ValueError("decoration monoid mismatch")
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
+    def __add__(self, other: "AlgebraElement", sign: int = 1
+                ) -> "AlgebraElement":
+        """self + sign * other, over the lcm of the two denominators."""
         self._assert_compatible(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            old = terms.get(k)
-            if old is None:
-                terms[k] = c
-                continue
-            new = old + c
+        den = math.lcm(self.den, other.den)
+        scale = den // self.den
+        num = ({k: v * scale for k, v in self.num.items()} if scale > 1
+               else dict(self.num))
+        sign *= den // other.den
+        for k, v in other.num.items():
+            new = num.get(k, 0) + sign * v
             if new:
-                terms[k] = new
+                num[k] = new
             else:
-                del terms[k]
-        return AlgebraElement._of_fractions(self.n, self.monoid, terms)
+                del num[k]
+        return AlgebraElement.from_integers(self.n, self.monoid, num, den)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-1) * other
+        return self.__add__(other, -1)
 
     def __rmul__(self, scalar) -> "AlgebraElement":
         if isinstance(scalar, (int, Fraction)):
             if not scalar:
                 return AlgebraElement.zero(self.n, self.monoid)
-            return AlgebraElement._of_fractions(
-                self.n, self.monoid,
-                {k: c * scalar for k, c in self.terms.items()})
+            p = scalar.numerator
+            return AlgebraElement.from_integers(
+                self.n, self.monoid, {k: v * p for k, v in self.num.items()},
+                self.den * scalar.denominator)
         return NotImplemented
 
     def __neg__(self) -> "AlgebraElement":
@@ -122,66 +139,43 @@ class AlgebraElement:
     def __mul__(self, other) -> "AlgebraElement":
         if isinstance(other, (int, Fraction)):
             return other * self
-        self._assert_compatible(other)
-        n, monoid = self.n, self.monoid
-        if not self.terms or not other.terms:
-            return AlgebraElement.zero(n, monoid)
-        unit = {unit_key(n): 1}
-        if self.terms == unit:
-            return other
-        if other.terms == unit:
-            return self
-        # Every structure constant is an integer, so with each factor scaled
-        # to integers by the lcm of its denominators the product is summed
-        # as Python ints and divided by the two scales once per output term.
-        sa, left = _integer_terms(self)
-        sb, right = _integer_terms(other)
         out: dict[Key, int] = {}
-        for ks, cs in left:
-            for kt, ct in right:
-                v = cs * ct
-                for k, c in compose_basis(n, ks, kt, monoid).items():
-                    new = out.get(k, 0) + v * c
-                    if new:
-                        out[k] = new
-                    else:
-                        del out[k]
-        scale = sa * sb
-        return AlgebraElement._of_fractions(
-            n, monoid, {k: Fraction(v, scale) for k, v in out.items()})
+        add_product(out, self, other)
+        return AlgebraElement.from_integers(self.n, self.monoid, out,
+                                            self.den * other.den)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, AlgebraElement) and self.n == other.n
                 and self.monoid.key() == other.monoid.key()
-                and self.terms == other.terms)
+                and self.den == other.den and self.num == other.num)
 
     def __hash__(self):
-        return hash((self.n, self.monoid.key(),
-                     tuple(sorted(self.terms.items(),
-                                  key=lambda kv: sort_key(kv[0])))))
+        return hash((self.n, self.monoid.key(), self.den,
+                     frozenset(self.num.items())))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def commutator(self, other: "AlgebraElement") -> "AlgebraElement":
         return self * other - other * self
 
     def degrees(self) -> set[int]:
-        return {key_degree(k) for k in self.terms}
+        return {key_degree(k) for k in self.num}
 
     def graded_component(self, deg: int) -> "AlgebraElement":
-        return AlgebraElement(self.n, self.monoid,
-                              {k: c for k, c in self.terms.items()
-                               if key_degree(k) == deg})
+        return AlgebraElement.from_integers(
+            self.n, self.monoid,
+            {k: v for k, v in self.num.items() if key_degree(k) == deg},
+            self.den)
 
     def counit(self) -> Fraction:
-        return self.terms.get(unit_key(self.n), Fraction(0))
+        return Fraction(self.num.get(unit_key(self.n), 0), self.den)
 
     def sorted_terms(self) -> list[tuple[Key, Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: sort_key(kv[0]))
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.num:
             return "0"
         bits = []
         for k, c in self.sorted_terms():
@@ -207,21 +201,40 @@ class AlgebraElement:
     def from_json(data: dict) -> "AlgebraElement":
         monoid = monoid_from_json(data["monoid"])
         n = data["n"]
+        # arithmetic happens in the ambient cone of a RootConeMod; each
+        # decoration is read as the monoid element equal to it (1 for true)
+        decors = {d: d for d in (RootCone(monoid.rank, monoid.cap)
+                                 if isinstance(monoid, RootConeMod)
+                                 else monoid).elements()}
         terms: dict[Key, Fraction] = {}
         for t in data["terms"]:
+            dec = tuple(decors.get(_dec_unjson(d)) for d in t["decor"])
+            if None in dec:
+                raise ValueError(f"decoration outside the {monoid.name} "
+                                 f"monoid in {t['decor']}")
             key = (tuple(t["coactions"]), tuple(t["actions"]),
-                   tuple(t["perm"]), tuple(_dec_unjson(d) for d in t["decor"]))
+                   tuple(t["perm"]), dec)
             _check_key(n, key, monoid)
             terms[key] = terms.get(key, Fraction(0)) + Fraction(t["coeff"])
         return AlgebraElement(n, monoid, terms)
 
 
-def _integer_terms(x: AlgebraElement) -> tuple[int, list[tuple[Key, int]]]:
-    """``(scale, [(key, numerator), ...])`` with ``scale`` the lcm of x's
-    coefficient denominators, so that x is the terms over ``scale``."""
-    scale = math.lcm(*(c.denominator for c in x.terms.values()))
-    return scale, [(k, scale // c.denominator * c.numerator)
-                   for k, c in x.terms.items()]
+def add_product(acc: dict[Key, int], x: AlgebraElement, y: AlgebraElement,
+                factor: int = 1) -> None:
+    """Add ``factor * x.den * y.den * (x * y)``, an integer combination as
+    every structure constant is an int, into ``acc``; zeros are removed."""
+    x._assert_compatible(y)
+    n, monoid = x.n, x.monoid
+    for ks, cs in x.num.items():
+        cs *= factor
+        for kt, ct in y.num.items():
+            v = cs * ct
+            for k, c in compose_basis(n, ks, kt, monoid).items():
+                new = acc.get(k, 0) + v * c
+                if new:
+                    acc[k] = new
+                else:
+                    del acc[k]
 
 
 def _dec_json(d):
@@ -262,9 +275,10 @@ def compose_basis(n: int, s_key: Key, t_key: Key,
     straightening output of its pair, so recomputing it gives the same
     entry.
     """
-    if s_key == unit_key(n):
+    # the unit is the one key of strand degree 0
+    if not s_key[2]:
         return {t_key: 1}
-    if t_key == unit_key(n):
+    if not t_key[2]:
         return {s_key: 1}
     ck = (monoid.key(), n, s_key, t_key)
     hit = _CACHE.get(ck)
@@ -360,11 +374,10 @@ def _shape_sum(x: AlgebraElement, n_new: int, shapes,
     """The sum of ``sign`` times x mapped through ``shapes(arg, co, ac)``
     over ``(arg, sign)`` in images, on n_new slots.
 
-    Every sign is +-1, so with ``scale`` the lcm of x's coefficient
-    denominators every term is an integer multiple of ``1 / scale``: the
-    terms are summed as Python ints and divided by ``scale`` once.
+    Every sign is +-1, so the numerators of x are summed as Python ints
+    over x's denominator.
     """
-    scale, terms = _integer_terms(x)
+    terms = list(x.num.items())
     out: dict[Key, int] = {}
     for arg, sign in images:
         for (co, ac, perm, dec), c in terms:
@@ -377,8 +390,7 @@ def _shape_sum(x: AlgebraElement, n_new: int, shapes,
                     out[key] = new
                 else:
                     del out[key]
-    return AlgebraElement._of_fractions(
-        n_new, x.monoid, {k: Fraction(v, scale) for k, v in out.items()})
+    return AlgebraElement.from_integers(n_new, x.monoid, out, x.den)
 
 
 def face_map(i: int, x: AlgebraElement) -> AlgebraElement:
@@ -431,7 +443,7 @@ def r_matrix(n: int, i: int, j: int,
     co = tuple(1 if k == j else 0 for k in range(1, n + 1))
     ac = tuple(1 if k == i else 0 for k in range(1, n + 1))
     dec = (decor if decor is not None else monoid.zero(),)
-    return AlgebraElement(n, monoid, {(co, ac, (1,), dec): Fraction(1)})
+    return AlgebraElement(n, monoid, {(co, ac, (1,), dec): 1})
 
 
 def omega(n: int, i: int, j: int,
@@ -447,7 +459,7 @@ def kappa(n: int, i: int, monoid: DecorationMonoid = TRIVIAL,
         raise ValueError("slot out of range")
     co = tuple(1 if k == i else 0 for k in range(1, n + 1))
     dec = (decor if decor is not None else monoid.zero(),)
-    return AlgebraElement(n, monoid, {(co, co, (1,), dec): Fraction(1)})
+    return AlgebraElement(n, monoid, {(co, co, (1,), dec): 1})
 
 
 def kappa_alpha(alpha, monoid: DecorationMonoid, n: int = 1,
@@ -499,12 +511,13 @@ def _redecorate(x: AlgebraElement, monoid: DecorationMonoid,
     """Replace each strand decoration d of ``x`` by the sum of the
     decorations in ``pool(d)`` (an empty pool kills the term); the result
     is decorated by ``monoid``."""
-    out: dict[Key, Fraction] = {}
-    for (co, ac, perm, dec), c in x.terms.items():
+    out: dict[Key, int] = {}
+    for (co, ac, perm, dec), c in x.num.items():
         for choice in itertools.product(*map(pool, dec)):
             key = (co, ac, perm, choice)
             out[key] = out.get(key, 0) + c
-    return AlgebraElement(x.n, monoid, out)
+    return AlgebraElement.from_integers(
+        x.n, monoid, {k: v for k, v in out.items() if v}, x.den)
 
 
 def _check_source(x: AlgebraElement, kind: type, name: str) -> None:

@@ -474,12 +474,11 @@ def evaluate(x: AlgebraElement, modules: list[DYModuleData]) -> Matrix:
     decorated = not x.monoid.is_trivial()
     if decorated and a.weights is None:
         raise ValueError("decorated element needs a weight-graded bialgebra")
-    sums: dict = {}  # denominator -> {(out, in): integer numerator}
-    for key, coeff in x.terms.items():
+    sums: dict = {}  # denominator / x.den -> {(out, in): integer numerator}
+    for key, num in x.num.items():
         op, scale = _integer_slices(slices_of_key(key, decorated), a,
                                     modules)
-        acc = sums.setdefault(coeff.denominator * scale, {})
-        num = coeff.numerator
+        acc = sums.setdefault(scale, {})
         for out_state, row in op.items():
             for in_state, c in row.items():
                 pos = out_state, in_state
@@ -487,6 +486,7 @@ def evaluate(x: AlgebraElement, modules: list[DYModuleData]) -> Matrix:
     den = math.lcm(1, *sums)
     total = _collect((pos, v * (den // part)) for part, acc in sums.items()
                      for pos, v in acc.items())
+    den *= x.den
     op: dict = {}
     for (out_state, in_state), v in total.items():
         op.setdefault(out_state, {})[in_state] = Fraction(v, den)

@@ -27,16 +27,23 @@ from .twists import (GaugeObstruction, associator_2jet,
 OK, FAIL, PARSE, MISMATCH, INVALID = 0, 1, 2, 3, 4
 
 
-def _load(path: str, decode):
-    """Read a JSON file and decode it with ``decode``.  An unreadable file,
-    malformed JSON, or JSON of the wrong shape is a parse error."""
+def _decode(read, decode):
+    """``decode(read())``.  An unreadable file, malformed JSON, JSON of the
+    wrong shape, or a zero denominator is a parse error."""
     try:
-        with open(path) as fh:
-            return decode(json.load(fh))
-    except (OSError, LookupError, TypeError, ValueError,
-            AttributeError) as exc:
+        return decode(read())
+    except (OSError, LookupError, TypeError, ValueError, AttributeError,
+            ArithmeticError) as exc:
         print(f"parse error: {type(exc).__name__}: {exc}", file=sys.stderr)
         raise SystemExit(PARSE)
+
+
+def _load(path: str, decode):
+    """Decode the JSON file ``path`` with ``decode`` (see :func:`_decode`)."""
+    def read():
+        with open(path) as fh:
+            return json.load(fh)
+    return _decode(read, decode)
 
 
 def _object(data) -> dict:
@@ -110,7 +117,7 @@ def cmd_invariant_check(args) -> int:
 
 
 def cmd_cohomology(args) -> int:
-    monoid = (monoid_from_json(json.loads(args.monoid))
+    monoid = (_decode(lambda: json.loads(args.monoid), monoid_from_json)
               if args.monoid else TRIVIAL)
     rows = []
     for deg in range(1, args.max_degree + 1):

@@ -11,8 +11,6 @@ permutation of the strands.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import linalg
 from .algebra import AlgebraElement, Key, alt, enumerate_basis, hochschild_d
 from .freelie import hochschild_target_dim
@@ -23,10 +21,11 @@ class NotClosed(ValueError):
     """Input to the cocycle decomposition is not a cocycle."""
 
 
-def _coords(x: AlgebraElement, index: dict[Key, int]) -> dict[int, Fraction]:
-    if not x.terms.keys() <= index.keys():
+def _coords(x: AlgebraElement, index: dict[Key, int]) -> dict[int, int]:
+    """x times its denominator, in the coordinates ``index``."""
+    if not x.num.keys() <= index.keys():
         raise ValueError("element outside the enumerated slice")
-    return {index[k]: c for k, c in x.terms.items()}
+    return {index[k]: v for k, v in x.num.items()}
 
 
 def differential_columns(n: int, degree: int,
@@ -61,23 +60,24 @@ class _Slice:
             self._span = linalg.Span(cols)
         return self._span
 
-    def harmonic(self) -> list[tuple[int, dict, AlgebraElement]]:
-        """(solver column, coordinates, element) per harmonic element."""
+    def harmonic(self) -> list[tuple[int, AlgebraElement]]:
+        """(solver column, element) per harmonic element; the column holds
+        the element's numerators."""
         if self._harmonic is None:
             n, monoid, basis = self.n, self.monoid, self.basis
             alts = (alt(AlgebraElement.basis(n, k, monoid)) for k in basis)
-            cands = [(_coords(a, self.index), a) for a in alts
+            cands = [a for a in alts
                      if not a.is_zero() and hochschild_d(a).is_zero()]
             # complete from the kernel of the outgoing differential
             out_cols, _, _ = differential_columns(n, self.degree, monoid)
             d_out = linalg.Echelon(linalg.rows_of_columns(out_cols))
-            cands += [(col, AlgebraElement(n, monoid, {
-                basis[i]: c for i, c in col.items()}))
+            cands += [AlgebraElement(n, monoid, {
+                basis[i]: c for i, c in col.items()})
                 for col in d_out.kernel(len(basis))]
-            # add() appends column ncols - 1 before its triple is made
+            # add() appends column ncols - 1 before its pair is made
             span = self.solver()
-            self._harmonic = [(span.ncols - 1, col, elt)
-                              for col, elt in cands if span.add(col)]
+            self._harmonic = [(span.ncols - 1, elt) for elt in cands
+                              if span.add(_coords(elt, self.index))]
         return self._harmonic
 
 
@@ -171,6 +171,7 @@ def decompose_cocycle(eta: AlgebraElement
     if not hochschild_d(eta).is_zero():
         raise NotClosed("not closed")
     rec = _slice(n, degree, monoid)
+    # columns and right-hand side are numerators: elt.den * elt, eta.den * eta
     span, rhs = rec.solver(), _coords(eta, rec.index)
     sol = span.coords(rhs)
     if sol is None:
@@ -179,11 +180,11 @@ def decompose_cocycle(eta: AlgebraElement
         if sol is None:
             raise ValueError("cocycle escapes image + harmonic complement")
     v = AlgebraElement(n - 1, monoid,
-                       {k: c for k, c in zip(rec.src, sol) if c})
+                       {k: c / eta.den for k, c in zip(rec.src, sol)})
     mu = AlgebraElement.zero(n, monoid)
-    for at, _, elt in rec._harmonic or ():
+    for at, elt in rec._harmonic or ():
         if sol[at]:
-            mu = mu + sol[at] * elt
+            mu = mu + sol[at] * elt.den / eta.den * elt
     return v, mu
 
 
@@ -195,5 +196,7 @@ def harmonic_complement(n: int, degree: int, monoid: DecorationMonoid
     closed; the family is then completed from the canonically ordered
     kernel basis of the differential.  Deterministic and reproducible.
     """
-    chosen = _slice(n, degree, monoid).harmonic()
-    return [col for _, col, _ in chosen], [elt for _, _, elt in chosen]
+    rec = _slice(n, degree, monoid)
+    elts = [elt for _, elt in rec.harmonic()]
+    return [{rec.index[k]: c for k, c in elt.terms.items()}
+            for elt in elts], elts

@@ -34,7 +34,7 @@ def _window_filter(series: GradedSeries, window: int | None) -> GradedSeries:
 def _report(name: str, indices, series: GradedSeries,
             window: int | None) -> dict:
     series = _window_filter(series, window)
-    by_degree = {d: len(x.terms) for d, x in series.parts.items()}
+    by_degree = {d: len(x.num) for d, x in series.parts.items()}
     return {"check": name, "indices": indices, "ok": series.is_zero(),
             "residual_terms": by_degree}
 

@@ -7,9 +7,10 @@ absent.  Arithmetic truncates to the smaller order of the operands.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .algebra import AlgebraElement, face_map, slot_permute
+from .algebra import AlgebraElement, add_product, face_map, slot_permute
 from .monoids import DecorationMonoid, TRIVIAL
 
 
@@ -53,15 +54,15 @@ class GradedSeries:
                             {d: x for d, x in self.parts.items()
                              if d <= order})
 
-    def __add__(self, other: "GradedSeries") -> "GradedSeries":
+    def __add__(self, other: "GradedSeries", sign: int = 1
+                ) -> "GradedSeries":
         order = min(self.order, other.order)
-        parts = {}
-        for d in range(order + 1):
-            parts[d] = self.component(d) + other.component(d)
-        return GradedSeries(self.n, order, self.monoid, parts)
+        return GradedSeries(self.n, order, self.monoid, {
+            d: self.component(d).__add__(other.component(d), sign)
+            for d in range(order + 1)})
 
     def __sub__(self, other: "GradedSeries") -> "GradedSeries":
-        return self + (-1) * other
+        return self.__add__(other, -1)
 
     def __rmul__(self, scalar) -> "GradedSeries":
         if isinstance(scalar, (int, Fraction)):
@@ -73,15 +74,17 @@ class GradedSeries:
         if isinstance(other, (int, Fraction)):
             return other * self
         order = min(self.order, other.order)
-        parts: dict[int, AlgebraElement] = {}
-        for d1, x in self.parts.items():
-            for d2, y in other.parts.items():
-                d = d1 + d2
-                if d > order:
-                    continue
-                prod = x * y
-                parts[d] = parts.get(
-                    d, AlgebraElement.zero(self.n, self.monoid)) + prod
+        parts = {}
+        # one integer accumulator per degree, over the lcm of its products
+        for d in range(order + 1):
+            xys = [(x, other.parts[d - e]) for e, x in self.parts.items()
+                   if d - e in other.parts]
+            den = math.lcm(*[x.den * y.den for x, y in xys])
+            acc: dict = {}
+            for x, y in xys:
+                add_product(acc, x, y, den // (x.den * y.den))
+            parts[d] = AlgebraElement.from_integers(self.n, self.monoid, acc,
+                                                    den)
         return GradedSeries(self.n, order, self.monoid, parts)
 
     def inverse(self) -> "GradedSeries":

@@ -55,7 +55,7 @@ def _residual_report(name: str, series: GradedSeries) -> dict:
     first = None
     for d in sorted(series.parts):
         x = series.parts[d]
-        by_degree[d] = len(x.terms)
+        by_degree[d] = len(x.num)
         if first is None:
             key, coeff = x.sorted_terms()[0]
             first = {"degree": d, "coeff": str(coeff), "key": repr(key)}

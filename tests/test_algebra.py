@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import json
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +17,8 @@ from dyalg.algebra import (AlgebraElement, alpha_map, alt, beta_map,
                            rho_tilde_pair, slot_permute)
 from dyalg.monoids import RootCone, RootConeMod, SPLIT, TRIVIAL
 from dyalg.permutations import compositions, inverse
+from dyalg.series import GradedSeries
+from dyalg.twists import gauge, solve_gauge
 
 FACE_MONOIDS = (TRIVIAL, SPLIT, RootCone(2, 1))
 
@@ -453,3 +458,207 @@ def test_mismatch_errors():
 def test_counit():
     x = AlgebraElement.unit(2) + 3 * omega(2, 1, 2)
     assert x.counit() == 1
+
+
+# -- outputs pinned by hash --------------------------------------------------
+
+# (n, monoid, highest total degree) of the seeded associativity strata
+PRODUCT_STRATA = ((1, TRIVIAL, 5), (2, TRIVIAL, 4), (1, SPLIT, 4),
+                  (2, SPLIT, 3))
+PAIR_MONOIDS = (TRIVIAL, SPLIT, RootCone(2, 2),
+                RootConeMod(2, 4, frozenset({(0, 0), (1, 0), (0, 1),
+                                             (1, 1)})))
+
+
+def _digest(elements) -> str:
+    data = json.dumps([x.to_json() for x in elements], sort_keys=True)
+    return hashlib.sha256(data.encode()).hexdigest()
+
+
+def _strata_products(seed):
+    """x y, y z, (x y) z and x (y z) for one seeded combination of every
+    basis key per factor degree, over every degree pattern of each
+    stratum."""
+    rng = random.Random(seed)
+    out = []
+    for n, monoid, total in PRODUCT_STRATA:
+        bases = {d: enumerate_basis(n, d, monoid) for d in range(1, total)}
+        for a, b, c in itertools.product(range(1, total), repeat=3):
+            if a + b + c > total:
+                continue
+            x, y, z = (AlgebraElement(n, monoid, {
+                k: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
+                            rng.randint(1, 3))
+                for k in bases[d]}) for d in (a, b, c))
+            xy, yz = x * y, y * z
+            out += [xy, yz, xy * z, x * yz]
+    return out
+
+
+def _seeded_pairs(seed, count):
+    """``count`` seeded pairs per monoid and slot count, of degree <= 2 and
+    with denominators 1, 2, 3, 7 and 14; units and zeros among them."""
+    rng = random.Random(seed)
+    for monoid in PAIR_MONOIDS:
+        for n in (1, 2):
+            keys = [k for deg in range(3)
+                    for k in enumerate_basis(n, deg, monoid)]
+
+            def combination():
+                pick = rng.randrange(8)
+                if pick == 0:
+                    return AlgebraElement.zero(n, monoid)
+                if pick == 1:
+                    return Fraction(rng.randint(-3, 3), rng.choice(
+                        (1, 2, 7))) * AlgebraElement.unit(n, monoid)
+                return AlgebraElement(n, monoid, {
+                    k: Fraction(rng.randint(-9, 9),
+                                rng.choice((1, 2, 3, 7, 14)))
+                    for k in rng.sample(keys,
+                                        min(len(keys), rng.randint(1, 5)))})
+
+            for _ in range(count):
+                yield combination(), combination()
+
+
+def _pair_results(seed, count):
+    out = []
+    for x, y in _seeded_pairs(seed, count):
+        out += [x * y, x + y, x - y, Fraction(-7, 6) * x,
+                y.graded_component(1)]
+    return out
+
+
+def _gauge_results(seed, round_trips):
+    """Criterion 09's round trips: the gauged twist, the inverse of the
+    gauge and the solved gauge."""
+    rng = random.Random(seed)
+    order = 3
+    one3 = GradedSeries.one(3, order, SPLIT)
+    j0 = GradedSeries.one(2, order, SPLIT)
+    out = []
+    for _ in range(round_trips):
+        parts = {}
+        for d in range(1, order + 1):
+            keys = enumerate_basis(1, d, SPLIT)
+            parts[d] = AlgebraElement(1, SPLIT, {
+                k: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                for k in rng.sample(keys, 2)})
+        u = (GradedSeries.one(1, order, SPLIT)
+             + GradedSeries(1, order, SPLIT, parts))
+        j = gauge(u, j0)
+        solved = solve_gauge(j0, j, one3)
+        assert solved == u
+        out += [x for s in (j, u.inverse(), solved)
+                for _, x in sorted(s.parts.items())]
+    return out
+
+
+def test_outputs_pinned_by_hash():
+    # digests of to_json recorded with Fraction coefficients, before the
+    # elements held integer numerators over one denominator
+    pinned = {
+        "strata": (_strata_products(1), 76,
+                   "b989b74060ce8b66443bdca2341038d2"
+                   "47ee843eec749da37113ff195f6c5d74"),
+        "pairs": (_pair_results(13, 75), 3000,
+                  "e460a19fce2943e405995287ee9d800e"
+                  "5af04698ebb0bbb777c0452bd9cd7611"),
+        "gauge": (_gauge_results(20260809, 3), 36,
+                  "1110854cfcbc275128af9268e150726d"
+                  "144aea433c494e1720df0f535c2e3251"),
+    }
+    for name, (elements, count, digest) in pinned.items():
+        assert (name, len(elements), _digest(elements)) == (name, count,
+                                                            digest)
+
+
+# -- the representation: integer numerators over one reduced denominator ------
+
+
+def _assert_reduced(x):
+    assert type(x.den) is int and x.den > 0
+    assert all(type(v) is int and v for v in x.num.values())
+    assert math.gcd(x.den, *x.num.values()) == 1
+    assert x.terms == {k: Fraction(v, x.den) for k, v in x.num.items()}
+
+
+def _operation_results(x, y):
+    """x and y through every operation that builds an element."""
+    out = [x + y, x - y, y - x, x * y, -x, Fraction(3, 14) * x, 7 * y,
+           Fraction(0) * x, x.graded_component(1), y.graded_component(2),
+           hochschild_d(x), alt(x)]
+    out += [face_map(i, x) for i in range(x.n + 2)]
+    out += [slot_permute(x, p)
+            for p in itertools.permutations(range(1, x.n + 1))]
+    out.append(embed_slots(y, x.n + 1, {k: k + 1 for k in range(1, y.n + 1)}))
+    monoid = x.monoid
+    if monoid == TRIVIAL:
+        out += [alpha_map(x), beta_map(y)]
+    elif monoid == SPLIT:
+        out += [forget_split(x, "id"), forget_split(y, "zero")]
+    else:
+        out.append(filter_window(x, 1))
+        if isinstance(monoid, RootConeMod):
+            out.append(quotient_allowed(y, monoid))
+    sx, sy = (GradedSeries.of_element(z, 4) for z in (x, y))
+    for series in (sx * sy, sx - sy, sx + sy):
+        out += series.parts.values()
+    return out
+
+
+def test_every_operation_keeps_one_reduced_denominator():
+    dens = set()
+    for x, y in _seeded_pairs(seed=21, count=6):
+        results = _operation_results(x, y)
+        for z in [x, y] + results:
+            _assert_reduced(z)
+            dens.add(z.den)
+        # the series accumulators agree with the element arithmetic
+        sx, sy = (GradedSeries.of_element(z, 4) for z in (x, y))
+        assert sx * sy == GradedSeries.of_element(x * y, 4)
+        assert sx - sy == GradedSeries.of_element(x - y, 4)
+    assert {1, 2, 3, 7, 14} <= dens and max(dens) > 14
+
+
+def test_equality_and_hash_are_structural():
+    cases = 0
+    for x, y in _seeded_pairs(seed=22, count=8):
+        z = (x + y) - y
+        assert z == x and hash(z) == hash(x)
+        assert (z.num, z.den) == (x.num, x.den)
+        cases += x.den != y.den
+        w = Fraction(2, 3) * (Fraction(3, 2) * x)
+        assert w == x and hash(w) == hash(x)
+    assert cases > 20
+    half = Fraction(1, 2) * kappa(1, 1)
+    assert half + half == kappa(1, 1)
+    assert (half + half).den == 1
+    assert hash(half + half) == hash(kappa(1, 1))
+    assert half != kappa(1, 1) and half - half == AlgebraElement.zero(1)
+
+
+def _decorated_json(monoid, decor):
+    return {"n": 1, "monoid": monoid.to_json(),
+            "terms": [{"coeff": "1/2", "coactions": [1], "actions": [1],
+                       "perm": [1], "decor": [decor]}]}
+
+
+def test_from_json_rejects_decorations_outside_the_monoid():
+    mod = PAIR_MONOIDS[3]
+    for monoid, decor in ((SPLIT, 7), (TRIVIAL, 3), (SPLIT, [0]),
+                          (RootCone(2, 2), [2, 1]), (mod, [4, 1]),
+                          (RootCone(2, 2), [1])):
+        with pytest.raises(ValueError, match="decoration outside"):
+            AlgebraElement.from_json(_decorated_json(monoid, decor))
+    # arithmetic in a RootConeMod happens in its ambient cone of cap 4, so
+    # (3, 0), which is not allowed, is still a decoration
+    for monoid, decor in ((SPLIT, 1), (TRIVIAL, 0), (mod, [3, 0]),
+                          (RootCone(2, 2), [1, 1])):
+        x = AlgebraElement.from_json(_decorated_json(monoid, decor))
+        assert x.to_json() == _decorated_json(monoid, decor)
+    # a JSON true is read as the decoration 1, and written back as 1
+    x = AlgebraElement.from_json(_decorated_json(SPLIT, True))
+    assert x.to_json() == _decorated_json(SPLIT, 1)
+    x = AlgebraElement.from_json(_decorated_json(mod, [True, 0]))
+    assert x.to_json() == _decorated_json(mod, [1, 0])

@@ -48,11 +48,22 @@ def test_mismatch_exit_code(tmp_path):
     assert proc.returncode == 3
 
 
+def _one_strand(monoid, coeff="1", decor=0):
+    return json.dumps({
+        "n": 1, "monoid": {"kind": monoid},
+        "terms": [{"coeff": coeff, "coactions": [1], "actions": [1],
+                   "perm": [1], "decor": [decor]}]})
+
+
 @pytest.mark.parametrize("command, text", [
     ("multiply", "{ not json"),
     ("dH", '{"n": 1}'),
     ("dH", "[1, 2]"),
-], ids=["malformed-json", "missing-key", "not-an-object"])
+    ("dH", _one_strand("trivial", coeff="1/0")),
+    ("dH", _one_strand("split", decor=7)),
+    ("multiply", _one_strand("trivial", decor=3)),
+], ids=["malformed-json", "missing-key", "not-an-object", "zero-denominator",
+        "split-decoration-7", "trivial-decoration-3"])
 def test_parse_error_exit_code(tmp_path, command, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
@@ -60,6 +71,15 @@ def test_parse_error_exit_code(tmp_path, command, text):
     proc = run_cli([command, *args])
     assert proc.returncode == 2
     assert proc.stderr.startswith("parse error: ")
+
+
+@pytest.mark.parametrize("monoid", ['{bad', '{"kind": "nope"}', '[1]'],
+                         ids=["malformed-json", "unknown-kind", "not-object"])
+def test_malformed_monoid_is_parse_error(monoid):
+    proc = run_cli(["cohomology", "--monoid", monoid])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("parse error: ")
+    assert proc.stdout == ""
 
 
 def test_invalid_bialgebra_exit_code(tmp_path):
