@@ -482,16 +482,10 @@ def embed_slots(x: AlgebraElement, n_new: int,
     return _shape_sum(x, n_new, _slot_shapes, ((tuple(placement), 1),))
 
 
-def is_invariant(x: AlgebraElement, small_r: AlgebraElement | None = None
-                 ) -> bool:
-    """Invariance: the commutators with the slot-0 r-matrix sums vanish.
-
-    ``small_r`` is the 2-slot r-matrix used in the test (defaults to the
-    zero-decorated one, which in split mode is the small sub-bialgebra
-    r-matrix).
-    """
+def is_invariant(x: AlgebraElement) -> bool:
+    """Invariance: the commutators with the slot-0 r-matrix sums vanish."""
     n = x.n
-    r2 = small_r if small_r is not None else r_matrix(2, 1, 2, x.monoid)
+    r2 = r_matrix(2, 1, 2, x.monoid)
     x_up = face_map(0, x)
     r_down = AlgebraElement.zero(n + 1, x.monoid)
     r_up = AlgebraElement.zero(n + 1, x.monoid)

@@ -22,10 +22,19 @@ Arithmetic.  These dense Fraction attributes are read-only after
 construction.  On first use each object builds sparse integer tables of
 them, one common denominator per kind of table, and caches them
 (:attr:`LieBialgebraData.bracket_table`, ``cobracket_table``,
-:attr:`DYModuleData.action_table`, ``coaction_table``).  The evaluator and
-both validators read only these tables and compute in Python ints: an
-evaluation carries the product of the denominators of the slices it
-applied and builds one Fraction per output entry at the end.
+:attr:`DYModuleData.action_table`, ``coaction_table``).  Only the integer
+kernel :func:`_integer_slices` reads these tables, and it computes in
+Python ints: an evaluation carries the product of the denominators of the
+slices it applied, and Fractions are built once per output entry at the
+end.
+
+Validation.  Each axiom is stated once, as a signed sum of slice terms
+with open legs, and both validators evaluate it through the same kernel,
+summing the terms over the lcm of their scales.  The module axioms and the
+cocycle condition are the relations that straightening orients (see
+:mod:`dyalg.rewrite`): action axiom = ACT_MU, coaction axiom =
+DELTA_COACT, cocycle condition = COCYCLE, action-coaction compatibility =
+EXCHANGE.
 """
 
 from __future__ import annotations
@@ -170,70 +179,51 @@ class LieBialgebraData:
                                 data.get("basis_names"))
 
 
+# Each axiom is stated once, as a signed sum of slice terms with open legs
+# that vanishes on valid data: ``(message, open legs, names outputs,
+# windowed, [(sign, slices), ...])``.  Its message names the input legs of
+# each instance with a non-zero entry, followed by the output legs when
+# ``names outputs`` is set.
+_MU, _DELTA = ("mu",), ("delta",)
+_ACT, _COACT = ("action", 1), ("coaction", 1)
+_SWAP, _CYCLE = ("perm", (2, 1)), ("perm", (3, 1, 2))
+
+_BIALGEBRA_AXIOMS = (
+    # [x, y] + [y, x]
+    ("bracket antisymmetry fails at ({},{},{})", 2, True, False,
+     [(1, [_MU]), (1, [_SWAP, _MU])]),
+    # the cyclic sum of [[x, y], z]: each term brings the rotation's z to
+    # the front, brackets the other two, and brackets the result with z
+    ("Jacobi fails at ({},{},{})", 3, False, True,
+     [(1, [("perm", sigma), _MU, _SWAP, _MU])
+      for sigma in ((2, 3, 1), (1, 2, 3), (3, 1, 2))]),
+    # delta(x) + flip(delta(x))
+    ("cobracket antisymmetry fails at generator {}", 1, False, False,
+     [(1, [_DELTA]), (1, [_DELTA, _SWAP])]),
+    # the cyclic sum of (delta (x) id) delta(x)
+    ("co-Jacobi fails at generator {}", 1, False, False,
+     [(1, [_DELTA, _SWAP, _DELTA, ("perm", sigma)])
+      for sigma in ((3, 1, 2), (1, 2, 3), (2, 3, 1))]),
+    # COCYCLE: delta([x, y]) = t - flip(t), where t is the sum of
+    # (delta x)[-, y] and -(delta y)[-, x]
+    ("cocycle condition fails at ({},{})", 2, False, True,
+     [(1, [_MU, _DELTA]),
+      (-1, [_SWAP, _DELTA, _CYCLE, _MU]),
+      (1, [_DELTA, _CYCLE, _MU]),
+      (1, [_SWAP, _DELTA, _CYCLE, _MU, _SWAP]),
+      (-1, [_DELTA, _CYCLE, _MU, _SWAP])]),
+)
+
+
 def validate_bialgebra(a: LieBialgebraData,
                        max_weight: int | None = None) -> list[str]:
     """All violated axioms, with the offending indices; empty iff valid.
 
-    With ``max_weight`` set, identity instances whose participating basis
+    With ``max_weight`` set, Jacobi and cocycle instances whose input legs'
     weights add up beyond it are skipped: in a height-truncated algebra
     those instances pass through discarded brackets and are not meaningful.
     """
-    d = a.dim
-
-    def ht(i: int) -> int:
-        if a.weights is None or max_weight is None:
-            return 0
-        w = a.weights[i]
-        return sum(w) if isinstance(w, tuple) else 0
-
-    def inside(*idx) -> bool:
-        return max_weight is None or sum(ht(i) for i in idx) <= max_weight
-
-    bt = a.bracket_table[1]
-    cobt = a.cobracket_table[1]
-    report = []
-    entry = {(i, j, k): c for (i, j), vec in bt.items() for k, c in vec}
-    skew = set()
-    for (i, j, k), c in entry.items():
-        if entry.get((j, i, k), 0) != -c:
-            skew.update(((i, j, k), (j, i, k)))
-    report += [f"bracket antisymmetry fails at ({i},{j},{k})"
-               for i, j, k in sorted(skew)]
-    for i, j, k in itertools.product(range(d), repeat=3):
-        if not inside(i, j, k):
-            continue
-        jac = _collect(((l, c * e) for x, y, z in ((i, j, k), (j, k, i),
-                                                   (k, i, j))
-                        for m, c in bt.get((x, y), ())
-                        for l, e in bt.get((m, z), ())))
-        if jac:
-            report.append(f"Jacobi fails at ({i},{j},{k})")
-    for i in range(d):
-        delta = {(j, k): c for j, k, c in cobt[i]}
-        if any(delta.get((k, j), 0) != -c for (j, k), c in delta.items()):
-            report.append(f"cobracket antisymmetry fails at generator {i}")
-    for i in range(d):
-        # sum of the three cyclic rotations of (delta (x) id) delta
-        tens = _collect(((x, y, c), e * f) for j, c, e in cobt[i]
-                        for x, y, f in cobt[j])
-        if any(tens.get((x, y, z), 0) + tens.get((y, z, x), 0)
-               + tens.get((z, x, y), 0) for x, y, z in tens):
-            report.append(f"co-Jacobi fails at generator {i}")
-    for i, j in itertools.product(range(d), repeat=2):
-        if not inside(i, j):
-            continue
-        lhs = _collect(((x, y), c * e) for k, c in bt.get((i, j), ())
-                       for x, y, e in cobt[k])
-        t = _collect(itertools.chain(
-            (((x, c), e * f) for x, m, e in cobt[i]
-             for c, f in bt.get((m, j), ())),
-            (((x, c), -e * f) for x, m, e in cobt[j]
-             for c, f in bt.get((m, i), ()))))
-        rhs = _collect(itertools.chain(
-            t.items(), (((y, x), -v) for (x, y), v in t.items())))
-        if lhs != rhs:
-            report.append(f"cocycle condition fails at ({i},{j})")
-    return report
+    return _violations(_BIALGEBRA_AXIOMS, a, [], max_weight)
 
 
 class DYModuleData:
@@ -277,69 +267,56 @@ class DYModuleData:
         return scale, table
 
 
-def _product(p: list, q: list, factor: int):
-    """``((row, col), factor * entry)`` over the terms of the matrix product
-    p q of two column lists (see :attr:`DYModuleData.action_table`)."""
-    for col, column in enumerate(q):
-        for mid, c in column:
-            for row, e in p[mid]:
-                yield (row, col), factor * e * c
-
-
-def _terms(p: list, factor: int):
-    """``((row, col), factor * entry)`` over the entries of a column list."""
-    for col, column in enumerate(p):
-        for row, c in column:
-            yield (row, col), factor * c
+_DY_MODULE_AXIOMS = (
+    # ACT_MU: A_[x, y] = A_x A_y - A_y A_x
+    ("action axiom fails at ({},{})", 2, False, False,
+     [(1, [_MU, _ACT]), (-1, [_ACT, _ACT]), (1, [_SWAP, _ACT, _ACT])]),
+    # DELTA_COACT: sum_i delta_i^{pq} K_i = K_p K_q - K_q K_p
+    ("coaction axiom fails at ({},{})", 0, True, False,
+     [(1, [_COACT, _DELTA]), (-1, [_COACT, _COACT, _SWAP]),
+      (1, [_COACT, _COACT])]),
+    # EXCHANGE: K_j A_i = A_i K_j + sum_p [x_i, x_p]_j K_p
+    #                     - sum_p delta_i^{jp} A_p
+    ("action-coaction compatibility fails at ({},{})", 1, True, False,
+     [(1, [_ACT, _COACT]), (-1, [_COACT, _SWAP, _ACT]),
+      (-1, [_COACT, _MU]), (1, [_DELTA, _ACT])]),
+)
 
 
 def validate_dy_module(a: LieBialgebraData, v: DYModuleData) -> list[str]:
     """All violated module axioms, with the offending indices; empty iff
     valid."""
-    d, report = a.dim, []
-    if len(v.actions) != d or len(v.coactions) != d:
+    if len(v.actions) != a.dim or len(v.coactions) != a.dim:
         return ["tensor count does not match bialgebra dimension"]
-    bscale, bt = a.bracket_table
-    cscale, cobt = a.cobracket_table
-    ascale, act = v.action_table
-    kscale, by_col = v.coaction_table
-    coact = [[[] for _ in range(v.dim)] for _ in range(d)]
-    for col, column in enumerate(by_col):
-        for i, row, c in column:
-            coact[i][col].append((row, c))
-    # both sides of each identity are multiplied by the product of the
-    # table scales it involves, so that they compare as ints
-    for i, j in itertools.product(range(d), repeat=2):
-        lhs = _collect(itertools.chain.from_iterable(
-            _terms(act[k], ascale * c) for k, c in bt.get((i, j), ())))
-        rhs = _collect(itertools.chain(_product(act[i], act[j], bscale),
-                                       _product(act[j], act[i], -bscale)))
-        if lhs != rhs:
-            report.append(f"action axiom fails at ({i},{j})")
-    by_pair: dict = {}
-    for i, delta in enumerate(cobt):
-        for p, q, c in delta:
-            by_pair.setdefault((p, q), []).append((i, c))
-    for p, q in itertools.product(range(d), repeat=2):
-        lhs = _collect(itertools.chain.from_iterable(
-            _terms(coact[i], kscale * c) for i, c in by_pair.get((p, q), ())))
-        rhs = _collect(itertools.chain(_product(coact[p], coact[q], cscale),
-                                       _product(coact[q], coact[p], -cscale)))
-        if lhs != rhs:
-            report.append(f"coaction axiom fails at ({p},{q})")
-    for i, j in itertools.product(range(d), repeat=2):
-        lhs = _collect(itertools.chain(
-            _product(coact[j], act[i], bscale * cscale),
-            _product(act[i], coact[j], -bscale * cscale)))
-        rhs = _collect(itertools.chain(
-            itertools.chain.from_iterable(
-                _terms(coact[p], ascale * cscale * c)
-                for p in range(d) for k, c in bt.get((i, p), ()) if k == j),
-            itertools.chain.from_iterable(
-                _terms(act[p], -kscale * bscale * c)
-                for r, p, c in cobt[i] if r == j)))
-        if lhs != rhs:
-            report.append(f"action-coaction compatibility fails at ({i},{j})")
+    return _violations(_DY_MODULE_AXIOMS, a, [v])
+
+
+def _violations(axioms, a: LieBialgebraData, modules: list[DYModuleData],
+                max_weight: int | None = None) -> list[str]:
+    """The messages of the axioms violated on ``modules``, in the order of
+    the axioms, each one's instances sorted by their indices.  Each term is
+    evaluated by :func:`_integer_slices`; the terms are summed over the lcm
+    of their scales.  A windowed axiom skips the instances whose input legs'
+    summed height exceeds ``max_weight``."""
+    weights = a.weights if a.weights is not None else [0] * a.dim
+    height = [sum(w) if isinstance(w, tuple) else 0 for w in weights]
+
+    def inside(legs: tuple) -> bool:
+        return max_weight is None or sum(height[i] for i in legs) <= max_weight
+
+    report = []
+    for message, legs, names_outputs, windowed, terms in axioms:
+        evaluated = [(sign, *_integer_slices(slices, a, modules, legs))
+                     for sign, slices in terms]
+        den = math.lcm(*(scale for _, _, scale in evaluated))
+        total = _collect(((out_state, in_state), sign * c * (den // scale))
+                         for sign, op, scale in evaluated
+                         for out_state, row in op.items()
+                         for in_state, c in row.items())
+        failing = {ins + outs if names_outputs else ins
+                   for (outs, _), (ins, _) in total
+                   if not windowed or inside(ins)}
+        report += [message.format(*idx) for idx in sorted(failing)]
     return report
 
 

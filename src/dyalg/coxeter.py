@@ -137,8 +137,7 @@ def build_unit_family(dia: Diagram, order: int, monoid=None) -> dict:
         lambda support: GradedSeries.one(1, order, monoid))
 
 
-def build_central_family(dia: Diagram, order: int,
-                         seed_coeffs: dict | None = None) -> dict:
+def build_central_family(dia: Diagram, order: int) -> dict:
     """Gauges built from series in the central Casimir strand.
 
     Per-subdiagram central gauges commute, so the connecting-gauge axioms
@@ -147,10 +146,8 @@ def build_central_family(dia: Diagram, order: int,
     exactly.  Vertical decomposition of the twists themselves requires a
     genuine relative twist and is not satisfied by gauged-trivial data.
     """
-    coeffs = seed_coeffs or {}
-
     def gauge_of(support: frozenset) -> GradedSeries:
-        c = coeffs.get(support, Fraction(1, 1 + sum(sorted(support))))
+        c = Fraction(1, 1 + sum(support))
         k = GradedSeries.of_element(kappa(1, 1), order)
         return GradedSeries.one(1, order, TRIVIAL) + c * k + (c * c) * (k * k)
 
@@ -158,15 +155,13 @@ def build_central_family(dia: Diagram, order: int,
 
 
 def build_test_family(dia: Diagram, monoid: RootCone, window: int,
-                      order: int, seed_coeffs: dict | None = None) -> dict:
+                      order: int) -> dict:
     """A decorated family synthesized by gauging the trivial solution.
 
     Gauges are series in windowed sums of decorated Casimir strands over a
     subdiagram's cone.  The per-pair axioms hold exactly; vertical
     decomposition requires a genuine relative twist and is not claimed.
     """
-    coeffs = seed_coeffs or {}
-
     def kappa_sum(support: frozenset) -> AlgebraElement:
         out = AlgebraElement.zero(1, monoid)
         for alpha in cone_elements(monoid, set(support), window):
@@ -176,7 +171,7 @@ def build_test_family(dia: Diagram, monoid: RootCone, window: int,
         return out
 
     def gauge_of(support: frozenset) -> GradedSeries:
-        c = coeffs.get(support, Fraction(1, 1 + sum(sorted(support))))
+        c = Fraction(1, 1 + sum(support))
         one = GradedSeries.one(1, order, monoid)
         return one + c * GradedSeries.of_element(kappa_sum(support), order)
 

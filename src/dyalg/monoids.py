@@ -22,8 +22,20 @@ set of two-part decompositions.  The four monoids used here:
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+
+
+@functools.cache
+def _cone_decompositions(a: tuple) -> tuple:
+    """All ordered pairs (b, c) of multiweights with b + c = a.  The cap of
+    a cone plays no part: every part of a weight within the cap is within
+    it too."""
+    ranges = [range(x + 1) for x in a]
+    return tuple((b, tuple(x - y for x, y in zip(a, b)))
+                 for b in itertools.product(*ranges))
 
 
 class TruncationOverflow(ValueError):
@@ -45,7 +57,7 @@ class DecorationMonoid:
         """All monoid elements, in canonical order (finite by construction)."""
         raise NotImplementedError
 
-    def decompositions(self, a) -> list[tuple]:
+    def decompositions(self, a) -> Sequence[tuple]:
         """All ordered pairs (b, c) with b + c = a."""
         raise NotImplementedError
 
@@ -129,9 +141,7 @@ class RootCone(DecorationMonoid):
         return out
 
     def decompositions(self, a):
-        ranges = [range(x + 1) for x in a]
-        return [(b, tuple(x - y for x, y in zip(a, b)))
-                for b in itertools.product(*ranges)]
+        return _cone_decompositions(a)
 
     def key(self):
         return (self.name, self.rank, self.cap)
@@ -172,7 +182,7 @@ class RootConeMod(DecorationMonoid):
         return sorted(self.allowed)
 
     def decompositions(self, a):
-        return self._cone().decompositions(a)
+        return _cone_decompositions(a)
 
     def is_allowed(self, a) -> bool:
         return a in self.allowed

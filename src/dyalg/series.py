@@ -133,11 +133,10 @@ class GradedSeries:
         bits = [f"[{d}] {x}" for d, x in sorted(self.parts.items())]
         return " + ".join(bits) + f" + O(deg>{self.order})"
 
-    def map_components(self, fn, n_new: int | None = None,
-                       monoid=None) -> "GradedSeries":
+    def map_components(self, fn, n_new: int | None = None) -> "GradedSeries":
         parts = {d: fn(x) for d, x in self.parts.items()}
         return GradedSeries(n_new if n_new is not None else self.n,
-                            self.order, monoid or self.monoid, parts)
+                            self.order, self.monoid, parts)
 
     def to_json(self) -> dict:
         return {"n": self.n, "order": self.order,

@@ -15,6 +15,7 @@ from dyalg.bialgebra import (DYModuleData, LieBialgebraData, abelian_bialgebra,
                              matmul, mscale, restrict_module, tensor_module,
                              trivial_module, validate_bialgebra,
                              validate_dy_module, zeros)
+from dyalg.kacmoody import build_kac_moody_borel
 from dyalg.monoids import SPLIT, TRIVIAL, RootCone
 from dyalg.rewrite import slices_of_key
 from dyalg.terms import random_term, straighten
@@ -320,6 +321,55 @@ def _perturbed_report(target, tensor, seed):
                          ids=lambda case: "-".join(map(str, case)))
 def test_validator_reports_pinned(case):
     assert _perturbed_report(*case) == PINNED_REPORTS[case]
+
+
+def _cocycle_failures(pairs):
+    return [f"cocycle condition fails at ({i},{j})" for i, j in pairs]
+
+
+# (full report, report inside the window) of validate_bialgebra(b) and
+# validate_bialgebra(b, max_weight=cap) on Kac-Moody Borels, recorded before
+# the validators went through the slice evaluator.  The truncated Borels
+# fail only outside their window; the perturbed A2 bracket fails both
+# inside and outside it, in Jacobi and in the cocycle condition.
+PINNED_WINDOWS = {
+    ("G2", 4, None): (_cocycle_failures([(5, 8), (6, 7), (7, 6), (8, 5)]), []),
+    ("affine A2", 3, None): (_cocycle_failures(
+        [(6, 12), (6, 13), (7, 12), (7, 13), (8, 12), (8, 13)]
+        + [(9, j) for j in (10, 11, 12, 13)]
+        + [(10, j) for j in (9, 11, 12, 13)]
+        + [(11, j) for j in (9, 10, 12, 13)]
+        + [(i, j) for i in (12, 13) for j in range(6, 12)]), []),
+    ("A2", 2, 28): (
+        ["bracket antisymmetry fails at (0,5,1)",
+         "bracket antisymmetry fails at (5,0,1)"]
+        + [f"Jacobi fails at {idx}" for idx in (
+            "(0,5,4)", "(0,5,5)", "(0,5,6)", "(4,0,5)", "(5,0,5)", "(5,4,0)",
+            "(5,5,0)", "(5,6,0)", "(6,0,5)")]
+        + _cocycle_failures([(5, 6), (6, 5)]),
+        ["bracket antisymmetry fails at (0,5,1)",
+         "bracket antisymmetry fails at (5,0,1)"]
+        + [f"Jacobi fails at {idx}" for idx in (
+            "(0,5,4)", "(0,5,5)", "(4,0,5)", "(5,0,5)", "(5,4,0)",
+            "(5,5,0)")]),
+}
+
+WINDOW_CARTANS = {"G2": [[2, -1], [-3, 2]],
+                  "affine A2": [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],
+                  "A2": [[2, -1], [-1, 2]]}
+
+
+@pytest.mark.parametrize("case", list(PINNED_WINDOWS),
+                         ids=lambda case: "-".join(map(str, case)))
+def test_windowed_reports_pinned(case):
+    name, cap, bracket_seed = case
+    b = build_kac_moody_borel(WINDOW_CARTANS[name], cap)
+    if bracket_seed is not None:
+        b = LieBialgebraData(b.dim, _perturbed(b.bracket, bracket_seed),
+                             b.cobracket, b.weights, b.basis_names)
+    full, windowed = PINNED_WINDOWS[case]
+    assert validate_bialgebra(b) == full
+    assert validate_bialgebra(b, max_weight=cap) == windowed
 
 
 def test_evaluate_unit_and_linearity():
