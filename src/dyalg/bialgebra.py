@@ -482,7 +482,10 @@ def evaluate_slices(slices: list, n: int, a: LieBialgebraData,
 
     Works for any leg count and for open inputs (``initial_legs`` legs are
     present before the first slice), so it also evaluates the two sides of
-    a single rewrite rule."""
+    a single rewrite rule.
+
+    ``n`` is never read: the slices fix the leg counts.  It stays in the
+    signature because the benchmark workloads pass it positionally."""
     op, scale = _integer_slices(slices, a, modules, initial_legs)
     return {out_state: {in_state: Fraction(c, scale)
                         for in_state, c in row.items()}

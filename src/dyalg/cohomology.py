@@ -70,10 +70,9 @@ class _Slice:
                      if not a.is_zero() and hochschild_d(a).is_zero()]
             # complete from the kernel of the outgoing differential
             out_cols, _, _ = differential_columns(n, self.degree, monoid)
-            d_out = linalg.Echelon(linalg.rows_of_columns(out_cols))
             cands += [AlgebraElement(n, monoid, {
                 basis[i]: c for i, c in col.items()})
-                for col in d_out.kernel(len(basis))]
+                for col in linalg.kernel(out_cols)]
             # add() appends column ncols - 1 before its pair is made
             span = self.solver()
             self._harmonic = [(span.ncols - 1, elt) for elt in cands
@@ -103,8 +102,8 @@ def _rank_d(n: int, degree: int, monoid: DecorationMonoid) -> int:
         # both faces out of cohomological degree 0 send a scalar to the
         # unit, so the alternating sum vanishes
         return 0
-    cols, _, tindex = differential_columns(n, degree, monoid)
-    return linalg.sparse_rank(cols, len(tindex))
+    cols, _, _ = differential_columns(n, degree, monoid)
+    return linalg.sparse_rank(cols)
 
 
 def _kernel_image_dims(degree: int, n_max: int, monoid: DecorationMonoid

@@ -18,8 +18,8 @@ import itertools
 from fractions import Fraction
 
 from .algebra import AlgebraElement, cone_elements, filter_window, kappa
-from .diagrams import (Diagram, maximal_nested_sets, mns_union,
-                       quotient_diagram)
+from .diagrams import (Diagram, lift_subdiagram, maximal_nested_sets,
+                       mns_union, quotient_diagram)
 from .monoids import TRIVIAL, RootCone
 from .series import GradedSeries
 from .twists import gauge, twist_equation_residual
@@ -180,29 +180,12 @@ def build_test_family(dia: Diagram, monoid: RootCone, window: int,
     return family
 
 
-def _saturate(dia: Diagram, member: frozenset, b0: frozenset) -> frozenset:
-    """Member vertices plus every component of b0 reachable through
-    adjacency (iterated closure, so lifts of lifts agree)."""
-    comps = dia.induced(b0).components() if b0 else []
-    out = set(member)
-    changed = True
-    while changed:
-        changed = False
-        for c in comps:
-            if c <= out:
-                continue
-            if any(dia.has_edge(i, j) for i in out for j in c):
-                out |= c
-                changed = True
-    return frozenset(out)
-
-
 def _family_from_gauges(dia: Diagram, monoid, order: int,
                         gauge_of) -> dict:
     def u_of_nested_set(b0: frozenset, f) -> GradedSeries:
         out = GradedSeries.one(1, order, monoid)
         for member in sorted(f, key=sorted):
-            out = out * gauge_of(_saturate(dia, member, b0))
+            out = out * gauge_of(lift_subdiagram(member, dia, b0))
         return out
 
     phis = {}

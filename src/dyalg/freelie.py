@@ -295,7 +295,6 @@ def wedge_pair_dim(a: int, b: int, n_vars: int,
             for y in vb:
                 idx[(x, d, y)] = len(triples)
                 triples.append((x, d, y))
-    dim = len(triples)
     rows = []
     for x, d, y in triples:
         row = {}
@@ -309,7 +308,7 @@ def wedge_pair_dim(a: int, b: int, n_vars: int,
                 row[idx[key]] = row.get(idx[key], 0) + c
         rows.append({j: c / math.factorial(n_vars)
                      for j, c in row.items() if c})
-    return linalg.sparse_rank(rows, dim)
+    return linalg.sparse_rank(rows)
 
 
 def _lie_coords(m) -> dict:

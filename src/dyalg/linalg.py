@@ -1,91 +1,26 @@
 """Exact linear algebra over the rationals.
 
-Dense matrices are lists of lists of Fractions; sparse rows are dicts
-mapping column index to Fraction (ints are accepted as well).  Nothing here
-ever touches floats.  Every elimination scales its input once to primitive
-integer rows, reduces them with :func:`_eliminate`, and builds Fractions
-only when it reads off a result.  It has two views:
+Dense matrices are lists of lists of Fractions; sparse vectors are dicts
+mapping index to Fraction (ints are accepted as well).  Nothing here ever
+touches floats.  There is one eliminator, :class:`Span`: it takes columns,
+scales each once to a primitive integer row, reduces it with
+:func:`_eliminate`, and builds Fractions only when it reads off a result.
+Every result is read from it, and depends on the column order only:
 
-* :class:`Echelon` takes rows, for rank, kernel and inverse.  Pivots are
-  smallest columns and pivot entries 1, so results depend on the column
-  order only.  A null-space basis holds one vector per free column, in
-  increasing order, with entry 1 there.
-* :class:`Span` takes columns, eliminates them once, and reduces each
-  right-hand side once.  Solutions are zero on the columns that depend on
-  earlier ones: the free variables of the reduced echelon form.
+* the rank is the number of stored rows (row rank equals column rank, so
+  :func:`rank` and :func:`sparse_rank` hand it the rows as columns);
+* a column that depends on earlier ones leaves a relation among them, which
+  scaled to entry 1 at that column is the reduced-echelon kernel vector of
+  that free column: :func:`kernel` holds one per free column, in increasing
+  order;
+* coordinates of a right-hand side are zero on the free columns, and column
+  i of :func:`inverse` is the coordinate vector of e_i.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-
-
-class Echelon:
-    """Sparse row-echelon form over the rationals, built one row at a time.
-
-    ``rows`` maps each pivot column to a primitive integer row: its
-    smallest column is that pivot, the pivot entry is positive, and the gcd
-    of its entries is 1.  Each stored row is a positive multiple of the row
-    that elimination over the rationals would hold, so the pivots are the
-    same; :meth:`reduce` divides by the pivot entries to give Fractions.
-    """
-
-    def __init__(self, rows=()):
-        self.rows: dict[int, dict[int, int]] = {}
-        for row in rows:
-            self.insert(row)
-
-    def insert(self, row: dict) -> bool:
-        """Reduce ``row`` against the pivots present; store it and return
-        True if it is independent of them, else return False."""
-        _, row = _integer(row)
-        while row:
-            piv = min(row)
-            if piv not in self.rows:
-                self.rows[piv] = _primitive(row, piv)
-                return True
-            _eliminate(row, piv, self.rows[piv])
-        return False
-
-    def _back_substitute(self) -> dict[int, dict[int, int]]:
-        """Clear every pivot column outside its own row, in integers, from
-        the largest pivot down; returns ``rows``, still primitive."""
-        rows = self.rows
-        for piv in sorted(rows, reverse=True):
-            row = rows[piv]
-            cols = [c for c in row if c != piv and c in rows]
-            if cols:
-                for c in cols:
-                    _eliminate(row, c, rows[c])
-                g = gcd(*row.values())
-                for c in row:
-                    row[c] //= g
-        return rows
-
-    def reduce(self) -> dict[int, dict]:
-        """The reduced row-echelon form, where each pivot column is zero
-        outside its own row: pivot -> row of Fractions with pivot entry 1."""
-        return {piv: {c: Fraction(v, row[piv]) for c, v in row.items()}
-                for piv, row in self._back_substitute().items()}
-
-    def kernel(self, ncols: int) -> list[dict]:
-        """Sparse basis of the null space of the stored rows, taken as a
-        matrix with ``ncols`` columns."""
-        rows = self._back_substitute()
-        by_col: dict[int, dict] = {}
-        for piv, row in rows.items():
-            p = row[piv]
-            for c, v in row.items():
-                if c != piv:
-                    by_col.setdefault(c, {})[piv] = Fraction(-v, p)
-        basis = []
-        for free in range(ncols):
-            if free not in rows:
-                vec = by_col.get(free, {})
-                vec[free] = Fraction(1)
-                basis.append({c: vec[c] for c in sorted(vec)})
-        return basis
 
 
 def _eliminate(row: dict, piv: int, prow: dict) -> None:
@@ -132,15 +67,23 @@ class Span:
             _eliminate(row, piv, self.rows[piv])
         return None
 
-    def add(self, col: dict) -> bool:
-        """Append ``col`` as the next column; store it and return True if it
-        is independent of the columns added before, else return False."""
+    def _append(self, col: dict):
+        """Append ``col`` as the next column j.  If it is independent of the
+        columns added before, store it and return None; else return the
+        relation 0 = sum_i r[~i] col_i left by the reduction, with
+        r[~j] > 0."""
         scale, row = _integer(col)
         row[~self.ncols] = scale
         self.ncols += 1
-        if (piv := self._reduce(row)) is not None:
-            self.rows[piv] = _primitive(row, piv)
-        return piv is not None
+        if (piv := self._reduce(row)) is None:
+            return row
+        self.rows[piv] = _primitive(row, piv)
+        return None
+
+    def add(self, col: dict) -> bool:
+        """Append ``col`` as the next column; store it and return True if it
+        is independent of the columns added before, else return False."""
+        return self._append(col) is None
 
     def coords(self, b: dict):
         """The x with sum_j x_j col_j = ``b``, zero on the dependent columns,
@@ -174,24 +117,32 @@ def _sparse(row) -> dict:
     return {j: v for j, v in enumerate(row) if v}
 
 
-def rows_of_columns(columns) -> list[dict]:
-    """Sparse rows (keyed by column position) of a matrix given as sparse
-    columns (dict row key -> Fraction)."""
-    rows: dict = {}
-    for j, col in enumerate(columns):
-        for r, v in col.items():
-            if v:
-                rows.setdefault(r, {})[j] = v
-    return list(rows.values())
+def _columns(matrix: list[list[Fraction]]) -> list[dict]:
+    n = len(matrix[0]) if matrix else 0
+    return [{i: row[j] for i, row in enumerate(matrix) if row[j]}
+            for j in range(n)]
 
 
 def rank(matrix: list[list[Fraction]]) -> int:
-    return len(Echelon(map(_sparse, matrix)).rows)
+    return len(Span(map(_sparse, matrix)).rows)
 
 
-def sparse_rank(rows: list[dict], ncols: int) -> int:
+def sparse_rank(rows: list[dict]) -> int:
     """Rank of a matrix given as sparse rows (dict col -> coeff)."""
-    return len(Echelon(rows).rows)
+    return len(Span(rows).rows)
+
+
+def kernel(columns) -> list[dict]:
+    """Basis of the null space of the matrix with sparse ``columns``: per
+    column that depends on earlier ones, in order, the vector with entry 1
+    there, zero on the other such columns, keyed in increasing order."""
+    span, basis = Span(), []
+    for col in columns:
+        if (rel := span._append(col)) is not None:
+            d = rel[~(span.ncols - 1)]
+            basis.append({~k: Fraction(rel[k], d)
+                          for k in sorted(rel, reverse=True)})
+    return basis
 
 
 def solve(matrix: list[list[Fraction]], rhs: list[Fraction]):
@@ -199,22 +150,14 @@ def solve(matrix: list[list[Fraction]], rhs: list[Fraction]):
     zero, or None if inconsistent."""
     if len(rhs) != len(matrix):
         raise ValueError("right-hand side length differs from the row count")
-    n = len(matrix[0]) if matrix else 0
-    return Span({i: row[j] for i, row in enumerate(matrix) if row[j]}
-                for j in range(n)).coords(_sparse(rhs))
-
-
-def sparse_solve(columns: list[dict], rhs: dict):
-    """Solve ``sum_j x_j * columns[j] = rhs`` for sparse vectors: a list with
-    free variables zero, or None if inconsistent."""
-    return Span(columns).coords(rhs)
+    return Span(_columns(matrix)).coords(_sparse(rhs))
 
 
 def nullspace(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
     """Basis of the right null space, as dense vectors."""
     n = len(matrix[0]) if matrix else 0
     return [[vec.get(c, Fraction(0)) for c in range(n)]
-            for vec in Echelon(map(_sparse, matrix)).kernel(n)]
+            for vec in kernel(_columns(matrix))]
 
 
 def inverse(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -222,15 +165,8 @@ def inverse(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
-    echelon = Echelon()
-    for i, row in enumerate(matrix):
-        row = _sparse(row)
-        row[n + i] = Fraction(1)
-        echelon.insert(row)
-    # every augmented row is independent, so A is singular exactly when
-    # some pivot falls in the identity block
-    if any(p >= n for p in echelon.rows):
+    span = Span(_columns(matrix))
+    if len(span.rows) < n:
         raise ArithmeticError("matrix is singular")
-    rows = echelon.reduce()
-    return [[rows[i].get(n + j, Fraction(0)) for j in range(n)]
-            for i in range(n)]
+    cols = [span.coords({i: 1}) for i in range(n)]
+    return [[col[i] for col in cols] for i in range(n)]

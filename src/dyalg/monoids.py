@@ -178,8 +178,12 @@ class RootConeMod(DecorationMonoid):
     def add(self, a, b):
         return self._cone().add(a, b)
 
+    @functools.cached_property
+    def _sorted_allowed(self) -> tuple:
+        return tuple(sorted(self.allowed))
+
     def elements(self):
-        return sorted(self.allowed)
+        return list(self._sorted_allowed)
 
     def decompositions(self, a):
         return _cone_decompositions(a)
@@ -188,11 +192,11 @@ class RootConeMod(DecorationMonoid):
         return a in self.allowed
 
     def key(self):
-        return (self.name, self.rank, self.cap, tuple(sorted(self.allowed)))
+        return (self.name, self.rank, self.cap, self._sorted_allowed)
 
     def to_json(self):
         return {"kind": self.name, "rank": self.rank, "cap": self.cap,
-                "allowed": [list(a) for a in sorted(self.allowed)]}
+                "allowed": [list(a) for a in self._sorted_allowed]}
 
 
 TRIVIAL = Trivial()

@@ -1,8 +1,12 @@
+import itertools
+
 import pytest
 
 from dyalg.coxeter import (build_central_family, build_test_family,
-                           build_unit_family, check_coxeter_family)
-from dyalg.diagrams import Diagram
+                           build_unit_family, check_coxeter_family,
+                           subdiagram_pairs)
+from dyalg.diagrams import (Diagram, lift_subdiagram, maximal_nested_sets,
+                            quotient_diagram)
 from dyalg.monoids import RootCone
 from dyalg.series import GradedSeries
 
@@ -63,3 +67,53 @@ def test_missing_entries_raise():
     del fam["twists"][key]
     with pytest.raises(KeyError):
         check_coxeter_family(fam, A2, 2)
+
+
+def _closure(dia, member, b0):
+    """Member plus every component of b0 reachable through adjacency,
+    iterated until nothing more attaches."""
+    comps = dia.induced(b0).components()
+    out = set(member)
+    changed = True
+    while changed:
+        changed = False
+        for c in comps:
+            if not c <= out and any(dia.has_edge(i, j)
+                                    for i in out for j in c):
+                out |= c
+                changed = True
+    return frozenset(out)
+
+
+def _diagrams_up_to(n_max):
+    """One diagram on 1..n per isomorphism class, for n <= n_max."""
+    for n in range(1, n_max + 1):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        seen = set()
+        for mask in range(1 << len(pairs)):
+            edges = [p for k, p in enumerate(pairs) if mask >> k & 1]
+            canon = min(tuple(sorted(tuple(sorted((perm[i - 1], perm[j - 1])))
+                                     for i, j in edges))
+                        for perm in itertools.permutations(range(1, n + 1)))
+            if canon not in seen:
+                seen.add(canon)
+                yield Diagram.make(range(1, n + 1), edges)
+
+
+def test_gauge_lift_is_the_iterated_closure():
+    # the components of b0 are pairwise non-adjacent, so one pass of the
+    # closure, which is lift_subdiagram, already reaches all of them
+    diagrams = grown = 0
+    for dia in _diagrams_up_to(5):
+        diagrams += 1
+        for b, b0 in subdiagram_pairs(dia):
+            quot = quotient_diagram(dia.induced(b), b0)
+            if not quot.vertices:
+                continue
+            for f in maximal_nested_sets(quot):
+                for member in f:
+                    lift = lift_subdiagram(member, dia, b0)
+                    assert lift == _closure(dia, member, b0)
+                    grown += lift != member
+    # 52 isomorphism classes; a lift takes in some component 26,669 times
+    assert (diagrams, grown) == (52, 26669)

@@ -1,14 +1,18 @@
-"""Source hygiene: every name a package module imports is used in it, and
+"""Source hygiene: every name a package module imports is used in it,
 every private function, class or method the package defines is referenced
-somewhere in the package."""
+somewhere in the package, and every name the benchmark reaches for exists."""
 
 import ast
 import functools
+import importlib
+import importlib.util
 import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "dyalg"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "dyalg"
+BENCHMARK = ROOT / "benchmark"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -84,3 +88,32 @@ def test_unreferenced_check_sees_unused_private_definitions():
               "_used(), _Box()\n")
     assert _unreferenced(source, _references(ast.parse(source))) == [
         "line 3: _unused", "line 10: _stale"]
+
+
+def _load(path: pathlib.Path):
+    """Execute a benchmark file as a fresh module, not registered in
+    ``sys.modules``."""
+    spec = importlib.util.spec_from_file_location(f"_bench_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_targets_resolve():
+    # read without install(), which would rebind the package's functions
+    targets = _load(BENCHMARK / "tracer.py").TARGETS
+    missing = []
+    for mod_name, attrs in targets.items():
+        module = importlib.import_module(f"dyalg.{mod_name}")
+        for attr in attrs:
+            owner = module
+            for part in attr.split("."):
+                owner = getattr(owner, part, None)
+            if not callable(owner):
+                missing.append(f"{mod_name}.{attr}")
+    assert missing == []
+
+
+def test_benchmark_workloads_import():
+    items = _load(BENCHMARK / "workloads.py").ITEMS
+    assert all(callable(build) for build in items.values())

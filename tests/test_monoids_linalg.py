@@ -58,11 +58,11 @@ def test_rank_solve_nullspace():
 def test_sparse_rank_and_solve():
     rows = [{0: Fraction(1), 2: Fraction(1)}, {0: Fraction(2), 2: Fraction(2)},
             {1: Fraction(1)}]
-    assert linalg.sparse_rank(rows, 3) == 2
+    assert linalg.sparse_rank(rows) == 2
     cols = [{0: Fraction(1)}, {0: Fraction(1), 1: Fraction(1)}]
-    sol = linalg.sparse_solve(cols, {0: Fraction(3), 1: Fraction(2)})
+    sol = linalg.Span(cols).coords({0: Fraction(3), 1: Fraction(2)})
     assert sol == [Fraction(1), Fraction(2)]
-    assert linalg.sparse_solve([{0: Fraction(1)}], {1: Fraction(1)}) is None
+    assert linalg.Span([{0: Fraction(1)}]).coords({1: Fraction(1)}) is None
 
 
 # -- the elimination kernel, checked by multiplying back ---------------------
@@ -106,7 +106,7 @@ def test_solve_reproduces_consistent_rhs_and_rejects_inconsistent():
         assert _matvec(a, x) == b
         cols = [{i: row[j] for i, row in enumerate(a) if row[j]}
                 for j in range(n)]
-        y = linalg.sparse_solve(cols, {i: v for i, v in enumerate(b) if v})
+        y = linalg.Span(cols).coords({i: v for i, v in enumerate(b) if v})
         assert _matvec(a, y) == b
         bad = b[:-1] + [b[-1] + 1]
         assert sum(c * v for c, v in zip(left_null, bad)) != 0
@@ -254,16 +254,17 @@ def test_echelon_matches_fraction_reference():
         n = len(a[0])
         rows, pivots = _ref_rref(a, n)
         assert linalg.rank(a) == len(pivots)
-        echelon = linalg.Echelon()
-        verdicts = [echelon.insert(_sparse_row(row)) for row in a]
+        # rows as the columns of a Span: each verdict is whether the row
+        # raises the rank of the rows before it
+        row_span = linalg.Span()
+        verdicts = [row_span.add(_sparse_row(row)) for row in a]
         assert verdicts == [len(_ref_rref(a[:i + 1], n)[1])
                             > len(_ref_rref(a[:i], n)[1])
                             for i in range(len(a))]
-        rref = echelon.reduce()
-        assert rref == {p: _sparse_row(rows[p]) for p in pivots}
-        assert all(_fractions(row.values()) for row in rref.values())
+        columns = [{i: row[j] for i, row in enumerate(a) if row[j]}
+                   for j in range(n)]
         want_kernel = _ref_kernel(rows, pivots, n)
-        kernel = echelon.kernel(n)
+        kernel = linalg.kernel(columns)
         assert [list(v.items()) for v in kernel] == want_kernel
         assert all(_fractions(v.values()) for v in kernel)
         null = linalg.nullspace(a)
@@ -273,8 +274,6 @@ def test_echelon_matches_fraction_reference():
         want_x = _ref_solve(a, b, n)
         inconsistent += want_x is None
         span = linalg.Span()
-        columns = [{i: row[j] for i, row in enumerate(a) if row[j]}
-                   for j in range(n)]
         assert [span.add(col) for col in columns] == [
             j in pivots for j in range(n)]
         for x in (linalg.solve(a, b), span.coords(_sparse_row(b))):
@@ -298,17 +297,6 @@ def test_shape_mismatch_raises():
         linalg.inverse([[1, 0, 5], [0, 1, 0]])
     with pytest.raises(ValueError):
         linalg.solve([[1, 0], [0, 1], [1, 1]], [1, 2])
-
-
-def test_echelon_stores_primitive_integer_rows():
-    for a, _ in _reference_cases(12, 200):
-        echelon = linalg.Echelon(map(_sparse_row, a))
-        for stage in ("insert", "reduce"):
-            for p, row in echelon.rows.items():
-                assert all(type(v) is int for v in row.values())
-                assert min(row) == p and row[p] > 0
-                assert math.gcd(*row.values()) == 1, stage
-            echelon.reduce()
 
 
 def test_span_stores_primitive_rows_with_their_combinations():
