@@ -20,6 +20,7 @@ and is graded by the strand count N.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -300,6 +301,7 @@ def compose_basis(n: int, s_key: Key, t_key: Key,
 
 _FACE_SHAPES: dict[tuple, list] = {}
 _SLOT_SHAPES: dict[tuple, list] = {}
+_NET_SHAPES: dict[tuple, list] = {}
 
 
 def _shape(new_co: list, new_ac: list) -> tuple:
@@ -322,32 +324,54 @@ def _shape(new_co: list, new_ac: list) -> tuple:
             tuple(q for block in new_co for q in block), tuple(pmap), pinv)
 
 
-def _face_shapes(i: int, co: tuple, ac: tuple) -> list:
-    """The shapes of the i-th face map on keys with compositions co, ac.
+def _face_regroupings(i: int, co: tuple, ac: tuple) -> list:
+    """The shapes of the i-th face map on keys with compositions co, ac,
+    uncached and unweighted.
 
     A face map only regroups the coaction and action positions of slot i.
     """
+    ac_splits = _face_blocks(_position_blocks(ac), i)
+    return [_shape(new_co, new_ac)
+            for new_co in _face_blocks(_position_blocks(co), i)
+            for new_ac in ac_splits]
+
+
+def _face_shapes(i: int, co: tuple, ac: tuple) -> list:
+    """The shapes of the i-th face map, each of weight 1."""
     ck = (i, co, ac)
     hit = _FACE_SHAPES.get(ck)
     if hit is None:
-        ac_splits = _face_blocks(_position_blocks(ac), i)
         hit = _FACE_SHAPES[ck] = [
-            _shape(new_co, new_ac)
-            for new_co in _face_blocks(_position_blocks(co), i)
-            for new_ac in ac_splits]
+            shape + (1,) for shape in _face_regroupings(i, co, ac)]
+    return hit
+
+
+def _net_face_shapes(co: tuple, ac: tuple) -> list:
+    """The shapes of the Hochschild differential on keys with compositions
+    co, ac: the shapes of every face i, equal ones summed with weight
+    (-1)**i, those of weight 0 dropped."""
+    ck = (co, ac)
+    hit = _NET_SHAPES.get(ck)
+    if hit is None:
+        weights: dict[tuple, int] = {}
+        for i in range(len(co) + 2):
+            for shape in _face_regroupings(i, co, ac):
+                weights[shape] = weights.get(shape, 0) + (-1) ** i
+        hit = _NET_SHAPES[ck] = [shape + (w,)
+                                 for shape, w in weights.items() if w]
     return hit
 
 
 def _slot_shapes(placement: tuple, co: tuple, ac: tuple) -> list:
-    """The one shape that moves old slot ``placement[k]`` to new slot k+1;
-    a 0 in ``placement`` leaves that new slot empty."""
+    """The one shape, of weight 1, that moves old slot ``placement[k]`` to
+    new slot k+1; a 0 in ``placement`` leaves that new slot empty."""
     ck = (placement, co, ac)
     hit = _SLOT_SHAPES.get(ck)
     if hit is None:
         co_blocks, ac_blocks = _position_blocks(co), _position_blocks(ac)
         hit = _SLOT_SHAPES[ck] = [_shape(
             [co_blocks[s - 1] if s else [] for s in placement],
-            [ac_blocks[s - 1] if s else [] for s in placement])]
+            [ac_blocks[s - 1] if s else [] for s in placement]) + (1,)]
     return hit
 
 
@@ -369,23 +393,26 @@ def _face_blocks(blocks: list, i: int) -> list:
             for take in itertools.combinations(block, r)]
 
 
-def _shape_sum(x: AlgebraElement, n_new: int, shapes,
-               images) -> AlgebraElement:
-    """The sum of ``sign`` times x mapped through ``shapes(arg, co, ac)``
-    over ``(arg, sign)`` in images, on n_new slots.
+def _shape_sum(x: AlgebraElement, n_new: int, images) -> AlgebraElement:
+    """The sum of ``sign`` times x mapped through ``shapes_of(co, ac)``
+    over ``(shapes_of, sign)`` in images, on n_new slots.
 
-    Every sign is +-1, so the numerators of x are summed as Python ints
-    over x's denominator.
+    A shape is ``_shape``'s tuple followed by an integer weight, and it
+    maps a term ``c * key`` to ``sign * weight * c`` times one image key.
+    The shapes of one face map and of one slot map have weight 1; a shape
+    of ``hochschild_d`` has the summed sign of the faces that share it.
+    Signs and weights are ints, so the numerators of x are summed as Python
+    ints over x's denominator.
     """
     terms = list(x.num.items())
     out: dict[Key, int] = {}
-    for arg, sign in images:
+    for shapes_of, sign in images:
         for (co, ac, perm, dec), c in terms:
             v = sign * c
-            for co2, ac2, qinv, pmap, pinv in shapes(arg, co, ac):
+            for co2, ac2, qinv, pmap, pinv, weight in shapes_of(co, ac):
                 key = (co2, ac2, tuple([pmap[perm[q] - 1] for q in qinv]),
                        tuple([dec[p] for p in pinv]))
-                new = out.get(key, 0) + v
+                new = out.get(key, 0) + weight * v
                 if new:
                     out[key] = new
                 else:
@@ -405,13 +432,20 @@ def face_map(i: int, x: AlgebraElement) -> AlgebraElement:
     n = x.n
     if not 0 <= i <= n + 1:
         raise ValueError(f"face index {i} out of range 0..{n + 1}")
-    return _shape_sum(x, n + 1, _face_shapes, ((i, 1),))
+    return _shape_sum(x, n + 1, ((functools.partial(_face_shapes, i), 1),))
 
 
 def hochschild_d(x: AlgebraElement) -> AlgebraElement:
-    """Alternating sum of the face maps; squares to zero."""
-    return _shape_sum(x, x.n + 1, _face_shapes,
-                      ((i, (-1) ** i) for i in range(x.n + 2)))
+    """Alternating sum of the face maps; squares to zero.
+
+    Equal shapes of different faces are netted before any key is built
+    (``_net_face_shapes``): a shape depends on neither the permutation nor
+    the decorations, so shapes whose signs sum to zero cancel on every key.
+    For example, for 1 <= i <= n face i's split (∅, slot i) is the same
+    regrouping as face i-1's split (slot i-1, ∅), with the opposite sign;
+    for i = 1 the partner is face 0, which inserts the same empty slot.
+    """
+    return _shape_sum(x, x.n + 1, ((_net_face_shapes, 1),))
 
 
 def slot_permute(x: AlgebraElement, perm: tuple[int, ...]) -> AlgebraElement:
@@ -419,14 +453,16 @@ def slot_permute(x: AlgebraElement, perm: tuple[int, ...]) -> AlgebraElement:
     slot perm[k-1]."""
     if sorted(perm) != list(range(1, x.n + 1)):
         raise ValueError("bad slot permutation")
-    return _shape_sum(x, x.n, _slot_shapes, ((inverse(perm), 1),))
+    return _shape_sum(
+        x, x.n, ((functools.partial(_slot_shapes, inverse(perm)), 1),))
 
 
 def alt(x: AlgebraElement) -> AlgebraElement:
     """Antisymmetrization over slot permutations (a projector)."""
     perms = list(all_permutations(x.n))
     return Fraction(1, len(perms)) * _shape_sum(
-        x, x.n, _slot_shapes, ((inverse(p), sign(p)) for p in perms))
+        x, x.n, ((functools.partial(_slot_shapes, inverse(p)), sign(p))
+                 for p in perms))
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +515,8 @@ def embed_slots(x: AlgebraElement, n_new: int,
     placement = [0] * n_new
     for k, v in mapping.items():
         placement[v - 1] = k
-    return _shape_sum(x, n_new, _slot_shapes, ((tuple(placement), 1),))
+    return _shape_sum(
+        x, n_new, ((functools.partial(_slot_shapes, tuple(placement)), 1),))
 
 
 def is_invariant(x: AlgebraElement) -> bool:

@@ -187,8 +187,21 @@ def test_slot_maps_match_strandwise_reference():
 
 def test_face_shape_cache_is_transparent_and_small():
     algebra._FACE_SHAPES.clear()
+    algebra._NET_SHAPES.clear()
+    met = set()
     for x in _small_basis_elements():
-        assert hochschild_d(hochschild_d(x)).is_zero()
+        dx = hochschild_d(x)
+        assert hochschild_d(dx).is_zero()
+        met |= {(co, ac) for y in (x, dx) for co, ac, _, _ in y.terms}
+    # d reads only the net cache, one entry per (co, ac) pair it met, and
+    # keeps no shape whose face signs cancel
+    assert not algebra._FACE_SHAPES
+    assert set(algebra._NET_SHAPES) <= met
+    assert all(shape[-1] for shapes in algebra._NET_SHAPES.values()
+               for shape in shapes)
+    for x in _small_basis_elements():
+        for i in range(x.n + 2):
+            face_map(i, x)
     # the cache key is (i, co, ac): the permutation and the decorations
     # must stay out of it
     triples = sum((m + 2) * len(compositions(deg, m)) ** 2
@@ -200,10 +213,33 @@ def test_face_shape_cache_is_transparent_and_small():
         cold = []
         for i in range(x.n + 2):
             algebra._FACE_SHAPES.clear()
+            algebra._NET_SHAPES.clear()
             cold.append(face_map(i, x))
         algebra._FACE_SHAPES.clear()
+        algebra._NET_SHAPES.clear()
         cold.append(hochschild_d(x))
         assert [y.to_json() for y in cold] == [y.to_json() for y in warm]
+
+
+def test_netted_differential_is_the_alternating_sum_of_faces():
+    # every (co, ac) pair with n <= 3 and strand degree <= 3, empty slots
+    # included, where most face shapes coincide; the permutation and the
+    # decorations are seeded
+    rng = random.Random(16)
+    for monoid in FACE_MONOIDS:
+        decors = list(monoid.elements())
+        for n in (1, 2, 3):
+            for deg in range(4):
+                for co in compositions(deg, n):
+                    for ac in compositions(deg, n):
+                        key = (co, ac,
+                               tuple(rng.sample(range(1, deg + 1), deg)),
+                               tuple(rng.choice(decors) for _ in range(deg)))
+                        x = AlgebraElement.basis(n, key, monoid)
+                        want = AlgebraElement.zero(n + 1, monoid)
+                        for i in range(n + 2):
+                            want = want + (-1) ** i * face_map(i, x)
+                        assert hochschild_d(x) == want, key
 
 
 def _reference_product(x, y):

@@ -28,11 +28,11 @@ def _write_run(directory, workload, seed, started, sha, wall, rss,
     path.write_text(json.dumps(raw))
 
 
-def _run_tool(tmp_path):
+def _run_tool(tmp_path, *extra):
     proc = subprocess.run(
         [sys.executable, str(TOOL), "--workload", "gauge", "--pr", "7",
          "--parent", str(tmp_path / "parent"),
-         "--change", str(tmp_path / "change")],
+         "--change", str(tmp_path / "change"), *extra],
         cwd=tmp_path, capture_output=True, text=True)
     return proc, tmp_path / "BENCH_7.json"
 
@@ -80,4 +80,34 @@ def test_bench_pair_rejects_unpaired_runs(tmp_path):
     _write_run(tmp_path / "change", "gauge", 2, "02", "bbb", 2.0, 24.0)
     proc, out = _run_tool(tmp_path)
     assert proc.returncode == 2 and "seed" in proc.stderr
+    assert not out.exists()
+
+
+def test_bench_pair_folds_other_workloads_and_attachments(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in (1, 2):
+        _write_run(parent, "gauge", seed, f"0{seed}a", "aaa", 4.0, 25.0)
+        _write_run(change, "gauge", seed, f"0{seed}b", "bbb", 2.0, 24.0)
+        _write_run(parent, "realize", seed, f"1{seed}a", "aaa", 1.0, 20.0)
+        _write_run(change, "realize", seed, f"1{seed}b", "bbb", 1.5, 20.0)
+    timing = tmp_path / "timing.json"
+    timing.write_text(json.dumps({"pairs": 3, "stdout_identical": True}))
+    proc, out = _run_tool(tmp_path, "--also", "realize",
+                          "--attach", f"cmd={timing}")
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(out.read_text())
+    assert record["workload"] == "gauge"
+    assert record["metrics"]["wall_s"]["pairs_won"] == 2
+    other = record["also"]["realize"]
+    assert other["workload"] == "realize"
+    assert other["parent"]["seeds"] == [1, 2]
+    wall = other["metrics"]["wall_s"]
+    assert (wall["pairs_won"], wall["pairs_lost"]) == (0, 2)
+    assert record["attached"] == {"cmd": {"pairs": 3,
+                                          "stdout_identical": True}}
+    # an unpaired other workload fails the whole record
+    _write_run(change, "realize", 3, "13b", "bbb", 1.5, 20.0)
+    out.unlink()
+    proc, out = _run_tool(tmp_path, "--also", "realize")
+    assert proc.returncode == 2 and "as many parent runs" in proc.stderr
     assert not out.exists()

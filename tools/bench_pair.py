@@ -1,7 +1,8 @@
 """Fold parent and change benchmark runs of one workload into one record.
 
     python3 tools/bench_pair.py --workload WORKLOAD --pr N \\
-        --parent PARENT/.bench_results --change CHANGE/.bench_results
+        --parent PARENT/.bench_results --change CHANGE/.bench_results \\
+        [--also WORKLOAD ...] [--attach NAME=FILE ...]
 
 ``--parent`` and ``--change`` each name result files written by
 ``benchmark/run.py`` or directories holding them.  Only untraced runs
@@ -16,6 +17,11 @@ for neither side).  It also holds the host, the Python version, each
 side's ``source_sha256`` (the digest of ``src/`` that ``run.py`` records)
 and whether every run was correct.  The record is written to
 ``BENCH_<pr>.json`` in the working directory.
+
+``--also`` folds further workloads of the same runs the same way, each
+into ``also[WORKLOAD]``, e.g. workloads that should not move.  ``--attach``
+stores a JSON file, such as the output of ``time_command.py``, under
+``attached[NAME]``.
 """
 
 from __future__ import annotations
@@ -118,13 +124,30 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", type=int, required=True)
     parser.add_argument("--parent", nargs="+", required=True)
     parser.add_argument("--change", nargs="+", required=True)
+    parser.add_argument("--also", nargs="+", default=[], metavar="WORKLOAD")
+    parser.add_argument("--attach", nargs="+", default=[],
+                        metavar="NAME=FILE")
     args = parser.parse_args(argv)
     with open(BENCHMARK) as fh:
         end_to_end = json.load(fh)["end_to_end"]
+
+    def fold_workload(workload: str) -> dict:
+        return fold(load_runs(args.parent, workload),
+                    load_runs(args.change, workload), end_to_end, workload,
+                    args.pr)
+
     try:
-        record = fold(load_runs(args.parent, args.workload),
-                      load_runs(args.change, args.workload), end_to_end,
-                      args.workload, args.pr)
+        record = fold_workload(args.workload)
+        if args.also:
+            record["also"] = {w: fold_workload(w) for w in args.also}
+        if args.attach:
+            record["attached"] = {}
+            for item in args.attach:
+                name, sep, path = item.partition("=")
+                if not sep:
+                    raise ValueError(f"--attach wants NAME=FILE: {item}")
+                with open(path) as fh:
+                    record["attached"][name] = json.load(fh)
     except ValueError as exc:
         print(f"bench_pair: {exc}", file=sys.stderr)
         return 2

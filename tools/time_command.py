@@ -1,0 +1,67 @@
+"""Time one dyalg command at two checkouts, in alternating fresh processes.
+
+    python3 tools/time_command.py --pairs N --parent PARENT --change CHANGE \\
+        -- ARGS...
+
+Runs ``python3 -m dyalg.cli ARGS`` with ``PARENT/src`` and then with
+``CHANGE/src`` on the path, N times each in alternation, and prints one
+JSON object: the command, each side's wall times in seconds with their
+median and quartiles, the pairs the change won and lost, whether every run
+exited 0, and whether every stdout was the same byte for byte (with its
+SHA-256).  Wall times are measured, not rescaled for the host's speed, so
+only pairs taken back to back compare.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import time
+
+from bench_pair import quartiles
+
+
+def run_once(checkout: str, args: list[str]) -> tuple[float, int, bytes]:
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "dyalg.cli", *args],
+                          env=env, capture_output=True)
+    return time.perf_counter() - start, proc.returncode, proc.stdout
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--parent", required=True)
+    parser.add_argument("--change", required=True)
+    parser.add_argument("args", nargs="+")
+    args = parser.parse_args(argv)
+    sides = {"parent": args.parent, "change": args.change}
+    times = {side: [] for side in sides}
+    codes, outputs = set(), set()
+    for _ in range(args.pairs):
+        for side, checkout in sides.items():
+            seconds, code, stdout = run_once(checkout, args.args)
+            times[side].append(seconds)
+            codes.add(code)
+            outputs.add(stdout)
+    before, after = times["parent"], times["change"]
+    record = {"command": ["dyalg", *args.args], "pairs": args.pairs,
+              "exit_ok": codes == {0},
+              "stdout_identical": len(outputs) == 1,
+              "stdout_sha256": sorted(hashlib.sha256(o).hexdigest()
+                                      for o in outputs),
+              "pairs_won": sum(a < b for b, a in zip(before, after)),
+              "pairs_lost": sum(a > b for b, a in zip(before, after))}
+    for side in sides:
+        record[side] = {"wall_s": times[side], **quartiles(times[side])}
+    print(json.dumps(record, indent=1, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
