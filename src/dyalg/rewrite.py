@@ -55,11 +55,17 @@ cobracket; the engine therefore runs a staged strategy whose stages each
 carry a strict measure.  Node count (actions + coactions + brackets +
 cobrackets) is invariant under every rule, which bounds everything else.
 
-One work list runs all three stages: :func:`straighten_graph` pops a
-term, resolves one bracket if it has any (stage 1), else applies one
-EXCHANGE if it has an inversion (stage 2), else reads it out (stage 3).  A
-term with a bracket is always resolved first, so each lineage of terms
-passes through stages 1, 2 and 3 in order.
+One work list runs stage 1, and bracket-free terms are netted:
+:func:`straighten_graph` pops a term and resolves one bracket if it has
+any (stage 1).  A bracket-free term with inversions goes into the bucket
+of its stage-2 measure P, keyed there by its node-id-free
+:func:`_exchange_form`; equal forms keep the first term and sum the
+coefficients.  A sorted term adds its coefficient to its readout form
+(stage 3).  When the work list is empty, the highest bucket is drained:
+one EXCHANGE per distinct term with a nonzero sum, its branches pushed
+back on the work list.  A term with a bracket is always resolved first,
+so each lineage of terms passes through stages 1, 2 and 3 in order, and
+each distinct bracket-free term is rewritten or read out once per call.
 
 Stage 1  While the term has a bracket node, resolve one whose output feeds
          an action or cobracket (:func:`_resolve_bracket`; such exists:
@@ -87,15 +93,22 @@ Stage 2  While some action immediately precedes a coaction on a line,
          branch deletes the pattern and extends a latent tree.  The
          spawned bracket descends a finite cobracket tree (COCYCLE) and
          vanishes (ACT_MU) before the lineage's next pattern is touched.
+         So every term a bucket's EXCHANGEs spawn lands in a lower bucket
+         or in stage 3, and all copies of a form have arrived before the
+         highest bucket is drained.  Netting is linear, so an order that
+         broke this would only miss merges, never change the output.
 
 Stage 3  No inversions remain: every line is sorted, and every cobracket
          hangs in a finite latent tree under a coaction leg.  Nothing more
-         is rewritten; :func:`_readout` reads the keys straight off each
-         sorted term.  A split coaction's two legs take its place on the
-         line, so :func:`_leaves`, a structural recursion over the finite
-         tree, gives the leaf orders and signs that DELTA_COACT after
-         PUSH_DELTA would.  The readout then expands undecorated legs over
-         the monoid (the identity is the sum of the decoration
+         is rewritten.  :func:`_readout` nets each sorted term by its
+         readout form: the compositions and, per coaction, the options of
+         :func:`_leaves`, with actions named by action position.  A split
+         coaction's two legs take its place on the line, so
+         :func:`_leaves`, a structural recursion over the finite tree,
+         gives the leaf orders and signs that DELTA_COACT after PUSH_DELTA
+         would.  When the call ends, :func:`_expand` reads the keys off
+         each form with a nonzero sum once: it expands undecorated legs
+         over the monoid (the identity is the sum of the decoration
          idempotents), drops terms outside the allowed set in quotient
          mode, and sums the canonical basis keys.
 
@@ -404,45 +417,109 @@ def straighten_graph(t0: _Term, monoid: DecorationMonoid,
                      sched: Scheduler | None = None) -> dict[tuple, int]:
     """Run the staged strategy on one work list; returns canonical basis
     keys -> integer coefficients.  Every rule multiplies by +-1, so the
-    coefficients are sums of signs, and a zero sum is dropped."""
+    coefficients are sums of signs, and a zero sum is dropped.  Equal
+    bracket-free terms are netted within the call, as the module docstring
+    describes: each distinct one is rewritten or read out once."""
     sched = sched or Scheduler()
-    out: dict[tuple, int] = {}
     work = [(t0, 1)]
-    while work:
-        t, c = work.pop()
-        mus = t.mus()
-        if mus:  # stage 1
-            results = _resolve_bracket(t, sched.choose("mu", sorted(mus)),
-                                       monoid)
-        else:
-            inv = t.inversions()
-            if not inv:  # stage 3
-                _readout(t, monoid, c, out)
+    buckets: dict[int, dict[tuple, list]] = {}  # measure -> form -> [t, c]
+    exchanges: list = []  # the netted terms of the bucket being rewritten
+    forms: dict[tuple, int] = {}
+    while True:
+        if work:
+            t, c = work.pop()
+            mus = t.mus()
+            if mus:  # stage 1
+                work.extend((s, c * c2) for s, c2 in _resolve_bracket(
+                    t, sched.choose("mu", sorted(mus)), monoid))
                 continue
-            # stage 2
-            safe = [p for p in inv
+            measure = _measure(t)
+            if not measure:  # stage 3
+                _readout(t, monoid, c, forms)
+                continue
+            bucket = buckets.setdefault(measure, {})  # stage 2
+            form = _exchange_form(t)
+            entry = bucket.get(form)
+            if entry is None:
+                bucket[form] = [t, c]
+            else:
+                entry[1] += c
+        elif exchanges:
+            t, c = exchanges.pop()
+            if not c:
+                continue
+            safe = [p for p in t.inversions()
                     if not any(t.has_bad_pair(a)
                                for a in t.leaf_actions(("c", p[1])))]
             assert safe, "no safe pattern despite inversions"
-            results = _apply_exchange(t, *sched.choose("exchange", safe))
-        work.extend((s, c * c2) for s, c2 in results)
-    return out
+            work.extend((s, c * c2) for s, c2 in _apply_exchange(
+                t, *sched.choose("exchange", safe)))
+        elif buckets:
+            exchanges = list(buckets.pop(max(buckets)).values())
+        else:
+            return _expand(forms, monoid)
+
+
+# ---------------------------------------------------------------------------
+# stage 2: netting bracket-free terms
+
+
+def _measure(t: _Term) -> int:
+    """The stage-2 measure of a bracket-free term: the (action, coaction)
+    pairs with the action first on a line."""
+    kind = t.kind
+    pairs = 0
+    for line in t.lines:
+        acts = 0
+        for x in line:
+            if kind[x] == "a":
+                acts += 1
+            else:
+                pairs += acts
+    return pairs
+
+
+def _exchange_form(t: _Term) -> tuple:
+    """A node-id-free form of a bracket-free term: each line's kinds, then
+    each coaction's latent cobracket tree with its decorations, in line
+    order, the leaves naming actions by their order along the lines.  Two
+    terms have one form iff they are equal up to node ids."""
+    kind, wire_to, dec = t.kind, t.wire_to, t.dec
+    name: dict[int, int] = {}
+    coacts, lines = [], []
+    for line in t.lines:
+        for x in line:
+            if kind[x] == "a":
+                name[x] = len(name)
+            else:
+                coacts.append(x)
+        lines.append("".join([kind[x] for x in line]))
+
+    def tree(prod):
+        cons = wire_to[prod]
+        if cons[0] == "a":
+            return dec.get(prod), name[cons[1]]
+        did = cons[1]
+        return dec.get(prod), tree(("d", did, 0)), tree(("d", did, 1))
+
+    return tuple(lines), tuple([tree(("c", c)) for c in coacts])
 
 
 # ---------------------------------------------------------------------------
 # stage 3: reading keys off sorted terms
 
 
-def _leaves(t: _Term, prod: tuple, above, monoid: DecorationMonoid
-            ) -> list[tuple[tuple, int]]:
+def _leaves(t: _Term, prod: tuple, above, monoid: DecorationMonoid,
+            ac_pos: dict[int, int]) -> list[tuple[tuple, int]]:
     """Resolve the latent cobracket tree under the leg leaving ``prod``.
 
-    Returns ``[(leaves, sign), ...]``: ``leaves`` lists the (action id,
-    decoration) pairs in the time order of the coactions that DELTA_COACT
-    would split the leg into.  The leg's decoration is ``above`` (pushed
-    from the parent cobracket, or None) merged with its own; two different
-    decorations kill the branch.  A decorated cobracket input enumerates
-    its decompositions onto the outputs (PUSH_DELTA).  For leaf lists A of
+    Returns ``[(leaves, sign), ...]``: ``leaves`` lists the (action
+    position, decoration) pairs in the time order of the coactions that
+    DELTA_COACT would split the leg into; ``ac_pos`` maps action ids to
+    positions.  The leg's decoration is ``above`` (pushed from the parent
+    cobracket, or None) merged with its own; two different decorations
+    kill the branch.  A decorated cobracket input enumerates its
+    decompositions onto the outputs (PUSH_DELTA).  For leaf lists A of
     output 0 and B of output 1 the split gives ``B + A`` with sign + (the
     coaction first in time feeds output 1) and ``A + B`` with sign -.
     """
@@ -454,16 +531,16 @@ def _leaves(t: _Term, prod: tuple, above, monoid: DecorationMonoid
             return []
     cons = t.wire_to[prod]
     if cons[0] == "a":
-        return [(((cons[1], dec),), 1)]
+        return [(((ac_pos[cons[1]], dec),), 1)]
     assert cons[0] == "d", "unexpected consumer in latent tree"
     did = cons[1]
     out = []
     for beta, gamma in (monoid.decompositions(dec) if dec is not None
                         else ((None, None),)):
-        right = _leaves(t, ("d", did, 1), gamma, monoid)
+        right = _leaves(t, ("d", did, 1), gamma, monoid, ac_pos)
         if not right:
             continue
-        for a, sa in _leaves(t, ("d", did, 0), beta, monoid):
+        for a, sa in _leaves(t, ("d", did, 0), beta, monoid, ac_pos):
             for b, sb in right:
                 out.append((b + a, sa * sb))
                 out.append((a + b, -sa * sb))
@@ -471,14 +548,14 @@ def _leaves(t: _Term, prod: tuple, above, monoid: DecorationMonoid
 
 
 def _readout(t: _Term, monoid: DecorationMonoid, coeff: int,
-             out: dict[tuple, int]) -> None:
-    """Add ``coeff`` times the canonical basis keys of a sorted term into
-    ``out``, dropping zero sums.
+             acc: dict[tuple, int]) -> None:
+    """Add ``coeff`` to the readout form of a sorted term in ``acc``.
 
-    Key layout: (coactions, actions, perm, decor) with compositions per
-    slot, the permutation sending coaction position to action position,
-    and decorations indexed by action position.  Each coaction contributes
-    the leaves of its latent tree (:func:`_leaves`) in time order.
+    The form is (coaction composition, action composition, one tuple of
+    :func:`_leaves` options per coaction in line order), with actions named
+    by action position: per slot, the last action has the lowest.  It
+    holds no node id, so equal sorted terms share it, and :func:`_expand`
+    reads the keys off each form once.
     """
     kind = t.kind
     ac_comp, ac_pos, line_coacts = [], {}, []
@@ -496,50 +573,68 @@ def _readout(t: _Term, monoid: DecorationMonoid, coeff: int,
     for coacts in line_coacts:
         width = 0
         for cid in coacts:
-            options = _leaves(t, ("c", cid), None, monoid)
+            options = _leaves(t, ("c", cid), None, monoid, ac_pos)
             if not options:
                 return
             width += len(options[0][0])
-            factors.append(options)
+            factors.append(tuple(options))
         co_comp.append(width)
     assert sum(co_comp) == total, "unrooted cobracket at extraction"
-    co_comp, ac_comp = tuple(co_comp), tuple(ac_comp)
+    form = (tuple(co_comp), tuple(ac_comp), tuple(factors))
+    acc[form] = acc.get(form, 0) + coeff
+
+
+def _expand(forms: dict[tuple, int], monoid: DecorationMonoid
+            ) -> dict[tuple, int]:
+    """The canonical basis keys of the netted readout forms, zero sums
+    dropped.
+
+    Key layout: (coactions, actions, perm, decor) with compositions per
+    slot, the permutation sending coaction position to action position,
+    and decorations indexed by action position.  Each coaction contributes
+    the leaves of its latent tree in time order; undecorated legs expand
+    over the monoid, and quotient mode drops keys outside the allowed set.
+    """
+    out: dict[tuple, int] = {}
     trivial = monoid.is_trivial()
-    if trivial:
-        zeros = (monoid.zero(),) * total
-    else:
+    if not trivial:
         quotient = isinstance(monoid, RootConeMod)
         elements = monoid.elements()
-    for combo in itertools.product(*factors):
-        leaves: list = []
-        sign = coeff
-        for part, s in combo:
-            leaves += part
-            sign *= s
-        perm = tuple([ac_pos[a] for a, _ in leaves])
+    for (co_comp, ac_comp, factors), coeff in forms.items():
+        if not coeff:
+            continue
+        total = sum(ac_comp)
         if trivial:
-            decors = [zeros]
-        else:
-            dec = [None] * total
-            for p, (_, d) in zip(perm, leaves):
-                dec[p - 1] = d
-            if quotient and not all(d is None or monoid.is_allowed(d)
-                                    for d in dec):
-                continue
-            open_positions = [i for i, d in enumerate(dec) if d is None]
-            decors = []
-            for choice in itertools.product(elements,
-                                            repeat=len(open_positions)):
-                for i, d in zip(open_positions, choice):
-                    dec[i] = d
-                decors.append(tuple(dec))
-        for decor in decors:
-            key = (co_comp, ac_comp, perm, decor)
-            new = out.get(key, 0) + sign
-            if new:
-                out[key] = new
-            else:
-                del out[key]
+            decors = [(monoid.zero(),) * total]
+        for combo in itertools.product(*factors):
+            leaves: list = []
+            sign = coeff
+            for part, s in combo:
+                leaves += part
+                sign *= s
+            perm = tuple([p for p, _ in leaves])
+            if not trivial:
+                dec = [None] * total
+                for p, d in leaves:
+                    dec[p - 1] = d
+                if quotient and not all(d is None or monoid.is_allowed(d)
+                                        for d in dec):
+                    continue
+                open_positions = [i for i, d in enumerate(dec) if d is None]
+                decors = []
+                for choice in itertools.product(elements,
+                                                repeat=len(open_positions)):
+                    for i, d in zip(open_positions, choice):
+                        dec[i] = d
+                    decors.append(tuple(dec))
+            for decor in decors:
+                key = (co_comp, ac_comp, perm, decor)
+                new = out.get(key, 0) + sign
+                if new:
+                    out[key] = new
+                else:
+                    del out[key]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import pathlib
 import subprocess
@@ -111,3 +112,36 @@ def test_bench_pair_folds_other_workloads_and_attachments(tmp_path):
     proc, out = _run_tool(tmp_path, "--also", "realize")
     assert proc.returncode == 2 and "as many parent runs" in proc.stderr
     assert not out.exists()
+
+
+DIGEST = ROOT / "tools" / "cache_digest.py"
+
+
+def test_cache_digest_compares_checkouts():
+    proc = subprocess.run(
+        [sys.executable, str(DIGEST), "--workload", "realize", "--seeds",
+         "1", "--parent", str(ROOT), "--change", str(ROOT)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout)
+    assert record["workload"] == "realize" and record["seeds"] == [1]
+    run = record["parent"]["1"]
+    assert run == record["change"]["1"] and record["identical"]
+    assert run["items"] > 0 and run["correct"] and run["entries"] > 0
+    assert len(run["sha256"]) == 64
+
+
+def test_cache_digest_sees_every_constant(monkeypatch):
+    spec = importlib.util.spec_from_file_location("cache_digest", DIGEST)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    from dyalg import algebra
+    monkeypatch.setattr(algebra, "_CACHE", {})
+    for b in algebra.enumerate_basis(1, 2):
+        algebra.compose_basis(1, b, b)
+    before = tool.cache_digest()
+    assert tool.cache_digest() == before
+    key, constants = next(iter(algebra._CACHE.items()))
+    k = next(iter(constants))
+    algebra._CACHE[key] = {**constants, k: constants[k] + 1}
+    assert tool.cache_digest() != before

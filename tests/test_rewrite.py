@@ -426,7 +426,7 @@ def test_stage_one_measure_strictly_drops(monkeypatch):
         monkeypatch.setattr(rewrite, f"_apply_{name}",
                             counted(name, getattr(rewrite, f"_apply_{name}")))
     rng = random.Random(31)
-    for trial in range(300):
+    for trial in range(400):
         monoid = (TRIVIAL, SPLIT, RootCone(2, 2))[trial % 3]
         n = rng.choice((1, 2))
         slices = random_term(n, rng, max_nodes=7, monoid=monoid)
@@ -434,3 +434,91 @@ def test_stage_one_measure_strictly_drops(monkeypatch):
     assert len(transitions) >= 5000
     assert all(transitions)
     assert min(fired.values()) >= 100, fired
+
+
+# -- netting: each bracket-free term is rewritten once per call ---------------
+
+_OUT_PORTS = {"c": ((),), "a": (), "m": ((),), "d": ((0,), (1,))}
+_IN_PORTS = {"c": (), "a": ((),), "m": ((0,), (1,)), "d": ((),)}
+
+
+def _relabelled(t):
+    """``t`` up to node ids: number the nodes breadth first, starting from
+    the lines in order and following every leg both ways in port order,
+    and rename every port and decoration by those numbers."""
+    queue = [x for line in t.lines for x in line]
+    new = {x: i for i, x in enumerate(queue)}
+    for x in queue:  # the queue grows while it is read
+        k = t.kind[x]
+        ends = ([t.wire_to[(k, x) + e] for e in _OUT_PORTS[k]]
+                + [t.wire_from[(k, x) + e] for e in _IN_PORTS[k]])
+        for _, y, *_ in ends:
+            if y not in new:
+                new[y] = len(new)
+                queue.append(y)
+    assert len(new) == len(t.kind)
+
+    def port(p):
+        return (p[0], new[p[1]], *p[2:])
+
+    return (tuple(tuple(new[x] for x in line) for line in t.lines),
+            frozenset((new[x], k) for x, k in t.kind.items()),
+            frozenset((port(p), port(c)) for p, c in t.wire_to.items()),
+            frozenset((port(p), d) for p, d in t.dec.items()))
+
+
+def _straighten_unnetted(t, monoid, exchange):
+    """Stages 1 and 2 by the package's rules on a plain work list, one term
+    per occurrence, then the stepwise stage 3 above.  Returns the keys and
+    the number of EXCHANGE steps."""
+    work, sorted_terms, exchanges = [(t, 1)], [], 0
+    while work:
+        s, c = work.pop()
+        if s.mus():
+            results = rewrite._resolve_bracket(s, min(s.mus()), monoid)
+        elif s.inversions():
+            safe = [p for p in s.inversions()
+                    if not any(s.has_bad_pair(a)
+                               for a in s.leaf_actions(("c", p[1])))]
+            results = exchange(s, *safe[-1])
+            exchanges += 1
+        else:
+            sorted_terms.append((s, c))
+            continue
+        work.extend((r, c * c2) for r, c2 in results)
+    fired = dict.fromkeys(("delta_coact", "push_delta", "quotient_drop"), 0)
+    return _ref_stage_3(sorted_terms, monoid, fired), exchanges
+
+
+def test_netting_is_complete_and_transparent(monkeypatch):
+    exchange = rewrite._apply_exchange
+    handed = []  # (stage-2 measure, term up to node ids) per EXCHANGE input
+
+    def recorded(t, act_id, coact_id):
+        handed.append((_action_coaction_pairs(t), _relabelled(t)))
+        return exchange(t, act_id, coact_id)
+
+    monkeypatch.setattr(rewrite, "_apply_exchange", recorded)
+    rng = random.Random(59)
+    netted = unnetted = nonzero = 0
+    for trial in range(320):
+        monoid = (TRIVIAL, SPLIT, RootCone(2, 2), B2_MOD)[trial % 4]
+        n = rng.choice((1, 2))
+        slices = random_term(n, rng, max_nodes=7, monoid=monoid)
+        if term_graph(slices, n) is None:
+            continue
+        want, steps = _straighten_unnetted(term_graph(slices, n), monoid,
+                                           exchange)
+        handed.clear()
+        got = rewrite.straighten_graph(term_graph(slices, n), monoid,
+                                       RandomScheduler(seed=trial))
+        assert got == want, slices
+        measures = [m for m, _ in handed]
+        assert measures == sorted(measures, reverse=True), slices
+        assert len({form for _, form in handed}) == len(handed), slices
+        netted += len(handed)
+        unnetted += steps
+        nonzero += bool(want)
+    assert nonzero >= 200
+    assert netted >= 300
+    assert unnetted - netted >= 100  # netting merged terms

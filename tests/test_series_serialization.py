@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from dyalg.algebra import AlgebraElement, kappa, omega
 from dyalg.monoids import SPLIT
 from dyalg.series import GradedSeries
@@ -32,3 +34,15 @@ def test_pbw_blocks():
     dec = pbw_decompose_blocks(w, (2, 1))
     assert dec[(((1, 2),), (3,))] == Fraction(1, 2)
     assert dec[((1, 2), (3,))] == Fraction(1)
+
+
+def test_inhomogeneous_component_rejected():
+    mixed = kappa(1, 1) + kappa(1, 1) * kappa(1, 1)  # degrees 1 and 2
+    with pytest.raises(ValueError, match="not homogeneous"):
+        GradedSeries(1, 3, parts={1: mixed})
+    data = GradedSeries.of_element(mixed, 3).to_json()
+    data["parts"]["1"] = mixed.to_json()
+    with pytest.raises(ValueError, match="not homogeneous"):
+        GradedSeries.from_json(data)
+    # a component above the order is dropped before it is checked
+    assert GradedSeries(1, 0, parts={1: mixed}).is_zero()
