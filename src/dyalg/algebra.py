@@ -20,7 +20,6 @@ and is graded by the strand count N.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from fractions import Fraction
@@ -299,9 +298,8 @@ def compose_basis(n: int, s_key: Key, t_key: Key,
 # cosimplicial structure and slot maps: regroupings of a key's positions
 
 
-_FACE_SHAPES: dict[tuple, list] = {}
-_SLOT_SHAPES: dict[tuple, list] = {}
-_NET_SHAPES: dict[tuple, list] = {}
+# the shapes of every regrouping: regrouping -> (co, ac) -> netted shapes
+_FACE_SHAPES: dict[tuple, dict[tuple, list]] = {}
 
 
 def _shape(new_co: list, new_ac: list) -> tuple:
@@ -324,55 +322,30 @@ def _shape(new_co: list, new_ac: list) -> tuple:
             tuple(q for block in new_co for q in block), tuple(pmap), pinv)
 
 
-def _face_regroupings(i: int, co: tuple, ac: tuple) -> list:
-    """The shapes of the i-th face map on keys with compositions co, ac,
-    uncached and unweighted.
+def _shapes(regrouping: tuple, co: tuple, ac: tuple) -> list:
+    """The netted signed shapes of a regrouping on keys with compositions
+    co, ac.
 
-    A face map only regroups the coaction and action positions of slot i.
+    ``regrouping`` is ``("faces", ((i, sign), ...))``, a signed sum of face
+    maps, or ``("slots", ((placement, sign), ...))``, a signed sum of slot
+    maps, each moving old slot ``placement[k]`` to new slot k+1 (a 0 leaves
+    that new slot empty).  Each shape is ``_shape``'s tuple followed by the
+    sum of the signs that give it; those of weight 0 are dropped.
     """
-    ac_splits = _face_blocks(_position_blocks(ac), i)
-    return [_shape(new_co, new_ac)
-            for new_co in _face_blocks(_position_blocks(co), i)
-            for new_ac in ac_splits]
-
-
-def _face_shapes(i: int, co: tuple, ac: tuple) -> list:
-    """The shapes of the i-th face map, each of weight 1."""
-    ck = (i, co, ac)
-    hit = _FACE_SHAPES.get(ck)
-    if hit is None:
-        hit = _FACE_SHAPES[ck] = [
-            shape + (1,) for shape in _face_regroupings(i, co, ac)]
-    return hit
-
-
-def _net_face_shapes(co: tuple, ac: tuple) -> list:
-    """The shapes of the Hochschild differential on keys with compositions
-    co, ac: the shapes of every face i, equal ones summed with weight
-    (-1)**i, those of weight 0 dropped."""
-    ck = (co, ac)
-    hit = _NET_SHAPES.get(ck)
-    if hit is None:
-        weights: dict[tuple, int] = {}
-        for i in range(len(co) + 2):
-            for shape in _face_regroupings(i, co, ac):
-                weights[shape] = weights.get(shape, 0) + (-1) ** i
-        hit = _NET_SHAPES[ck] = [shape + (w,)
-                                 for shape, w in weights.items() if w]
-    return hit
-
-
-def _slot_shapes(placement: tuple, co: tuple, ac: tuple) -> list:
-    """The one shape, of weight 1, that moves old slot ``placement[k]`` to
-    new slot k+1; a 0 in ``placement`` leaves that new slot empty."""
-    ck = (placement, co, ac)
-    hit = _SLOT_SHAPES.get(ck)
-    if hit is None:
-        co_blocks, ac_blocks = _position_blocks(co), _position_blocks(ac)
-        hit = _SLOT_SHAPES[ck] = [_shape(
-            [co_blocks[s - 1] if s else [] for s in placement],
-            [ac_blocks[s - 1] if s else [] for s in placement]) + (1,)]
-    return hit
+    kind, signed = regrouping
+    co_blocks, ac_blocks = _position_blocks(co), _position_blocks(ac)
+    weights: dict[tuple, int] = {}
+    for arg, sgn in signed:
+        if kind == "faces":
+            pairs = itertools.product(_face_blocks(co_blocks, arg),
+                                      _face_blocks(ac_blocks, arg))
+        else:
+            pairs = [([co_blocks[s - 1] if s else [] for s in arg],
+                      [ac_blocks[s - 1] if s else [] for s in arg])]
+        for new_co, new_ac in pairs:
+            shape = _shape(new_co, new_ac)
+            weights[shape] = weights.get(shape, 0) + sgn
+    return [shape + (w,) for shape, w in weights.items() if w]
 
 
 def _position_blocks(comp: tuple) -> list[list[int]]:
@@ -393,30 +366,33 @@ def _face_blocks(blocks: list, i: int) -> list:
             for take in itertools.combinations(block, r)]
 
 
-def _shape_sum(x: AlgebraElement, n_new: int, images) -> AlgebraElement:
-    """The sum of ``sign`` times x mapped through ``shapes_of(co, ac)``
-    over ``(shapes_of, sign)`` in images, on n_new slots.
+def _shape_sum(x: AlgebraElement, n_new: int,
+               regrouping: tuple) -> AlgebraElement:
+    """x mapped through a signed sum of regroupings (see ``_shapes``), on
+    n_new slots.
 
-    A shape is ``_shape``'s tuple followed by an integer weight, and it
-    maps a term ``c * key`` to ``sign * weight * c`` times one image key.
-    The shapes of one face map and of one slot map have weight 1; a shape
-    of ``hochschild_d`` has the summed sign of the faces that share it.
-    Signs and weights are ints, so the numerators of x are summed as Python
-    ints over x's denominator.
+    The netted shapes of each ``(co, ac)`` are built once and cached in
+    ``_FACE_SHAPES``; a shape of weight w maps a term ``c * key`` to
+    ``w * c`` times one image key.  A shape depends on neither the
+    permutation nor the decorations, so regroupings whose signs cancel on
+    a shape cancel on every key before any key is built.  Weights are
+    ints, so the numerators of x are summed as Python ints over x's
+    denominator.
     """
-    terms = list(x.num.items())
+    cache = _FACE_SHAPES.setdefault(regrouping, {})
     out: dict[Key, int] = {}
-    for shapes_of, sign in images:
-        for (co, ac, perm, dec), c in terms:
-            v = sign * c
-            for co2, ac2, qinv, pmap, pinv, weight in shapes_of(co, ac):
-                key = (co2, ac2, tuple([pmap[perm[q] - 1] for q in qinv]),
-                       tuple([dec[p] for p in pinv]))
-                new = out.get(key, 0) + weight * v
-                if new:
-                    out[key] = new
-                else:
-                    del out[key]
+    for (co, ac, perm, dec), c in x.num.items():
+        shapes = cache.get((co, ac))
+        if shapes is None:
+            shapes = cache[co, ac] = _shapes(regrouping, co, ac)
+        for co2, ac2, qinv, pmap, pinv, weight in shapes:
+            key = (co2, ac2, tuple([pmap[perm[q] - 1] for q in qinv]),
+                   tuple([dec[p] for p in pinv]))
+            new = out.get(key, 0) + weight * c
+            if new:
+                out[key] = new
+            else:
+                del out[key]
     return AlgebraElement.from_integers(n_new, x.monoid, out, x.den)
 
 
@@ -426,26 +402,26 @@ def face_map(i: int, x: AlgebraElement) -> AlgebraElement:
     i = 0 and i = n+1 insert a trivial slot; for 1 <= i <= n the strands of
     slot i distribute over the two tensor factors of the split slot in all
     ways, preserving their relative order.  Decorations ride along on their
-    strands.  The shapes come from ``_face_shapes``; the coefficients are
-    summed exactly as integers (see ``_shape_sum``).
+    strands.  It is the regrouping ``("faces", ((i, 1),))`` of
+    ``_shape_sum``.
     """
     n = x.n
     if not 0 <= i <= n + 1:
         raise ValueError(f"face index {i} out of range 0..{n + 1}")
-    return _shape_sum(x, n + 1, ((functools.partial(_face_shapes, i), 1),))
+    return _shape_sum(x, n + 1, ("faces", ((i, 1),)))
 
 
 def hochschild_d(x: AlgebraElement) -> AlgebraElement:
     """Alternating sum of the face maps; squares to zero.
 
-    Equal shapes of different faces are netted before any key is built
-    (``_net_face_shapes``): a shape depends on neither the permutation nor
-    the decorations, so shapes whose signs sum to zero cancel on every key.
+    It is one regrouping, every face i with sign (-1)**i, so equal shapes
+    of different faces are netted before any key is built (``_shapes``).
     For example, for 1 <= i <= n face i's split (∅, slot i) is the same
     regrouping as face i-1's split (slot i-1, ∅), with the opposite sign;
     for i = 1 the partner is face 0, which inserts the same empty slot.
     """
-    return _shape_sum(x, x.n + 1, ((_net_face_shapes, 1),))
+    return _shape_sum(x, x.n + 1, ("faces", tuple(
+        (i, (-1) ** i) for i in range(x.n + 2))))
 
 
 def slot_permute(x: AlgebraElement, perm: tuple[int, ...]) -> AlgebraElement:
@@ -453,16 +429,19 @@ def slot_permute(x: AlgebraElement, perm: tuple[int, ...]) -> AlgebraElement:
     slot perm[k-1]."""
     if sorted(perm) != list(range(1, x.n + 1)):
         raise ValueError("bad slot permutation")
-    return _shape_sum(
-        x, x.n, ((functools.partial(_slot_shapes, inverse(perm)), 1),))
+    return _shape_sum(x, x.n, ("slots", ((inverse(perm), 1),)))
 
 
 def alt(x: AlgebraElement) -> AlgebraElement:
-    """Antisymmetrization over slot permutations (a projector)."""
+    """Antisymmetrization over slot permutations (a projector).
+
+    It is one regrouping, every slot permutation p with sign(p), so two
+    permutations that give the same shape (say, ones that swap two empty
+    slots) cancel before any key is built.
+    """
     perms = list(all_permutations(x.n))
-    return Fraction(1, len(perms)) * _shape_sum(
-        x, x.n, ((functools.partial(_slot_shapes, inverse(p)), sign(p))
-                 for p in perms))
+    return Fraction(1, len(perms)) * _shape_sum(x, x.n, ("slots", tuple(
+        (inverse(p), sign(p)) for p in perms)))
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +494,7 @@ def embed_slots(x: AlgebraElement, n_new: int,
     placement = [0] * n_new
     for k, v in mapping.items():
         placement[v - 1] = k
-    return _shape_sum(
-        x, n_new, ((functools.partial(_slot_shapes, tuple(placement)), 1),))
+    return _shape_sum(x, n_new, ("slots", ((tuple(placement), 1),)))
 
 
 def is_invariant(x: AlgebraElement) -> bool:
@@ -597,8 +575,9 @@ def rho_tilde_pair(x: AlgebraElement, monoid: RootCone, small: set[int],
     if not small <= big:
         raise ValueError("supports not nested")
     small_elts = cone_elements(monoid, small, window)
+    small_set = set(small_elts)
     big_elts = [a for a in cone_elements(monoid, big, window)
-                if a not in set(small_elts)]
+                if a not in small_set]
     return _redecorate(x, monoid,
                        lambda d: small_elts if d == 0 else big_elts)
 

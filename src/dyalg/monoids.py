@@ -122,9 +122,6 @@ class RootCone(DecorationMonoid):
     def zero(self):
         return (0,) * self.rank
 
-    def weight(self, a) -> int:
-        return sum(a)
-
     def add(self, a, b):
         c = tuple(x + y for x, y in zip(a, b))
         if sum(c) > self.cap:

@@ -16,7 +16,7 @@ from dyalg.algebra import (AlgebraElement, alpha_map, alt, beta_map,
                            quotient_allowed, r_matrix, rho_tilde_b,
                            rho_tilde_pair, slot_permute)
 from dyalg.monoids import RootCone, RootConeMod, SPLIT, TRIVIAL
-from dyalg.permutations import compositions, inverse
+from dyalg.permutations import compositions, inverse, sign
 from dyalg.series import GradedSeries
 from dyalg.twists import gauge, solve_gauge
 
@@ -183,41 +183,57 @@ def test_slot_maps_match_strandwise_reference():
                 assert got == _reference_slot_map(x, n_new, targets), (
                     targets, x)
                 _assert_fraction_terms(got)
+        want = AlgebraElement.zero(x.n, x.monoid)
+        for perm in itertools.permutations(range(1, x.n + 1)):
+            want = want + sign(perm) * _reference_slot_map(x, x.n, perm)
+        assert alt(x) == Fraction(1, math.factorial(x.n)) * want, x
+    # one of the 3-slot keys above has two empty slots, and the two
+    # permutations that differ by swapping them cancel
+    assert alt(kappa(3, 1)).is_zero()
 
 
 def test_face_shape_cache_is_transparent_and_small():
-    algebra._FACE_SHAPES.clear()
-    algebra._NET_SHAPES.clear()
+    cache = algebra._FACE_SHAPES
+    cache.clear()
     met = set()
     for x in _small_basis_elements():
         dx = hochschild_d(x)
         assert hochschild_d(dx).is_zero()
         met |= {(co, ac) for y in (x, dx) for co, ac, _, _ in y.terms}
-    # d reads only the net cache, one entry per (co, ac) pair it met, and
-    # keeps no shape whose face signs cancel
-    assert not algebra._FACE_SHAPES
-    assert set(algebra._NET_SHAPES) <= met
-    assert all(shape[-1] for shapes in algebra._NET_SHAPES.values()
-               for shape in shapes)
+    # d fills only its own regrouping, one entry per (co, ac) pair it met,
+    # and keeps no shape whose face signs cancel
+    assert set(cache) == {("faces", tuple((i, (-1) ** i)
+                                          for i in range(n + 2)))
+                          for n in (1, 2, 3)}
+    assert all(set(entries) <= met for entries in cache.values())
+    assert all(shape[-1] for entries in cache.values()
+               for shapes in entries.values() for shape in shapes)
+    cache.clear()
     for x in _small_basis_elements():
         for i in range(x.n + 2):
             face_map(i, x)
-    # the cache key is (i, co, ac): the permutation and the decorations
-    # must stay out of it
-    triples = sum((m + 2) * len(compositions(deg, m)) ** 2
-                  for m in (1, 2, 3) for deg in range(4))
-    assert len(algebra._FACE_SHAPES) <= triples
+    # an entry is keyed by the face i and (co, ac): the permutation and the
+    # decorations must stay out of it
+    pairs = {(co, ac) for m in (1, 2, 3) for deg in range(4)
+             for co in compositions(deg, m) for ac in compositions(deg, m)}
+    assert all(kind == "faces" and len(signed) == 1 and set(entries) <= pairs
+               for (kind, signed), entries in cache.items())
+    triples = sum(len(co) + 2 for co, _ in pairs)
+    assert sum(map(len, cache.values())) <= triples
+
+    def maps(x):
+        perms = list(itertools.permutations(range(1, x.n + 1)))
+        return ([lambda i=i: face_map(i, x) for i in range(x.n + 2)]
+                + [lambda: hochschild_d(x), lambda: alt(x)]
+                + [lambda p=p: slot_permute(x, p) for p in perms])
+
     for x in itertools.chain(_small_basis_elements(max_degree=2),
                              _rational_combinations(seed=11, count=5)):
-        warm = [face_map(i, x) for i in range(x.n + 2)] + [hochschild_d(x)]
+        warm = [f() for f in maps(x)]
         cold = []
-        for i in range(x.n + 2):
-            algebra._FACE_SHAPES.clear()
-            algebra._NET_SHAPES.clear()
-            cold.append(face_map(i, x))
-        algebra._FACE_SHAPES.clear()
-        algebra._NET_SHAPES.clear()
-        cold.append(hochschild_d(x))
+        for f in maps(x):
+            cache.clear()
+            cold.append(f())
         assert [y.to_json() for y in cold] == [y.to_json() for y in warm]
 
 
