@@ -53,7 +53,10 @@ def _object(data) -> dict:
 
 
 def _gcm(data) -> tuple:
-    return data["cartan"], data.get("cap", 2), data.get("symmetrizers")
+    cap = data.get("cap", 2)
+    if not isinstance(cap, int) or isinstance(cap, bool):
+        raise TypeError(f"cap must be an integer, got {cap!r}")
+    return data["cartan"], cap, data.get("symmetrizers")
 
 
 def _emit(data, fmt: str) -> None:

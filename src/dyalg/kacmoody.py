@@ -19,7 +19,11 @@ Every element of the extended algebra, upper or lower Borel, is one sparse
 dict {label: coefficient} over the labels ("h", i), ("cw", i), ("e", w, j)
 and ("f", w, j), where j indexes the chosen basis of the root space at
 weight w.  There is one bracket: the bilinear extension of a memoized
-bracket of two basis labels.
+bracket of two basis labels.  Same-side root vectors bracket through the
+Serre-quotient root spaces; an e-label against an f-label goes by the
+Jacobi recursion on labels down to [e_i, f_j] = delta_ij h_i.  The root
+pairing is read off that bracket, and the cobracket off the bracket and
+the blocks of the pairing.
 """
 
 from __future__ import annotations
@@ -36,9 +40,23 @@ from .monoids import RootCone
 Weight = tuple  # multidegree over the simple roots
 
 
-def symmetrizer(cartan: list[list[int]]) -> list[int]:
-    """The positive coprime diagonal making D*A symmetric; raises if the
-    matrix is not symmetrizable."""
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def check_gcm(cartan, symmetrizers=None) -> tuple[list[list[int]], list[int]]:
+    """The rows of a generalized Cartan matrix A and a positive diagonal D
+    making D*A symmetric: the given ``symmetrizers``, or the coprime one.
+
+    Raises ValueError unless A is square with integer entries, diagonal 2,
+    off-diagonal entries <= 0 and a_ij = 0 exactly when a_ji = 0, and D is
+    one positive integer per row with D*A symmetric."""
+    if not isinstance(cartan, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) and len(row) == len(cartan)
+            and all(map(_is_int, row)) for row in cartan):
+        raise ValueError("a generalized Cartan matrix is a square integer "
+                         "matrix")
+    cartan = [list(row) for row in cartan]
     l = len(cartan)
     for i in range(l):
         if cartan[i][i] != 2:
@@ -47,6 +65,27 @@ def symmetrizer(cartan: list[list[int]]) -> list[int]:
             if i != j and (cartan[i][j] > 0 or
                            (cartan[i][j] == 0) != (cartan[j][i] == 0)):
                 raise ValueError("not a generalized Cartan matrix")
+    ds = (_coprime_symmetrizer(cartan) if symmetrizers is None
+          else symmetrizers)
+    if not isinstance(ds, (list, tuple)) or len(ds) != l or \
+            not all(_is_int(d) and d > 0 for d in ds):
+        raise ValueError("symmetrizers are positive integers, one per row")
+    for i in range(l):
+        for j in range(l):
+            if ds[i] * cartan[i][j] != ds[j] * cartan[j][i]:
+                raise ValueError("D*A is not symmetric")
+    return cartan, list(ds)
+
+
+def symmetrizer(cartan) -> list[int]:
+    """The positive coprime diagonal making D*A symmetric; raises
+    ValueError if the matrix is not a symmetrizable GCM."""
+    return check_gcm(cartan)[1]
+
+
+def _coprime_symmetrizer(cartan: list[list[int]]) -> list[int]:
+    """Propagate d_j / d_i = a_ij / a_ji along the Dynkin graph."""
+    l = len(cartan)
     ratio: dict[int, Fraction] = {}
     for start in range(l):
         if start in ratio:
@@ -68,12 +107,7 @@ def symmetrizer(cartan: list[list[int]]) -> list[int]:
     denom = math.lcm(*(r.denominator for r in ratio.values()))
     ds = [int(ratio[i] * denom) for i in range(l)]
     g = math.gcd(*ds)
-    ds = [d // g for d in ds]
-    for i in range(l):
-        for j in range(l):
-            if ds[i] * cartan[i][j] != ds[j] * cartan[j][i]:
-                raise ValueError("GCM is not symmetrizable")
-    return ds
+    return [d // g for d in ds]
 
 
 def _content(word: tuple, rank: int) -> Weight:
@@ -176,18 +210,9 @@ class KacMoodyBorel:
     :meth:`_basis_bracket`, which covers every pair of labels."""
 
     def __init__(self, cartan, cap: int, symmetrizers=None):
-        self.cartan = [list(map(int, row)) for row in cartan]
-        self.rank = len(cartan)
+        self.cartan, self.sym = check_gcm(cartan, symmetrizers)
+        self.rank = len(self.cartan)
         self.cap = cap
-        if symmetrizers is not None:
-            self.sym = list(map(int, symmetrizers))
-            for i in range(self.rank):
-                for j in range(self.rank):
-                    if (self.sym[i] * self.cartan[i][j]
-                            != self.sym[j] * self.cartan[j][i]):
-                        raise ValueError("given symmetrizers do not work")
-        else:
-            self.sym = symmetrizer(self.cartan)
         self.roots = _RootSpaces(self.cartan, cap)
         self.weights_list = [w for w in RootCone(self.rank, cap).elements()[1:]
                              if self.roots.dim(w) > 0]
@@ -208,9 +233,7 @@ class KacMoodyBorel:
         self.names = names
         self.basis_keys = list(self.index)  # inverse of self.index
         self._cartan_keys = self.basis_keys[:2 * self.rank]
-        self._mixed_cache: dict = {}
         self._bracket_cache: dict = {}
-        self._pairing_blocks: dict = {}
         # the form is symmetric, so its rows are its columns
         self._form = linalg.Span({j: c for j, c in enumerate(row) if c}
                                  for row in self.cartan_form())
@@ -241,16 +264,20 @@ class KacMoodyBorel:
         else:
             tx = self.roots.basis_trees[x[1]][x[2]]
             ty = self.roots.basis_trees[y[1]][y[2]]
-            if x[0] != y[0]:
-                out = self._mixed_tree(tx, ty)
+            if x[0] == y[0]:
+                out = self._root_elt(x[0], (tx, ty))
+            elif isinstance(tx, int) and isinstance(ty, int):
+                out = {("h", tx - 1): Fraction(1)} if tx == ty else {}
+            elif isinstance(tx, int):
+                # [e, [fu, fv]] = [[e, fu], fv] - [[e, fv], fu]
+                fu, fv = (self._root_elt("f", t) for t in ty)
+                out = _difference(self._bracket(self._bracket({x: 1}, fu), fv),
+                                  self._bracket(self._bracket({x: 1}, fv), fu))
             else:
-                target = tuple(a + b for a, b in zip(x[1], y[1]))
-                out = {}
-                if sum(target) <= self.cap:
-                    coords = self.roots.coords(target, lie_bracket_assoc(
-                        expand_to_assoc(tx), expand_to_assoc(ty)))
-                    out = {(x[0], target, k): c
-                           for k, c in enumerate(coords) if c}
+                # [[eu, ev], f] = [eu, [ev, f]] - [ev, [eu, f]]
+                eu, ev = (self._root_elt("e", t) for t in tx)
+                out = _difference(self._bracket(eu, self._bracket(ev, {y: 1})),
+                                  self._bracket(ev, self._bracket(eu, {y: 1})))
         self._bracket_cache[key] = out
         return out
 
@@ -271,33 +298,6 @@ class KacMoodyBorel:
         coords = self.roots.coords(w, expand_to_assoc(tree))
         return {(side, w, k): c for k, c in enumerate(coords) if c}
 
-    def _mixed_tree(self, etree, ftree) -> dict:
-        """[e-tree, f-tree] by the Jacobi recursion down to [e_i, f_j] =
-        delta_ij h_i, memoized."""
-        key = (etree, ftree)
-        if key in self._mixed_cache:
-            return self._mixed_cache[key]
-        if isinstance(etree, int) and isinstance(ftree, int):
-            out = {("h", etree - 1): Fraction(1)} if etree == ftree else {}
-        elif isinstance(etree, int):
-            # [e, [fu, fv]] = [[e, fu], fv] - [[e, fv], fu]
-            u, v = ftree
-            out = _difference(
-                self._bracket(self._mixed_tree(etree, u),
-                              self._root_elt("f", v)),
-                self._bracket(self._mixed_tree(etree, v),
-                              self._root_elt("f", u)))
-        else:
-            # [[eu, ev], F] = [eu, [ev, F]] - [ev, [eu, F]]
-            u, v = etree
-            out = _difference(
-                self._bracket(self._root_elt("e", u),
-                              self._mixed_tree(v, ftree)),
-                self._bracket(self._root_elt("e", v),
-                              self._mixed_tree(u, ftree)))
-        self._mixed_cache[key] = out
-        return out
-
     # -- form and cobracket -------------------------------------------------
 
     def cartan_form(self):
@@ -315,24 +315,20 @@ class KacMoodyBorel:
         """Gram matrix of the raising/lowering pairing at a weight, from
         [x, y] = (x, y) t_weight, t_weight being the Cartan element that
         represents the weight through the (non-degenerate) form."""
-        if weight in self._pairing_blocks:
-            return self._pairing_blocks[weight]
         keys = self._cartan_keys
         t_weight = self._form.coords({j: self._alpha(k, weight)
                                       for j, k in enumerate(keys)})
         line = linalg.Span([dict(enumerate(t_weight))])
         dim = self.roots.dim(weight)
         gram = [[Fraction(0)] * dim for _ in range(dim)]
-        trees = self.roots.basis_trees[weight]
         for i, j in itertools.product(range(dim), repeat=2):
-            br = dict(self._mixed_tree(trees[i], trees[j]))
+            br = dict(self._basis_bracket(("e", weight, i), ("f", weight, j)))
             hv = {m: br.pop(k) for m, k in enumerate(keys) if k in br}
             assert not br, "mixed bracket left the Cartan"
             c = line.coords(hv)
             assert c is not None, \
                 "mixed bracket not proportional to the weight element"
             gram[i][j] = c[0]
-        self._pairing_blocks[weight] = gram
         return gram
 
     # -- assembled bialgebra data -------------------------------------------
@@ -354,56 +350,41 @@ class KacMoodyBorel:
         return LieBialgebraData(d, bracket, cobracket, weights, self.names)
 
     def _cobracket_table(self):
-        """delta on the Borel from the Manin pairing: the lower Borel pairs
+        """delta on the Borel from the Manin pairing P: the lower Borel pairs
         with the upper through 2*(Cartan form) on the Cartan block and the
-        root pairing on each root block."""
+        root pairing on each root block.  Brackets of lower basis elements,
+        [x_a, x_b] = sum_k c x_k, give delta(z) = sum P[z][k] c pinv[a] (x)
+        pinv[b], pinv the inverse of P."""
         d = self.dim
-        cform = self.cartan_form()
-        # the pairing is block diagonal, so its inverse is too: rows[a] holds
-        # the non-zero (column, entry) pairs of row a of the inverse
-        blocks = [(range(2 * self.rank), [[2 * c for c in r] for r in cform])]
-        blocks += [([self.index[("e", w, a)] for a in range(self.roots.dim(w))],
-                    self.root_pairing(w)) for w in self.weights_list]
-        rows = [None] * d
+        # P is block diagonal, so its inverse is too: cols[k] holds the
+        # non-zero (row, entry) pairs of column k of P, rows[a] those of
+        # row a of the inverse
+        blocks = [(range(2 * self.rank),
+                   [[2 * c for c in r] for r in self.cartan_form()])]
+        blocks += [([self.index[("e", w, j)]
+                     for j in range(self.roots.dim(w))], self.root_pairing(w))
+                   for w in self.weights_list]
+        rows, cols = [None] * d, [None] * d
         for at, block in blocks:
             for a, row in zip(at, linalg.inverse(block)):
                 rows[a] = [(at[r], c) for r, c in enumerate(row) if c]
-        # the lower-Borel basis mirrors the upper one (e -> f); brackets of
-        # lower basis elements, paired against z, give delta(z)
+            for k, col in zip(at, zip(*block)):
+                cols[k] = [(at[z], c) for z, c in enumerate(col) if c]
+        # the lower-Borel basis mirrors the upper one (e -> f)
         lower = [("f",) + k[1:] if k[0] == "e" else k
                  for k in self.basis_keys]
-        brackets = [[self._basis_bracket(xa, xb) for xb in lower]
-                    for xa in lower]
-        cob = []
-        for z in range(d):
-            # pinv^T m pinv, pinv the inverse of the pairing, over the
-            # non-zero entries of m and of pinv
-            out = [[Fraction(0)] * d for _ in range(d)]
-            for a, row in enumerate(brackets):
-                for b, br in enumerate(row):
-                    m = self._pair_upper(z, br, cform)
-                    if not m:
-                        continue
-                    for r, p in rows[a]:
-                        mp = m * p
-                        target = out[r]
-                        for s, q in rows[b]:
-                            target[s] += mp * q
-            cob.append(out)
+        lower_index = {k: i for i, k in enumerate(lower)}
+        cob = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
+        for a, xa in enumerate(lower):
+            for b, xb in enumerate(lower):
+                for xk, c in self._basis_bracket(xa, xb).items():
+                    for z, p in cols[lower_index[xk]]:
+                        for r, pa in rows[a]:
+                            m = p * c * pa
+                            target = cob[z][r]
+                            for s, pb in rows[b]:
+                                target[s] += m * pb
         return cob
-
-    def _pair_upper(self, z: int, elt: dict, cform) -> Fraction:
-        """Pairing of upper basis element z against an element of the lower
-        Borel (only its f and Cartan parts pair); ``cform`` is
-        :meth:`cartan_form`."""
-        key = self.basis_keys[z]
-        if key[0] in ("h", "cw"):
-            return 2 * sum(cform[z][j] * elt.get(k, 0)
-                           for j, k in enumerate(self._cartan_keys))
-        _, w, j = key
-        gram = self.root_pairing(w)
-        return sum(gram[j][b] * elt.get(("f", w, b), 0)
-                   for b in range(len(gram)))
 
 
 def _difference(a: dict, b: dict) -> dict:
@@ -423,6 +404,7 @@ def _tree_word(tree) -> tuple:
 def build_kac_moody_borel(cartan, cap: int,
                           symmetrizers=None) -> LieBialgebraData:
     """Assembled bialgebra data of the truncated extended Borel."""
+    cartan, symmetrizers = check_gcm(cartan, symmetrizers)
     if len(cartan) > 3 or cap > 4:
         raise ValueError("size guard: rank <= 3 and height cap <= 4")
     return KacMoodyBorel(cartan, cap, symmetrizers).bialgebra()

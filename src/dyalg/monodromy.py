@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bialgebra import Matrix, eye, madd, matmul, mscale, zeros
+from .bialgebra import Matrix, eye, madd, mat, matmul, mscale, zeros
 from . import linalg
 
 
@@ -115,8 +115,11 @@ def solve_local_monodromy(s1: dict, s2: dict, fleet: dict,
     same names to matrix series (lists of order+1 matrices).  Both inputs
     must have leading term equal to the triple exponential and weight-zero
     corrections; the identity shape makes each degree corrector a multiple
-    of h, which is checked on every module simultaneously.
+    of h, which is checked on every module simultaneously.  Matrices may be
+    given as nested lists or tuples.
     """
+    s1, s2 = ({name: [mat(m) for m in series] for name, series in s.items()}
+              for s in (s1, s2))
     names = sorted(fleet)
     stilde = {}
     for name in names:

@@ -165,6 +165,29 @@ def test_km_build_rejects_bad_gcm(tmp_path):
     assert proc.returncode == 4
 
 
+@pytest.mark.parametrize("gcm, code", [
+    pytest.param({"cartan": [[2, -1]]}, 4, id="not-square"),
+    pytest.param({"cartan": [[3]], "symmetrizers": [1]}, 4, id="diagonal-3"),
+    pytest.param({"cartan": [[2, -1], [-1, 2]], "symmetrizers": [-1, -1]}, 4,
+                 id="negative-symmetrizers"),
+    pytest.param({"cartan": [[2]], "symmetrizers": [1.5]}, 4,
+                 id="float-symmetrizer"),
+    pytest.param({"cartan": [[2]], "symmetrizers": [1, 2]}, 4,
+                 id="symmetrizer-too-many"),
+    pytest.param({"cartan": [[2, -1], [-1, 2]], "symmetrizers": [0, 0]}, 4,
+                 id="zero-symmetrizers"),
+    pytest.param({"cartan": [[2, -1], [-1]]}, 4, id="ragged"),
+    pytest.param({"cartan": [[2, -1], [-1, 2]], "cap": "2"}, 2,
+                 id="string-cap"),
+])
+def test_km_build_malformed_input(tmp_path, gcm, code):
+    path = tmp_path / "gcm.json"
+    path.write_text(json.dumps(gcm))
+    proc = run_cli(["km-build", str(path)])
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+
+
 def test_verify_suites_and_unknown():
     proc = run_cli(["verify", "cybe"], check=True)
     assert json.loads(proc.stdout)["assertions"][0]["ok"]

@@ -62,3 +62,16 @@ def test_non_weight_zero_correction_rejected():
         FLEET, [[(Fraction(1), "e")]], ORDER)
     with pytest.raises(ValueError, match="weight zero"):
         solve_local_monodromy(s1, bad, FLEET, ORDER)
+
+
+def test_list_matrices_accepted():
+    # the same series as nested lists solve as their tuple forms do
+    s1 = weight_zero_correction_series(FLEET, CORRECTIONS, 2)
+    u = [Fraction(0), Fraction(1, 3), Fraction(0)]
+    s2 = conjugate_by_scalar_h(s1, FLEET, u, 2)
+    assert solve_local_monodromy(s1, s2, FLEET, 2) == u
+
+    def as_lists(s):
+        return {name: [[list(row) for row in m] for m in series]
+                for name, series in s.items()}
+    assert solve_local_monodromy(as_lists(s1), as_lists(s2), FLEET, 2) == u
