@@ -3,6 +3,9 @@
 Subcommands parse JSON inputs, run one computation, and emit deterministic
 JSON or aligned text.  Exit codes: 0 ok, 1 assertion failure, 2 parse
 error, 3 algebra mismatch, 4 validation failure.
+
+Each command imports the modules it runs inside its own function, so a
+process loads only what its command needs.
 """
 
 from __future__ import annotations
@@ -10,19 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-from .algebra import AlgebraElement, face_map, hochschild_d, is_invariant
-from .bialgebra import (LieBialgebraData, adjoint_module, evaluate,
-                        trivial_module, validate_bialgebra)
-from .cohomology import cohomology_table
-from .coxeter import build_central_family, build_unit_family, \
-    check_coxeter_family
-from .diagrams import Diagram, maximal_nested_sets, quotient_diagram
-from .kacmoody import build_kac_moody_borel, validate_bialgebra_windowed
-from .monoids import TRIVIAL, monoid_from_json
-from .series import GradedSeries
-from .twists import (GaugeObstruction, associator_2jet,
-                     check_associator_axioms, solve_gauge)
 
 OK, FAIL, PARSE, MISMATCH, INVALID = 0, 1, 2, 3, 4
 
@@ -88,6 +78,7 @@ def _emit_text(data, indent: int = 0) -> None:
 
 
 def cmd_multiply(args) -> int:
+    from .algebra import AlgebraElement
     x = _load(args.left, AlgebraElement.from_json)
     y = _load(args.right, AlgebraElement.from_json)
     if x.n != y.n or x.monoid.key() != y.monoid.key():
@@ -98,12 +89,14 @@ def cmd_multiply(args) -> int:
 
 
 def cmd_dh(args) -> int:
+    from .algebra import AlgebraElement, hochschild_d
     x = _load(args.element, AlgebraElement.from_json)
     _emit(hochschild_d(x).to_json(), args.format)
     return OK
 
 
 def cmd_face(args) -> int:
+    from .algebra import AlgebraElement, face_map
     x = _load(args.element, AlgebraElement.from_json)
     if not 0 <= args.index <= x.n + 1:
         print("face index out of range", file=sys.stderr)
@@ -113,6 +106,7 @@ def cmd_face(args) -> int:
 
 
 def cmd_invariant_check(args) -> int:
+    from .algebra import AlgebraElement, is_invariant
     x = _load(args.element, AlgebraElement.from_json)
     flag = is_invariant(x)
     _emit({"invariant": flag}, args.format)
@@ -120,6 +114,8 @@ def cmd_invariant_check(args) -> int:
 
 
 def cmd_cohomology(args) -> int:
+    from .cohomology import cohomology_table
+    from .monoids import TRIVIAL, monoid_from_json
     monoid = (_decode(lambda: json.loads(args.monoid), monoid_from_json)
               if args.monoid else TRIVIAL)
     rows = []
@@ -132,6 +128,7 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_nested_sets(args) -> int:
+    from .diagrams import Diagram, maximal_nested_sets
     dia = _load(args.diagram, Diagram.from_json)
     mns = maximal_nested_sets(dia)
     out = {"count": len(mns),
@@ -141,6 +138,7 @@ def cmd_nested_sets(args) -> int:
 
 
 def cmd_quotient_diagram(args) -> int:
+    from .diagrams import Diagram, quotient_diagram
     dia = _load(args.diagram, Diagram.from_json)
     try:
         quot = quotient_diagram(dia, set(args.vertices))
@@ -152,6 +150,9 @@ def cmd_quotient_diagram(args) -> int:
 
 
 def cmd_realize(args) -> int:
+    from .algebra import AlgebraElement
+    from .bialgebra import (LieBialgebraData, adjoint_module, evaluate,
+                            trivial_module, validate_bialgebra)
     x = _load(args.element, AlgebraElement.from_json)
     bia = _load(args.bialgebra, LieBialgebraData.from_json)
     report = validate_bialgebra(bia)
@@ -176,6 +177,7 @@ def cmd_realize(args) -> int:
 
 
 def cmd_km_build(args) -> int:
+    from .kacmoody import build_kac_moody_borel, validate_bialgebra_windowed
     cartan, cap, symmetrizers = _load(args.gcm, _gcm)
     try:
         borel = build_kac_moody_borel(cartan, cap, symmetrizers)
@@ -190,6 +192,7 @@ def cmd_km_build(args) -> int:
 
 
 def cmd_associator_check(args) -> int:
+    from .twists import associator_2jet, check_associator_axioms
     phi = associator_2jet(args.max_degree)
     report = check_associator_axioms(phi, args.max_degree)
     _emit(report, args.format)
@@ -197,6 +200,8 @@ def cmd_associator_check(args) -> int:
 
 
 def cmd_solve_gauge(args) -> int:
+    from .series import GradedSeries
+    from .twists import GaugeObstruction, solve_gauge
     j1 = _load(args.left, GradedSeries.from_json)
     j2 = _load(args.right, GradedSeries.from_json)
     phi = GradedSeries.one(3, j1.order, j1.monoid)
@@ -213,6 +218,9 @@ def cmd_solve_gauge(args) -> int:
 
 
 def cmd_coxeter_check(args) -> int:
+    from .coxeter import (build_central_family, build_unit_family,
+                          check_coxeter_family)
+    from .diagrams import Diagram
     dia = _load(args.diagram, Diagram.from_json)
     fam = (build_central_family(dia, args.max_degree) if args.family ==
            "central" else build_unit_family(dia, args.max_degree))

@@ -11,20 +11,32 @@ by the gauge and twist layer.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
 class Diagram:
-    vertices: frozenset
-    edges: frozenset  # of frozenset pairs
+    """A simple graph: a frozenset of vertices and a frozenset of edges, each
+    a frozenset pair.  Equal vertex and edge sets make equal diagrams."""
 
-    def __post_init__(self):
-        for e in self.edges:
+    def __init__(self, vertices: frozenset, edges: frozenset):
+        for e in edges:
             if len(e) != 2:
                 raise ValueError(f"edge {set(e)} is not a pair")
-            if not e <= self.vertices:
+            if not e <= vertices:
                 raise ValueError(f"edge {set(e)} leaves the vertex set")
+        self.vertices = vertices
+        self.edges = edges
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.vertices, self.edges) == (other.vertices, other.edges)
+
+    def __hash__(self):
+        return hash((self.vertices, self.edges))
+
+    def __repr__(self):
+        data = self.to_json()
+        return f"Diagram.make({data['vertices']}, {data['edges']})"
 
     @staticmethod
     def make(vertices, edges) -> "Diagram":

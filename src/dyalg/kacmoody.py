@@ -48,14 +48,16 @@ def check_gcm(cartan, symmetrizers=None) -> tuple[list[list[int]], list[int]]:
     """The rows of a generalized Cartan matrix A and a positive diagonal D
     making D*A symmetric: the given ``symmetrizers``, or the coprime one.
 
-    Raises ValueError unless A is square with integer entries, diagonal 2,
-    off-diagonal entries <= 0 and a_ij = 0 exactly when a_ji = 0, and D is
-    one positive integer per row with D*A symmetric."""
+    Raises ValueError unless A is square of rank at least 1 with integer
+    entries, diagonal 2, off-diagonal entries <= 0 and a_ij = 0 exactly when
+    a_ji = 0, and D is one positive integer per row with D*A symmetric."""
     if not isinstance(cartan, (list, tuple)) or not all(
             isinstance(row, (list, tuple)) and len(row) == len(cartan)
             and all(map(_is_int, row)) for row in cartan):
         raise ValueError("a generalized Cartan matrix is a square integer "
                          "matrix")
+    if not cartan:
+        raise ValueError("a generalized Cartan matrix has rank at least 1")
     cartan = [list(row) for row in cartan]
     l = len(cartan)
     for i in range(l):
@@ -405,6 +407,8 @@ def build_kac_moody_borel(cartan, cap: int,
                           symmetrizers=None) -> LieBialgebraData:
     """Assembled bialgebra data of the truncated extended Borel."""
     cartan, symmetrizers = check_gcm(cartan, symmetrizers)
+    if cap < 1:
+        raise ValueError("height cap must be at least 1")
     if len(cartan) > 3 or cap > 4:
         raise ValueError("size guard: rank <= 3 and height cap <= 4")
     return KacMoodyBorel(cartan, cap, symmetrizers).bialgebra()

@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 
 @functools.cache
@@ -43,9 +42,22 @@ class TruncationOverflow(ValueError):
 
 
 class DecorationMonoid:
-    """Interface shared by the concrete monoids below."""
+    """Interface shared by the concrete monoids below.  A monoid is a value:
+    two monoids are equal when they are of the same class and have the same
+    :meth:`key`."""
 
     name: str = "abstract"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.key() == other.key()
+
+    def __hash__(self):
+        return hash(self.key())
+
+    def __repr__(self):
+        return f"{type(self).__name__}{self.key()[1:]}"
 
     def zero(self):
         raise NotImplementedError
@@ -72,9 +84,8 @@ class DecorationMonoid:
         return {"kind": self.name}
 
 
-@dataclass(frozen=True)
 class Trivial(DecorationMonoid):
-    name: str = field(default="trivial", init=False)
+    name = "trivial"
 
     def zero(self):
         return 0
@@ -92,9 +103,8 @@ class Trivial(DecorationMonoid):
         return True
 
 
-@dataclass(frozen=True)
 class Split(DecorationMonoid):
-    name: str = field(default="split", init=False)
+    name = "split"
 
     def zero(self):
         return 0
@@ -111,13 +121,14 @@ class Split(DecorationMonoid):
         return [(0, 1), (1, 0), (1, 1)]
 
 
-@dataclass(frozen=True)
 class RootCone(DecorationMonoid):
     """Multiweights in N^rank with total weight bounded by ``cap``."""
 
-    rank: int
-    cap: int
-    name: str = field(default="root_cone", init=False)
+    name = "root_cone"
+
+    def __init__(self, rank: int, cap: int):
+        self.rank = rank
+        self.cap = cap
 
     def zero(self):
         return (0,) * self.rank
@@ -147,7 +158,6 @@ class RootCone(DecorationMonoid):
         return {"kind": self.name, "rank": self.rank, "cap": self.cap}
 
 
-@dataclass(frozen=True)
 class RootConeMod(DecorationMonoid):
     """RootCone plus the finite set of allowed decorations R+ u {0}.
 
@@ -156,13 +166,13 @@ class RootConeMod(DecorationMonoid):
     set.
     """
 
-    rank: int
-    cap: int
-    allowed: frozenset
-    name: str = field(default="root_cone_mod", init=False)
+    name = "root_cone_mod"
 
-    def __post_init__(self):
-        for a in self.allowed:
+    def __init__(self, rank: int, cap: int, allowed: frozenset):
+        self.rank = rank
+        self.cap = cap
+        self.allowed = allowed
+        for a in allowed:
             if len(a) != self.rank or sum(a) > self.cap:
                 raise ValueError(f"allowed element {a} violates rank/cap")
 

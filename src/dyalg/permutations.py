@@ -11,7 +11,7 @@ to N; it records how many strands attach to each module slot.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 
 def inverse(s: Sequence[int]) -> tuple[int, ...]:

@@ -120,7 +120,6 @@ canonical output is schedule independent (a tested contract).
 from __future__ import annotations
 
 import itertools
-import random
 
 from .monoids import DecorationMonoid, RootConeMod
 from .permutations import block_starts
@@ -375,6 +374,7 @@ class Scheduler:
 
 class RandomScheduler(Scheduler):
     def __init__(self, seed: int, record: list | None = None):
+        import random
         super().__init__(record)
         self.rng = random.Random(seed)
 

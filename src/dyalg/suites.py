@@ -2,25 +2,13 @@
 
 Each suite runs a fixed set of exact checks and returns machine-readable
 pass/fail rows.  The suites are smaller cousins of the full acceptance
-tests so they stay interactive."""
+tests so they stay interactive.  Each suite imports what it runs, so that
+``dyalg verify SUITE`` loads only the modules of that suite."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-
-from .algebra import (AlgebraElement, enumerate_basis, face_map,
-                      hochschild_d, kappa, omega, r_matrix)
-from .bialgebra import (adjoint_module, borel_sl2, dense_of_sparse, evaluate,
-                        evaluate_slices, matmul)
-from .cohomology import cohomology_table
-from .coxeter import build_central_family, check_coxeter_family
-from .diagrams import Diagram, maximal_nested_sets
-from .monoids import SPLIT, TRIVIAL
-from .series import GradedSeries
-from .terms import random_term, straighten
-from .twists import associator_2jet, check_associator_axioms, gauge, \
-    solve_gauge
 
 
 def _row(name: str, ok: bool, detail: str = "") -> dict:
@@ -28,6 +16,7 @@ def _row(name: str, ok: bool, detail: str = "") -> dict:
 
 
 def suite_cybe(seed: int = 0) -> dict:
+    from .algebra import r_matrix
     r12, r13, r23 = (r_matrix(3, 1, 2), r_matrix(3, 1, 3), r_matrix(3, 2, 3))
     lhs = (r12.commutator(r13) + r12.commutator(r23)
            + r13.commutator(r23))
@@ -36,6 +25,7 @@ def suite_cybe(seed: int = 0) -> dict:
 
 
 def suite_tt(seed: int = 0) -> dict:
+    from .algebra import omega
     rows = []
     rows.append(_row("[O12,O13+O23]",
                      omega(3, 1, 2).commutator(
@@ -46,6 +36,7 @@ def suite_tt(seed: int = 0) -> dict:
 
 
 def suite_kappa_central(seed: int = 0) -> dict:
+    from .algebra import AlgebraElement, enumerate_basis, kappa
     k = kappa(1, 1)
     rows = []
     for deg in range(4):
@@ -61,6 +52,7 @@ def suite_kappa_central(seed: int = 0) -> dict:
 
 
 def suite_coproduct_omega(seed: int = 0) -> dict:
+    from .algebra import face_map, omega
     rows = []
     om = {(i, j): omega(3, i, j) for i in range(1, 4)
           for j in range(1, 4) if i != j}
@@ -77,6 +69,7 @@ def suite_coproduct_omega(seed: int = 0) -> dict:
 
 
 def suite_d_squared(seed: int = 0) -> dict:
+    from .algebra import AlgebraElement, enumerate_basis, hochschild_d
     rows = []
     for n in (1, 2):
         for deg in (0, 1, 2):
@@ -88,6 +81,8 @@ def suite_d_squared(seed: int = 0) -> dict:
 
 
 def suite_cohomology(seed: int = 0) -> dict:
+    from .cohomology import cohomology_table
+    from .monoids import TRIVIAL
     rows = []
     for deg in (1, 2):
         for r in cohomology_table(deg, 2, TRIVIAL):
@@ -103,6 +98,10 @@ def suite_cohomology(seed: int = 0) -> dict:
 
 
 def suite_realization(seed: int = 0) -> dict:
+    from .algebra import kappa
+    from .bialgebra import (adjoint_module, borel_sl2, dense_of_sparse,
+                            evaluate, evaluate_slices, matmul)
+    from .terms import random_term, straighten
     rng = random.Random(seed)
     bia = borel_sl2()
     adj = adjoint_module(bia)
@@ -123,6 +122,10 @@ def suite_realization(seed: int = 0) -> dict:
 
 
 def suite_gauge_roundtrip(seed: int = 0) -> dict:
+    from .algebra import AlgebraElement, enumerate_basis
+    from .monoids import SPLIT
+    from .series import GradedSeries
+    from .twists import gauge, solve_gauge
     rng = random.Random(seed)
     rows = []
     order = 2
@@ -144,6 +147,7 @@ def suite_gauge_roundtrip(seed: int = 0) -> dict:
 
 
 def suite_nested_sets(seed: int = 0) -> dict:
+    from .diagrams import Diagram, maximal_nested_sets
     rows = []
     for n, want in ((1, 1), (2, 2), (3, 5)):
         got = len(maximal_nested_sets(Diagram.path(n)))
@@ -153,6 +157,8 @@ def suite_nested_sets(seed: int = 0) -> dict:
 
 
 def suite_coxeter(seed: int = 0) -> dict:
+    from .coxeter import build_central_family, check_coxeter_family
+    from .diagrams import Diagram
     dia = Diagram.path(2)
     fam = build_central_family(dia, 2)
     report = check_coxeter_family(fam, dia, 2)
@@ -163,6 +169,7 @@ def suite_coxeter(seed: int = 0) -> dict:
 
 
 def suite_associator(seed: int = 0) -> dict:
+    from .twists import associator_2jet, check_associator_axioms
     report = check_associator_axioms(associator_2jet(3), 3)
     rows = [_row(f"associator-{r['check']}", r["ok"]) for r in report]
     return {"suite": "associator-axioms", "assertions": rows}

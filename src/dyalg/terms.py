@@ -21,8 +21,6 @@ the engine, and products of basis keys go through the same slice form.
 
 from __future__ import annotations
 
-import random
-
 from .monoids import DecorationMonoid, TRIVIAL, monoid_from_json
 from .rewrite import Scheduler, straighten_graph, term_graph
 from .algebra import AlgebraElement

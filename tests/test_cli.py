@@ -179,6 +179,9 @@ def test_km_build_rejects_bad_gcm(tmp_path):
     pytest.param({"cartan": [[2, -1], [-1]]}, 4, id="ragged"),
     pytest.param({"cartan": [[2, -1], [-1, 2]], "cap": "2"}, 2,
                  id="string-cap"),
+    pytest.param({"cartan": [[2]], "cap": 0}, 4, id="cap-zero"),
+    pytest.param({"cartan": [[2]], "cap": -1}, 4, id="cap-negative"),
+    pytest.param({"cartan": []}, 4, id="empty-cartan"),
 ])
 def test_km_build_malformed_input(tmp_path, gcm, code):
     path = tmp_path / "gcm.json"

@@ -142,3 +142,15 @@ def test_mns_union_chain_mismatch():
 def test_json_round_trip():
     dia = Diagram.make([3, 1, 2], [(1, 2), (2, 3)])
     assert Diagram.from_json(dia.to_json()) == dia
+
+
+def test_diagrams_are_values_and_validated():
+    dia = Diagram.make([1, 2, 3], [(1, 2), (2, 3)])
+    same = Diagram.make([3, 2, 1], [(3, 2), (2, 1)])
+    assert dia == same and hash(dia) == hash(same)
+    assert {dia: "a3"}[same] == "a3"
+    assert dia != Diagram.make([1, 2, 3], [(1, 2)])
+    with pytest.raises(ValueError):
+        Diagram.make([1, 2, 3], [(1, 2, 3)])  # not a pair
+    with pytest.raises(ValueError):
+        Diagram.make([1, 2], [(2, 3)])  # leaves the vertex set

@@ -42,6 +42,7 @@ def test_non_symmetrizable_rejected():
     pytest.param([[2, -1]], None, id="not-square"),
     pytest.param([[2, -1], [-1]], None, id="ragged"),
     pytest.param(5, None, id="not-a-matrix"),
+    pytest.param([], None, id="empty"),
     pytest.param([[2.0]], None, id="float-entry"),
     pytest.param([[3]], [1], id="diagonal-3"),
     pytest.param([[2, 1], [1, 2]], [1, 1], id="positive-off-diagonal"),

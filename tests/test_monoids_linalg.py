@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from dyalg import linalg
-from dyalg.monoids import (RootCone, RootConeMod, SPLIT, TRIVIAL,
+from dyalg.monoids import (RootCone, RootConeMod, SPLIT, TRIVIAL, Trivial,
                            TruncationOverflow, monoid_from_json)
 
 
@@ -40,6 +40,25 @@ def test_monoid_json_round_trip():
     for m in (TRIVIAL, SPLIT, RootCone(3, 2),
               RootConeMod(2, 2, frozenset({(0, 0), (1, 0)}))):
         assert monoid_from_json(m.to_json()).key() == m.key()
+
+
+def test_monoids_are_values():
+    assert Trivial() == TRIVIAL and hash(Trivial()) == hash(TRIVIAL)
+    assert TRIVIAL != SPLIT
+    assert RootCone(2, 1) == RootCone(2, 1)
+    assert hash(RootCone(2, 1)) == hash(RootCone(2, 1))
+    assert RootCone(2, 1) != RootCone(2, 2)
+    assert {RootCone(2, 1): "cone"}[RootCone(2, 1)] == "cone"
+    assert RootCone(2, 1) != RootConeMod(2, 1, frozenset())
+    allowed = frozenset({(0, 0), (1, 0)})
+    assert RootConeMod(2, 1, allowed) == RootConeMod(
+        2, 1, frozenset({(1, 0), (0, 0)}))
+    assert len({RootConeMod(2, 1, allowed), RootConeMod(2, 1, allowed),
+                RootConeMod(2, 1, frozenset({(0, 0)}))}) == 2
+    with pytest.raises(ValueError):
+        RootConeMod(2, 1, frozenset({(1, 1)}))  # beyond the cap
+    with pytest.raises(ValueError):
+        RootConeMod(2, 2, frozenset({(1, 0, 0)}))  # beyond the rank
 
 
 def test_rank_solve_nullspace():

@@ -3,13 +3,21 @@
     python3 tools/time_command.py --pairs N --parent PARENT --change CHANGE \\
         -- ARGS...
 
-Runs ``python3 -m dyalg.cli ARGS`` with ``PARENT/src`` and then with
+First compiles both checkouts' ``src/`` to bytecode (``python3 -m
+compileall``), so that no run pays for compiling dyalg.  Then runs
+``python3 -S -m dyalg.cli ARGS`` with ``PARENT/src`` and then with
 ``CHANGE/src`` on the path, N times each in alternation, and prints one
 JSON object: the command, each side's wall times in seconds with their
 median and quartiles, the pairs the change won and lost, whether every run
 exited 0, and whether every stdout was the same byte for byte (with its
-SHA-256).  Wall times are measured, not rescaled for the host's speed, so
-only pairs taken back to back compare.
+SHA-256).
+
+The children start with ``-S``, as ``benchmark/run.py`` starts them: the
+``site`` start-up of an installed Python (the path hooks of other packages;
+73 ms of a 92 ms bare start on the machine the benchmark was defined on) is
+not dyalg's work, so without ``-S`` it would hide dyalg's own import and
+computation.  Wall times are measured, not rescaled for the host's speed,
+so only pairs taken back to back compare.
 """
 
 from __future__ import annotations
@@ -25,11 +33,23 @@ import time
 from bench_pair import quartiles
 
 
-def run_once(checkout: str, args: list[str]) -> tuple[float, int, bytes]:
+def _env(checkout: str) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
+    # the children read the bytecode that compile_sources() wrote
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    return env
+
+
+def compile_sources(checkout: str) -> None:
+    subprocess.run([sys.executable, "-m", "compileall", "-q",
+                    os.path.join(checkout, "src")], env=_env(checkout),
+                   stdout=subprocess.DEVNULL, check=True)
+
+
+def run_once(checkout: str, args: list[str]) -> tuple[float, int, bytes]:
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "dyalg.cli", *args],
-                          env=env, capture_output=True)
+    proc = subprocess.run([sys.executable, "-S", "-m", "dyalg.cli", *args],
+                          env=_env(checkout), capture_output=True)
     return time.perf_counter() - start, proc.returncode, proc.stdout
 
 
@@ -41,6 +61,8 @@ def main(argv=None) -> int:
     parser.add_argument("args", nargs="+")
     args = parser.parse_args(argv)
     sides = {"parent": args.parent, "change": args.change}
+    for checkout in sides.values():
+        compile_sources(checkout)
     times = {side: [] for side in sides}
     codes, outputs = set(), set()
     for _ in range(args.pairs):
