@@ -12,7 +12,8 @@ permutation of the strands.
 from __future__ import annotations
 
 from . import linalg
-from .algebra import AlgebraElement, Key, alt, enumerate_basis, hochschild_d
+from .algebra import (AlgebraElement, Key, alt, dim_formula, enumerate_basis,
+                      hochschild_d)
 from .freelie import hochschild_target_dim
 from .monoids import DecorationMonoid, TRIVIAL
 
@@ -94,7 +95,7 @@ def _slice(n: int, degree: int, monoid: DecorationMonoid) -> _Slice:
 def _slice_dim(n: int, degree: int, monoid: DecorationMonoid) -> int:
     if n == 0:
         return 1 if degree == 0 else 0
-    return len(enumerate_basis(n, degree, monoid))
+    return dim_formula(n, degree) * len(monoid.elements()) ** degree
 
 
 def _rank_d(n: int, degree: int, monoid: DecorationMonoid) -> int:

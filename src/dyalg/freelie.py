@@ -10,7 +10,8 @@ These spaces are the dimension oracle for the cohomology layer: the target
 of the Hochschild computation in cohomological degree n and string degree N
 is the symmetric-group coinvariant space built from two copies of the
 n-th exterior power of the multilinear free Lie algebra and a decoration
-factor.
+factor.  Its dimension is a character mean over S_N; nothing is eliminated,
+so the oracle shares no rank code with the ranks it checks.
 
 All linear algebra is over exact rationals.
 """
@@ -23,7 +24,7 @@ from fractions import Fraction
 
 from . import linalg
 from .monoids import DecorationMonoid
-from .permutations import all_permutations, block_starts, inverse, sign
+from .permutations import all_permutations, block_starts, cycle_count, sign
 
 # A Lie monomial is a nested-tuple binary tree whose leaves are variable
 # indices: 3, or (1, 2), or ((1, 2), 3).  An associative combination is a
@@ -240,11 +241,11 @@ def wedge_basis(n: int, n_vars: int) -> list[tuple]:
     return pbw_basis(tuple(range(1, n_vars + 1)), n)
 
 
-def _wedge_action(perm: tuple, wedge: tuple) -> tuple[int, dict]:
-    """Apply a variable permutation to a wedge of Lie monomials; returns the
-    sign from reordering the factors and the relabeled (unsorted) factors
-    expanded in the wedge basis.  Relabeled factors are generally not basis
-    monomials, so each is re-expanded in the Lie basis of its block."""
+def _wedge_action(perm: tuple, wedge: tuple) -> dict:
+    """A variable permutation applied to a wedge of Lie monomials, in the
+    wedge basis: the relabeled factors, reordered by smallest variable with
+    the sign of that reordering, each re-expanded in its block's Lie basis
+    (a relabeled monomial is generally not a basis monomial)."""
 
     def relabel(m):
         if isinstance(m, int):
@@ -253,8 +254,8 @@ def _wedge_action(perm: tuple, wedge: tuple) -> tuple[int, dict]:
 
     factors = [relabel(m) for m in wedge]
     order = sorted(range(len(factors)), key=lambda i: min(variables(factors[i])))
-    sgn = sign([o + 1 for o in order])
-    return sgn, [factors[i] for i in order]
+    return _tensor([_lie_coords(factors[i]) for i in order],
+                   Fraction(sign([o + 1 for o in order])))
 
 
 def wedge_multilinear_dim(n: int, n_vars: int,
@@ -263,7 +264,7 @@ def wedge_multilinear_dim(n: int, n_vars: int,
 
         [ wedge^n(multilinear Lie) (x) D^N (x) wedge^n(multilinear Lie) ]_{S_N}
 
-    computed as the exact rank of the symmetric-group averaging projector.
+    computed as the trace of the averaging projector (``wedge_pair_dim``).
     """
     return wedge_pair_dim(n, n, n_vars, monoid)
 
@@ -280,35 +281,23 @@ def hochschild_target_dim(n: int, n_vars: int,
 def wedge_pair_dim(a: int, b: int, n_vars: int,
                    monoid: DecorationMonoid) -> int:
     """Coinvariant dimension with independent exterior degrees on the two
-    sides of the decoration factor."""
+    sides of the decoration factor.
+
+    The averaging projector is idempotent, so its rank is its trace: the
+    character's mean over S_N (Serre, Linear Representations of Finite
+    Groups, 2.3).  A permutation with c cycles fixes m^c decorations, m = |D|.
+    """
     if not (a >= 0 and b >= 0 and 1 <= n_vars <= 4):
         raise ValueError("size guard: need degrees >= 0 and 1 <= N <= 4")
-    wb = wedge_basis(a, n_vars)
-    vb = wedge_basis(b, n_vars)
-    if not wb or not vb:
-        return 0
-    decors = list(itertools.product(monoid.elements(), repeat=n_vars))
-    idx = {}
-    triples = []
-    for x in wb:
-        for d in decors:
-            for y in vb:
-                idx[(x, d, y)] = len(triples)
-                triples.append((x, d, y))
-    rows = []
-    for x, d, y in triples:
-        row = {}
-        for perm in all_permutations(n_vars):
-            sa, fa = _wedge_action(perm, x)
-            sb, fb = _wedge_action(perm, y)
-            pd = tuple(d[j - 1] for j in inverse(perm))
-            image = _tensor([_tensor(map(_lie_coords, fa)), {pd: 1},
-                             _tensor(map(_lie_coords, fb))], Fraction(sa * sb))
-            for key, c in image.items():
-                row[idx[key]] = row.get(idx[key], 0) + c
-        rows.append({j: c / math.factorial(n_vars)
-                     for j, c in row.items() if c})
-    return linalg.sparse_rank(rows)
+    m = len(monoid.elements())
+
+    def trace(perm, n):  # each basis wedge's coefficient in its own image
+        return sum(_wedge_action(perm, x).get(x, 0)
+                   for x in wedge_basis(n, n_vars))
+
+    total = sum(trace(perm, a) * trace(perm, b) * m ** cycle_count(perm)
+                for perm in all_permutations(n_vars))
+    return total // math.factorial(n_vars)
 
 
 def _lie_coords(m) -> dict:

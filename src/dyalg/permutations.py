@@ -21,21 +21,26 @@ def inverse(s: Sequence[int]) -> tuple[int, ...]:
     return tuple(inv)
 
 
+def cycle_count(s: Sequence[int]) -> int:
+    """Number of cycles of a permutation, fixed points included.
+
+    >>> cycle_count((1, 2, 3)), cycle_count((2, 3, 1)), cycle_count((2, 1, 3))
+    (3, 1, 2)
+    """
+    seen, cycles = set(), 0
+    for start in range(1, len(s) + 1):
+        if start not in seen:
+            cycles += 1
+            q = start
+            while q not in seen:
+                seen.add(q)
+                q = s[q - 1]
+    return cycles
+
+
 def sign(s: Sequence[int]) -> int:
-    """Sign of a permutation via cycle count."""
-    seen = [False] * len(s)
-    sgn = 1
-    for i in range(len(s)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = s[j] - 1
-            length += 1
-        if length % 2 == 0:
-            sgn = -sgn
-    return sgn
+    """Sign of a permutation: (-1)^(N - number of cycles)."""
+    return -1 if (len(s) - cycle_count(s)) % 2 else 1
 
 
 def all_permutations(n: int) -> Iterator[tuple[int, ...]]:

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import AlgebraElement, omega
+from .algebra import AlgebraElement, beta_map, omega
 from .cohomology import NotClosed, decompose_cocycle
+from .monoids import SPLIT, TRIVIAL
 from .series import GradedSeries, series_face, series_slot_permute
 
 
@@ -66,12 +67,17 @@ def _residual_report(name: str, series: GradedSeries) -> dict:
 def check_associator_axioms(phi: GradedSeries, order: int | None = None
                             ) -> list[dict]:
     """Pentagon, both hexagons, duality, leading-terms shape, and the 2-jet
-    condition, each reported with residual sizes per degree."""
+    condition, each reported with residual sizes per degree.  The crossings
+    and the 2-jet are lifted to the associator's monoid by summing each
+    strand over all decorations."""
     if phi.n != 3:
         raise ValueError("associator must live in 3 slots")
     order = phi.order if order is None else order
     if order > 3:
         raise ValueError("size guard: order <= 3")
+    lift = {TRIVIAL: lambda x: x, SPLIT: beta_map}.get(phi.monoid)
+    if lift is None:
+        raise ValueError(f"no associator check on {phi.monoid!r}")
     phi = phi.truncate(order)
     report = []
     shape_ok = (phi.component(0) == AlgebraElement.unit(3, phi.monoid)
@@ -88,13 +94,11 @@ def check_associator_axioms(phi: GradedSeries, order: int | None = None
 
     def hexagons() -> list[dict]:
         out = []
-        om = GradedSeries.of_element(omega(3, 1, 2), order)
-        om13 = GradedSeries.of_element(omega(3, 1, 3), order)
-        om23 = GradedSeries.of_element(omega(3, 2, 3), order)
-        e_12_3 = series_face(1, GradedSeries.of_element(
-            Fraction(1, 2) * omega(2, 1, 2), order)).exp()
-        e_1_23 = series_face(2, GradedSeries.of_element(
-            Fraction(1, 2) * omega(2, 1, 2), order)).exp()
+        om, om13, om23, om2 = (
+            GradedSeries.of_element(lift(omega(n, i, j)), order)
+            for n, i, j in ((3, 1, 2), (3, 1, 3), (3, 2, 3), (2, 1, 2)))
+        e_12_3 = series_face(1, Fraction(1, 2) * om2).exp()
+        e_1_23 = series_face(2, Fraction(1, 2) * om2).exp()
         e13 = (Fraction(1, 2) * om13).exp()
         e23 = (Fraction(1, 2) * om23).exp()
         e12 = (Fraction(1, 2) * om).exp()
@@ -110,7 +114,8 @@ def check_associator_axioms(phi: GradedSeries, order: int | None = None
     report.extend(hexagons())
     duality = series_slot_permute(phi, (3, 2, 1)) - phi_inv
     report.append(_residual_report("duality", duality))
-    jet = phi - associator_2jet(order)
+    jet = phi - GradedSeries(3, order, phi.monoid, {
+        d: lift(x) for d, x in associator_2jet(order).parts.items()})
     jet_low = GradedSeries(3, min(order, 2), phi.monoid,
                            {d: x for d, x in jet.parts.items() if d <= 2})
     report.append(_residual_report("2jet", jet_low))

@@ -30,6 +30,12 @@ def test_dimension_formulas():
         assert len(enumerate_basis(2, deg)) == dim_formula(2, deg)
         assert (len(enumerate_basis(2, deg, SPLIT))
                 == dim_formula(2, deg) * 2 ** deg)
+    # the cohomology slice dimensions: one decoration per strand
+    for monoid in (TRIVIAL, SPLIT, RootCone(2, 1), RootCone(1, 2),
+                   RootConeMod(2, 1, frozenset({(0, 0), (1, 0)}))):
+        for n, deg in itertools.product(range(1, 5), range(4)):
+            assert (dim_formula(n, deg) * len(monoid.elements()) ** deg
+                    == len(enumerate_basis(n, deg, monoid))), (monoid, n, deg)
 
 
 def test_face_map_of_casimir():

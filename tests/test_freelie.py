@@ -7,9 +7,11 @@ from dyalg import linalg
 from dyalg.freelie import (assoc_product, expand_to_assoc,
                            hochschild_target_dim, lie_bracket_assoc,
                            lie_multilinear_basis, pbw_basis, pbw_decompose,
-                           symmetrized_product, wedge_multilinear_dim,
-                           wedge_pair_dim)
-from dyalg.monoids import SPLIT, TRIVIAL
+                           symmetrized_product, variables, wedge_basis,
+                           wedge_multilinear_dim, wedge_pair_dim)
+from dyalg.monoids import RootCone, SPLIT, TRIVIAL
+
+ORACLE_MONOIDS = (TRIVIAL, SPLIT, RootCone(2, 1))
 
 
 def test_basis_dimensions():
@@ -109,3 +111,87 @@ def test_wedge_pair_dims():
 def test_wedge_guard():
     with pytest.raises(ValueError):
         wedge_multilinear_dim(1, 5, TRIVIAL)
+
+
+# The projector-rank reference: the S_N averaging projector on
+# W_a (x) D^N (x) W_b written out as a matrix and ranked, where W_k is the
+# k-th exterior power of the multilinear free Lie algebra.  The package
+# computes the same dimension as a character mean, without any matrix.
+
+
+def _relabel(perm, m):
+    if isinstance(m, int):
+        return perm[m - 1]
+    return (_relabel(perm, m[0]), _relabel(perm, m[1]))
+
+
+def _left_normed_coords(m) -> dict:
+    """Coordinates of a Lie monomial in the left-normed basis [[v, s2], ...]
+    with v its least variable: the basis monomial [[v, s2], ..., sk] is the
+    only one whose expansion holds the word v s2 ... sk, with coefficient 1,
+    so the coordinates are the coefficients of the words starting with v."""
+    least = min(variables(m))
+    out = {}
+    for word, c in expand_to_assoc(m).items():
+        if word[0] == least:
+            key = word[0]
+            for v in word[1:]:
+                key = (key, v)
+            out[key] = c
+    return out
+
+
+def _act_on_wedge(perm, wedge) -> dict:
+    """A variable permutation applied to a basis wedge, in the wedge basis."""
+    factors = [_relabel(perm, m) for m in wedge]
+    least = [min(variables(f)) for f in factors]
+    inversions = sum(least[i] > least[j] for i, j in
+                     itertools.combinations(range(len(least)), 2))
+    out = {(): (-1) ** inversions}
+    for f in sorted(factors, key=lambda f: min(variables(f))):
+        out = {key + (k,): c * c1 for key, c in out.items()
+               for k, c1 in _left_normed_coords(f).items()}
+    return out
+
+
+def _projector_rank(a, b, n_vars, monoid) -> int:
+    triples = list(itertools.product(
+        wedge_basis(a, n_vars),
+        itertools.product(monoid.elements(), repeat=n_vars),
+        wedge_basis(b, n_vars)))
+    index = {t: i for i, t in enumerate(triples)}
+    rows = []
+    for x, d, y in triples:
+        row = {}
+        for perm in itertools.permutations(range(1, n_vars + 1)):
+            moved = tuple(d[perm.index(q)] for q in range(1, n_vars + 1))
+            for kx, cx in _act_on_wedge(perm, x).items():
+                for ky, cy in _act_on_wedge(perm, y).items():
+                    j = index[kx, moved, ky]
+                    row[j] = row.get(j, 0) + cx * cy
+        rows.append({j: c for j, c in row.items() if c})
+    return linalg.sparse_rank(rows)
+
+
+def test_wedge_pair_dim_matches_projector_rank():
+    for monoid in ORACLE_MONOIDS:
+        for n_vars in range(1, 4):
+            for a, b in itertools.product(range(n_vars + 1), repeat=2):
+                assert (wedge_pair_dim(a, b, n_vars, monoid)
+                        == _projector_rank(a, b, n_vars, monoid)), (
+                    monoid, a, b, n_vars)
+
+
+def test_wedge_pair_dim_pinned_at_four_strands():
+    # the projector ranks at N = 4, rows a = 1..4, columns b = 1..4
+    pinned = {
+        TRIVIAL: [[2, 3, 1, 0], [3, 6, 3, 0], [1, 3, 3, 1], [0, 0, 1, 1]],
+        SPLIT: [[26, 45, 22, 3], [45, 85, 47, 7], [22, 47, 34, 9],
+                [3, 7, 9, 5]],
+        RootCone(2, 1): [[126, 225, 117, 18], [225, 420, 234, 39],
+                         [117, 234, 153, 36], [18, 39, 36, 15]],
+    }
+    for monoid, table in pinned.items():
+        got = [[wedge_pair_dim(a, b, 4, monoid) for b in range(5)]
+               for a in range(5)]
+        assert got == [[0] * 5] + [[0] + row for row in table], monoid

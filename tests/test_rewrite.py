@@ -122,6 +122,21 @@ def test_ill_typed_terms_rejected():
         term_graph([("coaction", 1), ("mu",)], 1)
     with pytest.raises(ValueError):
         straighten([("coaction", 1), ("perm", (2, 1)), ("action", 1)], 1)
+    for slot, n in ((0, 1), (2, 1), (0, 2), (3, 2)):
+        message = rf"slot {slot} out of range 1\.\.{n}"
+        with pytest.raises(ValueError, match=message):
+            term_graph([("coaction", slot), ("action", 1)], n)
+        with pytest.raises(ValueError, match=message):
+            term_graph([("coaction", 1), ("action", slot)], n)
+    with pytest.raises(ValueError, match="cobracket needs an open leg"):
+        term_graph([("delta",), ("mu",)], 1)
+    for position in (0, 2):
+        with pytest.raises(ValueError,
+                           match="decoration position out of range"):
+            term_graph([("coaction", 1), ("decor", position, 0),
+                        ("action", 1)], 1)
+    with pytest.raises(ValueError, match="unknown slice kind 'twist'"):
+        term_graph([("coaction", 1), ("twist",), ("action", 1)], 1)
 
 
 def test_structure_constant_cache_transparent():

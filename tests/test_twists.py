@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from dyalg.algebra import AlgebraElement, enumerate_basis, hochschild_d, \
-    omega
+from dyalg.algebra import AlgebraElement, beta_map, enumerate_basis, \
+    hochschild_d, omega
 from dyalg.cohomology import harmonic_complement
-from dyalg.monoids import SPLIT, TRIVIAL
+from dyalg.monoids import RootCone, SPLIT, TRIVIAL
 from dyalg.series import GradedSeries, series_face
 from dyalg.twists import (GaugeObstruction, associator_2jet,
                           check_associator_axioms, gauge, solve_gauge,
@@ -38,6 +38,22 @@ def test_series_arithmetic():
 def test_associator_2jet_passes_all_axioms():
     report = check_associator_axioms(associator_2jet(3), 3)
     assert all(r["ok"] for r in report), report
+
+
+def test_associator_checks_run_in_the_associators_monoid():
+    phi = associator_2jet(3)
+    split = GradedSeries(3, 3, SPLIT, {d: beta_map(x)
+                                       for d, x in phi.parts.items()})
+    report = check_associator_axioms(split, 3)
+    assert [r["check"] for r in report] == [
+        "shape", "pentagon", "hexagon1", "hexagon2", "duality", "2jet"]
+    assert all(r["ok"] for r in report), report
+    unit = {r["check"]: r["ok"]
+            for r in check_associator_axioms(GradedSeries.one(3, 2, SPLIT))}
+    assert unit["pentagon"] and not unit["hexagon1"] and not unit["2jet"]
+    cone = GradedSeries.one(3, 2, RootCone(2, 1))
+    with pytest.raises(ValueError, match=r"RootCone\(2, 1\)"):
+        check_associator_axioms(cone, 2)
 
 
 def test_unit_associator_fails_hexagons_and_jet():
