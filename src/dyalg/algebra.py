@@ -611,15 +611,10 @@ def filter_window(x: AlgebraElement, window: int) -> AlgebraElement:
 # basis enumeration
 
 
-def enumerate_basis(n: int, degree: int, monoid: DecorationMonoid = TRIVIAL,
-                    window: int | None = None) -> list[Key]:
-    """All basis keys of the given strand degree, canonically sorted.
-
-    For cone monoids the decoration enumeration is truncated to the weight
-    window (default: the monoid cap)."""
+def enumerate_basis(n: int, degree: int,
+                    monoid: DecorationMonoid = TRIVIAL) -> list[Key]:
+    """All basis keys of the given strand degree, canonically sorted."""
     decors = monoid.elements()
-    if window is not None:
-        decors = [d for d in decors if sum(d) <= window]
     keys = []
     comps = compositions(degree, n)
     for co in comps:

@@ -198,11 +198,12 @@ def _family_from_gauges(dia: Diagram, monoid, order: int,
         quot = quotient_diagram(dia.induced(b), b0)
         if not quot.vertices:
             continue
-        us = {}
+        us, inverses = {}, {}
         for f in maximal_nested_sets(quot):
             u = u_of_nested_set(b0, f)
             us[f] = u
+            inverses[f] = u.inverse()
             twists[(b, b0, f)] = gauge(u, GradedSeries.one(2, order, monoid))
         for f, g in itertools.product(us, repeat=2):
-            dcp[(b, b0, f, g)] = us[f] * us[g].inverse()
+            dcp[(b, b0, f, g)] = us[f] * inverses[g]
     return {"phi": phis, "twists": twists, "dcp": dcp, "window": None}

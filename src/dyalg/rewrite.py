@@ -15,10 +15,11 @@ remain, and every leg runs from one coaction to one action carrying a
 single decoration.
 
 Slice terms (:mod:`dyalg.terms`) are the one way into straightening:
-:func:`term_graph` builds the working graph of a slice term, and
-:func:`slices_of_key` gives the slice form of a basis key.  A product of two
-basis keys (``algebra.compose_basis``) is the concatenation of their slice
-forms, the same form the matrix evaluator (``bialgebra.evaluate``) runs.
+:func:`term_graph` builds the working graph of a slice term in one pass,
+type-checking each slice as it goes, and :func:`slices_of_key` gives the
+slice form of a basis key.  A product of two basis keys
+(``algebra.compose_basis``) is the concatenation of their slice forms, the
+same form the matrix evaluator (``bialgebra.evaluate``) runs.
 
 Oriented rules
 --------------
@@ -39,6 +40,9 @@ Oriented rules
                 decompositions onto its inputs.
 ``PUSH_DELTA``  a decoration on a cobracket's input enumerates two-part
                 decompositions onto its outputs; read off like DELTA_COACT.
+
+A rule changes legs only through ``_Term.connect``, ``disconnect`` and
+``unplug``, and builds its last output term on its input.
 
 Every rule term carries the coefficient +1 or -1 (the pushes only +1), so
 a straightened term's coefficients are sums of signs: the engine
@@ -129,9 +133,11 @@ from .permutations import block_starts
 
 
 class _Term:
-    """Mutable working graph.  A rule consumes its input: it edits copies
-    for all its output terms but the last, which it builds on the input
-    itself, so a term handed to a rule must not be used afterwards."""
+    """Mutable working graph.  Legs change only through :meth:`connect`,
+    :meth:`disconnect` and :meth:`unplug`.  A rule consumes its input: it
+    edits copies for all its output terms but the last, which it builds on
+    the input itself, so a term handed to a rule must not be used
+    afterwards."""
 
     __slots__ = ("lines", "kind", "wire_to", "wire_from", "dec", "nxt")
 
@@ -165,10 +171,19 @@ class _Term:
         if decor is not None:
             self.dec[prod] = decor
 
-    def disconnect(self, prod: tuple) -> None:
+    def disconnect(self, prod: tuple) -> tuple:
+        """Cut the leg leaving ``prod``; returns its (consumer,
+        decoration)."""
         cons = self.wire_to.pop(prod)
-        self.wire_from.pop(cons)
-        self.dec.pop(prod, None)
+        del self.wire_from[cons]
+        return cons, self.dec.pop(prod, None)
+
+    def unplug(self, cons: tuple) -> tuple:
+        """Cut the leg entering ``cons``; returns its (producer,
+        decoration)."""
+        prod = self.wire_from.pop(cons)
+        del self.wire_to[prod]
+        return prod, self.dec.pop(prod, None)
 
     def drop_node(self, nid: int) -> None:
         self.kind.pop(nid)
@@ -226,125 +241,84 @@ def _merge_dec(term: _Term, prod: tuple, decor) -> bool:
 
 
 def _apply_act_mu(t: _Term, act_id: int) -> list[tuple[_Term, int]]:
-    mid = t.wire_from[("a", act_id)][1]
-    x_prod = t.wire_from[("m", mid, 0)]
-    y_prod = t.wire_from[("m", mid, 1)]
-    pos = t.line_pos()[act_id]
-    slot = pos[0]
+    slot, pi = t.line_pos()[act_id]
+    mid = t.unplug(("a", act_id))[0][1]
+    x = t.unplug(("m", mid, 0))
+    y = t.unplug(("m", mid, 1))
+    t.drop_node(mid)
+    t.drop_node(act_id)
     out = []
-    for first, second, sgn in ((y_prod, x_prod, 1), (x_prod, y_prod, -1)):
+    for first, second, sgn in ((y, x, 1), (x, y, -1)):
         s = t if sgn == -1 else t.copy()  # the last branch takes t
-        s.disconnect(("m", mid))
-        dx = s.dec.pop(x_prod, None)
-        dy = s.dec.pop(y_prod, None)
-        s.wire_to.pop(x_prod), s.wire_from.pop(("m", mid, 0))
-        s.wire_to.pop(y_prod), s.wire_from.pop(("m", mid, 1))
-        s.drop_node(mid)
-        s.drop_node(act_id)
         a1 = s.fresh("a")
         a2 = s.fresh("a")
-        s.lines[slot][pos[1]:pos[1] + 1] = [a1, a2]
-        dec_of = {x_prod: dx, y_prod: dy}
-        s.connect(first, ("a", a1), dec_of[first])
-        s.connect(second, ("a", a2), dec_of[second])
+        s.lines[slot][pi:pi + 1] = [a1, a2]
+        s.connect(first[0], ("a", a1), first[1])
+        s.connect(second[0], ("a", a2), second[1])
         out.append((s, sgn))
     return out
 
 
 def _apply_cocycle(t: _Term, did: int) -> list[tuple[_Term, int]]:
-    mid = t.wire_from[("d", did)][1]
-    x_prod = t.wire_from[("m", mid, 0)]
-    y_prod = t.wire_from[("m", mid, 1)]
-    cons0 = t.wire_to[("d", did, 0)]
-    cons1 = t.wire_to[("d", did, 1)]
-    d0 = t.dec.get(("d", did, 0))
-    d1 = t.dec.get(("d", did, 1))
+    mid = t.unplug(("d", did))[0][1]
+    ins = [t.unplug(("m", mid, 0)), t.unplug(("m", mid, 1))]
+    outs = [t.disconnect(("d", did, 0)), t.disconnect(("d", did, 1))]
+    t.drop_node(mid)
+    t.drop_node(did)
     out = []
-    for delta_on, straight, sgn in (
-            ("x", True, 1), ("y", True, -1), ("x", False, -1), ("y", False, 1)):
-        last = delta_on == "y" and not straight
-        s = t if last else t.copy()  # the last branch takes t
-        dx = s.dec.pop(x_prod, None)
-        dy = s.dec.pop(y_prod, None)
-        s.disconnect(("m", mid))
-        s.wire_to.pop(x_prod), s.wire_from.pop(("m", mid, 0))
-        s.wire_to.pop(y_prod), s.wire_from.pop(("m", mid, 1))
-        s.wire_to.pop(("d", did, 0)), s.wire_from.pop(cons0)
-        s.wire_to.pop(("d", did, 1)), s.wire_from.pop(cons1)
-        s.dec.pop(("d", did, 0), None)
-        s.dec.pop(("d", did, 1), None)
-        s.drop_node(mid)
-        s.drop_node(did)
+    # the cobracket splits input i; output 0 of the new cobracket takes the
+    # old output j, the new bracket's output the other one
+    for i, j, sgn in ((0, 0, 1), (1, 0, -1), (0, 1, -1), (1, 1, 1)):
+        s = t if i == j == 1 else t.copy()  # the last branch takes t
         nd = s.fresh("d")
         nm = s.fresh("m")
-        split, other = (x_prod, y_prod) if delta_on == "x" else (y_prod, x_prod)
-        dec_of = {x_prod: dx, y_prod: dy}
-        s.connect(split, ("d", nd), dec_of[split])
+        s.connect(ins[i][0], ("d", nd), ins[i][1])
         s.connect(("d", nd, 1), ("m", nm, 0))
-        s.connect(other, ("m", nm, 1), dec_of[other])
-        if straight:
-            s.connect(("d", nd, 0), cons0, d0)
-            s.connect(("m", nm), cons1, d1)
-        else:
-            s.connect(("d", nd, 0), cons1, d1)
-            s.connect(("m", nm), cons0, d0)
+        s.connect(ins[1 - i][0], ("m", nm, 1), ins[1 - i][1])
+        s.connect(("d", nd, 0), *outs[j])
+        s.connect(("m", nm), *outs[1 - j])
         out.append((s, sgn))
     return out
 
 
 def _apply_exchange(t: _Term, act_id: int, coact_id: int
                     ) -> list[tuple[_Term, int]]:
-    x_prod = t.wire_from[("a", act_id)]
-    cons_y = t.wire_to[("c", coact_id)]
-    dy = t.dec.get(("c", coact_id))
     pos = t.line_pos()
     slot, pi = pos[act_id]
     assert pos[coact_id] == (slot, pi + 1)
-    out = []
-
-    s = t.copy()  # swap
-    s.lines[slot][pi], s.lines[slot][pi + 1] = coact_id, act_id
-    out.append((s, 1))
+    swap = t.copy()
+    swap.lines[slot][pi:pi + 2] = [coact_id, act_id]
+    x = t.unplug(("a", act_id))
+    y = t.disconnect(("c", coact_id))
+    t.drop_node(act_id)
+    t.drop_node(coact_id)
 
     s = t.copy()  # bracket term: action and coaction fuse through a bracket
-    dx = s.dec.pop(x_prod, None)
-    s.wire_to.pop(x_prod), s.wire_from.pop(("a", act_id))
-    s.disconnect(("c", coact_id))
-    s.drop_node(act_id)
-    s.drop_node(coact_id)
     c2 = s.fresh("c")
     nm = s.fresh("m")
     s.lines[slot][pi:pi + 2] = [c2]
-    s.connect(x_prod, ("m", nm, 0), dx)
+    s.connect(x[0], ("m", nm, 0), x[1])
     s.connect(("c", c2), ("m", nm, 1))
-    s.connect(("m", nm), cons_y, dy)
-    out.append((s, 1))
+    s.connect(("m", nm), *y)
 
-    s = t  # cobracket term, built on the input itself
-    dx = s.dec.pop(x_prod, None)
-    s.wire_to.pop(x_prod), s.wire_from.pop(("a", act_id))
-    s.disconnect(("c", coact_id))
-    s.drop_node(act_id)
-    s.drop_node(coact_id)
-    a2 = s.fresh("a")
-    nd = s.fresh("d")
-    s.lines[slot][pi:pi + 2] = [a2]
-    s.connect(x_prod, ("d", nd), dx)
-    s.connect(("d", nd, 0), cons_y, dy)
-    s.connect(("d", nd, 1), ("a", a2))
-    out.append((s, -1))
-    return out
+    a2 = t.fresh("a")  # cobracket term, built on the input itself
+    nd = t.fresh("d")
+    t.lines[slot][pi:pi + 2] = [a2]
+    t.connect(x[0], ("d", nd), x[1])
+    t.connect(("d", nd, 0), *y)
+    t.connect(("d", nd, 1), ("a", a2))
+    return [(swap, 1), (s, 1), (t, -1)]
 
 
 def _apply_push_mu(t: _Term, mid: int,
                    monoid: DecorationMonoid) -> list[tuple[_Term, int]]:
-    alpha = t.dec[("m", mid)]
+    alpha = t.dec.pop(("m", mid))
     x_prod = t.wire_from[("m", mid, 0)]
     y_prod = t.wire_from[("m", mid, 1)]
+    parts = monoid.decompositions(alpha)
     out = []
-    for beta, gamma in monoid.decompositions(alpha):
-        s = t.copy()
-        s.dec.pop(("m", mid))
+    for i, (beta, gamma) in enumerate(parts):
+        s = t if i == len(parts) - 1 else t.copy()  # the last takes t
         if _merge_dec(s, x_prod, beta) and _merge_dec(s, y_prod, gamma):
             out.append((s, 1))
     return out
@@ -641,38 +615,6 @@ def _expand(forms: dict[tuple, int], monoid: DecorationMonoid
 # building terms: slice terms (see :mod:`dyalg.terms`) are the one way in
 
 
-def leg_count(slices: list, n: int) -> int:
-    """Final number of open legs; raises on ill-typed composites."""
-    p = 0
-    for sl in slices:
-        kind = sl[0]
-        if kind == "coaction":
-            _check_slot(sl[1], n)
-            p += 1
-        elif kind == "action":
-            _check_slot(sl[1], n)
-            if p < 1:
-                raise ValueError("action with no open leg")
-            p -= 1
-        elif kind == "mu":
-            if p < 2:
-                raise ValueError("bracket needs two open legs")
-            p -= 1
-        elif kind == "delta":
-            if p < 1:
-                raise ValueError("cobracket needs an open leg")
-            p += 1
-        elif kind == "perm":
-            if sorted(sl[1]) != list(range(1, p + 1)):
-                raise ValueError("permutation does not match leg count")
-        elif kind == "decor":
-            if not 1 <= sl[1] <= p:
-                raise ValueError("decoration position out of range")
-        else:
-            raise ValueError(f"unknown slice kind {kind!r}")
-    return p
-
-
 def _check_slot(k: int, n: int) -> None:
     if not 1 <= k <= n:
         raise ValueError(f"slot {k} out of range 1..{n}")
@@ -706,25 +648,32 @@ def slices_of_key(key: tuple, decorated: bool) -> list:
 
 
 def term_graph(slices: list, n: int) -> _Term | None:
-    """Build the rewriting graph of an endomorphism-typed slice term;
-    None if two different decorations meet on one leg (the term is 0)."""
-    if leg_count(slices, n) != 0:
-        raise ValueError("term is not an endomorphism of the module slots")
+    """Build the rewriting graph of an endomorphism-typed slice term in
+    one pass, checking each slice as it comes.  An ill-typed slice raises,
+    and so does a term that leaves legs open; a term in which two different
+    decorations meet on one leg is 0 and gives None."""
     t = _Term(n)
     prefix: list = []  # producer port per open leg, leftmost first
     decor: dict = {}
+    zero = False
     for sl in slices:
         kind = sl[0]
         if kind == "coaction":
+            _check_slot(sl[1], n)
             cid = t.fresh("c")
             t.lines[sl[1] - 1].append(cid)
             prefix.append(("c", cid))
         elif kind == "action":
+            _check_slot(sl[1], n)
+            if not prefix:
+                raise ValueError("action with no open leg")
             aid = t.fresh("a")
             t.lines[sl[1] - 1].append(aid)
             prod = prefix.pop()
             t.connect(prod, ("a", aid), decor.pop(prod, None))
         elif kind == "mu":
+            if len(prefix) < 2:
+                raise ValueError("bracket needs two open legs")
             mid = t.fresh("m")
             y = prefix.pop()
             x = prefix.pop()
@@ -732,20 +681,31 @@ def term_graph(slices: list, n: int) -> _Term | None:
             t.connect(y, ("m", mid, 1), decor.pop(y, None))
             prefix.append(("m", mid))
         elif kind == "delta":
+            if not prefix:
+                raise ValueError("cobracket needs an open leg")
             did = t.fresh("d")
             x = prefix.pop()
             t.connect(x, ("d", did), decor.pop(x, None))
             prefix.extend([("d", did, 0), ("d", did, 1)])
         elif kind == "perm":
             sigma = sl[1]
+            if sorted(sigma) != list(range(1, len(prefix) + 1)):
+                raise ValueError("permutation does not match leg count")
             new = [None] * len(prefix)
             for q, prod in enumerate(prefix):
                 new[sigma[q] - 1] = prod
             prefix = new
         elif kind == "decor":
+            if not 1 <= sl[1] <= len(prefix):
+                raise ValueError("decoration position out of range")
             prod = prefix[sl[1] - 1]
             old = decor.get(prod)
             if old is not None and old != sl[2]:
-                return None  # orthogonal idempotents compose to zero
-            decor[prod] = sl[2]
-    return t
+                zero = True  # orthogonal idempotents compose to zero
+            else:
+                decor[prod] = sl[2]
+        else:
+            raise ValueError(f"unknown slice kind {kind!r}")
+    if prefix:
+        raise ValueError("term is not an endomorphism of the module slots")
+    return None if zero else t

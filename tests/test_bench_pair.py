@@ -127,8 +127,16 @@ def test_cache_digest_compares_checkouts():
     assert record["workload"] == "realize" and record["seeds"] == [1]
     run = record["parent"]["1"]
     assert run == record["change"]["1"] and record["identical"]
+    assert record["firings_identical"] is True
     assert run["items"] > 0 and run["correct"] and run["entries"] > 0
     assert len(run["sha256"]) == 64
+    firings = run["firings"]
+    assert sorted(firings) == ["act_mu", "cocycle", "exchange", "push_mu"]
+    assert all(type(c) is int and c >= 0 for c in firings.values())
+    assert firings["exchange"] > 0 and firings["act_mu"] > 0
+    # EXCHANGE copies for two of its three branches, ACT_MU for one of two
+    assert type(run["copies"]) is int
+    assert run["copies"] >= 2 * firings["exchange"] + firings["act_mu"]
 
 
 def test_cache_digest_sees_every_constant(monkeypatch):

@@ -1,6 +1,7 @@
 """Source hygiene: every name a package module imports is used in it,
 every private function, class or method the package defines is referenced
-somewhere in the package, and every name the benchmark reaches for exists."""
+somewhere in the package, only ``rewrite._Term`` edits a term's legs, and
+every name the benchmark reaches for exists."""
 
 import ast
 import functools
@@ -88,6 +89,58 @@ def test_unreferenced_check_sees_unused_private_definitions():
               "_used(), _Box()\n")
     assert _unreferenced(source, _references(ast.parse(source))) == [
         "line 3: _unused", "line 10: _stale"]
+
+
+_LEG_MAPS = {"wire_to", "wire_from"}
+_MUTATORS = {"pop", "popitem", "clear", "update", "setdefault"}
+
+
+def _leg_edits(source: str, owner: str = "_Term") -> list[str]:
+    """The assignments to, deletions from and mutating calls on an
+    attribute named ``wire_to`` or ``wire_from`` outside class ``owner``."""
+    tree = ast.parse(source)
+    inside = {id(node) for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) and cls.name == owner
+              for node in ast.walk(cls)}
+
+    def leg_map(node) -> bool:  # x.wire_to or x.wire_to[...]
+        if isinstance(node, ast.Subscript):
+            node = node.value
+        return isinstance(node, ast.Attribute) and node.attr in _LEG_MAPS
+
+    edits = []
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if (isinstance(node, (ast.Attribute, ast.Subscript))
+                and isinstance(node.ctx, (ast.Store, ast.Del))
+                and leg_map(node)):
+            verb = "del" if isinstance(node.ctx, ast.Del) else "store"
+            edits.append((node.lineno, f"{verb} {ast.unparse(node)}"))
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr in _MUTATORS and leg_map(node.func.value)):
+            edits.append((node.lineno, f"call {ast.unparse(node)}"))
+    return [f"line {line}: {edit}" for line, edit in sorted(edits)]
+
+
+def test_only_term_edits_legs():
+    assert _leg_edits((PACKAGE / "rewrite.py").read_text()) == []
+
+
+def test_leg_edit_check_sees_edits_outside_term():
+    source = ("class _Term:\n"
+              "    def cut(self, p):\n        del self.wire_to[p]\n"
+              "def rule(t, p, q):\n"
+              "    t.wire_to.pop(p), t.dec.pop(p)\n"
+              "    t.wire_from[q] = t.wire_to[p]\n"
+              "    del t.wire_from[q]\n"
+              "    t.wire_to = dict(t.wire_from)\n"
+              "    t.wire_from.update({}), t.wire_to.get(p)\n")
+    assert _leg_edits(source) == [
+        "line 5: call t.wire_to.pop(p)", "line 6: store t.wire_from[q]",
+        "line 7: del t.wire_from[q]", "line 8: store t.wire_to",
+        "line 9: call t.wire_from.update({})"]
 
 
 def _load(path: pathlib.Path):

@@ -137,6 +137,55 @@ def test_ill_typed_terms_rejected():
                         ("action", 1)], 1)
     with pytest.raises(ValueError, match="unknown slice kind 'twist'"):
         term_graph([("coaction", 1), ("twist",), ("action", 1)], 1)
+    # a decoration conflict makes the term 0 only once it is well typed
+    clash = [("coaction", 1), ("decor", 1, 0), ("decor", 1, 1)]
+    with pytest.raises(ValueError, match="bracket needs two open legs"):
+        term_graph(clash + [("mu",), ("action", 1)], 1)
+    assert term_graph(clash + [("action", 1)], 1) is None
+    with pytest.raises(ValueError, match="term is not an endomorphism"):
+        term_graph([("coaction", 1)] + clash + [("action", 1)], 1)
+
+
+def test_rules_build_their_last_output_on_their_input(monkeypatch):
+    """A rule edits copies for all its outputs but the last, which it
+    builds on its input term.  PUSH_MU drops a decomposition whose
+    decorations clash, so its last output is its input only when its last
+    decomposition survives; otherwise no output is."""
+    fired = dict.fromkeys(("act_mu", "cocycle", "exchange", "push_mu"), 0)
+    pushes = {True: 0, False: 0}  # by whether the last decomposition lives
+
+    def last_survives(t, mid, monoid):
+        beta, gamma = monoid.decompositions(t.dec[("m", mid)])[-1]
+        return all(t.dec.get(t.wire_from[("m", mid, k)]) in (None, d)
+                   for k, d in ((0, beta), (1, gamma)))
+
+    def checked(name, rule):
+        def wrapped(t, *args):
+            fired[name] += 1
+            kept = name != "push_mu" or last_survives(t, *args)
+            if name == "push_mu":
+                pushes[kept] += 1
+            results = rule(t, *args)
+            terms = [s for s, _ in results]
+            assert all(s is not t for s in terms[:-1]), name
+            if kept:
+                assert terms[-1] is t, name
+            else:
+                assert all(s is not t for s in terms), name
+            return results
+        return wrapped
+
+    for name in fired:
+        monkeypatch.setattr(rewrite, f"_apply_{name}",
+                            checked(name, getattr(rewrite, f"_apply_{name}")))
+    rng = random.Random(43)
+    for trial in range(300):
+        monoid = (TRIVIAL, SPLIT, RootCone(2, 2))[trial % 3]
+        n = rng.choice((1, 2))
+        slices = random_term(n, rng, max_nodes=7, monoid=monoid)
+        straighten(slices, n, monoid, scheduler=RandomScheduler(seed=trial))
+    assert min(fired.values()) >= 100, fired
+    assert pushes[True] >= 100 and pushes[False] >= 3, pushes
 
 
 def test_structure_constant_cache_transparent():

@@ -10,9 +10,14 @@ seeds them), runs every check, and reports the SHA-256 of the sorted
 ``algebra._CACHE``: one line ``repr((cache key, sorted constants))`` per
 entry, sorted.  Equal digests mean that both
 checkouts computed the same structure constants for the same products.
+It also counts how often each straightening rule fired (EXCHANGE, ACT_MU,
+COCYCLE, PUSH_MU) and how many working graphs were copied
+(``rewrite._Term.copy``).
 
 Prints one JSON object: the workload, the seeds, each side's digest, item
-count and verdict per seed, and whether the digests are identical.
+count, verdict, rule firings and copies per seed, whether the digests are
+identical (``identical``) and whether the rule firings are
+(``firings_identical``).
 """
 
 from __future__ import annotations
@@ -34,14 +39,33 @@ def cache_digest() -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+RULES = ("exchange", "act_mu", "cocycle", "push_mu")
+
+
+def _counted(counts: dict, name: str, function):
+    def wrapped(*args):
+        counts[name] += 1
+        return function(*args)
+    return wrapped
+
+
 def run_items(workload: str, seed: int) -> dict:
-    """Run every seeded item of ``workload`` in this process."""
+    """Run every seeded item of ``workload`` in this process, counting the
+    rule firings and the working-graph copies."""
     import workloads
+    from dyalg import rewrite
+    counts = dict.fromkeys(RULES + ("copy",), 0)
+    for rule in RULES:
+        name = f"_apply_{rule}"
+        setattr(rewrite, name, _counted(counts, rule, getattr(rewrite, name)))
+    rewrite._Term.copy = _counted(counts, "copy", rewrite._Term.copy)
     items = workloads.ITEMS[workload](random.Random(f"{workload}:{seed}"))
     correct = all(check() == expected for _, check, expected in items)
     return {"items": len(items), "correct": correct,
             "entries": len(sys.modules["dyalg.algebra"]._CACHE),
-            "sha256": cache_digest()}
+            "sha256": cache_digest(),
+            "firings": {rule: counts[rule] for rule in RULES},
+            "copies": counts["copy"]}
 
 
 def run_side(checkout: str, workload: str, seed: int) -> dict:
@@ -72,9 +96,11 @@ def main(argv=None) -> int:
     for side, checkout in sides.items():
         record[side] = {str(seed): run_side(checkout, args.workload, seed)
                         for seed in args.seeds}
-    record["identical"] = all(
-        record["parent"][str(s)]["sha256"] == record["change"][str(s)]["sha256"]
-        for s in args.seeds)
+    for field, name in (("sha256", "identical"),
+                        ("firings", "firings_identical")):
+        record[name] = all(record["parent"][str(s)][field]
+                           == record["change"][str(s)][field]
+                           for s in args.seeds)
     print(json.dumps(record, indent=1, sort_keys=True))
     return 0
 
