@@ -202,17 +202,17 @@ class _Term:
                     out.append((a, b))
         return out
 
-    def line_pos(self) -> dict[int, tuple[int, int]]:
-        return {nid: (li, pi) for li, line in enumerate(self.lines)
-                for pi, nid in enumerate(line)}
+    def locate(self, nid: int) -> tuple[int, int]:
+        """(line, position) of a node: one scan that stops at it."""
+        for li, line in enumerate(self.lines):
+            if nid in line:
+                return li, line.index(nid)
+        raise AssertionError("node not on any line")
 
     def has_bad_pair(self, act_id: int) -> bool:
         """Is some coaction after this action on its line?"""
-        for line in self.lines:
-            if act_id in line:
-                i = line.index(act_id)
-                return any(self.kind[n] == "c" for n in line[i + 1:])
-        raise AssertionError("action not on any line")
+        slot, pi = self.locate(act_id)
+        return any(self.kind[n] == "c" for n in self.lines[slot][pi + 1:])
 
     def leaf_actions(self, prod: tuple) -> list[int]:
         """Actions ultimately consuming a leg, through cobracket trees."""
@@ -241,7 +241,7 @@ def _merge_dec(term: _Term, prod: tuple, decor) -> bool:
 
 
 def _apply_act_mu(t: _Term, act_id: int) -> list[tuple[_Term, int]]:
-    slot, pi = t.line_pos()[act_id]
+    slot, pi = t.locate(act_id)
     mid = t.unplug(("a", act_id))[0][1]
     x = t.unplug(("m", mid, 0))
     y = t.unplug(("m", mid, 1))
@@ -283,9 +283,8 @@ def _apply_cocycle(t: _Term, did: int) -> list[tuple[_Term, int]]:
 
 def _apply_exchange(t: _Term, act_id: int, coact_id: int
                     ) -> list[tuple[_Term, int]]:
-    pos = t.line_pos()
-    slot, pi = pos[act_id]
-    assert pos[coact_id] == (slot, pi + 1)
+    slot, pi = t.locate(act_id)
+    assert t.lines[slot][pi + 1] == coact_id
     swap = t.copy()
     swap.lines[slot][pi:pi + 2] = [coact_id, act_id]
     x = t.unplug(("a", act_id))

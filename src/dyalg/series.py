@@ -87,35 +87,30 @@ class GradedSeries:
                                                     den)
         return GradedSeries(self.n, order, self.monoid, parts)
 
+    def _power_sum(self, coeff) -> "GradedSeries":
+        """1 + sum over k >= 1 of coeff(k) * self**k, for a series with no
+        degree-0 part (so the powers vanish past the order)."""
+        out = power = GradedSeries.one(self.n, self.order, self.monoid)
+        for k in range(1, self.order + 1):
+            power = power * self
+            if not power.parts:
+                break
+            out = out + coeff(k) * power
+        return out
+
     def inverse(self) -> "GradedSeries":
         """Inverse of a series whose degree-0 part is the unit."""
         if self.component(0) != AlgebraElement.unit(self.n, self.monoid):
             raise ValueError("leading term is not the unit")
         rest = GradedSeries(self.n, self.order, self.monoid,
                             {d: x for d, x in self.parts.items() if d > 0})
-        out = GradedSeries.one(self.n, self.order, self.monoid)
-        power = GradedSeries.one(self.n, self.order, self.monoid)
-        for k in range(1, self.order + 1):
-            power = power * rest
-            if not power.parts:
-                break
-            out = out + Fraction(-1) ** k * power
-        return out
+        return rest._power_sum(lambda k: Fraction((-1) ** k))
 
     def exp(self) -> "GradedSeries":
         """Exponential of a series with no degree-0 part."""
         if self.parts.get(0):
             raise ValueError("exponent must have zero constant term")
-        out = GradedSeries.one(self.n, self.order, self.monoid)
-        power = GradedSeries.one(self.n, self.order, self.monoid)
-        fact = 1
-        for k in range(1, self.order + 1):
-            power = power * self
-            fact *= k
-            if not power.parts:
-                break
-            out = out + Fraction(1, fact) * power
-        return out
+        return self._power_sum(lambda k: Fraction(1, math.factorial(k)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedSeries):

@@ -91,27 +91,18 @@ def check_associator_axioms(phi: GradedSeries, order: int | None = None
     report.append(_residual_report("pentagon", pentagon))
 
     phi_inv = phi.inverse()
-
-    def hexagons() -> list[dict]:
-        out = []
-        om, om13, om23, om2 = (
-            GradedSeries.of_element(lift(omega(n, i, j)), order)
-            for n, i, j in ((3, 1, 2), (3, 1, 3), (3, 2, 3), (2, 1, 2)))
-        e_12_3 = series_face(1, Fraction(1, 2) * om2).exp()
-        e_1_23 = series_face(2, Fraction(1, 2) * om2).exp()
-        e13 = (Fraction(1, 2) * om13).exp()
-        e23 = (Fraction(1, 2) * om23).exp()
-        e12 = (Fraction(1, 2) * om).exp()
-        p = series_slot_permute
-        hex1 = e_12_3 - (p(phi, (2, 3, 1)) * e13
-                         * p(phi_inv, (1, 3, 2)) * e23 * phi)
-        out.append(_residual_report("hexagon1", hex1))
-        hex2 = e_1_23 - (p(phi_inv, (3, 1, 2)) * e13
-                         * p(phi, (2, 1, 3)) * e12 * phi_inv)
-        out.append(_residual_report("hexagon2", hex2))
-        return out
-
-    report.extend(hexagons())
+    # exp(Omega/2) once in two slots; faces are algebra maps, so its images
+    # are the exponentials of the 3-slot crossings (Omega_13 by a permutation)
+    e = two_slot_embeddings((Fraction(1, 2) * GradedSeries.of_element(
+        lift(omega(2, 1, 2)), order)).exp())
+    p = series_slot_permute
+    e13 = p(e["12"], (1, 3, 2))
+    hex1 = e["12,3"] - (p(phi, (2, 3, 1)) * e13 * p(phi_inv, (1, 3, 2))
+                        * e["23"] * phi)
+    report.append(_residual_report("hexagon1", hex1))
+    hex2 = e["1,23"] - (p(phi_inv, (3, 1, 2)) * e13 * p(phi, (2, 1, 3))
+                        * e["12"] * phi_inv)
+    report.append(_residual_report("hexagon2", hex2))
     duality = series_slot_permute(phi, (3, 2, 1)) - phi_inv
     report.append(_residual_report("duality", duality))
     jet = phi - GradedSeries(3, order, phi.monoid, {
@@ -127,12 +118,13 @@ def check_associator_axioms(phi: GradedSeries, order: int | None = None
 
 
 def twist_conjugate(phi: GradedSeries, j: GradedSeries) -> GradedSeries:
-    """The twisted associator J^23 J^{1,23} Phi (J^{12,3})^-1 (J^12)^-1."""
+    """The twisted associator J^23 J^{1,23} Phi (J^{12,3})^-1 (J^12)^-1;
+    faces are algebra maps, so J is inverted once, then embedded."""
     if j.component(0) != AlgebraElement.unit(j.n, j.monoid):
         raise ValueError("twist must start at the unit")
-    im = two_slot_embeddings(j)
-    return (im["23"] * im["1,23"] * phi
-            * im["12,3"].inverse() * im["12"].inverse())
+    j_inv = j.inverse()
+    return (series_face(0, j) * series_face(2, j) * phi
+            * series_face(1, j_inv) * series_face(3, j_inv))
 
 
 def twist_equation_residual(j: GradedSeries, phi_big: GradedSeries,
@@ -150,10 +142,9 @@ def gauge(u: GradedSeries, j: GradedSeries) -> GradedSeries:
         raise ValueError("gauge needs a 1-slot series acting on a 2-slot one")
     if u.component(0) != AlgebraElement.unit(1, u.monoid):
         raise ValueError("non-unit leading term")
-    u1 = series_face(2, u)   # u (x) 1
-    u2 = series_face(0, u)   # 1 (x) u
-    du = series_face(1, u)   # coproduct
-    return u1 * u2 * j * du.inverse()
+    # the coproduct (face 1) is an algebra map: it carries u^-1 to (du)^-1
+    return (series_face(2, u) * series_face(0, u) * j
+            * series_face(1, u.inverse()))
 
 
 class GaugeObstruction(ValueError):
@@ -174,12 +165,14 @@ def solve_gauge(j1: GradedSeries, j2: GradedSeries, phi: GradedSeries,
     j1, j2 = j1.truncate(order), j2.truncate(order)
     phi_small = phi if phi_small is None else phi_small
     for j in (j1, j2):
+        if j.component(0) != AlgebraElement.unit(2, j.monoid):
+            raise ValueError("twist must start at the unit")
         if not twist_equation_residual(j, phi, phi_small).truncate(
                 order).is_zero():
             raise ValueError("inputs violate twist equation")
     u = GradedSeries.one(1, order, j1.monoid)
     for k in range(1, order + 1):
-        diff = j2 - gauge(u, j1)
+        diff = j2 - gauge(u, j1.truncate(k))
         for low in range(k):
             if not diff.component(low).is_zero():
                 raise AssertionError("lower-degree discrepancy left behind")

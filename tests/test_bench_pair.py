@@ -128,6 +128,10 @@ def test_cache_digest_compares_checkouts():
     run = record["parent"]["1"]
     assert run == record["change"]["1"] and record["identical"]
     assert record["firings_identical"] is True
+    # one checkout on both sides: every key common, all constants equal
+    assert record["keys"] == {"1": {
+        "common": run["entries"], "parent_only": 0, "change_only": 0,
+        "common_equal": True}}
     assert run["items"] > 0 and run["correct"] and run["entries"] > 0
     assert len(run["sha256"]) == 64
     firings = run["firings"]
@@ -151,5 +155,15 @@ def test_cache_digest_sees_every_constant(monkeypatch):
     assert tool.cache_digest() == before
     key, constants = next(iter(algebra._CACHE.items()))
     k = next(iter(constants))
+    entries = tool.cache_entries()
     algebra._CACHE[key] = {**constants, k: constants[k] + 1}
     assert tool.cache_digest() != before
+    altered = tool.cache_entries()
+    assert tool.compare_entries(entries, entries)["common_equal"]
+    assert tool.compare_entries(entries, altered) == {
+        "common": len(entries), "parent_only": 0, "change_only": 0,
+        "common_equal": False}
+    fewer = {k: v for k, v in entries.items() if k != repr(key)}
+    assert tool.compare_entries(fewer, entries) == {
+        "common": len(fewer), "parent_only": 0, "change_only": 1,
+        "common_equal": True}

@@ -237,6 +237,41 @@ def test_associator_check_command():
     assert all(r["ok"] for r in json.loads(proc.stdout))
 
 
+@pytest.mark.parametrize("args, message", [
+    (["nested-sets", "{empty}"], "empty diagram"),
+    (["--max-degree", "4", "associator-check"], "size guard: order <= 3"),
+    (["--max-degree", "-1", "associator-check"],
+     "leading term is not the unit"),
+    (["solve-gauge", "{zero}", "{zero}"], "twist must start at the unit"),
+])
+def test_invalid_input_exits_4_without_traceback(tmp_path, args, message):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"vertices": [], "edges": []}))
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({"n": 2, "order": 2,
+                                "monoid": {"kind": "trivial"}, "parts": {}}))
+    proc = run_cli([a.format(empty=empty, zero=zero) for a in args])
+    assert proc.returncode == 4
+    assert proc.stderr == f"validation failure: {message}\n"
+    assert proc.stdout == ""
+
+
+def test_gauge_obstruction_exits_1(tmp_path):
+    from dyalg.cohomology import harmonic_complement
+    from dyalg.monoids import SPLIT
+    from dyalg.series import GradedSeries
+    j0 = GradedSeries.one(2, 2, SPLIT)
+    mu = harmonic_complement(2, 2, SPLIT)[1][0]
+    left, right = tmp_path / "j0.json", tmp_path / "j1.json"
+    left.write_text(json.dumps(j0.to_json()))
+    right.write_text(json.dumps(
+        (j0 + GradedSeries.of_element(mu, 2)).to_json()))
+    proc = run_cli(["solve-gauge", str(left), str(right)])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("assertion failure: obstruction")
+    assert "Traceback" not in proc.stderr
+
+
 def test_coxeter_check_command(tmp_path):
     dia = tmp_path / "a2.json"
     dia.write_text(json.dumps({"vertices": [1, 2], "edges": [[1, 2]]}))

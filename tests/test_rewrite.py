@@ -253,7 +253,7 @@ def _ref_delta_coact(t, did):
     cons1 = t.wire_to[("d", did, 1)]
     d0 = t.dec.get(("d", did, 0))
     d1 = t.dec.get(("d", did, 1))
-    slot, pi = t.line_pos()[cid]
+    slot, pi = t.locate(cid)
     out = []
     # c1 is first in time; + feeds output 0 from c2, - from c1
     for first_to_0, sgn in ((False, 1), (True, -1)):

@@ -7,21 +7,22 @@ from dyalg.algebra import AlgebraElement, beta_map, enumerate_basis, \
     hochschild_d, omega
 from dyalg.cohomology import harmonic_complement
 from dyalg.monoids import RootCone, SPLIT, TRIVIAL
-from dyalg.series import GradedSeries, series_face
+from dyalg.permutations import all_permutations
+from dyalg.series import GradedSeries, series_face, series_slot_permute
 from dyalg.twists import (GaugeObstruction, associator_2jet,
                           check_associator_axioms, gauge, solve_gauge,
                           twist_conjugate, twist_equation_residual)
 
 
-def _random_unit_series(rng, order, monoid=SPLIT, nmax=2):
+def _random_unit_series(rng, order, monoid=SPLIT, nmax=2, n=1):
     parts = {}
     for d in range(1, order + 1):
-        keys = enumerate_basis(1, d, monoid)
+        keys = enumerate_basis(n, d, monoid)
         terms = {k: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                  for k in rng.sample(keys, min(nmax, len(keys)))}
-        parts[d] = AlgebraElement(1, monoid, terms)
-    return (GradedSeries.one(1, order, monoid)
-            + GradedSeries(1, order, monoid, parts))
+        parts[d] = AlgebraElement(n, monoid, terms)
+    return (GradedSeries.one(n, order, monoid)
+            + GradedSeries(n, order, monoid, parts))
 
 
 def test_series_arithmetic():
@@ -57,13 +58,27 @@ def test_associator_checks_run_in_the_associators_monoid():
 
 
 def test_unit_associator_fails_hexagons_and_jet():
-    one = GradedSeries.one(3, 2)
-    report = {r["check"]: r for r in check_associator_axioms(one, 2)}
-    assert report["pentagon"]["ok"]
-    assert report["duality"]["ok"]
-    assert not report["hexagon1"]["ok"]
-    assert not report["hexagon2"]["ok"]
-    assert not report["2jet"]["ok"]
+    # residual sizes and first offenders as recorded when each crossing was
+    # exponentiated in three slots
+    key = repr(((0, 0, 2), (1, 1, 0), (1, 2), (0, 0)))
+    for monoid, hexagon in ((TRIVIAL, {2: 12, 3: 200}),
+                            (SPLIT, {2: 48, 3: 1600})):
+        for order in (2, 3):
+            one = GradedSeries.one(3, order, monoid)
+            report = {r["check"]: r
+                      for r in check_associator_axioms(one, order)}
+            assert report["pentagon"]["ok"]
+            assert report["duality"]["ok"]
+            assert not report["hexagon1"]["ok"]
+            assert not report["hexagon2"]["ok"]
+            assert not report["2jet"]["ok"]
+            for check, coeff, sizes in (("hexagon1", "1/8", hexagon),
+                                        ("hexagon2", "-1/8", hexagon),
+                                        ("2jet", "-1/24", {2: hexagon[2]})):
+                assert report[check]["residual_terms"] == {
+                    d: c for d, c in sizes.items() if d <= order}
+                assert report[check]["first_offender"] == {
+                    "degree": 2, "coeff": coeff, "key": key}
 
 
 def test_degree_one_term_flagged():
@@ -77,6 +92,47 @@ def test_twist_conjugate_by_unit():
     phi = associator_2jet(3)
     one2 = GradedSeries.one(2, 3)
     assert twist_conjugate(phi, one2) == phi
+
+
+def test_embeddings_commute_with_inverse_and_exp():
+    # faces and slot permutations are algebra maps, which is what lets the
+    # twist layer invert and exponentiate before it embeds
+    rng = random.Random(23)
+    for monoid, order in ((TRIVIAL, 3), (SPLIT, 3), (RootCone(2, 4), 2)):
+        for n in (1, 2):
+            s = _random_unit_series(rng, order, monoid, nmax=3, n=n)
+            x = s - GradedSeries.one(n, order, monoid)
+            images = [lambda t, i=i: series_face(i, t)
+                      for i in range(n + 2)]
+            images += [lambda t, p=p: series_slot_permute(t, p)
+                       for p in all_permutations(n)]
+            for image in images:
+                assert image(s.inverse()) == image(s).inverse()
+                assert image(x.exp()) == image(x).exp()
+
+
+def _gauge_reference(u, j):
+    """(u (x) 1)(1 (x) u) J, times the inverse of the embedded coproduct."""
+    return (series_face(2, u) * series_face(0, u) * j
+            * series_face(1, u).inverse())
+
+
+def _twist_conjugate_reference(phi, j):
+    """J^23 J^{1,23} Phi with each embedded J^{12,3}, J^12 inverted."""
+    return (series_face(0, j) * series_face(2, j) * phi
+            * series_face(1, j).inverse() * series_face(3, j).inverse())
+
+
+def test_gauge_and_conjugation_match_inverting_the_embedded_series():
+    rng = random.Random(5)
+    for monoid in (TRIVIAL, SPLIT):
+        for order in (2, 3):
+            u = _random_unit_series(rng, order, monoid)
+            j = _random_unit_series(rng, order, monoid, nmax=3, n=2)
+            phi = _random_unit_series(rng, order, monoid, nmax=3, n=3)
+            assert gauge(u, j) == _gauge_reference(u, j)
+            assert twist_conjugate(phi, j) == _twist_conjugate_reference(
+                phi, j)
 
 
 def test_twist_linearization_is_the_differential():
@@ -151,6 +207,16 @@ def test_solve_gauge_rejects_equation_violation():
         AlgebraElement(2, TRIVIAL, {keys[0]: Fraction(1)}), order)
     with pytest.raises(ValueError, match="violate twist equation"):
         solve_gauge(j0, bad, one3)
+
+
+def test_solve_gauge_rejects_twists_that_do_not_start_at_the_unit():
+    order = 2
+    one3 = GradedSeries.one(3, order)
+    j0 = GradedSeries.one(2, order)
+    zero = GradedSeries.zero(2, order)
+    for j1, j2 in ((zero, zero), (zero, j0), (j0, zero)):
+        with pytest.raises(ValueError, match="twist must start at the unit"):
+            solve_gauge(j1, j2, one3)
 
 
 def test_double_conjugation_composes():

@@ -14,10 +14,16 @@ It also counts how often each straightening rule fired (EXCHANGE, ACT_MU,
 COCYCLE, PUSH_MU) and how many working graphs were copied
 (``rewrite._Term.copy``).
 
+A change that asks for fewer (or other) products can never give an equal
+digest, so each seed also compares the caches key by key (``keys``): how
+many keys both sides hold (``common``), how many only the parent or only
+the change holds (``parent_only``, ``change_only``), and whether every
+common key has equal constants on both sides (``common_equal``).
+
 Prints one JSON object: the workload, the seeds, each side's digest, item
-count, verdict, rule firings and copies per seed, whether the digests are
-identical (``identical``) and whether the rule firings are
-(``firings_identical``).
+count, verdict, rule firings and copies per seed, the key comparison per
+seed, whether the digests are identical (``identical``) and whether the
+rule firings are (``firings_identical``).
 """
 
 from __future__ import annotations
@@ -37,6 +43,24 @@ def cache_digest() -> str:
     lines = sorted(repr((key, sorted(constants.items())))
                    for key, constants in algebra._CACHE.items())
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def cache_entries() -> dict[str, str]:
+    """SHA-256 of each entry's sorted constants, by the entry's key."""
+    from dyalg import algebra
+    return {repr(key): hashlib.sha256(
+                repr(sorted(constants.items())).encode()).hexdigest()
+            for key, constants in algebra._CACHE.items()}
+
+
+def compare_entries(parent: dict, change: dict) -> dict:
+    """Key counts of two :func:`cache_entries` maps, and whether they agree
+    on every key both hold."""
+    common = parent.keys() & change.keys()
+    return {"common": len(common),
+            "parent_only": len(parent.keys() - common),
+            "change_only": len(change.keys() - common),
+            "common_equal": all(parent[k] == change[k] for k in common)}
 
 
 RULES = ("exchange", "act_mu", "cocycle", "push_mu")
@@ -64,6 +88,7 @@ def run_items(workload: str, seed: int) -> dict:
     return {"items": len(items), "correct": correct,
             "entries": len(sys.modules["dyalg.algebra"]._CACHE),
             "sha256": cache_digest(),
+            "constants": cache_entries(),
             "firings": {rule: counts[rule] for rule in RULES},
             "copies": counts["copy"]}
 
@@ -96,6 +121,9 @@ def main(argv=None) -> int:
     for side, checkout in sides.items():
         record[side] = {str(seed): run_side(checkout, args.workload, seed)
                         for seed in args.seeds}
+    record["keys"] = {str(s): compare_entries(
+        record["parent"][str(s)].pop("constants"),
+        record["change"][str(s)].pop("constants")) for s in args.seeds}
     for field, name in (("sha256", "identical"),
                         ("firings", "firings_identical")):
         record[name] = all(record["parent"][str(s)][field]
