@@ -200,7 +200,7 @@ class AlgebraElement:
     @staticmethod
     def from_json(data: dict) -> "AlgebraElement":
         monoid = monoid_from_json(data["monoid"])
-        n = data["n"]
+        n = _natural(data["n"], "n")
         # arithmetic happens in the ambient cone of a RootConeMod; each
         # decoration is read as the monoid element equal to it (1 for true)
         decors = {d: d for d in (RootCone(monoid.rank, monoid.cap)
@@ -243,6 +243,14 @@ def _dec_json(d):
 
 def _dec_unjson(d):
     return tuple(d) if isinstance(d, list) else d
+
+
+def _natural(value, name: str) -> int:
+    """``value`` if it is a non-negative int (a bool is not one)."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, "
+                         f"got {value!r}")
+    return value
 
 
 def _check_key(n: int, key: Key, monoid: DecorationMonoid) -> None:

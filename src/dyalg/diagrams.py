@@ -87,7 +87,11 @@ class Diagram:
 
     @staticmethod
     def from_json(data: dict) -> "Diagram":
-        return Diagram.make(data["vertices"], data["edges"])
+        vertices, edges = data["vertices"], data["edges"]
+        for v in itertools.chain(vertices, *edges):
+            if type(v) is not int or v < 0:
+                raise ValueError(f"vertex {v!r} is not a non-negative integer")
+        return Diagram.make(vertices, edges)
 
 
 def orthogonal(b1: frozenset, b2: frozenset, dia: Diagram) -> bool:

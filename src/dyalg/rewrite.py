@@ -41,8 +41,10 @@ Oriented rules
 ``PUSH_DELTA``  a decoration on a cobracket's input enumerates two-part
                 decompositions onto its outputs; read off like DELTA_COACT.
 
-A rule changes legs only through ``_Term.connect``, ``disconnect`` and
-``unplug``, and builds its last output term on its input.
+A term's lines list its action and coaction ports, the tuples that key
+its legs; its brackets are the set ``_Term.mus``, which only ``fresh`` and
+``drop_node`` change.  Rules change legs only through ``_Term.connect``,
+``disconnect`` and ``unplug``, and build their last output on the input.
 
 Every rule term carries the coefficient +1 or -1 (the pushes only +1), so
 a straightened term's coefficients are sums of signs: the engine
@@ -133,17 +135,18 @@ from .permutations import block_starts
 
 
 class _Term:
-    """Mutable working graph.  Legs change only through :meth:`connect`,
-    :meth:`disconnect` and :meth:`unplug`.  A rule consumes its input: it
-    edits copies for all its output terms but the last, which it builds on
-    the input itself, so a term handed to a rule must not be used
-    afterwards."""
+    """Mutable working graph.  A line lists its action and coaction ports;
+    the set ``mus`` of bracket ids changes only in :meth:`fresh` and
+    :meth:`drop_node`, and legs only in :meth:`connect`, :meth:`disconnect`
+    and :meth:`unplug`.  A rule consumes its input: it edits copies for all
+    its outputs but the last, which it builds on the input itself, so a
+    term handed to a rule must not be used afterwards."""
 
-    __slots__ = ("lines", "kind", "wire_to", "wire_from", "dec", "nxt")
+    __slots__ = ("lines", "mus", "wire_to", "wire_from", "dec", "nxt")
 
     def __init__(self, n_slots: int):
-        self.lines: list[list[int]] = [[] for _ in range(n_slots)]
-        self.kind: dict[int, str] = {}
+        self.lines: list[list[tuple]] = [[] for _ in range(n_slots)]
+        self.mus: set[int] = set()
         self.wire_to: dict[tuple, tuple] = {}
         self.wire_from: dict[tuple, tuple] = {}
         self.dec: dict[tuple, object] = {}
@@ -152,7 +155,7 @@ class _Term:
     def copy(self) -> "_Term":
         t = _Term.__new__(_Term)
         t.lines = [line[:] for line in self.lines]
-        t.kind = dict(self.kind)
+        t.mus = set(self.mus)
         t.wire_to = dict(self.wire_to)
         t.wire_from = dict(self.wire_from)
         t.dec = dict(self.dec)
@@ -162,7 +165,8 @@ class _Term:
     def fresh(self, kind: str) -> int:
         nid = self.nxt
         self.nxt += 1
-        self.kind[nid] = kind
+        if kind == "m":
+            self.mus.add(nid)
         return nid
 
     def connect(self, prod: tuple, cons: tuple, decor=None) -> None:
@@ -185,40 +189,34 @@ class _Term:
         del self.wire_to[prod]
         return prod, self.dec.pop(prod, None)
 
-    def drop_node(self, nid: int) -> None:
-        self.kind.pop(nid)
+    def drop_node(self, mid: int) -> None:
+        self.mus.remove(mid)
 
     # -- inspection helpers -------------------------------------------------
 
-    def mus(self) -> list[int]:
-        return [n for n, k in self.kind.items() if k == "m"]
-
     def inversions(self) -> list[tuple[int, int]]:
-        """Adjacent (action, coaction) patterns per line."""
-        out = []
-        for line in self.lines:
-            for a, b in zip(line, line[1:]):
-                if self.kind[a] == "a" and self.kind[b] == "c":
-                    out.append((a, b))
-        return out
+        """Adjacent (action, coaction) patterns per line, as id pairs."""
+        return [(a[1], b[1]) for line in self.lines
+                for a, b in zip(line, line[1:])
+                if a[0] == "a" and b[0] == "c"]
 
-    def locate(self, nid: int) -> tuple[int, int]:
-        """(line, position) of a node: one scan that stops at it."""
+    def locate(self, port: tuple) -> tuple[int, int]:
+        """(line, position) of a port: one scan that stops at it."""
         for li, line in enumerate(self.lines):
-            if nid in line:
-                return li, line.index(nid)
+            if port in line:
+                return li, line.index(port)
         raise AssertionError("node not on any line")
 
-    def has_bad_pair(self, act_id: int) -> bool:
-        """Is some coaction after this action on its line?"""
-        slot, pi = self.locate(act_id)
-        return any(self.kind[n] == "c" for n in self.lines[slot][pi + 1:])
+    def has_bad_pair(self, act: tuple) -> bool:
+        """Is some coaction after this action port on its line?"""
+        slot, pi = self.locate(act)
+        return any(x[0] == "c" for x in self.lines[slot][pi + 1:])
 
-    def leaf_actions(self, prod: tuple) -> list[int]:
-        """Actions ultimately consuming a leg, through cobracket trees."""
+    def leaf_actions(self, prod: tuple) -> list[tuple]:
+        """Action ports ultimately consuming a leg, via cobracket trees."""
         cons = self.wire_to[prod]
         if cons[0] == "a":
-            return [cons[1]]
+            return [cons]
         if cons[0] == "d":
             did = cons[1]
             return (self.leaf_actions(("d", did, 0))
@@ -241,20 +239,19 @@ def _merge_dec(term: _Term, prod: tuple, decor) -> bool:
 
 
 def _apply_act_mu(t: _Term, act_id: int) -> list[tuple[_Term, int]]:
-    slot, pi = t.locate(act_id)
+    slot, pi = t.locate(("a", act_id))
     mid = t.unplug(("a", act_id))[0][1]
     x = t.unplug(("m", mid, 0))
     y = t.unplug(("m", mid, 1))
     t.drop_node(mid)
-    t.drop_node(act_id)
     out = []
     for first, second, sgn in ((y, x, 1), (x, y, -1)):
         s = t if sgn == -1 else t.copy()  # the last branch takes t
-        a1 = s.fresh("a")
-        a2 = s.fresh("a")
+        a1 = ("a", s.fresh("a"))
+        a2 = ("a", s.fresh("a"))
         s.lines[slot][pi:pi + 1] = [a1, a2]
-        s.connect(first[0], ("a", a1), first[1])
-        s.connect(second[0], ("a", a2), second[1])
+        s.connect(first[0], a1, first[1])
+        s.connect(second[0], a2, second[1])
         out.append((s, sgn))
     return out
 
@@ -264,7 +261,6 @@ def _apply_cocycle(t: _Term, did: int) -> list[tuple[_Term, int]]:
     ins = [t.unplug(("m", mid, 0)), t.unplug(("m", mid, 1))]
     outs = [t.disconnect(("d", did, 0)), t.disconnect(("d", did, 1))]
     t.drop_node(mid)
-    t.drop_node(did)
     out = []
     # the cobracket splits input i; output 0 of the new cobracket takes the
     # old output j, the new bracket's output the other one
@@ -283,29 +279,28 @@ def _apply_cocycle(t: _Term, did: int) -> list[tuple[_Term, int]]:
 
 def _apply_exchange(t: _Term, act_id: int, coact_id: int
                     ) -> list[tuple[_Term, int]]:
-    slot, pi = t.locate(act_id)
-    assert t.lines[slot][pi + 1] == coact_id
+    slot, pi = t.locate(("a", act_id))
+    act, coact = t.lines[slot][pi:pi + 2]
+    assert coact == ("c", coact_id)
     swap = t.copy()
-    swap.lines[slot][pi:pi + 2] = [coact_id, act_id]
-    x = t.unplug(("a", act_id))
-    y = t.disconnect(("c", coact_id))
-    t.drop_node(act_id)
-    t.drop_node(coact_id)
+    swap.lines[slot][pi:pi + 2] = [coact, act]
+    x = t.unplug(act)
+    y = t.disconnect(coact)
 
     s = t.copy()  # bracket term: action and coaction fuse through a bracket
-    c2 = s.fresh("c")
+    c2 = ("c", s.fresh("c"))
     nm = s.fresh("m")
     s.lines[slot][pi:pi + 2] = [c2]
     s.connect(x[0], ("m", nm, 0), x[1])
-    s.connect(("c", c2), ("m", nm, 1))
+    s.connect(c2, ("m", nm, 1))
     s.connect(("m", nm), *y)
 
-    a2 = t.fresh("a")  # cobracket term, built on the input itself
+    a2 = ("a", t.fresh("a"))  # cobracket term, built on the input itself
     nd = t.fresh("d")
     t.lines[slot][pi:pi + 2] = [a2]
     t.connect(x[0], ("d", nd), x[1])
     t.connect(("d", nd, 0), *y)
-    t.connect(("d", nd, 1), ("a", a2))
+    t.connect(("d", nd, 1), a2)
     return [(swap, 1), (s, 1), (t, -1)]
 
 
@@ -401,10 +396,9 @@ def straighten_graph(t0: _Term, monoid: DecorationMonoid,
     while True:
         if work:
             t, c = work.pop()
-            mus = t.mus()
-            if mus:  # stage 1
+            if t.mus:  # stage 1
                 work.extend((s, c * c2) for s, c2 in _resolve_bracket(
-                    t, sched.choose("mu", sorted(mus)), monoid))
+                    t, sched.choose("mu", sorted(t.mus)), monoid))
                 continue
             measure = _measure(t)
             if not measure:  # stage 3
@@ -440,12 +434,11 @@ def straighten_graph(t0: _Term, monoid: DecorationMonoid,
 def _measure(t: _Term) -> int:
     """The stage-2 measure of a bracket-free term: the (action, coaction)
     pairs with the action first on a line."""
-    kind = t.kind
     pairs = 0
     for line in t.lines:
         acts = 0
         for x in line:
-            if kind[x] == "a":
+            if x[0] == "a":
                 acts += 1
             else:
                 pairs += acts
@@ -457,25 +450,25 @@ def _exchange_form(t: _Term) -> tuple:
     each coaction's latent cobracket tree with its decorations, in line
     order, the leaves naming actions by their order along the lines.  Two
     terms have one form iff they are equal up to node ids."""
-    kind, wire_to, dec = t.kind, t.wire_to, t.dec
-    name: dict[int, int] = {}
+    wire_to, dec = t.wire_to, t.dec
+    name: dict[tuple, int] = {}
     coacts, lines = [], []
     for line in t.lines:
         for x in line:
-            if kind[x] == "a":
+            if x[0] == "a":
                 name[x] = len(name)
             else:
                 coacts.append(x)
-        lines.append("".join([kind[x] for x in line]))
+        lines.append("".join([x[0] for x in line]))
 
     def tree(prod):
         cons = wire_to[prod]
         if cons[0] == "a":
-            return dec.get(prod), name[cons[1]]
+            return dec.get(prod), name[cons]
         did = cons[1]
         return dec.get(prod), tree(("d", did, 0)), tree(("d", did, 1))
 
-    return tuple(lines), tuple([tree(("c", c)) for c in coacts])
+    return tuple(lines), tuple([tree(c) for c in coacts])
 
 
 # ---------------------------------------------------------------------------
@@ -483,13 +476,13 @@ def _exchange_form(t: _Term) -> tuple:
 
 
 def _leaves(t: _Term, prod: tuple, above, monoid: DecorationMonoid,
-            ac_pos: dict[int, int]) -> list[tuple[tuple, int]]:
+            ac_pos: dict[tuple, int]) -> list[tuple[tuple, int]]:
     """Resolve the latent cobracket tree under the leg leaving ``prod``.
 
     Returns ``[(leaves, sign), ...]``: ``leaves`` lists the (action
     position, decoration) pairs in the time order of the coactions that
-    DELTA_COACT would split the leg into; ``ac_pos`` maps action ids to
-    positions.  The leg's decoration is ``above`` (pushed from the parent
+    DELTA_COACT would split the leg into; ``ac_pos`` maps action ports
+    to positions.  The leg's decoration is ``above`` (pushed from the parent
     cobracket, or None) merged with its own; two different decorations
     kill the branch.  A decorated cobracket input enumerates its
     decompositions onto the outputs (PUSH_DELTA).  For leaf lists A of
@@ -504,7 +497,7 @@ def _leaves(t: _Term, prod: tuple, above, monoid: DecorationMonoid,
             return []
     cons = t.wire_to[prod]
     if cons[0] == "a":
-        return [(((ac_pos[cons[1]], dec),), 1)]
+        return [(((ac_pos[cons], dec),), 1)]
     assert cons[0] == "d", "unexpected consumer in latent tree"
     did = cons[1]
     out = []
@@ -530,11 +523,10 @@ def _readout(t: _Term, monoid: DecorationMonoid, coeff: int,
     holds no node id, so equal sorted terms share it, and :func:`_expand`
     reads the keys off each form once.
     """
-    kind = t.kind
     ac_comp, ac_pos, line_coacts = [], {}, []
     total = 0
     for line in t.lines:
-        acts = [x for x in line if kind[x] == "a"]
+        acts = [x for x in line if x[0] == "a"]
         nc = len(line) - len(acts)
         assert line[nc:] == acts, "line not sorted at extraction"
         line_coacts.append(line[:nc])
@@ -545,8 +537,8 @@ def _readout(t: _Term, monoid: DecorationMonoid, coeff: int,
     factors, co_comp = [], []  # per coaction: its _leaves options
     for coacts in line_coacts:
         width = 0
-        for cid in coacts:
-            options = _leaves(t, ("c", cid), None, monoid, ac_pos)
+        for coact in coacts:
+            options = _leaves(t, coact, None, monoid, ac_pos)
             if not options:
                 return
             width += len(options[0][0])
@@ -659,17 +651,17 @@ def term_graph(slices: list, n: int) -> _Term | None:
         kind = sl[0]
         if kind == "coaction":
             _check_slot(sl[1], n)
-            cid = t.fresh("c")
-            t.lines[sl[1] - 1].append(cid)
-            prefix.append(("c", cid))
+            coact = ("c", t.fresh("c"))
+            t.lines[sl[1] - 1].append(coact)
+            prefix.append(coact)
         elif kind == "action":
             _check_slot(sl[1], n)
             if not prefix:
                 raise ValueError("action with no open leg")
-            aid = t.fresh("a")
-            t.lines[sl[1] - 1].append(aid)
+            act = ("a", t.fresh("a"))
+            t.lines[sl[1] - 1].append(act)
             prod = prefix.pop()
-            t.connect(prod, ("a", aid), decor.pop(prod, None))
+            t.connect(prod, act, decor.pop(prod, None))
         elif kind == "mu":
             if len(prefix) < 2:
                 raise ValueError("bracket needs two open legs")

@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .algebra import AlgebraElement, add_product, face_map, slot_permute
+from .algebra import (AlgebraElement, _natural, add_product, face_map,
+                      slot_permute)
 from .monoids import DecorationMonoid, TRIVIAL
 
 
@@ -142,10 +143,15 @@ class GradedSeries:
     @staticmethod
     def from_json(data: dict) -> "GradedSeries":
         from .monoids import monoid_from_json
+        n, order = _natural(data["n"], "n"), _natural(data["order"], "order")
         monoid = monoid_from_json(data["monoid"])
         parts = {int(d): AlgebraElement.from_json(x)
                  for d, x in data["parts"].items()}
-        return GradedSeries(data["n"], data["order"], monoid, parts)
+        for d, x in parts.items():
+            if x.n != n or x.monoid != monoid:
+                raise ValueError(f"part {d} is not in the series' algebra "
+                                 f"(n = {n}, {monoid.name} monoid)")
+        return GradedSeries(n, order, monoid, parts)
 
 
 def series_face(i: int, s: GradedSeries) -> GradedSeries:

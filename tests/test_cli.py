@@ -73,6 +73,52 @@ def test_parse_error_exit_code(tmp_path, command, text):
     assert proc.stderr.startswith("parse error: ")
 
 
+_TRIVIAL = {"kind": "trivial"}
+
+
+def _unit(n, monoid=_TRIVIAL):
+    return {"n": n, "monoid": monoid,
+            "terms": [{"coeff": "1", "coactions": [0] * n,
+                       "actions": [0] * n, "perm": [], "decor": []}]}
+
+
+def _series(n, order, monoid, parts):
+    return {"n": n, "order": order, "monoid": monoid, "parts": parts}
+
+
+@pytest.mark.parametrize("command, data, message", [
+    ("dH", {"n": "x", "monoid": _TRIVIAL, "terms": []},
+     "n must be a non-negative integer, got 'x'"),
+    ("dH", {"n": 1.5, "monoid": _TRIVIAL, "terms": []},
+     "n must be a non-negative integer, got 1.5"),
+    ("dH", {"n": True, "monoid": _TRIVIAL, "terms": []},
+     "n must be a non-negative integer, got True"),
+    ("dH", {"n": -1, "monoid": _TRIVIAL, "terms": []},
+     "n must be a non-negative integer, got -1"),
+    ("solve-gauge", _series(2, 2, _TRIVIAL, {"0": _unit(1)}),
+     "part 0 is not in the series' algebra (n = 2, trivial monoid)"),
+    ("solve-gauge", _series(1, 2, {"kind": "split"}, {"0": _unit(1)}),
+     "part 0 is not in the series' algebra (n = 1, split monoid)"),
+    ("solve-gauge", _series(2, -1, _TRIVIAL, {}),
+     "order must be a non-negative integer, got -1"),
+    ("nested-sets", {"vertices": [1, "a"], "edges": []},
+     "vertex 'a' is not a non-negative integer"),
+    ("nested-sets", {"vertices": [True, 2], "edges": [[True, 2]]},
+     "vertex True is not a non-negative integer"),
+], ids=["n-string", "n-float", "n-bool", "n-negative", "part-slot-count",
+        "part-monoid", "order-negative", "vertex-string", "vertex-bool"])
+def test_malformed_integers_are_parse_errors(tmp_path, command, data,
+                                             message):
+    ok, bad = tmp_path / "ok.json", tmp_path / "bad.json"
+    ok.write_text(json.dumps(_series(2, 2, _TRIVIAL, {"0": _unit(2)})))
+    bad.write_text(json.dumps(data))
+    args = [str(ok), str(bad)] if command == "solve-gauge" else [str(bad)]
+    proc = run_cli([command, *args])
+    assert proc.returncode == 2
+    assert proc.stderr == f"parse error: ValueError: {message}\n"
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("monoid", ['{bad', '{"kind": "nope"}', '[1]'],
                          ids=["malformed-json", "unknown-kind", "not-object"])
 def test_malformed_monoid_is_parse_error(monoid):

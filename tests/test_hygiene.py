@@ -1,7 +1,7 @@
 """Source hygiene: every name a package module imports is used in it,
 every private function, class or method the package defines is referenced
-somewhere in the package, only ``rewrite._Term`` edits a term's legs, and
-every name the benchmark reaches for exists."""
+somewhere in the package, only ``rewrite._Term`` edits a term's legs and
+its bracket set, and every name the benchmark reaches for exists."""
 
 import ast
 import functools
@@ -91,22 +91,24 @@ def test_unreferenced_check_sees_unused_private_definitions():
         "line 3: _unused", "line 10: _stale"]
 
 
-_LEG_MAPS = {"wire_to", "wire_from"}
-_MUTATORS = {"pop", "popitem", "clear", "update", "setdefault"}
+_TERM_RECORDS = {"wire_to", "wire_from", "mus"}
+_MUTATORS = {"pop", "popitem", "clear", "update", "setdefault",
+             "add", "remove", "discard"}
 
 
 def _leg_edits(source: str, owner: str = "_Term") -> list[str]:
     """The assignments to, deletions from and mutating calls on an
-    attribute named ``wire_to`` or ``wire_from`` outside class ``owner``."""
+    attribute named ``wire_to``, ``wire_from`` or ``mus`` outside class
+    ``owner``."""
     tree = ast.parse(source)
     inside = {id(node) for cls in ast.walk(tree)
               if isinstance(cls, ast.ClassDef) and cls.name == owner
               for node in ast.walk(cls)}
 
-    def leg_map(node) -> bool:  # x.wire_to or x.wire_to[...]
+    def record(node) -> bool:  # x.wire_to or x.wire_to[...]
         if isinstance(node, ast.Subscript):
             node = node.value
-        return isinstance(node, ast.Attribute) and node.attr in _LEG_MAPS
+        return isinstance(node, ast.Attribute) and node.attr in _TERM_RECORDS
 
     edits = []
     for node in ast.walk(tree):
@@ -114,12 +116,12 @@ def _leg_edits(source: str, owner: str = "_Term") -> list[str]:
             continue
         if (isinstance(node, (ast.Attribute, ast.Subscript))
                 and isinstance(node.ctx, (ast.Store, ast.Del))
-                and leg_map(node)):
+                and record(node)):
             verb = "del" if isinstance(node.ctx, ast.Del) else "store"
             edits.append((node.lineno, f"{verb} {ast.unparse(node)}"))
         elif (isinstance(node, ast.Call)
               and isinstance(node.func, ast.Attribute)
-              and node.func.attr in _MUTATORS and leg_map(node.func.value)):
+              and node.func.attr in _MUTATORS and record(node.func.value)):
             edits.append((node.lineno, f"call {ast.unparse(node)}"))
     return [f"line {line}: {edit}" for line, edit in sorted(edits)]
 
@@ -136,11 +138,13 @@ def test_leg_edit_check_sees_edits_outside_term():
               "    t.wire_from[q] = t.wire_to[p]\n"
               "    del t.wire_from[q]\n"
               "    t.wire_to = dict(t.wire_from)\n"
-              "    t.wire_from.update({}), t.wire_to.get(p)\n")
+              "    t.wire_from.update({}), t.wire_to.get(p)\n"
+              "    t.mus.add(p), t.mus.discard(q), q in t.mus\n")
     assert _leg_edits(source) == [
         "line 5: call t.wire_to.pop(p)", "line 6: store t.wire_from[q]",
         "line 7: del t.wire_from[q]", "line 8: store t.wire_to",
-        "line 9: call t.wire_from.update({})"]
+        "line 9: call t.wire_from.update({})", "line 10: call t.mus.add(p)",
+        "line 10: call t.mus.discard(q)"]
 
 
 def _load(path: pathlib.Path):

@@ -146,11 +146,27 @@ def test_ill_typed_terms_rejected():
         term_graph([("coaction", 1)] + clash + [("action", 1)], 1)
 
 
+def _brackets(t):
+    """The bracket ids, read off the legs: every bracket has two inputs."""
+    return {p[1] for p in t.wire_from if p[0] == "m"}
+
+
+def _check_records(t):
+    """A term's records agree with its legs: ``mus`` holds exactly the
+    brackets, and the lines hold each action and coaction port once."""
+    assert t.mus == _brackets(t)
+    ports = [x for line in t.lines for x in line]
+    assert len(ports) == len(set(ports))
+    assert set(ports) == ({p for p in t.wire_from if p[0] == "a"}
+                          | {p for p in t.wire_to if p[0] == "c"})
+
+
 def test_rules_build_their_last_output_on_their_input(monkeypatch):
     """A rule edits copies for all its outputs but the last, which it
     builds on its input term.  PUSH_MU drops a decomposition whose
     decorations clash, so its last output is its input only when its last
-    decomposition survives; otherwise no output is."""
+    decomposition survives; otherwise no output is.  Every output's
+    records agree with its legs."""
     fired = dict.fromkeys(("act_mu", "cocycle", "exchange", "push_mu"), 0)
     pushes = {True: 0, False: 0}  # by whether the last decomposition lives
 
@@ -172,6 +188,8 @@ def test_rules_build_their_last_output_on_their_input(monkeypatch):
                 assert terms[-1] is t, name
             else:
                 assert all(s is not t for s in terms), name
+            for s in terms:
+                _check_records(s)
             return results
         return wrapped
 
@@ -248,29 +266,27 @@ def _ref_merge(t, prod, decor):
 
 
 def _ref_delta_coact(t, did):
-    cid = t.wire_from[("d", did)][1]
+    coact = t.wire_from[("d", did)]
     cons0 = t.wire_to[("d", did, 0)]
     cons1 = t.wire_to[("d", did, 1)]
     d0 = t.dec.get(("d", did, 0))
     d1 = t.dec.get(("d", did, 1))
-    slot, pi = t.locate(cid)
+    slot, pi = t.locate(coact)
     out = []
     # c1 is first in time; + feeds output 0 from c2, - from c1
     for first_to_0, sgn in ((False, 1), (True, -1)):
         s = t.copy()
-        s.disconnect(("c", cid))
+        s.disconnect(coact)
         s.wire_to.pop(("d", did, 0)), s.wire_from.pop(cons0)
         s.wire_to.pop(("d", did, 1)), s.wire_from.pop(cons1)
         s.dec.pop(("d", did, 0), None)
         s.dec.pop(("d", did, 1), None)
-        s.drop_node(did)
-        s.drop_node(cid)
-        c1 = s.fresh("c")
-        c2 = s.fresh("c")
+        c1 = ("c", s.fresh("c"))
+        c2 = ("c", s.fresh("c"))
         s.lines[slot][pi:pi + 1] = [c1, c2]
         to0, to1 = (c1, c2) if first_to_0 else (c2, c1)
-        s.connect(("c", to0), cons0, d0)
-        s.connect(("c", to1), cons1, d1)
+        s.connect(to0, cons0, d0)
+        s.connect(to1, cons1, d1)
         out.append((s, sgn))
     return out
 
@@ -293,8 +309,8 @@ def _ref_extract(t, monoid):
     co_pos, ac_pos = {}, {}
     cbase = abase = 0
     for line in t.lines:
-        coacts = [x for x in line if t.kind[x] == "c"]
-        acts = [x for x in line if t.kind[x] == "a"]
+        coacts = [x for x in line if x[0] == "c"]
+        acts = [x for x in line if x[0] == "a"]
         assert line == coacts + acts
         for i, x in enumerate(coacts):
             co_pos[x] = cbase + i + 1
@@ -308,8 +324,8 @@ def _ref_extract(t, monoid):
     strand_dec = [None] * cbase
     for prod, cons in t.wire_to.items():
         assert prod[0] == "c" and cons[0] == "a"
-        perm[co_pos[prod[1]] - 1] = ac_pos[cons[1]]
-        strand_dec[ac_pos[cons[1]] - 1] = t.dec.get(prod)
+        perm[co_pos[prod] - 1] = ac_pos[cons]
+        strand_dec[ac_pos[cons] - 1] = t.dec.get(prod)
     if monoid.is_trivial():
         return [(tuple(co_comp), tuple(ac_comp), tuple(perm),
                  (monoid.zero(),) * cbase)], 0
@@ -333,8 +349,8 @@ def _ref_stage_3(sorted_terms, monoid, fired):
     work = list(sorted_terms)
     while work:
         t, c = work.pop()
-        rooted = sorted(d for d, k in t.kind.items()
-                        if k == "d" and t.wire_from[("d", d)][0] == "c")
+        rooted = sorted(p[1] for p, prod in t.wire_from.items()
+                        if p[0] == "d" and prod[0] == "c")
         if rooted:
             if t.wire_from[("d", rooted[0])] in t.dec:
                 fired["push_delta"] += 1
@@ -344,7 +360,7 @@ def _ref_stage_3(sorted_terms, monoid, fired):
                 results = _ref_delta_coact(t, rooted[0])
             work.extend((s, c * c2) for s, c2 in results)
             continue
-        assert "d" not in t.kind.values(), "unrooted cobracket"
+        assert all(p[0] != "d" for p in t.wire_from), "unrooted cobracket"
         keys, dropped = _ref_extract(t, monoid)
         fired["quotient_drop"] += dropped
         for key in keys:
@@ -400,9 +416,9 @@ def _action_coaction_pairs(t):
     for line in t.lines:
         actions = 0
         for x in line:
-            if t.kind[x] == "a":
+            if x[0] == "a":
                 actions += 1
-            elif t.kind[x] == "c":
+            elif x[0] == "c":
                 pairs += actions
     return pairs
 
@@ -413,9 +429,9 @@ def _resolve_brackets(t, monoid):
     work, done = [t.copy()], []
     while work:
         s = work.pop()
-        if s.mus():
+        if _brackets(s):
             work.extend(r for r, _ in
-                        rewrite._resolve_bracket(s, min(s.mus()), monoid))
+                        rewrite._resolve_bracket(s, min(_brackets(s)), monoid))
         else:
             done.append(s)
     return done
@@ -463,7 +479,7 @@ def _stage_one_measure(t):
                        (t.wire_from[("m", mid, 0)], t.wire_from[("m", mid, 1)])
                        if prod[0] == "m")
 
-    mus = t.mus()
+    mus = _brackets(t)
     return (len(mus), sum(len(below(("m", m))) for m in mus),
             sum(above(m) for m in mus if ("m", m) in t.dec))
 
@@ -510,23 +526,22 @@ def _relabelled(t):
     """``t`` up to node ids: number the nodes breadth first, starting from
     the lines in order and following every leg both ways in port order,
     and rename every port and decoration by those numbers."""
-    queue = [x for line in t.lines for x in line]
+    queue = [x for line in t.lines for x in line]  # nodes as (kind, id)
     new = {x: i for i, x in enumerate(queue)}
-    for x in queue:  # the queue grows while it is read
-        k = t.kind[x]
+    for k, x in queue:  # the queue grows while it is read
         ends = ([t.wire_to[(k, x) + e] for e in _OUT_PORTS[k]]
                 + [t.wire_from[(k, x) + e] for e in _IN_PORTS[k]])
-        for _, y, *_ in ends:
-            if y not in new:
-                new[y] = len(new)
-                queue.append(y)
-    assert len(new) == len(t.kind)
+        for y in ends:
+            if y[:2] not in new:
+                new[y[:2]] = len(new)
+                queue.append(y[:2])
+    assert len(new) == len({p[:2] for p in (*t.wire_to, *t.wire_from)})
 
     def port(p):
-        return (p[0], new[p[1]], *p[2:])
+        return (p[0], new[p[:2]], *p[2:])
 
     return (tuple(tuple(new[x] for x in line) for line in t.lines),
-            frozenset((new[x], k) for x, k in t.kind.items()),
+            frozenset((new[x], x[0]) for x in new),
             frozenset((port(p), port(c)) for p, c in t.wire_to.items()),
             frozenset((port(p), d) for p, d in t.dec.items()))
 
@@ -538,8 +553,8 @@ def _straighten_unnetted(t, monoid, exchange):
     work, sorted_terms, exchanges = [(t, 1)], [], 0
     while work:
         s, c = work.pop()
-        if s.mus():
-            results = rewrite._resolve_bracket(s, min(s.mus()), monoid)
+        if _brackets(s):
+            results = rewrite._resolve_bracket(s, min(_brackets(s)), monoid)
         elif s.inversions():
             safe = [p for p in s.inversions()
                     if not any(s.has_bad_pair(a)
