@@ -26,8 +26,8 @@ from fractions import Fraction
 
 from .monoids import (DecorationMonoid, RootCone, RootConeMod, SPLIT, Split,
                       TRIVIAL, Trivial, monoid_from_json)
-from .permutations import (all_permutations, block_starts, compositions,
-                           inverse, sign)
+from .permutations import (_natural, all_permutations, block_starts,
+                           compositions, inverse, sign)
 from . import rewrite
 
 Key = tuple  # (coactions, actions, perm, decor)
@@ -212,8 +212,8 @@ class AlgebraElement:
             if None in dec:
                 raise ValueError(f"decoration outside the {monoid.name} "
                                  f"monoid in {t['decor']}")
-            key = (tuple(t["coactions"]), tuple(t["actions"]),
-                   tuple(t["perm"]), dec)
+            key = tuple(tuple([_natural(v, f"{f} entry") for v in t[f]])
+                        for f in ("coactions", "actions", "perm")) + (dec,)
             _check_key(n, key, monoid)
             terms[key] = terms.get(key, Fraction(0)) + Fraction(t["coeff"])
         return AlgebraElement(n, monoid, terms)
@@ -243,14 +243,6 @@ def _dec_json(d):
 
 def _dec_unjson(d):
     return tuple(d) if isinstance(d, list) else d
-
-
-def _natural(value, name: str) -> int:
-    """``value`` if it is a non-negative int (a bool is not one)."""
-    if type(value) is not int or value < 0:
-        raise ValueError(f"{name} must be a non-negative integer, "
-                         f"got {value!r}")
-    return value
 
 
 def _check_key(n: int, key: Key, monoid: DecorationMonoid) -> None:

@@ -26,6 +26,8 @@ import functools
 import itertools
 from collections.abc import Sequence
 
+from .permutations import _natural
+
 
 @functools.cache
 def _cone_decompositions(a: tuple) -> tuple:
@@ -216,9 +218,14 @@ def monoid_from_json(data: dict) -> DecorationMonoid:
         return TRIVIAL
     if kind == "split":
         return SPLIT
+    if kind not in ("root_cone", "root_cone_mod"):
+        raise ValueError(f"unknown monoid kind {kind!r}")
+    rank, cap = _natural(data["rank"], "rank"), _natural(data["cap"], "cap")
     if kind == "root_cone":
-        return RootCone(data["rank"], data["cap"])
-    if kind == "root_cone_mod":
-        return RootConeMod(data["rank"], data["cap"],
-                           frozenset(tuple(a) for a in data["allowed"]))
-    raise ValueError(f"unknown monoid kind {kind!r}")
+        return RootCone(rank, cap)
+    allowed = set()
+    for a in data["allowed"]:
+        if type(a) is not list:
+            raise ValueError(f"allowed entry must be a list, got {a!r}")
+        allowed.add(tuple([_natural(x, "allowed coordinate") for x in a]))
+    return RootConeMod(rank, cap, frozenset(allowed))

@@ -80,3 +80,11 @@ def block_starts(comp: Sequence[int]) -> list[int]:
         starts.append(acc)
         acc += p
     return starts
+
+
+def _natural(value, name: str) -> int:
+    """``value`` if it is a non-negative int (a bool is not one)."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, "
+                         f"got {value!r}")
+    return value

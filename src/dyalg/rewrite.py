@@ -63,15 +63,16 @@ cobrackets) is invariant under every rule, which bounds everything else.
 
 One work list runs stage 1, and bracket-free terms are netted:
 :func:`straighten_graph` pops a term and resolves one bracket if it has
-any (stage 1).  A bracket-free term with inversions goes into the bucket
-of its stage-2 measure P, keyed there by its node-id-free
-:func:`_exchange_form`; equal forms keep the first term and sum the
-coefficients.  A sorted term adds its coefficient to its readout form
-(stage 3).  When the work list is empty, the highest bucket is drained:
-one EXCHANGE per distinct term with a nonzero sum, its branches pushed
-back on the work list.  A term with a bracket is always resolved first,
-so each lineage of terms passes through stages 1, 2 and 3 in order, and
-each distinct bracket-free term is rewritten or read out once per call.
+any (stage 1).  The line walk of :func:`_readout` decides a bracket-free
+term's stage: a sorted term adds its coefficient to its readout form
+(stage 3); else one walk of :func:`_exchange_form` gives its stage-2
+measure P and its node-id-free form, which keys it in the bucket of P, and
+equal forms keep the first term and sum the coefficients.  When the work
+list is empty, the highest bucket is drained: one EXCHANGE per distinct
+term with a nonzero sum, its branches pushed back on the work list.  A
+term with a bracket is always resolved first, so each lineage of terms
+passes through stages 1, 2 and 3 in order, and each distinct bracket-free
+term is rewritten or read out once per call.
 
 Stage 1  While the term has a bracket node, resolve one whose output feeds
          an action or cobracket (:func:`_resolve_bracket`; such exists:
@@ -86,7 +87,8 @@ Stage 1  While the term has a bracket node, resolve one whose output feeds
 Stage 2  While some action immediately precedes a coaction on a line,
          apply EXCHANGE at a safe pattern: one whose coaction's leg tree
          feeds only inversion-free actions (no coaction after them on
-         their line).  Any safe pattern will do.  One always exists: the
+         their line).  :meth:`_Term.safe_patterns` lists them in one scan,
+         and any safe pattern will do.  One always exists: the
          pattern whose action is latest in a topological order of the
          node graph (line order and legs) is safe, since any action fed by
          its coaction comes later in that order, and a coaction after it
@@ -140,7 +142,9 @@ class _Term:
     :meth:`drop_node`, and legs only in :meth:`connect`, :meth:`disconnect`
     and :meth:`unplug`.  A rule consumes its input: it edits copies for all
     its outputs but the last, which it builds on the input itself, so a
-    term handed to a rule must not be used afterwards."""
+    term handed to a rule must not be used afterwards.  The stage of a
+    bracket-free term is read off the walks of :func:`_readout` and
+    :func:`_exchange_form`; :meth:`safe_patterns` is the one scan."""
 
     __slots__ = ("lines", "mus", "wire_to", "wire_from", "dec", "nxt")
 
@@ -194,11 +198,24 @@ class _Term:
 
     # -- inspection helpers -------------------------------------------------
 
-    def inversions(self) -> list[tuple[int, int]]:
-        """Adjacent (action, coaction) patterns per line, as id pairs."""
-        return [(a[1], b[1]) for line in self.lines
-                for a, b in zip(line, line[1:])
-                if a[0] == "a" and b[0] == "c"]
+    def safe_patterns(self) -> list[tuple[int, int]]:
+        """The safe EXCHANGE patterns of a bracket-free term, as (action,
+        coaction) id pairs in line order: an action right before a coaction
+        whose leg tree feeds no action with a coaction after it on its
+        line.  One pass per line marks those actions and lists the
+        adjacent pairs."""
+        marked, pairs = set(), []
+        for line in self.lines:
+            pending = []  # the actions since the last coaction
+            for x in line:
+                if x[0] == "a":
+                    pending.append(x)
+                elif pending:
+                    pairs.append((pending[-1], x))
+                    marked.update(pending)
+                    pending = []
+        return [(a[1], c[1]) for a, c in pairs
+                if marked.isdisjoint(self.leaf_actions(c))]
 
     def locate(self, port: tuple) -> tuple[int, int]:
         """(line, position) of a port: one scan that stops at it."""
@@ -206,11 +223,6 @@ class _Term:
             if port in line:
                 return li, line.index(port)
         raise AssertionError("node not on any line")
-
-    def has_bad_pair(self, act: tuple) -> bool:
-        """Is some coaction after this action port on its line?"""
-        slot, pi = self.locate(act)
-        return any(x[0] == "c" for x in self.lines[slot][pi + 1:])
 
     def leaf_actions(self, prod: tuple) -> list[tuple]:
         """Action ports ultimately consuming a leg, via cobracket trees."""
@@ -400,24 +412,15 @@ def straighten_graph(t0: _Term, monoid: DecorationMonoid,
                 work.extend((s, c * c2) for s, c2 in _resolve_bracket(
                     t, sched.choose("mu", sorted(t.mus)), monoid))
                 continue
-            measure = _measure(t)
-            if not measure:  # stage 3
-                _readout(t, monoid, c, forms)
+            if _readout(t, monoid, c, forms):  # stage 3
                 continue
-            bucket = buckets.setdefault(measure, {})  # stage 2
-            form = _exchange_form(t)
-            entry = bucket.get(form)
-            if entry is None:
-                bucket[form] = [t, c]
-            else:
-                entry[1] += c
+            measure, form = _exchange_form(t)  # stage 2: net by form
+            buckets.setdefault(measure, {}).setdefault(form, [t, 0])[1] += c
         elif exchanges:
             t, c = exchanges.pop()
             if not c:
                 continue
-            safe = [p for p in t.inversions()
-                    if not any(t.has_bad_pair(a)
-                               for a in t.leaf_actions(("c", p[1])))]
+            safe = t.safe_patterns()
             assert safe, "no safe pattern despite inversions"
             work.extend((s, c * c2) for s, c2 in _apply_exchange(
                 t, *sched.choose("exchange", safe)))
@@ -431,34 +434,24 @@ def straighten_graph(t0: _Term, monoid: DecorationMonoid,
 # stage 2: netting bracket-free terms
 
 
-def _measure(t: _Term) -> int:
-    """The stage-2 measure of a bracket-free term: the (action, coaction)
-    pairs with the action first on a line."""
-    pairs = 0
-    for line in t.lines:
-        acts = 0
-        for x in line:
-            if x[0] == "a":
-                acts += 1
-            else:
-                pairs += acts
-    return pairs
-
-
-def _exchange_form(t: _Term) -> tuple:
-    """A node-id-free form of a bracket-free term: each line's kinds, then
-    each coaction's latent cobracket tree with its decorations, in line
-    order, the leaves naming actions by their order along the lines.  Two
-    terms have one form iff they are equal up to node ids."""
+def _exchange_form(t: _Term) -> tuple[int, tuple]:
+    """The stage-2 measure of a bracket-free term, the (action, coaction)
+    pairs with the action first on a line, and its node-id-free form: each
+    line's kinds, then each coaction's latent cobracket tree with its
+    decorations, in line order, the leaves naming actions by their order
+    along the lines.  Two terms have one form iff they are equal up to node
+    ids."""
     wire_to, dec = t.wire_to, t.dec
     name: dict[tuple, int] = {}
-    coacts, lines = [], []
+    coacts, lines, pairs = [], [], 0
     for line in t.lines:
+        first = len(name)  # the actions named before this line
         for x in line:
             if x[0] == "a":
                 name[x] = len(name)
             else:
                 coacts.append(x)
+                pairs += len(name) - first
         lines.append("".join([x[0] for x in line]))
 
     def tree(prod):
@@ -468,7 +461,7 @@ def _exchange_form(t: _Term) -> tuple:
         did = cons[1]
         return dec.get(prod), tree(("d", did, 0)), tree(("d", did, 1))
 
-    return tuple(lines), tuple([tree(c) for c in coacts])
+    return pairs, (tuple(lines), tuple([tree(c) for c in coacts]))
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +507,11 @@ def _leaves(t: _Term, prod: tuple, above, monoid: DecorationMonoid,
 
 
 def _readout(t: _Term, monoid: DecorationMonoid, coeff: int,
-             acc: dict[tuple, int]) -> None:
-    """Add ``coeff`` to the readout form of a sorted term in ``acc``.
+             acc: dict[tuple, int]) -> bool:
+    """Add ``coeff`` to the readout form of a sorted term in ``acc``, and
+    say whether the term was sorted.  At the first line with an action
+    before a coaction it stops and adds nothing; a sorted term that
+    :func:`_leaves` kills adds nothing either, but counts as read.
 
     The form is (coaction composition, action composition, one tuple of
     :func:`_leaves` options per coaction in line order), with actions named
@@ -528,7 +524,8 @@ def _readout(t: _Term, monoid: DecorationMonoid, coeff: int,
     for line in t.lines:
         acts = [x for x in line if x[0] == "a"]
         nc = len(line) - len(acts)
-        assert line[nc:] == acts, "line not sorted at extraction"
+        if line[nc:] != acts:
+            return False
         line_coacts.append(line[:nc])
         for i, x in enumerate(acts):
             ac_pos[x] = total + len(acts) - i
@@ -540,13 +537,14 @@ def _readout(t: _Term, monoid: DecorationMonoid, coeff: int,
         for coact in coacts:
             options = _leaves(t, coact, None, monoid, ac_pos)
             if not options:
-                return
+                return True
             width += len(options[0][0])
             factors.append(tuple(options))
         co_comp.append(width)
     assert sum(co_comp) == total, "unrooted cobracket at extraction"
     form = (tuple(co_comp), tuple(ac_comp), tuple(factors))
     acc[form] = acc.get(form, 0) + coeff
+    return True
 
 
 def _expand(forms: dict[tuple, int], monoid: DecorationMonoid

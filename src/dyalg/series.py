@@ -10,9 +10,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .algebra import (AlgebraElement, _natural, add_product, face_map,
-                      slot_permute)
+from .algebra import AlgebraElement, add_product, face_map, slot_permute
 from .monoids import DecorationMonoid, TRIVIAL
+from .permutations import _natural
 
 
 class GradedSeries:

@@ -82,6 +82,14 @@ def _unit(n, monoid=_TRIVIAL):
                        "actions": [0] * n, "perm": [], "decor": []}]}
 
 
+def _key_element(n, monoid, **fields):
+    """An element of one basis key: one strand on slot 1 unless ``fields``
+    say otherwise."""
+    term = {"coeff": "1", "coactions": [1] + [0] * (n - 1),
+            "actions": [1] + [0] * (n - 1), "perm": [1], "decor": [0]}
+    return {"n": n, "monoid": monoid, "terms": [{**term, **fields}]}
+
+
 def _series(n, order, monoid, parts):
     return {"n": n, "order": order, "monoid": monoid, "parts": parts}
 
@@ -105,14 +113,34 @@ def _series(n, order, monoid, parts):
      "vertex 'a' is not a non-negative integer"),
     ("nested-sets", {"vertices": [True, 2], "edges": [[True, 2]]},
      "vertex True is not a non-negative integer"),
+    ("dH", _key_element(2, _TRIVIAL, coactions=[-1, 1], actions=[0, 0],
+                        perm=[], decor=[]),
+     "coactions entry must be a non-negative integer, got -1"),
+    ("dH", _key_element(1, _TRIVIAL, coactions=[True], perm=[True]),
+     "coactions entry must be a non-negative integer, got True"),
+    ("face", _key_element(1, _TRIVIAL, perm=[1.0]),
+     "perm entry must be a non-negative integer, got 1.0"),
+    ("cohomology", {"kind": "root_cone", "rank": 1.5, "cap": 1},
+     "rank must be a non-negative integer, got 1.5"),
+    ("dH", _key_element(1, {"kind": "root_cone", "rank": 2, "cap": True},
+                        decor=[[0, 0]]),
+     "cap must be a non-negative integer, got True"),
+    ("dH", _key_element(1, {"kind": "root_cone_mod", "rank": 2, "cap": 1,
+                            "allowed": [[0, 0], [0.5, 0.5]]},
+                        decor=[[0, 0]]),
+     "allowed coordinate must be a non-negative integer, got 0.5"),
 ], ids=["n-string", "n-float", "n-bool", "n-negative", "part-slot-count",
-        "part-monoid", "order-negative", "vertex-string", "vertex-bool"])
+        "part-monoid", "order-negative", "vertex-string", "vertex-bool",
+        "key-negative", "key-bool", "key-float", "rank-float", "cap-bool",
+        "allowed-float"])
 def test_malformed_integers_are_parse_errors(tmp_path, command, data,
                                              message):
     ok, bad = tmp_path / "ok.json", tmp_path / "bad.json"
     ok.write_text(json.dumps(_series(2, 2, _TRIVIAL, {"0": _unit(2)})))
     bad.write_text(json.dumps(data))
-    args = [str(ok), str(bad)] if command == "solve-gauge" else [str(bad)]
+    args = {"solve-gauge": [str(ok), str(bad)], "face": [str(bad), "0"],
+            "cohomology": ["--monoid", json.dumps(data)]
+            }.get(command, [str(bad)])
     proc = run_cli([command, *args])
     assert proc.returncode == 2
     assert proc.stderr == f"parse error: ValueError: {message}\n"

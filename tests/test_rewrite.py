@@ -379,10 +379,16 @@ def test_readout_matches_stepwise_reference(monkeypatch):
         if term_graph(slices, n) is None:
             continue
         sorted_terms = []
+
+        def record_sorted(t, _monoid, c, _out):
+            if _action_coaction_pairs(t):
+                return False
+            sorted_terms.append((t, c))
+            return True
+
         with monkeypatch.context() as m:
             # stages 1 and 2 through the package, stopped before stage 3
-            m.setattr(rewrite, "_readout",
-                      lambda t, _monoid, c, _out: sorted_terms.append((t, c)))
+            m.setattr(rewrite, "_readout", record_sorted)
             rewrite.straighten_graph(term_graph(slices, n), monoid)
         want = _ref_stage_3(sorted_terms, monoid, fired)
         got = rewrite.straighten_graph(term_graph(slices, n), monoid)
@@ -423,6 +429,28 @@ def _action_coaction_pairs(t):
     return pairs
 
 
+def _safe_ref(t):
+    """The safe EXCHANGE patterns by their definition, as (action,
+    coaction) id pairs in line order: an action right before a coaction on
+    a line, where no action that the coaction's leg reaches through its
+    cobracket tree (followed along ``wire_to``) has a coaction after it on
+    its line."""
+
+    def fed(prod):
+        cons = t.wire_to[prod]
+        if cons[0] == "d":
+            return fed(("d", cons[1], 0)) + fed(("d", cons[1], 1))
+        return [cons]
+
+    def inversion_free(act):
+        line = next(line for line in t.lines if act in line)
+        return all(x[0] == "a" for x in line[line.index(act):])
+
+    return [(a[1], c[1]) for line in t.lines for a, c in zip(line, line[1:])
+            if a[0] == "a" and c[0] == "c"
+            and all(map(inversion_free, fed(c)))]
+
+
 def _resolve_brackets(t, monoid):
     """Stage 1 alone: resolve the lowest bracket until none is left.  A
     rule consumes its input, so this works on a copy of ``t``."""
@@ -442,6 +470,7 @@ def test_stage_two_measure_strictly_drops(monkeypatch):
     transitions = []
 
     def checked_exchange(t, act_id, coact_id):
+        assert (act_id, coact_id) in _safe_ref(t)
         before = _action_coaction_pairs(t)
         results = exchange(t, act_id, coact_id)
         for s, _ in results:
@@ -458,6 +487,39 @@ def test_stage_two_measure_strictly_drops(monkeypatch):
         straighten(slices, n, monoid, scheduler=RandomScheduler(seed=trial))
     assert len(transitions) >= 500
     assert all(transitions)
+
+
+def test_one_walk_decides_the_stage():
+    """On the bracket-free terms of stages 1 and 2 (each exchanged term's
+    branches resolved again), ``safe_patterns`` agrees with the reference,
+    ``_exchange_form`` counts the stage-2 measure, and ``_readout`` reads a
+    term exactly when it is sorted."""
+    rng = random.Random(67)
+    seen = dict.fromkeys(("sorted", "unsorted", "unsafe"), 0)
+    for trial in range(300):
+        monoid = (TRIVIAL, SPLIT, RootCone(2, 2), B2_MOD)[trial % 4]
+        n = rng.choice((1, 2))
+        t0 = term_graph(random_term(n, rng, max_nodes=7, monoid=monoid), n)
+        work = _resolve_brackets(t0, monoid) if t0 is not None else []
+        while work:
+            t = work.pop()
+            pairs = _action_coaction_pairs(t)
+            safe = t.safe_patterns()
+            assert safe == _safe_ref(t)
+            assert bool(safe) == (pairs > 0)
+            assert rewrite._exchange_form(t)[0] == pairs
+            acc = {}
+            read = rewrite._readout(t, monoid, 1, acc)
+            assert (not read and not acc) == (pairs > 0)
+            seen["sorted" if read else "unsorted"] += 1
+            seen["unsafe"] += len(safe) < sum(
+                a[0] == "a" and c[0] == "c"
+                for line in t.lines for a, c in zip(line, line[1:]))
+            if safe:
+                for r, _ in rewrite._apply_exchange(t.copy(), *safe[0]):
+                    work.extend(_resolve_brackets(r, monoid))
+    assert seen["sorted"] >= 1000 and seen["unsorted"] >= 1000, seen
+    assert seen["unsafe"] >= 30, seen
 
 
 def _stage_one_measure(t):
@@ -555,11 +617,8 @@ def _straighten_unnetted(t, monoid, exchange):
         s, c = work.pop()
         if _brackets(s):
             results = rewrite._resolve_bracket(s, min(_brackets(s)), monoid)
-        elif s.inversions():
-            safe = [p for p in s.inversions()
-                    if not any(s.has_bad_pair(a)
-                               for a in s.leaf_actions(("c", p[1])))]
-            results = exchange(s, *safe[-1])
+        elif _action_coaction_pairs(s):
+            results = exchange(s, *_safe_ref(s)[-1])
             exchanges += 1
         else:
             sorted_terms.append((s, c))
