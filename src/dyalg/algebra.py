@@ -15,7 +15,11 @@ integer numerators ``num`` (none zero) over one denominator ``den`` > 0 with
 ``gcd(den, *num.values()) == 1``, so equal elements are stored alike and all
 arithmetic is in Python ints.  ``terms`` is a Fraction view built on demand.
 Multiplication straightens the composite diagram (``x * y`` is "x after y")
-and is graded by the strand count N.
+and is graded by the strand count N.  The diagrams form a PROP, so slot
+permutations act on each algebra as automorphisms; the structure constants
+are memoized per pair of keys, and a pair whose slot-permuted mate is
+already memoized is read off the mate instead of straightened.  The memo
+holds the same entries either way.
 """
 
 from __future__ import annotations
@@ -271,19 +275,39 @@ def compose_basis(n: int, s_key: Key, t_key: Key,
     :func:`dyalg.rewrite.slices_of_key`), straightened.  Every rewrite rule
     has coefficient +-1, so the constants are exact Python ints.
 
+    Slot permutations act on the n-slot algebra as automorphisms (the
+    diagrams live in a PROP), so ``compose_basis(n, p.s, p.t)`` is p applied
+    to ``compose_basis(n, s, t)``.  A miss at n >= 2 therefore first looks
+    for a cached mate ``(p.s, p.t)``, p running over the non-identity slot
+    permutations, and maps its entry back through p's inverse; only a pair
+    with no cached mate is straightened.  Both ways go through the one
+    shape kernel (``_shape_keys``) and store the same entry.
+
     The cache is observationally transparent: an entry is the canonical
     straightening output of its pair, so recomputing it gives the same
-    entry.
+    entry, whether it was straightened or read off a mate.
     """
     # the unit is the one key of strand degree 0
     if not s_key[2]:
         return {t_key: 1}
     if not t_key[2]:
         return {s_key: 1}
-    ck = (monoid.key(), n, s_key, t_key)
+    mk = monoid.key()
+    ck = (mk, n, s_key, t_key)
     hit = _CACHE.get(ck)
     if hit is not None:
         return hit
+    perms = all_permutations(n)
+    next(perms)  # the identity: (s, t) itself is the miss
+    for p in perms:
+        regroup = ("slots", ((p, 1),))
+        (ps,), (pt,) = (_shape_keys({s_key: 1}, regroup),
+                        _shape_keys({t_key: 1}, regroup))
+        mate = _CACHE.get((mk, n, ps, pt))
+        if mate is not None:
+            out = _CACHE[ck] = _shape_keys(mate,
+                                           ("slots", ((inverse(p), 1),)))
+            return out
     decorated = not monoid.is_trivial()
     term = rewrite.term_graph(rewrite.slices_of_key(t_key, decorated)
                               + rewrite.slices_of_key(s_key, decorated), n)
@@ -366,22 +390,19 @@ def _face_blocks(blocks: list, i: int) -> list:
             for take in itertools.combinations(block, r)]
 
 
-def _shape_sum(x: AlgebraElement, n_new: int,
-               regrouping: tuple) -> AlgebraElement:
-    """x mapped through a signed sum of regroupings (see ``_shapes``), on
-    n_new slots.
+def _shape_keys(num: dict[Key, int], regrouping: tuple) -> dict[Key, int]:
+    """The integer combination ``num`` of keys mapped through a signed sum
+    of regroupings (see ``_shapes``); zeros are dropped.
 
     The netted shapes of each ``(co, ac)`` are built once and cached in
     ``_FACE_SHAPES``; a shape of weight w maps a term ``c * key`` to
     ``w * c`` times one image key.  A shape depends on neither the
     permutation nor the decorations, so regroupings whose signs cancel on
-    a shape cancel on every key before any key is built.  Weights are
-    ints, so the numerators of x are summed as Python ints over x's
-    denominator.
+    a shape cancel on every key before any key is built.
     """
     cache = _FACE_SHAPES.setdefault(regrouping, {})
     out: dict[Key, int] = {}
-    for (co, ac, perm, dec), c in x.num.items():
+    for (co, ac, perm, dec), c in num.items():
         shapes = cache.get((co, ac))
         if shapes is None:
             shapes = cache[co, ac] = _shapes(regrouping, co, ac)
@@ -393,7 +414,16 @@ def _shape_sum(x: AlgebraElement, n_new: int,
                 out[key] = new
             else:
                 del out[key]
-    return AlgebraElement.from_integers(n_new, x.monoid, out, x.den)
+    return out
+
+
+def _shape_sum(x: AlgebraElement, n_new: int,
+               regrouping: tuple) -> AlgebraElement:
+    """x mapped through a signed sum of regroupings (see ``_shapes``), on
+    n_new slots: ``_shape_keys`` of its numerators over its denominator
+    (weights are ints)."""
+    return AlgebraElement.from_integers(
+        n_new, x.monoid, _shape_keys(x.num, regrouping), x.den)
 
 
 def face_map(i: int, x: AlgebraElement) -> AlgebraElement:

@@ -50,8 +50,13 @@ from .rewrite import slices_of_key
 Matrix = tuple  # tuple of tuples of Fractions
 
 
+def _fractions(xs) -> list[Fraction]:
+    """The entries as Fractions; an entry that already is one is kept."""
+    return [x if isinstance(x, Fraction) else Fraction(x) for x in xs]
+
+
 def mat(rows) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    return tuple(tuple(_fractions(row)) for row in rows)
 
 
 def zeros(n: int, m: int | None = None) -> Matrix:
@@ -131,7 +136,7 @@ class LieBialgebraData:
         if weights is not None and len(weights) != dim:
             raise ValueError(f"{len(weights)} weights for dimension {dim}")
         self.dim = dim
-        self.bracket = [[list(map(Fraction, vec)) for vec in plane]
+        self.bracket = [[_fractions(vec) for vec in plane]
                         for plane in bracket]
         self.cobracket = [mat(m) for m in cobracket]
         self.weights = list(weights) if weights is not None else None

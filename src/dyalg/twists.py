@@ -97,10 +97,12 @@ def check_associator_axioms(phi: GradedSeries, order: int | None = None
         lift(omega(2, 1, 2)), order)).exp())
     p = series_slot_permute
     e13 = p(e["12"], (1, 3, 2))
-    hex1 = e["12,3"] - (p(phi, (2, 3, 1)) * e13 * p(phi_inv, (1, 3, 2))
+    # Drinfeld's hexagons with Phi^{312} and (Phi^{231})^-1: p moves slot k
+    # to slot perm[k-1], so Phi^{312} (first factor in slot 3) is (3, 1, 2)
+    hex1 = e["12,3"] - (p(phi, (3, 1, 2)) * e13 * p(phi_inv, (1, 3, 2))
                         * e["23"] * phi)
     report.append(_residual_report("hexagon1", hex1))
-    hex2 = e["1,23"] - (p(phi_inv, (3, 1, 2)) * e13 * p(phi, (2, 1, 3))
+    hex2 = e["1,23"] - (p(phi_inv, (2, 3, 1)) * e13 * p(phi, (2, 1, 3))
                         * e["12"] * phi_inv)
     report.append(_residual_report("hexagon2", hex2))
     duality = series_slot_permute(phi, (3, 2, 1)) - phi_inv

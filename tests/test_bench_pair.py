@@ -141,12 +141,41 @@ def test_cache_digest_compares_checkouts():
     # EXCHANGE copies for two of its three branches, ACT_MU for one of two
     assert type(run["copies"]) is int
     assert run["copies"] >= 2 * firings["exchange"] + firings["act_mu"]
+    # every entry is straightened or read off a slot-permuted mate
+    assert type(run["straightened"]) is int and run["straightened"] > 0
+    assert run["straightened"] + run["read_off_mate"] == run["entries"]
+    assert run["read_off_mate"] >= 0
 
 
-def test_cache_digest_sees_every_constant(monkeypatch):
+def _digest_tool():
     spec = importlib.util.spec_from_file_location("cache_digest", DIGEST)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_cache_digest_counts_entries_read_off_a_mate(monkeypatch):
+    from dyalg import algebra, rewrite
+    tool = _digest_tool()
+    monkeypatch.setattr(algebra, "_CACHE", {})
+    counts = {"straightened": 0}
+    monkeypatch.setattr(rewrite, "straighten_graph", tool._counted_entries(
+        counts, rewrite.straighten_graph))
+    keys = algebra.enumerate_basis(2, 1)
+    for s in keys:
+        for t in keys:
+            algebra.compose_basis(2, s, t)
+    # no degree-1 key is fixed by the slot swap, so the 16 pairs fall into
+    # 8 orbits of two: one of each is straightened, the other read off it
+    assert len(algebra._CACHE) == 16 and counts["straightened"] == 8
+    # a straightening outside compose_basis fills no entry and is not one
+    rewrite.straighten_graph(rewrite.term_graph(
+        rewrite.slices_of_key(keys[0], False), 2), algebra.TRIVIAL)
+    assert counts["straightened"] == 8
+
+
+def test_cache_digest_sees_every_constant(monkeypatch):
+    tool = _digest_tool()
     from dyalg import algebra
     monkeypatch.setattr(algebra, "_CACHE", {})
     for b in algebra.enumerate_basis(1, 2):

@@ -244,6 +244,70 @@ def test_structure_constant_cache_is_transparent_and_integer():
         assert cold == warm
 
 
+def _straightened(n, s, t, monoid):
+    """The structure constants of s after t, straightened directly from
+    the slice composite, never through ``compose_basis``."""
+    decorated = not monoid.is_trivial()
+    return rewrite.straighten_graph(term_graph(
+        rewrite.slices_of_key(t, decorated)
+        + rewrite.slices_of_key(s, decorated), n), monoid)
+
+
+def _counting_straightens(monkeypatch) -> list:
+    calls = []
+    straighten_graph = rewrite.straighten_graph
+
+    def counted(*args):
+        calls.append(args)
+        return straighten_graph(*args)
+    monkeypatch.setattr(rewrite, "straighten_graph", counted)
+    return calls
+
+
+QUOTIENT = RootConeMod(2, 1, frozenset({(0, 0), (1, 0)}))
+ORBIT_CASES = (  # (monoid, slots, top strand degree of a product)
+    [(TRIVIAL, n, 4) for n in (2, 3)]
+    + [(monoid, n, 5 - n) for monoid in (SPLIT, RootCone(2, 1), QUOTIENT)
+       for n in (2, 3)])
+
+
+@pytest.mark.parametrize("monoid,n,top", ORBIT_CASES)
+def test_orbit_reads_equal_direct_straightening(monkeypatch, monoid, n, top):
+    # every pair of keys of strand degree 1-2 whose product has degree at
+    # most top; slot permutations map this set onto itself, so each orbit's
+    # first pair is straightened and every later pair finds a mate cached
+    monkeypatch.setattr(algebra, "_CACHE", {})
+    keys = [k for d in (1, 2) for k in enumerate_basis(n, d, monoid)]
+    pairs = [(s, t) for s in keys for t in keys
+             if len(s[2]) + len(t[2]) <= top]
+    calls = _counting_straightens(monkeypatch)
+    got = [compose_basis(n, s, t, monoid) for s, t in pairs]
+    assert len(calls) < len(pairs) and len(algebra._CACHE) == len(pairs)
+    monkeypatch.undo()
+    for (s, t), constants in zip(pairs, got):
+        assert constants == _straightened(n, s, t, monoid), (s, t)
+
+
+def test_a_permuted_pair_is_read_off_its_mate(monkeypatch):
+    calls = _counting_straightens(monkeypatch)
+    n, monoid = 3, SPLIT
+    s = ((1, 0, 1), (0, 2, 0), (2, 1), (1, 0))
+    t = ((0, 1, 1), (1, 0, 1), (1, 2), (0, 1))
+    for perm in itertools.permutations((1, 2, 3)):
+        # only (s, t) is cached when its image under perm is asked for
+        monkeypatch.setattr(algebra, "_CACHE", {})
+        calls.clear()
+        constants = compose_basis(n, s, t, monoid)
+        (ps,), (pt,) = (algebra.slot_permute(
+            AlgebraElement.basis(n, k, monoid), perm).num for k in (s, t))
+        image = compose_basis(n, ps, pt, monoid)
+        assert len(calls) == 1
+        assert len(algebra._CACHE) == len({(s, t), (ps, pt)})
+        assert AlgebraElement.from_integers(n, monoid, image, 1) == (
+            algebra.slot_permute(AlgebraElement.from_integers(
+                n, monoid, constants, 1), perm))
+
+
 # -- stage 3 against stepwise rewriting --------------------------------------
 #
 # The reference below resolves the latent cobracket trees stepwise:

@@ -81,6 +81,19 @@ def test_unit_associator_fails_hexagons_and_jet():
                     "degree": 2, "coeff": coeff, "key": key}
 
 
+def test_hexagons_place_phi_by_drinfelds_permutations():
+    # sigma3 = [A,[A,B]] - [[A,B],B] (A = Omega12, B = Omega23) is closed
+    # under d but not invariant under cyclic slot permutations, so it tells
+    # Phi^{312} from Phi^{231}; the unit and the 2-jet cannot
+    a, b = omega(3, 1, 2), omega(3, 2, 3)
+    ab = a.commutator(b)
+    sigma3 = a.commutator(ab) - ab.commutator(b)
+    phi = (GradedSeries.of_element(Fraction(1, 24) * ab, 3)
+           + GradedSeries.of_element(sigma3, 3)).exp()
+    report = check_associator_axioms(phi, 3)
+    assert all(r["ok"] for r in report), report
+
+
 def test_degree_one_term_flagged():
     bad = GradedSeries.one(3, 2) + GradedSeries.of_element(
         omega(3, 1, 2), 2)

@@ -12,7 +12,10 @@ entry, sorted.  Equal digests mean that both
 checkouts computed the same structure constants for the same products.
 It also counts how often each straightening rule fired (EXCHANGE, ACT_MU,
 COCYCLE, PUSH_MU) and how many working graphs were copied
-(``rewrite._Term.copy``).
+(``rewrite._Term.copy``), and how many cache entries were straightened
+(``straightened``, the calls ``algebra.compose_basis`` makes of
+``rewrite.straighten_graph``) and how many were read off a cached
+slot-permuted mate (``read_off_mate``, the other entries).
 
 A change that asks for fewer (or other) products can never give an equal
 digest, so each seed also compares the caches key by key (``keys``): how
@@ -21,9 +24,10 @@ the change holds (``parent_only``, ``change_only``), and whether every
 common key has equal constants on both sides (``common_equal``).
 
 Prints one JSON object: the workload, the seeds, each side's digest, item
-count, verdict, rule firings and copies per seed, the key comparison per
-seed, whether the digests are identical (``identical``) and whether the
-rule firings are (``firings_identical``).
+count, verdict, rule firings, copies, straightened entries and entries read
+off a mate per seed, the key comparison per seed, whether the digests are
+identical (``identical``) and whether the rule firings are
+(``firings_identical``).
 """
 
 from __future__ import annotations
@@ -73,24 +77,42 @@ def _counted(counts: dict, name: str, function):
     return wrapped
 
 
+def _counted_entries(counts: dict, function):
+    """``function`` (``rewrite.straighten_graph``), counting the calls that
+    fill a structure-constant cache entry: those from ``compose_basis``."""
+    from dyalg import algebra
+    code = algebra.compose_basis.__code__
+
+    def wrapped(*args):
+        if sys._getframe(1).f_code is code:
+            counts["straightened"] += 1
+        return function(*args)
+    return wrapped
+
+
 def run_items(workload: str, seed: int) -> dict:
     """Run every seeded item of ``workload`` in this process, counting the
-    rule firings and the working-graph copies."""
+    rule firings, the working-graph copies and the straightened entries."""
     import workloads
     from dyalg import rewrite
-    counts = dict.fromkeys(RULES + ("copy",), 0)
+    counts = dict.fromkeys(RULES + ("copy", "straightened"), 0)
     for rule in RULES:
         name = f"_apply_{rule}"
         setattr(rewrite, name, _counted(counts, rule, getattr(rewrite, name)))
     rewrite._Term.copy = _counted(counts, "copy", rewrite._Term.copy)
+    rewrite.straighten_graph = _counted_entries(counts,
+                                                rewrite.straighten_graph)
     items = workloads.ITEMS[workload](random.Random(f"{workload}:{seed}"))
     correct = all(check() == expected for _, check, expected in items)
+    entries = len(sys.modules["dyalg.algebra"]._CACHE)
     return {"items": len(items), "correct": correct,
-            "entries": len(sys.modules["dyalg.algebra"]._CACHE),
+            "entries": entries,
             "sha256": cache_digest(),
             "constants": cache_entries(),
             "firings": {rule: counts[rule] for rule in RULES},
-            "copies": counts["copy"]}
+            "copies": counts["copy"],
+            "straightened": counts["straightened"],
+            "read_off_mate": entries - counts["straightened"]}
 
 
 def run_side(checkout: str, workload: str, seed: int) -> dict:
