@@ -205,17 +205,10 @@ class AlgebraElement:
     def from_json(data: dict) -> "AlgebraElement":
         monoid = monoid_from_json(data["monoid"])
         n = _natural(data["n"], "n")
-        # arithmetic happens in the ambient cone of a RootConeMod; each
-        # decoration is read as the monoid element equal to it (1 for true)
-        decors = {d: d for d in (RootCone(monoid.rank, monoid.cap)
-                                 if isinstance(monoid, RootConeMod)
-                                 else monoid).elements()}
+        decoration = _decoration_reader(monoid)
         terms: dict[Key, Fraction] = {}
         for t in data["terms"]:
-            dec = tuple(decors.get(_dec_unjson(d)) for d in t["decor"])
-            if None in dec:
-                raise ValueError(f"decoration outside the {monoid.name} "
-                                 f"monoid in {t['decor']}")
+            dec = tuple(decoration(d, "decor entry") for d in t["decor"])
             key = tuple(tuple([_natural(v, f"{f} entry") for v in t[f]])
                         for f in ("coactions", "actions", "perm")) + (dec,)
             _check_key(n, key, monoid)
@@ -245,8 +238,24 @@ def _dec_json(d):
     return list(d) if isinstance(d, tuple) else d
 
 
-def _dec_unjson(d):
-    return tuple(d) if isinstance(d, list) else d
+def _decoration_reader(monoid: DecorationMonoid):
+    """The reader ``read(d, field)`` of a JSON decoration on ``monoid``.
+
+    It returns the monoid element equal to ``d`` (1 for true), and raises a
+    ValueError naming ``field`` when there is none.  Arithmetic happens in
+    the ambient cone of a RootConeMod, so its reader accepts the cone.
+    """
+    decors = {d: d for d in (RootCone(monoid.rank, monoid.cap)
+                             if isinstance(monoid, RootConeMod)
+                             else monoid).elements()}
+
+    def read(d, field: str):
+        dec = decors.get(tuple(d) if isinstance(d, list) else d)
+        if dec is None:
+            raise ValueError(f"{field} {d!r} is a decoration outside the "
+                             f"{monoid.name} monoid")
+        return dec
+    return read
 
 
 def _check_key(n: int, key: Key, monoid: DecorationMonoid) -> None:

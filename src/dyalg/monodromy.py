@@ -11,7 +11,9 @@ order weight-zero corrections) that satisfy the same twisted-coproduct
 identity, the corrector at each order is forced to be a multiple of the
 Cartan generator, and the solver reconstructs the unique scalar series u
 with S2 = exp(u h) S1 exp(-u h).  A corrector outside the Cartan line is
-reported as an error.
+reported as an error.  Because u is scalar, that conjugation is
+exp(u ad h)(S) = sum_m u^m ad_h^m(S) / m!: iterated commutators with h,
+weighted by powers of a scalar series, and no matrix series is multiplied.
 """
 
 from __future__ import annotations
@@ -62,45 +64,36 @@ def triple_exponential(e: Matrix, f: Matrix) -> Matrix:
 # matrix series: list of matrices indexed by the formal-parameter power
 
 
-def series_mul(a: list[Matrix], b: list[Matrix], order: int) -> list[Matrix]:
-    dim = len(a[0])
-    out = [zeros(dim) for _ in range(order + 1)]
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            if i + j <= order:
-                out[i + j] = madd(out[i + j], matmul(ai, bj))
-    return out
-
-
-def series_scalar_h_exp(coeffs: list[Fraction], h: Matrix,
-                        order: int) -> list[Matrix]:
-    """exp(sum_k coeffs[k] t^k h) as a matrix series; coeffs[0] must be 0."""
-    dim = len(h)
-    arg = [zeros(dim) for _ in range(order + 1)]
-    for k, c in enumerate(coeffs):
-        if k == 0 and c:
-            raise ValueError("exponent must start at order 1")
-        if 1 <= k <= order and c:
-            arg[k] = mscale(c, h)
-    out = [eye(dim)] + [zeros(dim) for _ in range(order)]
-    power = [eye(dim)] + [zeros(dim) for _ in range(order)]
-    fact = 1
-    for k in range(1, order + 1):
-        power = series_mul(power, arg, order)
-        fact *= k
-        if all(all(not x for row in m for x in row) for m in power):
-            break
-        out = [madd(o, mscale(Fraction(1, fact), p))
-               for o, p in zip(out, power)]
-    return out
+def _ad(h: Matrix, x: Matrix) -> Matrix:
+    """The commutator hx - xh."""
+    return madd(matmul(h, x), mscale(-1, matmul(x, h)))
 
 
 def _conjugate(s: list[Matrix], h: Matrix, coeffs: list[Fraction],
                order: int) -> list[Matrix]:
-    """exp(u h) S exp(-u h) for the matrix series S of one module."""
-    eu = series_scalar_h_exp(coeffs, h, order)
-    eu_inv = series_scalar_h_exp([-c for c in coeffs], h, order)
-    return series_mul(series_mul(eu, s, order), eu_inv, order)
+    """exp(u h) S exp(-u h) for the matrix series S of one module.
+
+    u = sum_k coeffs[k] t^k is scalar, so the conjugation is
+    exp(u ad h)(S) = sum_m u^m ad_h^m(S) / m!.  As u has no constant term,
+    u^m starts at t^m, and the sum stops at m = order.  The result has
+    order + 1 matrices; terms of S past the order are dropped.
+    """
+    if coeffs and coeffs[0]:
+        raise ValueError("exponent must start at order 1")
+    u = ([Fraction(c) for c in coeffs[:order + 1]]
+         + [Fraction(0)] * (order + 1 - len(coeffs)))
+    out = [zeros(len(h)) for _ in range(order + 1)]
+    power = [Fraction(1)] + [Fraction(0)] * order  # u^m / m! by degree
+    terms = s[:order + 1]  # ad_h^m(S_j), needed for j <= order - m
+    for m in range(order + 1):
+        for k, c in enumerate(power):
+            if c:
+                for j, x in enumerate(terms[:order + 1 - k]):
+                    out[k + j] = madd(out[k + j], mscale(c, x))
+        terms = [_ad(h, x) for x in terms[:order - m]]
+        power = [Fraction(sum(power[i] * u[k - i] for i in range(k)), m + 1)
+                 for k in range(order + 1)]
+    return out
 
 
 class MonodromyMismatch(ValueError):
@@ -131,7 +124,7 @@ def solve_local_monodromy(s1: dict, s2: dict, fleet: dict,
                 raise ValueError("leading term is not the triple exponential")
             for k in range(1, order + 1):
                 corr = matmul(stilde[name][1], s[name][k])
-                if matmul(corr, h) != matmul(h, corr):
+                if any(map(any, _ad(h, corr))):
                     raise ValueError("corrections are not weight zero")
     # each corrector is c h on all modules at once: c is one coordinate
     def stacked(mats) -> dict:
@@ -144,8 +137,8 @@ def solve_local_monodromy(s1: dict, s2: dict, fleet: dict,
         diffs = []
         for name in names:
             _, st_inv, h = stilde[name]
-            s1c = _conjugate(s1[name], h, coeffs, order)
-            diffs.append(matmul(st_inv, madd(s2[name][k], mscale(-1, s1c[k]))))
+            s1c = _conjugate(s1[name][:k + 1], h, coeffs, k)[k]
+            diffs.append(matmul(st_inv, madd(s2[name][k], mscale(-1, s1c))))
         c = cartan.coords(stacked(diffs))
         if c is None:
             raise MonodromyMismatch(

@@ -21,9 +21,12 @@ the engine, and products of basis keys go through the same slice form.
 
 from __future__ import annotations
 
+import random
+
 from .monoids import DecorationMonoid, TRIVIAL, monoid_from_json
+from .permutations import _natural
 from .rewrite import Scheduler, straighten_graph, term_graph
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, _decoration_reader
 
 
 def straighten(slices: list, n: int, monoid: DecorationMonoid = TRIVIAL,
@@ -53,23 +56,24 @@ def term_to_json(slices: list, n: int,
 
 
 def term_from_json(data: dict) -> tuple[list, int, DecorationMonoid]:
+    monoid = monoid_from_json(data["monoid"])
+    decoration = _decoration_reader(monoid)
     slices = []
     for node in data["nodes"]:
         kind = node["kind"]
         if kind in ("coaction", "action"):
-            slices.append((kind, node["slot"]))
+            slices.append((kind, _natural(node["slot"], "slot")))
         elif kind in ("mu", "delta"):
             slices.append((kind,))
         elif kind == "perm":
-            slices.append((kind, tuple(node["perm"])))
+            slices.append((kind, tuple([_natural(q, "perm entry")
+                                        for q in node["perm"]])))
         elif kind == "decor":
-            alpha = node["alpha"]
-            slices.append((kind, node["position"],
-                           tuple(alpha) if isinstance(alpha, list) else alpha))
+            slices.append((kind, _natural(node["position"], "position"),
+                           decoration(node["alpha"], "alpha")))
         else:
             raise ValueError(f"unknown node kind {kind!r}")
-    monoid = monoid_from_json(data["monoid"])
-    return slices, data["n"], monoid
+    return slices, _natural(data["n"], "n"), monoid
 
 
 def random_term(n: int, rng: random.Random, max_nodes: int = 6,

@@ -1,13 +1,16 @@
 """Source hygiene: every name a package module imports is used in it,
 every private function, class or method the package defines is referenced
-somewhere in the package, only ``rewrite._Term`` edits a term's legs and
-its bracket set, and every name the benchmark reaches for exists."""
+somewhere in the package, every annotation in the package resolves, only
+``rewrite._Term`` edits a term's legs and its bracket set, and every name
+the benchmark reaches for exists."""
 
 import ast
 import functools
 import importlib
 import importlib.util
+import inspect
 import pathlib
+import typing
 
 import pytest
 
@@ -89,6 +92,38 @@ def test_unreferenced_check_sees_unused_private_definitions():
               "_used(), _Box()\n")
     assert _unreferenced(source, _references(ast.parse(source))) == [
         "line 3: _unused", "line 10: _stale"]
+
+
+def _package_functions():
+    """(qualified name, function) of every function and method defined at
+    the top level of a package module or in one of its classes."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "dyalg" if path.stem == "__init__" else f"dyalg.{path.stem}"
+        module = importlib.import_module(name)
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != name:
+                continue
+            members = (vars(obj).values() if inspect.isclass(obj) else [obj])
+            for member in members:
+                for f in (getattr(member, "fget", None),
+                          getattr(member, "func", None),
+                          getattr(member, "__func__", None), member):
+                    f = inspect.unwrap(f) if callable(f) else None
+                    if inspect.isfunction(f) and f.__module__ == name:
+                        yield f"{name}.{f.__qualname__}", f
+                        break
+
+
+def test_every_annotation_resolves():
+    functions = dict(_package_functions())
+    assert len(functions) > 300
+    unresolved = []
+    for name, f in sorted(functions.items()):
+        try:
+            typing.get_type_hints(f)
+        except NameError as exc:
+            unresolved.append(f"{name}: {exc}")
+    assert unresolved == []
 
 
 _TERM_RECORDS = {"wire_to", "wire_from", "mus"}

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from dyalg.monodromy import (MonodromyMismatch, conjugate_by_scalar_h,
-                             madd, matmul, sl2_irrep, solve_local_monodromy,
+from dyalg.monodromy import (MonodromyMismatch, _conjugate,
+                             conjugate_by_scalar_h, eye, madd, matmul,
+                             sl2_irrep, solve_local_monodromy,
                              triple_exponential,
                              weight_zero_correction_series)
 
@@ -75,3 +77,90 @@ def test_list_matrices_accepted():
         return {name: [[list(row) for row in m] for m in series]
                 for name, series in s.items()}
     assert solve_local_monodromy(as_lists(s1), as_lists(s2), FLEET, 2) == u
+
+
+# independent references for the conjugation that the round trips above
+# build their inputs with
+
+U = [Fraction(0), Fraction(1, 2), Fraction(-2, 3), Fraction(1, 5),
+     Fraction(3, 7), Fraction(-1, 4)]
+
+
+def _series(dim, length, seed):
+    rng = random.Random(seed)
+    return [tuple(tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                        for _ in range(dim)) for _ in range(dim))
+            for _ in range(length)]
+
+
+def _scalar_exp(a, order):
+    """exp(a) for a scalar series with a[0] = 0, by E' = a' E."""
+    a = a[:order + 1] + [Fraction(0)] * (order + 1 - len(a))
+    out = [Fraction(1)]
+    for k in range(1, order + 1):
+        out.append(sum(j * a[j] * out[k - j] for j in range(1, k + 1)) / k)
+    return out
+
+
+def _two_exponentials(s, h, coeffs, order):
+    """exp(u h) S exp(-u h) as the product of three matrix series."""
+    dim = len(h)
+    zero = tuple((Fraction(0),) * dim for _ in range(dim))
+
+    def mul(a, b):
+        out = [zero] * (order + 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                if i + j <= order:
+                    out[i + j] = madd(out[i + j], matmul(x, y))
+        return out
+
+    def exp(c):
+        arg = [zero] + [tuple(tuple(ck * x for x in row) for row in h)
+                        for ck in c[1:order + 1]]
+        out = power = [eye(dim)] + [zero] * order
+        for k in range(1, order + 1):
+            power = [tuple(tuple(x / k for x in row) for row in m)
+                     for m in mul(power, arg)]
+            out = [madd(x, y) for x, y in zip(out, power)]
+        return out
+
+    return mul(mul(exp(coeffs), s), exp([-c for c in coeffs]))
+
+
+@pytest.mark.parametrize("order", range(5))
+@pytest.mark.parametrize("extra", (-1, 0, 1))
+def test_conjugate_on_weight_bases_matches_scalar_exponentials(order, extra):
+    # h = diag(m - 2i), so entry (i, j) is exp(2 (j - i) u) S_ij
+    fleet = {f"V{m}": sl2_irrep(m) for m in range(1, 5)}
+    coeffs = U[:order + 1 + extra]
+    s = {name: _series(len(h), order + 1 + extra, seed)
+         for seed, (name, (e, f, h)) in enumerate(sorted(fleet.items()))}
+    got = conjugate_by_scalar_h(s, fleet, coeffs, order)
+    for name, series in s.items():
+        dim = len(fleet[name][2])
+        exps = {w: _scalar_exp([w * c for c in coeffs], order)
+                for w in range(-2 * dim, 2 * dim + 1, 2)}
+        want = [tuple(tuple(sum(exps[2 * (j - i)][d - k] * series[k][i][j]
+                                for k in range(min(d, len(series) - 1) + 1))
+                            for j in range(dim)) for i in range(dim))
+                for d in range(order + 1)]
+        assert got[name] == want
+
+
+@pytest.mark.parametrize("order", range(5))
+@pytest.mark.parametrize("extra", (-1, 0, 1))
+def test_conjugate_by_non_diagonal_h_matches_two_exponentials(order, extra):
+    for m in (1, 2, 3):
+        e, f, _ = sl2_irrep(m)
+        h = matmul(e, f)
+        s = _series(m + 1, order + 1 + extra, m)
+        coeffs = U[:order + 1 - extra]
+        assert (_conjugate(s, h, coeffs, order)
+                == _two_exponentials(s, h, coeffs, order))
+
+
+def test_conjugate_rejects_a_constant_exponent():
+    with pytest.raises(ValueError, match="must start at order 1"):
+        conjugate_by_scalar_h({"V1": _series(2, 3, 0)}, {"V1": sl2_irrep(1)},
+                              [Fraction(1), Fraction(2)], 2)

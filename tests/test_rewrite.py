@@ -113,6 +113,24 @@ def test_term_json_round_trip():
         assert back == slices and n == 2
 
 
+@pytest.mark.parametrize("monoid, node, field, value", [
+    (SPLIT, None, "n", True), (SPLIT, 0, "slot", True),
+    (SPLIT, 0, "slot", "1"), (SPLIT, 1, "perm", [1.0]),
+    (SPLIT, 2, "position", True), (SPLIT, 2, "alpha", 5),
+    (RootCone(2, 2), 2, "alpha", [0, 7]), (TRIVIAL, 2, "alpha", True)])
+def test_term_from_json_rejects_malformed_fields(monoid, node, field, value):
+    zero = monoid.zero()
+    data = {"n": 1, "monoid": monoid.to_json(), "nodes": [
+        {"kind": "coaction", "slot": 1}, {"kind": "perm", "perm": [1]},
+        {"kind": "decor", "position": 1,
+         "alpha": list(zero) if isinstance(zero, tuple) else zero},
+        {"kind": "action", "slot": 1}]}
+    assert term_from_json(data)[0][2] == ("decor", 1, zero)
+    (data if node is None else data["nodes"][node])[field] = value
+    with pytest.raises(ValueError, match=rf"^{field}\b"):
+        term_from_json(data)
+
+
 def test_ill_typed_terms_rejected():
     with pytest.raises(ValueError):
         term_graph([("action", 1)], 1)
