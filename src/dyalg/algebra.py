@@ -219,13 +219,26 @@ class AlgebraElement:
 def add_product(acc: dict[Key, int], x: AlgebraElement, y: AlgebraElement,
                 factor: int = 1) -> None:
     """Add ``factor * x.den * y.den * (x * y)``, an integer combination as
-    every structure constant is an int, into ``acc``; zeros are removed."""
+    every structure constant is an int, into ``acc``; zeros are removed.
+
+    A pair with the unit key (the one key of strand degree 0) multiplies to
+    the other key, so its ``cs * ct`` goes straight into ``acc`` without a
+    ``compose_basis`` call.
+    """
     x._assert_compatible(y)
     n, monoid = x.n, x.monoid
     for ks, cs in x.num.items():
         cs *= factor
         for kt, ct in y.num.items():
             v = cs * ct
+            if not (ks[2] and kt[2]):
+                k = kt if kt[2] else ks
+                new = acc.get(k, 0) + v
+                if new:
+                    acc[k] = new
+                else:
+                    del acc[k]
+                continue
             for k, c in compose_basis(n, ks, kt, monoid).items():
                 new = acc.get(k, 0) + v * c
                 if new:
@@ -250,7 +263,10 @@ def _decoration_reader(monoid: DecorationMonoid):
                              else monoid).elements()}
 
     def read(d, field: str):
-        dec = decors.get(tuple(d) if isinstance(d, list) else d)
+        try:
+            dec = decors.get(tuple(d) if isinstance(d, list) else d)
+        except TypeError:  # unhashable, e.g. a list inside the list
+            dec = None
         if dec is None:
             raise ValueError(f"{field} {d!r} is a decoration outside the "
                              f"{monoid.name} monoid")
@@ -346,13 +362,23 @@ def _shape(new_co: list, new_ac: list) -> tuple:
     positions.  A key then maps to ``perm2 = (pmap[perm[q] - 1] for q in
     qinv)`` and ``dec2 = (dec[p] for p in pinv)``, so a shape is
     independent of the permutation and the decorations.
+
+    A regrouping that keeps the coaction order stores ``qinv`` as None, and
+    one that keeps the action order stores ``pmap`` and ``pinv`` as None:
+    the identity maps, which ``_shape_keys`` passes through.
     """
+    qinv = tuple(q for block in new_co for q in block)
     pinv = tuple(p for block in new_ac for p in block)
-    pmap = [0] * len(pinv)
-    for new_p, old_p in enumerate(pinv, 1):
-        pmap[old_p] = new_p
+    identity = tuple(range(len(pinv)))
+    if pinv == identity:
+        pmap = pinv = None
+    else:
+        pmap = [0] * len(pinv)
+        for new_p, old_p in enumerate(pinv, 1):
+            pmap[old_p] = new_p
+        pmap = tuple(pmap)
     return (tuple(map(len, new_co)), tuple(map(len, new_ac)),
-            tuple(q for block in new_co for q in block), tuple(pmap), pinv)
+            None if qinv == identity else qinv, pmap, pinv)
 
 
 def _shapes(regrouping: tuple, co: tuple, ac: tuple) -> list:
@@ -362,8 +388,9 @@ def _shapes(regrouping: tuple, co: tuple, ac: tuple) -> list:
     ``regrouping`` is ``("faces", ((i, sign), ...))``, a signed sum of face
     maps, or ``("slots", ((placement, sign), ...))``, a signed sum of slot
     maps, each moving old slot ``placement[k]`` to new slot k+1 (a 0 leaves
-    that new slot empty).  Each shape is ``_shape``'s tuple followed by the
-    sum of the signs that give it; those of weight 0 are dropped.
+    that new slot empty).  Each shape is ``_shape``'s tuple, with None for
+    an identity map, followed by the sum of the signs that give it; those
+    of weight 0 are dropped.
     """
     kind, signed = regrouping
     co_blocks, ac_blocks = _position_blocks(co), _position_blocks(ac)
@@ -407,7 +434,9 @@ def _shape_keys(num: dict[Key, int], regrouping: tuple) -> dict[Key, int]:
     ``_FACE_SHAPES``; a shape of weight w maps a term ``c * key`` to
     ``w * c`` times one image key.  A shape depends on neither the
     permutation nor the decorations, so regroupings whose signs cancel on
-    a shape cancel on every key before any key is built.
+    a shape cancel on every key before any key is built.  An identity map
+    of the shape (None) reuses the key's own tuples: ``perm`` when both
+    orders are kept, ``dec`` whenever the action order is.
     """
     cache = _FACE_SHAPES.setdefault(regrouping, {})
     out: dict[Key, int] = {}
@@ -416,8 +445,14 @@ def _shape_keys(num: dict[Key, int], regrouping: tuple) -> dict[Key, int]:
         if shapes is None:
             shapes = cache[co, ac] = _shapes(regrouping, co, ac)
         for co2, ac2, qinv, pmap, pinv, weight in shapes:
-            key = (co2, ac2, tuple([pmap[perm[q] - 1] for q in qinv]),
-                   tuple([dec[p] for p in pinv]))
+            if pinv is None:
+                key = (co2, ac2, perm if qinv is None
+                       else tuple([perm[q] for q in qinv]), dec)
+            else:
+                key = (co2, ac2, tuple([pmap[p - 1] for p in perm]
+                                       if qinv is None else
+                                       [pmap[perm[q] - 1] for q in qinv]),
+                       tuple([dec[p] for p in pinv]))
             new = out.get(key, 0) + weight * c
             if new:
                 out[key] = new

@@ -105,15 +105,22 @@ def solve_local_monodromy(s1: dict, s2: dict, fleet: dict,
     """Recover the scalar series u with S2 = exp(u h) S1 exp(-u h).
 
     ``fleet`` maps module names to (e, f, h) matrices; ``s1``/``s2`` map the
-    same names to matrix series (lists of order+1 matrices).  Both inputs
-    must have leading term equal to the triple exponential and weight-zero
-    corrections; the identity shape makes each degree corrector a multiple
-    of h, which is checked on every module simultaneously.  Matrices may be
-    given as nested lists or tuples.
+    same names to matrix series (lists of order+1 matrices; a shorter one
+    raises ValueError naming its module).  Both inputs must have leading
+    term equal to the triple exponential and weight-zero corrections; the
+    identity shape makes each degree corrector a multiple of h, which is
+    checked on every module simultaneously.  Matrices may be given as
+    nested lists or tuples.
     """
     s1, s2 = ({name: [mat(m) for m in series] for name, series in s.items()}
               for s in (s1, s2))
     names = sorted(fleet)
+    for name in names:
+        for label, s in (("s1", s1), ("s2", s2)):
+            if len(s[name]) < order + 1:
+                raise ValueError(
+                    f"{label} series of module {name!r} has {len(s[name])} "
+                    f"matrices; order {order} needs {order + 1}")
     stilde = {}
     for name in names:
         e, f, h = fleet[name]

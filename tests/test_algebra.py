@@ -108,26 +108,29 @@ def _reference_slot_map(x, n_new, targets):
     return AlgebraElement(n_new, x.monoid, out)
 
 
+def _face_splits(blocks, i):
+    """The blocks after the i-th face: an empty block inserted for i = 0
+    and i = len(blocks) + 1, otherwise block i split in two in every
+    order-preserving way."""
+    if i == 0:
+        return [[[]] + blocks]
+    if i == len(blocks) + 1:
+        return [blocks + [[]]]
+    block = blocks[i - 1]
+    return [blocks[:i - 1] + [list(take), [s for s in block if s not in take]]
+            + blocks[i:]
+            for r in range(len(block) + 1)
+            for take in itertools.combinations(block, r)]
+
+
 def _reference_face(i, x):
     """The i-th face map strand by strand: slot i's coaction strands and
     its action strands each split in two in every order-preserving way."""
-    def splits(blocks):
-        if i == 0:
-            return [[[]] + blocks]
-        if i == x.n + 1:
-            return [blocks + [[]]]
-        block = blocks[i - 1]
-        return [blocks[:i - 1] + [list(take), [s for s in block
-                                               if s not in take]]
-                + blocks[i:]
-                for r in range(len(block) + 1)
-                for take in itertools.combinations(block, r)]
-
     out = {}
     for key, c in x.terms.items():
         co_list, ac_list, decor = _structured(key)
-        for new_co in splits(co_list):
-            for new_ac in splits(ac_list):
+        for new_co in _face_splits(co_list, i):
+            for new_ac in _face_splits(ac_list, i):
                 k2 = _key_of_structured(new_co, new_ac, decor)
                 out[k2] = out.get(k2, Fraction(0)) + c
     return AlgebraElement(x.n + 1, x.monoid, out)
@@ -264,6 +267,112 @@ def test_netted_differential_is_the_alternating_sum_of_faces():
                         assert hochschild_d(x) == want, key
 
 
+def _regroupings(n):
+    """Every regrouping of n slots that the package builds: each face, the
+    Hochschild differential, each slot permutation, alt, and each placement
+    into n + 1 slots."""
+    perms = list(itertools.permutations(range(1, n + 1)))
+    yield from (("faces", ((i, 1),)) for i in range(n + 2))
+    yield "faces", tuple((i, (-1) ** i) for i in range(n + 2))
+    yield from (("slots", ((inverse(p), 1),)) for p in perms)
+    yield "slots", tuple((inverse(p), sign(p)) for p in perms)
+    for targets in itertools.permutations(range(1, n + 2), n):
+        placement = [0] * (n + 1)
+        for k, t in enumerate(targets, 1):
+            placement[t - 1] = k
+        yield "slots", ((tuple(placement), 1),)
+
+
+def _reference_regrouping(x, regrouping):
+    kind, signed = regrouping
+    n_new = x.n + 1 if kind == "faces" else len(signed[0][0])
+    out = AlgebraElement.zero(n_new, x.monoid)
+    for arg, sgn in signed:
+        if kind == "faces":
+            out = out + sgn * _reference_face(arg, x)
+        else:
+            targets = [arg.index(k) + 1 for k in range(1, x.n + 1)]
+            out = out + sgn * _reference_slot_map(x, n_new, targets)
+    return out
+
+
+def _full_shapes(regrouping, co, ac):
+    """The netted shapes of a regrouping with both maps spelled out, as
+    ``{(co2, ac2, qinv, pinv): weight}``, from the blocks of positions."""
+    kind, signed = regrouping
+    co_blocks, ac_blocks = (
+        [list(range(sum(comp[:k]), sum(comp[:k + 1])))
+         for k in range(len(comp))] for comp in (co, ac))
+    out = {}
+    for arg, sgn in signed:
+        if kind == "faces":
+            pairs = itertools.product(_face_splits(co_blocks, arg),
+                                      _face_splits(ac_blocks, arg))
+        else:
+            pairs = [([co_blocks[s - 1] if s else [] for s in arg],
+                      [ac_blocks[s - 1] if s else [] for s in arg])]
+        for new_co, new_ac in pairs:
+            shape = (tuple(map(len, new_co)), tuple(map(len, new_ac)),
+                     tuple(itertools.chain(*new_co)),
+                     tuple(itertools.chain(*new_ac)))
+            out[shape] = out.get(shape, 0) + sgn
+    return {shape: w for shape, w in out.items() if w}
+
+
+def _seeded_decorations(rng, monoid, deg):
+    """Decorations of deg strands, two of them different when deg >= 2."""
+    decors, dec = list(monoid.elements()), ()
+    while len(set(dec)) < min(deg, 2):
+        dec = tuple(rng.choice(decors) for _ in range(deg))
+    return dec
+
+
+def test_shapes_store_none_exactly_for_identity_maps():
+    # a shape's class is (coaction order kept, action order kept); the
+    # seeded keys give images through every class, with decorations that a
+    # reordering of the action positions moves
+    rng = random.Random(28)
+    monoids = (SPLIT, RootCone(2, 1))
+    cache = algebra._FACE_SHAPES
+    cache.clear()
+    classes = set()
+    moved = {monoid: set() for monoid in monoids}
+    for n, deg in itertools.product((1, 2, 3), range(4)):
+        identity = tuple(range(deg))
+        for co, ac in itertools.product(compositions(deg, n), repeat=2):
+            perm = tuple(rng.sample(range(1, deg + 1), deg))
+            keys = {monoid: (co, ac, perm,
+                             _seeded_decorations(rng, monoid, deg))
+                    for monoid in monoids}
+            for regrouping in _regroupings(n):
+                for monoid, key in keys.items():
+                    want = _reference_regrouping(
+                        AlgebraElement.basis(n, key, monoid), regrouping)
+                    got = algebra._shape_keys({key: 1}, regrouping)
+                    assert got == want.num and want.den == 1, (
+                        regrouping, key)
+                full = {}
+                for co2, ac2, qinv, pmap, pinv, w in cache[regrouping][co, ac]:
+                    assert qinv != identity and pinv != identity
+                    assert (pmap is None) == (pinv is None)
+                    if pinv is not None:
+                        assert [pinv[p - 1] for p in pmap] == list(identity)
+                    full[co2, ac2, qinv or identity, pinv or identity] = w
+                    kept = (qinv is None, pinv is None)
+                    classes.add(kept)
+                    for monoid, (_, _, _, dec) in keys.items():
+                        if pinv and tuple(dec[p] for p in pinv) != dec:
+                            moved[monoid].add(kept)
+                assert full == _full_shapes(regrouping, co, ac), (
+                    regrouping, co, ac)
+    assert classes == {(True, True), (True, False), (False, True),
+                       (False, False)}
+    # a reordering of the action positions moved the decorations of both
+    # monoids, with and without a reordering of the coaction positions
+    assert all(kept == {(True, False), (False, False)}
+               for kept in moved.values())
+
+
 def _reference_product(x, y):
     """x * y as the Fraction sum of cs * ct * c over the structure
     constants, with no integer scaling and no unit or zero shortcut."""
@@ -330,6 +439,28 @@ def test_product_matches_fraction_reference():
             x, y, k = _cancelling_pair(n, monoid, rng)
             got = x * y
             assert k not in got.terms and not got.is_zero()
+            assert got.terms == _reference_product(x, y)
+            _assert_fraction_terms(got)
+
+
+def test_unit_terms_of_a_product_cancel():
+    # (c 1 + x)(y + d 1) with a strand degree 1 key a in x and y, and
+    # c y_a + d x_a = 0: the two unit terms c y and d x cancel at a, and no
+    # other product has strand degree 1
+    rng = random.Random(28)
+    c, d = Fraction(2, 3), Fraction(-5, 7)
+    for monoid in FACE_MONOIDS:
+        for n in (1, 2):
+            a = rng.choice(enumerate_basis(n, 1, monoid))
+            b, t = rng.sample([k for deg in (1, 2)
+                               for k in enumerate_basis(n, deg, monoid)
+                               if k != a], 2)
+            one = AlgebraElement.unit(n, monoid)
+            x = c * one + AlgebraElement(n, monoid, {a: -c / d,
+                                                     b: Fraction(1, 2)})
+            y = AlgebraElement(n, monoid, {a: 1, t: Fraction(3, 2)}) + d * one
+            got = x * y
+            assert a not in got.terms and got.counit() == c * d
             assert got.terms == _reference_product(x, y)
             _assert_fraction_terms(got)
 
@@ -706,8 +837,10 @@ def test_from_json_rejects_decorations_outside_the_monoid():
     mod = PAIR_MONOIDS[3]
     for monoid, decor in ((SPLIT, 7), (TRIVIAL, 3), (SPLIT, [0]),
                           (RootCone(2, 2), [2, 1]), (mod, [4, 1]),
-                          (RootCone(2, 2), [1])):
-        with pytest.raises(ValueError, match="decoration outside"):
+                          (RootCone(2, 2), [1]), (SPLIT, [[0]]),
+                          (RootCone(2, 2), [[0], 1]), (mod, {})):
+        with pytest.raises(ValueError, match="^decor entry .* is a "
+                                             "decoration outside"):
             AlgebraElement.from_json(_decorated_json(monoid, decor))
     # arithmetic in a RootConeMod happens in its ambient cone of cap 4, so
     # (3, 0), which is not allowed, is still a decoration

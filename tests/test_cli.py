@@ -62,8 +62,10 @@ def _one_strand(monoid, coeff="1", decor=0):
     ("dH", _one_strand("trivial", coeff="1/0")),
     ("dH", _one_strand("split", decor=7)),
     ("multiply", _one_strand("trivial", decor=3)),
+    ("dH", _one_strand("split", decor=[[0]])),
 ], ids=["malformed-json", "missing-key", "not-an-object", "zero-denominator",
-        "split-decoration-7", "trivial-decoration-3"])
+        "split-decoration-7", "trivial-decoration-3",
+        "split-decoration-nested-list"])
 def test_parse_error_exit_code(tmp_path, command, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)

@@ -66,6 +66,18 @@ def test_non_weight_zero_correction_rejected():
         solve_local_monodromy(s1, bad, FLEET, ORDER)
 
 
+def test_short_series_rejected():
+    # V1 at order 2 with S2 cut to two matrices
+    fleet = {"V1": sl2_irrep(1)}
+    s1 = weight_zero_correction_series(fleet, CORRECTIONS, 2)
+    s2 = {"V1": s1["V1"][:2]}
+    with pytest.raises(ValueError, match="s2 series of module 'V1' has 2 "
+                                         "matrices; order 2 needs 3"):
+        solve_local_monodromy(s1, s2, fleet, 2)
+    with pytest.raises(ValueError, match="s1 series of module 'V1'"):
+        solve_local_monodromy(s2, s1, fleet, 2)
+
+
 def test_list_matrices_accepted():
     # the same series as nested lists solve as their tuple forms do
     s1 = weight_zero_correction_series(FLEET, CORRECTIONS, 2)

@@ -117,7 +117,8 @@ def test_term_json_round_trip():
     (SPLIT, None, "n", True), (SPLIT, 0, "slot", True),
     (SPLIT, 0, "slot", "1"), (SPLIT, 1, "perm", [1.0]),
     (SPLIT, 2, "position", True), (SPLIT, 2, "alpha", 5),
-    (RootCone(2, 2), 2, "alpha", [0, 7]), (TRIVIAL, 2, "alpha", True)])
+    (RootCone(2, 2), 2, "alpha", [0, 7]), (TRIVIAL, 2, "alpha", True),
+    (SPLIT, 2, "alpha", [[0]]), (RootCone(2, 2), 2, "alpha", [[0], 1])])
 def test_term_from_json_rejects_malformed_fields(monoid, node, field, value):
     zero = monoid.zero()
     data = {"n": 1, "monoid": monoid.to_json(), "nodes": [
