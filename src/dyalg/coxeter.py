@@ -22,21 +22,7 @@ from .diagrams import (Diagram, lift_subdiagram, maximal_nested_sets,
                        mns_union, quotient_diagram)
 from .monoids import TRIVIAL, RootCone
 from .series import GradedSeries
-from .twists import gauge, twist_equation_residual
-
-
-def _window_filter(series: GradedSeries, window: int | None) -> GradedSeries:
-    if window is None:
-        return series
-    return series.map_components(lambda x: filter_window(x, window))
-
-
-def _report(name: str, indices, series: GradedSeries,
-            window: int | None) -> dict:
-    series = _window_filter(series, window)
-    by_degree = {d: len(x.num) for d, x in series.parts.items()}
-    return {"check": name, "indices": indices, "ok": series.is_zero(),
-            "residual_terms": by_degree}
+from .twists import gauge, residual_row, twist_equation_residual
 
 
 def subdiagram_pairs(dia: Diagram) -> list[tuple[frozenset, frozenset]]:
@@ -62,66 +48,56 @@ def check_coxeter_family(data: dict, dia: Diagram,
     by an axiom raise KeyError.
     """
     window = data.get("window")
-    phis = data["phi"]
-    twists = data["twists"]
-    dcp = data["dcp"]
+    phis, dcp = data["phi"], data["dcp"]
     report = []
-    for (b, b0, f), j in sorted(twists.items(),
+
+    def row(check: str, indices, resid: GradedSeries) -> None:
+        resid = resid.truncate(order)
+        if window is not None:
+            resid = resid.map_components(lambda x: filter_window(x, window))
+        report.append(residual_row(check, resid,
+                                   indices=tuple(map(sorted, indices))))
+
+    # twist equations; the same sorted pass groups each pair's twists in
+    # str(F) order, the order of the chain rows
+    by_pair: dict = {}
+    for (b, b0, f), j in sorted(data["twists"].items(),
                                 key=lambda kv: (sorted(map(sorted, kv[0][:2])),
                                                 str(kv[0][2]))):
-        resid = twist_equation_residual(j, phis[b], phis[b0]).truncate(order)
-        report.append(_report("twist-equation", (sorted(b), sorted(b0)),
-                              resid, window))
-    by_pair: dict = {}
-    for (b, b0, f), j in twists.items():
+        row("twist-equation", (b, b0),
+            twist_equation_residual(j, phis[b], phis[b0]))
         by_pair.setdefault((b, b0), {})[f] = j
-    for (b, b0), fam in sorted(by_pair.items(),
-                               key=lambda kv: (sorted(kv[0][0]),
-                                               sorted(kv[0][1]))):
+    pairs = sorted(by_pair, key=lambda p: (sorted(p[0]), sorted(p[1])))
+    gauges = {}
+    for b, b0 in pairs:
+        fam = by_pair[b, b0]
         mns = sorted(fam, key=lambda f: sorted(sorted(m) for m in f))
+        u = gauges[b, b0] = {(f, g): dcp[(b, b0, f, g)]
+                            for f, g in itertools.product(mns, repeat=2)}
         for f, g in itertools.product(mns, repeat=2):
-            u = dcp[(b, b0, f, g)]
-            resid = (gauge(u, fam[g]) - fam[f]).truncate(order)
-            report.append(_report("gauge-relation", (sorted(b), sorted(b0)),
-                                  resid, window))
-            uinv = dcp[(b, b0, g, f)]
-            one = GradedSeries.one(1, order, u.monoid)
-            report.append(_report("orientation", (sorted(b), sorted(b0)),
-                                  (u * uinv - one).truncate(order), window))
+            row("gauge-relation", (b, b0), gauge(u[f, g], fam[g]) - fam[f])
+            row("orientation", (b, b0), u[f, g] * u[g, f]
+                - GradedSeries.one(1, order, u[f, g].monoid))
         for f, g, h in itertools.product(mns, repeat=3):
-            resid = (dcp[(b, b0, h, f)]
-                     - dcp[(b, b0, h, g)] * dcp[(b, b0, g, f)])
-            report.append(_report("transitivity", (sorted(b), sorted(b0)),
-                                  resid.truncate(order), window))
-    # chains: vertical decomposition and factorisation
-    for (b, b1) in sorted(by_pair, key=lambda p: (sorted(p[0]),
-                                                  sorted(p[1]))):
-        for (b1b, b2) in sorted(by_pair, key=lambda p: (sorted(p[0]),
-                                                        sorted(p[1]))):
-            if b1b != b1 or (b, b1) == (b1b, b2):
-                continue
-            upper = by_pair[(b, b1)]
-            lower = by_pair[(b1b, b2)]
-            if (b, b2) not in by_pair:
-                raise KeyError("missing twists for composed pair")
-            total = by_pair[(b, b2)]
-            for f1, f2 in itertools.product(sorted(upper, key=str),
-                                            sorted(lower, key=str)):
-                f_union = mns_union(f1, f2, dia, b, b1, b2)
-                if f_union not in total:
-                    raise KeyError("missing twist at a union nested set")
-                resid = (total[f_union] - upper[f1] * lower[f2])
-                report.append(_report(
-                    "vertical", (sorted(b), sorted(b1), sorted(b2)),
-                    resid.truncate(order), window))
-                for g1, g2 in itertools.product(sorted(upper, key=str),
-                                                sorted(lower, key=str)):
-                    g_union = mns_union(g1, g2, dia, b, b1, b2)
-                    lhs = dcp[(b, b2, f_union, g_union)]
-                    rhs = dcp[(b, b1, f1, g1)] * dcp[(b1, b2, f2, g2)]
-                    report.append(_report(
-                        "factorisation", (sorted(b), sorted(b1), sorted(b2)),
-                        (lhs - rhs).truncate(order), window))
+            row("transitivity", (b, b0), u[h, f] - u[h, g] * u[g, f])
+    # chains b > b1 > b2: vertical decomposition and factorisation
+    for (b, b1), (b1b, b2) in itertools.product(pairs, repeat=2):
+        if b1b != b1 or (b, b1) == (b1b, b2):
+            continue
+        if (b, b2) not in by_pair:
+            raise KeyError("missing twists for composed pair")
+        upper, lower, total = by_pair[b, b1], by_pair[b1, b2], by_pair[b, b2]
+        for f1, f2 in itertools.product(upper, lower):
+            f_union = mns_union(f1, f2, dia, b, b1, b2)
+            if f_union not in total:
+                raise KeyError("missing twist at a union nested set")
+            row("vertical", (b, b1, b2),
+                total[f_union] - upper[f1] * lower[f2])
+            for g1, g2 in itertools.product(upper, lower):
+                g_union = mns_union(g1, g2, dia, b, b1, b2)
+                row("factorisation", (b, b1, b2),
+                    gauges[b, b2][f_union, g_union]
+                    - gauges[b, b1][f1, g1] * gauges[b1, b2][f2, g2])
     return report
 
 
@@ -195,11 +171,8 @@ def _family_from_gauges(dia: Diagram, monoid, order: int,
     for b, b0 in subdiagram_pairs(dia):
         phis.setdefault(b, one3)
         phis.setdefault(b0, one3)
-        quot = quotient_diagram(dia.induced(b), b0)
-        if not quot.vertices:
-            continue
         us, inverses = {}, {}
-        for f in maximal_nested_sets(quot):
+        for f in maximal_nested_sets(quotient_diagram(dia.induced(b), b0)):
             u = u_of_nested_set(b0, f)
             us[f] = u
             inverses[f] = u.inverse()

@@ -105,8 +105,9 @@ def solve_local_monodromy(s1: dict, s2: dict, fleet: dict,
     """Recover the scalar series u with S2 = exp(u h) S1 exp(-u h).
 
     ``fleet`` maps module names to (e, f, h) matrices; ``s1``/``s2`` map the
-    same names to matrix series (lists of order+1 matrices; a shorter one
-    raises ValueError naming its module).  Both inputs must have leading
+    same names to matrix series (lists of at least order+1 matrices, of
+    which the first order+1 are read; a shorter or missing one raises
+    ValueError naming its series and module).  Both inputs must have leading
     term equal to the triple exponential and weight-zero corrections; the
     identity shape makes each degree corrector a multiple of h, which is
     checked on every module simultaneously.  Matrices may be given as
@@ -117,6 +118,8 @@ def solve_local_monodromy(s1: dict, s2: dict, fleet: dict,
     names = sorted(fleet)
     for name in names:
         for label, s in (("s1", s1), ("s2", s2)):
+            if name not in s:
+                raise ValueError(f"{label} has no series for module {name!r}")
             if len(s[name]) < order + 1:
                 raise ValueError(
                     f"{label} series of module {name!r} has {len(s[name])} "
@@ -152,7 +155,8 @@ def solve_local_monodromy(s1: dict, s2: dict, fleet: dict,
                 "inputs not monodromy pair: corrector leaves the Cartan line")
         coeffs[k] -= c[0] / 2
     for name in names:
-        if _conjugate(s1[name], stilde[name][2], coeffs, order) != s2[name]:
+        if (_conjugate(s1[name], stilde[name][2], coeffs, order)
+                != s2[name][:order + 1]):
             raise AssertionError("monodromy reconstruction failed to close")
     return coeffs
 

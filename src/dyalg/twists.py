@@ -51,7 +51,10 @@ def associator_2jet(order: int) -> GradedSeries:
     return one + GradedSeries.of_element(jet, order)
 
 
-def _residual_report(name: str, series: GradedSeries) -> dict:
+def residual_row(check: str, series: GradedSeries, **fields) -> dict:
+    """One axiom-report row: the residual's term count per degree, its
+    first term (in the canonical key order) and whether it vanishes.
+    ``fields`` (such as the indices of a family row) follow the name."""
     by_degree = {}
     first = None
     for d in sorted(series.parts):
@@ -60,7 +63,7 @@ def _residual_report(name: str, series: GradedSeries) -> dict:
         if first is None:
             key, coeff = x.sorted_terms()[0]
             first = {"degree": d, "coeff": str(coeff), "key": repr(key)}
-    return {"check": name, "ok": series.is_zero(),
+    return {"check": check, **fields, "ok": series.is_zero(),
             "residual_terms": by_degree, "first_offender": first}
 
 
@@ -79,16 +82,13 @@ def check_associator_axioms(phi: GradedSeries, order: int | None = None
     if lift is None:
         raise ValueError(f"no associator check on {phi.monoid!r}")
     phi = phi.truncate(order)
-    report = []
-    shape_ok = (phi.component(0) == AlgebraElement.unit(3, phi.monoid)
-                and phi.component(1).is_zero())
-    report.append({"check": "shape", "ok": shape_ok,
-                   "residual_terms": {}, "first_offender": None})
+    report = [residual_row("shape", phi.truncate(1)
+                           - GradedSeries.one(3, 1, phi.monoid))]
 
     im = assoc_images(phi)
     pentagon = (im["1,2,34"] * im["12,3,4"]
                 - im["2,3,4"] * im["1,23,4"] * im["1,2,3"])
-    report.append(_residual_report("pentagon", pentagon))
+    report.append(residual_row("pentagon", pentagon))
 
     phi_inv = phi.inverse()
     # exp(Omega/2) once in two slots; faces are algebra maps, so its images
@@ -101,15 +101,15 @@ def check_associator_axioms(phi: GradedSeries, order: int | None = None
     # to slot perm[k-1], so Phi^{312} (first factor in slot 3) is (3, 1, 2)
     hex1 = e["12,3"] - (p(phi, (3, 1, 2)) * e13 * p(phi_inv, (1, 3, 2))
                         * e["23"] * phi)
-    report.append(_residual_report("hexagon1", hex1))
+    report.append(residual_row("hexagon1", hex1))
     hex2 = e["1,23"] - (p(phi_inv, (2, 3, 1)) * e13 * p(phi, (2, 1, 3))
                         * e["12"] * phi_inv)
-    report.append(_residual_report("hexagon2", hex2))
+    report.append(residual_row("hexagon2", hex2))
     duality = series_slot_permute(phi, (3, 2, 1)) - phi_inv
-    report.append(_residual_report("duality", duality))
+    report.append(residual_row("duality", duality))
     jet = phi - GradedSeries(3, order, phi.monoid, {
         d: lift(x) for d, x in associator_2jet(order).parts.items()})
-    report.append(_residual_report("2jet", jet.truncate(2)))
+    report.append(residual_row("2jet", jet.truncate(2)))
     return report
 
 

@@ -1,7 +1,10 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 
+from dyalg.algebra import kappa
 from dyalg.coxeter import (build_central_family, build_test_family,
                            build_unit_family, check_coxeter_family,
                            subdiagram_pairs)
@@ -58,6 +61,72 @@ def test_seeded_orientation_violation_reported():
     fam["dcp"][(b, b0, f, g)] = fam["dcp"][(b, b0, f, g)] + bump
     report = check_coxeter_family(fam, A2, 2)
     assert any(r["check"] == "orientation" and not r["ok"] for r in report)
+
+
+def _canonical(key):
+    """A sortable form of a family key: its vertex sets and nested sets."""
+    return [sorted(sorted(m) if isinstance(m, frozenset) else m for m in x)
+            for x in key]
+
+
+def _bump(entries, count, element):
+    """Add ``element`` to ``count`` evenly spaced entries, in key order."""
+    keys = sorted(entries, key=_canonical)
+    for key in keys[::len(keys) // count][:count]:
+        entries[key] = entries[key] + GradedSeries.of_element(element, 2)
+
+
+def _pinned_families():
+    families = {}
+    for name, dia in (("A2", A2), ("A3", A3),
+                      ("A2+A1", Diagram.make([1, 2, 3], [(1, 2)]))):
+        families[f"unit-{name}"] = build_unit_family(dia, 2), dia
+        families[f"central-{name}"] = build_central_family(dia, 2), dia
+    families["decorated-A2"] = build_test_family(A2, RootCone(2, 8), 2, 2), A2
+    bumped = build_central_family(A3, 2)
+    _bump(bumped["dcp"], 5, kappa(1, 1))
+    _bump(bumped["twists"], 3, kappa(2, 1))
+    families["bumped-A3"] = bumped, A3
+    return families
+
+
+# (rows, failing rows, SHA-256 of the JSON report) of each pinned family
+PINNED = {
+    "unit-A2": (
+        38, 0,
+        "0e9b625d1615fcf5928ecab93285075d919669839df9a0e3cee654b9ba9f7174"),
+    "central-A2": (
+        38, 0,
+        "0e9b625d1615fcf5928ecab93285075d919669839df9a0e3cee654b9ba9f7174"),
+    "unit-A3": (
+        378, 0,
+        "80a6f0ec7871fef5b784902c3c85fcefe0732772486d1a380033c9b78a9c12b5"),
+    "central-A3": (
+        378, 0,
+        "80a6f0ec7871fef5b784902c3c85fcefe0732772486d1a380033c9b78a9c12b5"),
+    "unit-A2+A1": (
+        162, 0,
+        "28a254fd06439cc1a4647b36fb6aadfa3fabd0a9a5100762e3b478896d2e4f2e"),
+    "central-A2+A1": (
+        162, 0,
+        "28a254fd06439cc1a4647b36fb6aadfa3fabd0a9a5100762e3b478896d2e4f2e"),
+    "decorated-A2": (
+        38, 2,
+        "192d9d98c905812916573082e7260010ef73476d2316c96a81dc9336a86515ca"),
+    "bumped-A3": (
+        378, 65,
+        "775c2c8bcf8602dc32b887629c1295ff683401d5699ec1ffaced78aa96b289f9"),
+}
+
+
+def test_pinned_family_reports():
+    got = {}
+    for name, (fam, dia) in _pinned_families().items():
+        report = check_coxeter_family(fam, dia, 2)
+        assert all((r["first_offender"] is None) == r["ok"] for r in report)
+        got[name] = (len(report), sum(not r["ok"] for r in report),
+                     hashlib.sha256(json.dumps(report).encode()).hexdigest())
+    assert got == PINNED
 
 
 def test_missing_entries_raise():

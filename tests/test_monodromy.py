@@ -78,6 +78,30 @@ def test_short_series_rejected():
         solve_local_monodromy(s2, s1, fleet, 2)
 
 
+def test_longer_series_are_cut_to_the_order():
+    # V1 and V2 at order 2: s1 has the three matrices the order needs and
+    # s2 has four; either way round only the first three are compared
+    fleet = {"V1": sl2_irrep(1), "V2": sl2_irrep(2)}
+    u = [Fraction(0), Fraction(1, 2), Fraction(-2, 3), Fraction(1, 5)]
+    long1 = weight_zero_correction_series(fleet, CORRECTIONS, 3)
+    long2 = conjugate_by_scalar_h(long1, fleet, u, 3)
+    short1 = {name: series[:3] for name, series in long1.items()}
+    assert solve_local_monodromy(short1, long2, fleet, 2) == u[:3]
+    assert solve_local_monodromy(long2, short1, fleet, 2) == [
+        -c for c in u[:3]]
+
+
+def test_missing_module_rejected():
+    s1 = weight_zero_correction_series(FLEET, CORRECTIONS, 2)
+    s2 = {name: series for name, series in s1.items() if name != "V2"}
+    with pytest.raises(ValueError,
+                       match="s2 has no series for module 'V2'"):
+        solve_local_monodromy(s1, s2, FLEET, 2)
+    with pytest.raises(ValueError,
+                       match="s1 has no series for module 'V2'"):
+        solve_local_monodromy(s2, s1, FLEET, 2)
+
+
 def test_list_matrices_accepted():
     # the same series as nested lists solve as their tuple forms do
     s1 = weight_zero_correction_series(FLEET, CORRECTIONS, 2)
