@@ -45,6 +45,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .algebra import AlgebraElement
+from .permutations import _natural
 from .rewrite import slices_of_key
 
 Matrix = tuple  # tuple of tuples of Fractions
@@ -123,8 +124,9 @@ class LieBialgebraData:
 
     ``bracket`` and ``cobracket`` are read-only after construction: the
     sparse integer tables are built from them on first use and cached.
-    A tensor of the wrong shape, or a weight list whose length is not
-    ``dim``, raises ``ValueError``."""
+    A tensor of the wrong shape, a weight list whose length is not ``dim``,
+    or a weight that is neither a non-negative int (a split label) nor a
+    tuple of them (a cone weight) raises ``ValueError``."""
 
     def __init__(self, dim: int, bracket, cobracket, weights=None,
                  basis_names=None):
@@ -135,6 +137,12 @@ class LieBialgebraData:
                 f"cobracket must be {dim} matrices of {dim} x {dim}")
         if weights is not None and len(weights) != dim:
             raise ValueError(f"{len(weights)} weights for dimension {dim}")
+        for i, w in enumerate(weights or ()):
+            if isinstance(w, tuple):
+                for k, c in enumerate(w):
+                    _natural(c, f"weight {i} entry {k}")
+            else:
+                _natural(w, f"weight {i}")
         self.dim = dim
         self.bracket = [[_fractions(vec) for vec in plane]
                         for plane in bracket]

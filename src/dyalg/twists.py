@@ -17,31 +17,6 @@ from .monoids import SPLIT, TRIVIAL
 from .series import GradedSeries, series_face, series_slot_permute
 
 
-# ---------------------------------------------------------------------------
-# embeddings of 2- and 3-slot series into larger algebras
-
-
-def two_slot_embeddings(j: GradedSeries) -> dict[str, GradedSeries]:
-    """The four standard images of a 2-slot series in 3 slots."""
-    return {
-        "23": series_face(0, j),
-        "1,23": series_face(2, j),
-        "12,3": series_face(1, j),
-        "12": series_face(3, j),
-    }
-
-
-def assoc_images(phi: GradedSeries) -> dict[str, GradedSeries]:
-    """Images of a 3-slot series in 4 slots used by the pentagon."""
-    return {
-        "1,2,34": series_face(3, phi),
-        "12,3,4": series_face(1, phi),
-        "2,3,4": series_face(0, phi),
-        "1,23,4": series_face(2, phi),
-        "1,2,3": series_face(4, phi),
-    }
-
-
 def associator_2jet(order: int) -> GradedSeries:
     """1 + (commutator of the two adjacent symmetrized crossings)/24."""
     om12 = omega(3, 1, 2)
@@ -85,25 +60,26 @@ def check_associator_axioms(phi: GradedSeries, order: int | None = None
     report = [residual_row("shape", phi.truncate(1)
                            - GradedSeries.one(3, 1, phi.monoid))]
 
-    im = assoc_images(phi)
-    pentagon = (im["1,2,34"] * im["12,3,4"]
-                - im["2,3,4"] * im["1,23,4"] * im["1,2,3"])
-    report.append(residual_row("pentagon", pentagon))
+    # faces 0-4 of Phi are Phi^{2,3,4}, Phi^{12,3,4}, Phi^{1,23,4},
+    # Phi^{1,2,34} and Phi^{1,2,3}
+    f = [series_face(i, phi) for i in range(5)]
+    report.append(residual_row("pentagon", f[3] * f[1] - f[0] * f[2] * f[4]))
 
     phi_inv = phi.inverse()
-    # exp(Omega/2) once in two slots; faces are algebra maps, so its images
-    # are the exponentials of the 3-slot crossings (Omega_13 by a permutation)
-    e = two_slot_embeddings((Fraction(1, 2) * GradedSeries.of_element(
-        lift(omega(2, 1, 2)), order)).exp())
+    # exp(Omega/2) once in two slots; faces are algebra maps, so its faces
+    # 0-3 are exp of the crossings 23, (12)3, 1(23) and 12; 13 permutes 12
+    e2 = (Fraction(1, 2) * GradedSeries.of_element(
+        lift(omega(2, 1, 2)), order)).exp()
+    e = [series_face(i, e2) for i in range(4)]
     p = series_slot_permute
-    e13 = p(e["12"], (1, 3, 2))
+    e13 = p(e[3], (1, 3, 2))
     # Drinfeld's hexagons with Phi^{312} and (Phi^{231})^-1: p moves slot k
     # to slot perm[k-1], so Phi^{312} (first factor in slot 3) is (3, 1, 2)
-    hex1 = e["12,3"] - (p(phi, (3, 1, 2)) * e13 * p(phi_inv, (1, 3, 2))
-                        * e["23"] * phi)
+    hex1 = e[1] - (p(phi, (3, 1, 2)) * e13 * p(phi_inv, (1, 3, 2))
+                   * e[0] * phi)
     report.append(residual_row("hexagon1", hex1))
-    hex2 = e["1,23"] - (p(phi_inv, (2, 3, 1)) * e13 * p(phi, (2, 1, 3))
-                        * e["12"] * phi_inv)
+    hex2 = e[2] - (p(phi_inv, (2, 3, 1)) * e13 * p(phi, (2, 1, 3))
+                   * e[3] * phi_inv)
     report.append(residual_row("hexagon2", hex2))
     duality = series_slot_permute(phi, (3, 2, 1)) - phi_inv
     report.append(residual_row("duality", duality))
@@ -129,11 +105,11 @@ def twist_conjugate(phi: GradedSeries, j: GradedSeries) -> GradedSeries:
 
 def twist_equation_residual(j: GradedSeries, phi_big: GradedSeries,
                             phi_small: GradedSeries) -> GradedSeries:
-    """Residual of the relative twist equation in product form:
-    J^23 J^{1,23} Phi_big - Phi_small J^12 J^{12,3}."""
-    im = two_slot_embeddings(j)
-    return (im["23"] * im["1,23"] * phi_big
-            - phi_small * im["12"] * im["12,3"])
+    """Residual of the relative twist equation in product form,
+    J^23 J^{1,23} Phi_big - Phi_small J^12 J^{12,3}, where J^23, J^{12,3},
+    J^{1,23} and J^12 are faces 0, 1, 2 and 3 of J."""
+    f = [series_face(i, j) for i in range(4)]
+    return f[0] * f[2] * phi_big - phi_small * f[3] * f[1]
 
 
 def gauge(u: GradedSeries, j: GradedSeries) -> GradedSeries:
@@ -173,9 +149,8 @@ def solve_gauge(j1: GradedSeries, j2: GradedSeries, phi: GradedSeries,
     u = GradedSeries.one(1, order, j1.monoid)
     for k in range(1, order + 1):
         diff = j2 - gauge(u, j1.truncate(k))
-        for low in range(k):
-            if not diff.component(low).is_zero():
-                raise AssertionError("lower-degree discrepancy left behind")
+        if not diff.truncate(k - 1).is_zero():
+            raise AssertionError("lower-degree discrepancy left behind")
         eta = diff.component(k)
         if eta.is_zero():
             continue

@@ -644,6 +644,35 @@ def test_mismatch_errors():
             face_map(i, kappa(1, 1))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: AlgebraElement.basis(2, ((1,), (1,), (1,), (0,))),
+     "composition length != slot count"),
+    (lambda: AlgebraElement.basis(1, ((1,), (2,), (1,), (0,))),
+     "inconsistent strand counts"),
+    (lambda: AlgebraElement.basis(1, ((2,), (2,), (1, 1), (0, 0))),
+     "perm is not a permutation"),
+    (lambda: slot_permute(omega(2, 1, 2), (1, 1)), "bad slot permutation"),
+    (lambda: embed_slots(omega(2, 1, 2), 3, {1: 1}),
+     "mapping must cover source slots"),
+    (lambda: embed_slots(omega(2, 1, 2), 3, {1: 2, 2: 2}),
+     "bad target slots"),
+    (lambda: r_matrix(2, 1, 3), "slot out of range"),
+    (lambda: kappa(2, 3), "slot out of range"),
+    (lambda: alpha_map(kappa(1, 1, SPLIT, decor=0)),
+     "source must be undecorated"),
+    (lambda: cone_elements(RootCone(2, 1), {1}, 2),
+     "window exceeds monoid cap"),
+    (lambda: rho_tilde_pair(kappa(1, 1, SPLIT, decor=0), RootCone(2, 2),
+                            {1}, {2}, 1), "supports not nested"),
+], ids=["composition-length", "strand-counts", "not-a-permutation",
+        "slot-permutation", "uncovered-mapping", "repeated-targets",
+        "r-matrix-slot", "kappa-slot", "alpha-of-split", "cone-window",
+        "supports-not-nested"])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call()
+
+
 def test_counit():
     x = AlgebraElement.unit(2) + 3 * omega(2, 1, 2)
     assert x.counit() == 1

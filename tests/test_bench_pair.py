@@ -196,3 +196,21 @@ def test_cache_digest_sees_every_constant(monkeypatch):
     assert tool.compare_entries(fewer, entries) == {
         "common": len(fewer), "parent_only": 0, "change_only": 1,
         "common_equal": True}
+
+
+TIMER = ROOT / "tools" / "time_command.py"
+
+
+def test_time_command_alternates_the_side_that_runs_first():
+    proc = subprocess.run(
+        [sys.executable, str(TIMER), "--pairs", "2", "--parent", str(ROOT),
+         "--change", str(ROOT), "--", "verify", "cybe"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout)
+    assert record["command"] == ["dyalg", "verify", "cybe"]
+    assert record["first"] == ["parent", "change"]
+    assert record["stdout_identical"] and record["exit_ok"]
+    assert len(record["stdout_sha256"]) == 1
+    for side in ("parent", "change"):
+        assert len(record[side]["wall_s"]) == 2

@@ -26,6 +26,25 @@ def test_borel_valid():
     assert validate_bialgebra(abelian_bialgebra(3)) == []
 
 
+def test_evaluate_input_checks():
+    with pytest.raises(ValueError, match="^slot count mismatch"):
+        evaluate(kappa(1, 1), [adjoint_module(borel_sl2())] * 2)
+    with pytest.raises(ValueError, match="^decorated element needs a "
+                                         "weight-graded bialgebra"):
+        evaluate(kappa(1, 1, SPLIT, decor=0),
+                 [adjoint_module(abelian_bialgebra(2))])
+
+
+@pytest.mark.parametrize("weights, message", [
+    (["x", 1], "weight 0 must be"), ([0, -1], "weight 1 must be"),
+    ([True, 0], "weight 0 must be"), ([(0,), ("x",)], "weight 1 entry 0"),
+    ([(0, 1), (0, [1])], "weight 1 entry 1")])
+def test_malformed_weights_rejected(weights, message):
+    b = borel_sl2()
+    with pytest.raises(ValueError, match=f"^{message}"):
+        LieBialgebraData(2, b.bracket, b.cobracket, weights)
+
+
 def test_seeded_cobracket_failure_named():
     b = borel_sl2()
     bad = LieBialgebraData(

@@ -181,11 +181,24 @@ def _short_weights(data):
     data["weights"] = data["weights"][:1]
 
 
+def _string_weight(data):
+    data["weights"] = [["x"], [1]]
+
+
+def _nested_weight(data):
+    data["weights"] = [[0], [[1]]]
+
+
 @pytest.mark.parametrize("malform, message", [
     (_short_vectors, "bracket must be 2 x 2 x 2"),
     (_missing_row, "cobracket must be 2 matrices of 2 x 2"),
     (_short_weights, "1 weights for dimension 2"),
-], ids=["short-bracket-vectors", "missing-cobracket-row", "short-weights"])
+    (_string_weight,
+     "weight 0 entry 0 must be a non-negative integer, got 'x'"),
+    (_nested_weight,
+     "weight 1 entry 0 must be a non-negative integer, got [1]"),
+], ids=["short-bracket-vectors", "missing-cobracket-row", "short-weights",
+        "string-weight", "nested-weight"])
 def test_malformed_bialgebra_is_parse_error(tmp_path, malform, message):
     elt = tmp_path / "elt.json"
     elt.write_text(json.dumps(kappa(1, 1).to_json()))

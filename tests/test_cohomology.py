@@ -78,6 +78,12 @@ def test_decompose_rejects_non_cocycle():
         decompose_cocycle(kappa(2, 1))
 
 
+def test_decompose_rejects_inhomogeneous_cocycle():
+    w = omega(2, 1, 2)
+    with pytest.raises(ValueError, match="^cocycle must be homogeneous"):
+        decompose_cocycle(w + w * w)
+
+
 def test_harmonic_part_detected():
     cols, elts = harmonic_complement(2, 1, TRIVIAL)
     assert len(elts) == 1  # the antisymmetrized crossing class

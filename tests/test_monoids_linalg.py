@@ -42,6 +42,14 @@ def test_monoid_json_round_trip():
         assert monoid_from_json(m.to_json()).key() == m.key()
 
 
+def test_monoid_json_rejects_unknown_kind_and_bare_entries():
+    with pytest.raises(ValueError, match="^unknown monoid kind 'cone'"):
+        monoid_from_json({"kind": "cone"})
+    with pytest.raises(ValueError, match="^allowed entry must be a list"):
+        monoid_from_json({"kind": "root_cone_mod", "rank": 1, "cap": 2,
+                          "allowed": [0]})
+
+
 def test_monoids_are_values():
     assert Trivial() == TRIVIAL and hash(Trivial()) == hash(TRIVIAL)
     assert TRIVIAL != SPLIT

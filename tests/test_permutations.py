@@ -1,6 +1,8 @@
 import itertools
 
-from dyalg.permutations import cycle_count, sign
+import pytest
+
+from dyalg.permutations import compositions, cycle_count, sign
 
 
 def _inversion_sign(s) -> int:
@@ -27,3 +29,10 @@ def test_cycle_count_and_sign_on_all_small_permutations():
         for s in itertools.permutations(range(1, n + 1)):
             assert cycle_count(s) == _cycles(s), s
             assert sign(s) == _inversion_sign(s), s
+
+
+def test_compositions_reject_bad_counts():
+    with pytest.raises(ValueError, match="^empty slot count"):
+        compositions(2, 0)
+    with pytest.raises(ValueError, match="^negative total"):
+        compositions(-1, 2)

@@ -132,6 +132,21 @@ def test_term_from_json_rejects_malformed_fields(monoid, node, field, value):
         term_from_json(data)
 
 
+def test_term_from_json_rejects_unknown_node_kind():
+    data = {"n": 1, "monoid": TRIVIAL.to_json(), "nodes": [{"kind": "twist"}]}
+    with pytest.raises(ValueError, match="^unknown node kind 'twist'"):
+        term_from_json(data)
+
+
+def test_scripted_scheduler_rejects_a_trace_that_does_not_fit():
+    slices = [("coaction", 1), ("action", 1), ("coaction", 1), ("action", 1)]
+    record = []
+    straighten(slices, 1, scheduler=Scheduler(record=record))
+    assert record and record[0][0] != "mu"
+    with pytest.raises(ValueError, match="^trace does not match term"):
+        straighten(slices, 1, scheduler=ScriptedScheduler([("mu", 0)]))
+
+
 def test_ill_typed_terms_rejected():
     with pytest.raises(ValueError):
         term_graph([("action", 1)], 1)

@@ -214,6 +214,15 @@ def test_solve_gauge_obstruction():
         solve_gauge(j0, perturbed, one3, order=order)
 
 
+def test_input_checks():
+    with pytest.raises(ValueError, match="^associator must live in 3 slots"):
+        check_associator_axioms(GradedSeries.one(2, 2))
+    with pytest.raises(ValueError, match="^gauge needs a 1-slot series"):
+        gauge(GradedSeries.one(2, 2), GradedSeries.one(2, 2))
+    with pytest.raises(ValueError, match="^non-unit leading term"):
+        gauge(2 * GradedSeries.one(1, 2), GradedSeries.one(2, 2))
+
+
 def test_solve_gauge_rejects_equation_violation():
     order = 2
     one3 = GradedSeries.one(3, order)

@@ -5,12 +5,14 @@
 
 First compiles both checkouts' ``src/`` to bytecode (``python3 -m
 compileall``), so that no run pays for compiling dyalg.  Then runs
-``python3 -S -m dyalg.cli ARGS`` with ``PARENT/src`` and then with
-``CHANGE/src`` on the path, N times each in alternation, and prints one
-JSON object: the command, each side's wall times in seconds with their
-median and quartiles, the pairs the change won and lost, whether every run
-exited 0, and whether every stdout was the same byte for byte (with its
-SHA-256).
+``python3 -S -m dyalg.cli ARGS`` with ``PARENT/src`` and with
+``CHANGE/src`` on the path, N times each in alternation, the parent first
+in the odd pairs and the change first in the even ones, so that neither
+side always pays for the warm-up.  Prints one JSON object: the command, the
+side that ran first in each pair, each side's wall times in seconds with
+their median and quartiles, the pairs the change won and lost, whether
+every run exited 0, and whether every stdout was the same byte for byte
+(with its SHA-256).
 
 The children start with ``-S``, as ``benchmark/run.py`` starts them: the
 ``site`` start-up of an installed Python (the path hooks of other packages;
@@ -64,15 +66,18 @@ def main(argv=None) -> int:
     for checkout in sides.values():
         compile_sources(checkout)
     times = {side: [] for side in sides}
-    codes, outputs = set(), set()
-    for _ in range(args.pairs):
-        for side, checkout in sides.items():
-            seconds, code, stdout = run_once(checkout, args.args)
+    codes, outputs, first = set(), set(), []
+    for pair in range(args.pairs):
+        order = ("change", "parent") if pair % 2 else ("parent", "change")
+        first.append(order[0])
+        for side in order:
+            seconds, code, stdout = run_once(sides[side], args.args)
             times[side].append(seconds)
             codes.add(code)
             outputs.add(stdout)
     before, after = times["parent"], times["change"]
     record = {"command": ["dyalg", *args.args], "pairs": args.pairs,
+              "first": first,
               "exit_ok": codes == {0},
               "stdout_identical": len(outputs) == 1,
               "stdout_sha256": sorted(hashlib.sha256(o).hexdigest()
