@@ -18,9 +18,7 @@ _EXPORTS = {
         "DYModuleData", "LieBialgebraData", "adjoint_module", "borel_sl2",
         "drinfeld_double", "evaluate", "tensor_module", "trivial_module",
         "validate_bialgebra", "validate_dy_module"), "bialgebra"),
-    **dict.fromkeys((
-        "cohomology_dims", "cohomology_table", "decompose_cocycle"),
-        "cohomology"),
+    **dict.fromkeys(("cohomology_table", "decompose_cocycle"), "cohomology"),
     **dict.fromkeys((
         "build_central_family", "build_test_family", "build_unit_family",
         "check_coxeter_family"), "coxeter"),

@@ -460,6 +460,8 @@ def evaluate(x: AlgebraElement, modules: list[DYModuleData]) -> Matrix:
     denominator, and Fractions are built once per entry of the sum."""
     if len(modules) != x.n:
         raise ValueError("slot count mismatch")
+    if not modules:
+        raise ValueError("a 0-slot element acts on no module")
     a = modules[0].bialgebra
     decorated = not x.monoid.is_trivial()
     if decorated and a.weights is None:

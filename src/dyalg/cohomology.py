@@ -16,6 +16,7 @@ from .algebra import (AlgebraElement, Key, alt, dim_formula, enumerate_basis,
                       hochschild_d)
 from .freelie import hochschild_target_dim
 from .monoids import DecorationMonoid, TRIVIAL
+from .permutations import _natural
 
 
 class NotClosed(ValueError):
@@ -30,21 +31,22 @@ def _coords(x: AlgebraElement, index: dict[Key, int]) -> dict[int, int]:
 
 
 def differential_columns(n: int, degree: int,
-                         monoid: DecorationMonoid) -> tuple[list, list, dict]:
+                         monoid: DecorationMonoid) -> tuple[list, list]:
     """Images of the slice basis under the differential, as sparse vectors
-    in the target slice coordinates."""
+    in the target slice coordinates, and the slice basis."""
     basis = enumerate_basis(n, degree, monoid)
     tindex = {k: i for i, k in enumerate(enumerate_basis(n + 1, degree,
                                                          monoid))}
     return ([_coords(hochschild_d(AlgebraElement.basis(n, k, monoid)), tindex)
-             for k in basis], basis, tindex)
+             for k in basis], basis)
 
 
 class _Slice:
     """One slice (n, strand degree, monoid): basis, index, and on first use
     the solver, a Span over the columns of d_{n-1} (d_0 is zero, see
-    :func:`_rank_d`).  The harmonic complement appends its candidates to
-    that Span, so that one reduction splits a cocycle over [D | H]."""
+    :func:`cohomology_table`).  The harmonic complement appends its
+    candidates to that Span, so that one reduction splits a cocycle over
+    [D | H]."""
 
     def __init__(self, n: int, degree: int, monoid: DecorationMonoid):
         self.n, self.degree, self.monoid = n, degree, monoid
@@ -56,7 +58,7 @@ class _Slice:
         if self._span is None:
             cols, self.src = [], []
             if self.n > 1:
-                cols, self.src, _ = differential_columns(
+                cols, self.src = differential_columns(
                     self.n - 1, self.degree, self.monoid)
             self._span = linalg.Span(cols)
         return self._span
@@ -70,7 +72,7 @@ class _Slice:
             cands = [a for a in alts
                      if not a.is_zero() and hochschild_d(a).is_zero()]
             # complete from the kernel of the outgoing differential
-            out_cols, _, _ = differential_columns(n, self.degree, monoid)
+            out_cols, _ = differential_columns(n, self.degree, monoid)
             cands += [AlgebraElement(n, monoid, {
                 basis[i]: c for i, c in col.items()})
                 for col in linalg.kernel(out_cols)]
@@ -98,49 +100,44 @@ def _slice_dim(n: int, degree: int, monoid: DecorationMonoid) -> int:
     return dim_formula(n, degree) * len(monoid.elements()) ** degree
 
 
-def _rank_d(n: int, degree: int, monoid: DecorationMonoid) -> int:
-    if n == 0:
-        # both faces out of cohomological degree 0 send a scalar to the
-        # unit, so the alternating sum vanishes
-        return 0
-    cols, _, _ = differential_columns(n, degree, monoid)
-    return linalg.sparse_rank(cols)
-
-
-def _kernel_image_dims(degree: int, n_max: int, monoid: DecorationMonoid
-                       ) -> list[tuple[int, int, int]]:
-    """(slice dimension, dim ker d_n, dim im d_{n-1}) for n = 0..n_max."""
-    ranks = [_rank_d(n, degree, monoid) for n in range(n_max + 1)]
-    out = []
-    for n in range(n_max + 1):
-        dim_n = _slice_dim(n, degree, monoid)
-        out.append((dim_n, dim_n - ranks[n], ranks[n - 1] if n >= 1 else 0))
-    return out
-
-
-def cohomology_dims(degree: int, n_max: int,
-                    monoid: DecorationMonoid = TRIVIAL) -> list[int]:
-    """Dimensions of the cohomology in degrees 0..n_max at a fixed strand
-    degree, by exact rank computation."""
-    if degree > 3 or n_max > 4:
-        raise ValueError("size guard: strand degree <= 3, window <= 4")
-    return [ker - im for _, ker, im in
-            _kernel_image_dims(degree, n_max, monoid)]
-
-
 def cohomology_table(degree: int, n_max: int,
                      monoid: DecorationMonoid = TRIVIAL) -> list[dict]:
-    """Per-degree report rows: kernel, image, cohomology, oracle, match.
+    """Report rows for n = 0..n_max at one strand degree: slice dimension,
+    dim ker d_n, dim im d_{n-1}, cohomology, oracle, match.
 
     The oracle comparison is contractual in cohomological degrees 2 and 3;
-    lower degrees report the computed value with oracle None."""
+    lower degrees report the computed value with oracle None.
+
+    Size guard, checked before any differential is built: strand degree at
+    most 4 (the oracle's limit, see :func:`dyalg.freelie.wedge_pair_dim`),
+    window at most 8, and at most 200,000 basis elements in the target
+    slice n_max + 1, which :func:`differential_columns` enumerates in full.
+    Cold-process times on a 2-core host (target slice size in brackets),
+    all matching the oracle: admitted are trivial (4, 4) [117,600] 10.5 s,
+    trivial (3, 8) [163,350] 8.3 s and cone(2,1) (3, 4) [198,450] 4.6 s;
+    refused are cone(2,1) (4, 2) [437,400] 24 s, split (4, 3) [470,400]
+    26 s, split (4, 4) 134 s, split (5, 1) 9.3 s and trivial (1, 50) 21 s.
+    The degree bound is separate because degree weighs more than slice
+    size; the window bound because the cost of a column grows with n.
+    """
+    _natural(degree, "strand degree")
+    _natural(n_max, "window")
+    if (degree > 4 or n_max > 8
+            or _slice_dim(n_max + 1, degree, monoid) > 200_000):
+        raise ValueError("size guard: strand degree <= 4, window <= 8 and "
+                         "target slice dimension <= 200000")
+    # ranks[n] is the rank of d_{n-1}.  d_0 is zero: both faces out of
+    # cohomological degree 0 send a scalar to the unit, so the alternating
+    # sum vanishes.
+    ranks = [0, 0] + [linalg.sparse_rank(differential_columns(
+        n, degree, monoid)[0]) for n in range(1, n_max + 1)]
     rows = []
-    for n, (dim_n, ker, im_prev) in enumerate(
-            _kernel_image_dims(degree, n_max, monoid)):
+    for n in range(n_max + 1):
+        dim_n = _slice_dim(n, degree, monoid)
+        ker, im_prev = dim_n - ranks[n + 1], ranks[n]
         h = ker - im_prev
-        oracle = None
-        if n >= 2 and 1 <= degree <= 4:
-            oracle = hochschild_target_dim(n, degree, monoid)
+        oracle = (hochschild_target_dim(n, degree, monoid)
+                  if n >= 2 and degree >= 1 else None)
         rows.append({
             "strand_degree": degree, "n": n, "dim": dim_n,
             "dim_ker": ker, "dim_im": im_prev, "dim_H": h,

@@ -29,6 +29,9 @@ def test_borel_valid():
 def test_evaluate_input_checks():
     with pytest.raises(ValueError, match="^slot count mismatch"):
         evaluate(kappa(1, 1), [adjoint_module(borel_sl2())] * 2)
+    with pytest.raises(ValueError, match="^a 0-slot element acts on no "
+                                         "module"):
+        evaluate(AlgebraElement.unit(0), [])
     with pytest.raises(ValueError, match="^decorated element needs a "
                                          "weight-graded bialgebra"):
         evaluate(kappa(1, 1, SPLIT, decor=0),

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from dyalg.algebra import kappa, omega, r_matrix
+from dyalg.algebra import AlgebraElement, kappa, omega, r_matrix
 from dyalg.bialgebra import borel_sl2
 
 
@@ -332,14 +332,29 @@ def test_associator_check_command():
     (["--max-degree", "-1", "associator-check"],
      "leading term is not the unit"),
     (["solve-gauge", "{zero}", "{zero}"], "twist must start at the unit"),
+    (["--window", "-1", "cohomology"],
+     "window must be a non-negative integer, got -1"),
+    (["--max-degree", "4", "--window", "3", "cohomology",
+      "--monoid", '{{"kind": "split"}}'],
+     "size guard: strand degree <= 4, window <= 8 and target slice "
+     "dimension <= 200000"),
+    (["realize", "{nothing}", "{borel}"],
+     "a 0-slot element acts on no module"),
+    (["realize", "{scalar}", "{borel}"],
+     "a 0-slot element acts on no module"),
 ])
 def test_invalid_input_exits_4_without_traceback(tmp_path, args, message):
-    empty = tmp_path / "empty.json"
-    empty.write_text(json.dumps({"vertices": [], "edges": []}))
-    zero = tmp_path / "zero.json"
-    zero.write_text(json.dumps({"n": 2, "order": 2,
-                                "monoid": {"kind": "trivial"}, "parts": {}}))
-    proc = run_cli([a.format(empty=empty, zero=zero) for a in args])
+    files = {
+        "empty": {"vertices": [], "edges": []},
+        "zero": {"n": 2, "order": 2, "monoid": {"kind": "trivial"},
+                 "parts": {}},
+        "nothing": {"n": 0, "monoid": {"kind": "trivial"}, "terms": []},
+        "scalar": (2 * AlgebraElement.unit(0)).to_json(),
+        "borel": borel_sl2().to_json()}
+    for name, data in files.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(data))
+    proc = run_cli([a.format(**files) for a in args])
     assert proc.returncode == 4
     assert proc.stderr == f"validation failure: {message}\n"
     assert proc.stdout == ""

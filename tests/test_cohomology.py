@@ -8,8 +8,8 @@ import pytest
 from dyalg import cohomology, twists
 from dyalg.algebra import (AlgebraElement, enumerate_basis, hochschild_d,
                            kappa, omega)
-from dyalg.cohomology import (NotClosed, cohomology_dims, cohomology_table,
-                              decompose_cocycle, harmonic_complement)
+from dyalg.cohomology import (NotClosed, cohomology_table, decompose_cocycle,
+                              harmonic_complement)
 from dyalg.monoids import RootCone, SPLIT, TRIVIAL
 from dyalg.series import GradedSeries
 
@@ -17,7 +17,7 @@ from dyalg.series import GradedSeries
 def test_low_degrees_vanish_all_monoids():
     for monoid in (TRIVIAL, SPLIT, RootCone(2, 1)):
         for deg in (1, 2):
-            dims = cohomology_dims(deg, 1, monoid)
+            dims = [r["dim_H"] for r in cohomology_table(deg, 1, monoid)]
             assert dims[0] == 0 and dims[1] == 0
 
 
@@ -37,13 +37,44 @@ def test_h3_matches_oracle_trivial():
 
 def test_degree_zero_slice():
     # constants survive in even degrees only; the table is consistent
-    dims = cohomology_dims(0, 3, TRIVIAL)
+    dims = [r["dim_H"] for r in cohomology_table(0, 3, TRIVIAL)]
     assert dims[0] == 1
 
 
-def test_size_guard():
-    with pytest.raises(ValueError):
-        cohomology_dims(4, 2, TRIVIAL)
+class _Built(Exception):
+    """Raised in place of building a differential."""
+
+
+def _refuse_to_build(*args):
+    raise _Built
+
+
+def test_size_guard(monkeypatch):
+    # the guard refuses before any differential is built
+    monkeypatch.setattr(cohomology, "differential_columns", _refuse_to_build)
+    for degree, n_max, monoid in ((4, 3, SPLIT), (4, 4, SPLIT),
+                                  (4, 2, RootCone(2, 1)), (5, 1, TRIVIAL),
+                                  (1, 9, TRIVIAL)):
+        with pytest.raises(ValueError, match="^size guard"):
+            cohomology_table(degree, n_max, monoid)
+
+
+def test_size_guard_admits(monkeypatch):
+    monkeypatch.setattr(cohomology, "differential_columns", _refuse_to_build)
+    for degree, n_max, monoid in ((4, 3, TRIVIAL), (4, 4, TRIVIAL),
+                                  (4, 2, SPLIT), (3, 4, RootCone(2, 1)),
+                                  (3, 8, TRIVIAL), (0, 8, SPLIT)):
+        with pytest.raises(_Built):
+            cohomology_table(degree, n_max, monoid)
+
+
+@pytest.mark.parametrize("degree, n_max, message", [
+    (1, -1, "window must be a non-negative integer, got -1"),
+    (-1, 2, "strand degree must be a non-negative integer, got -1"),
+    (True, 2, "strand degree must be a non-negative integer, got True")])
+def test_negative_degree_or_window_rejected(degree, n_max, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cohomology_table(degree, n_max)
 
 
 def test_decompose_omega():
@@ -98,7 +129,7 @@ def test_harmonic_complement_dimension_matches_h():
     # d_1(1) = 1 (x) 1 are outside every complement
     for monoid in (TRIVIAL, SPLIT):
         for deg in (0, 1, 2):
-            dims = cohomology_dims(deg, 3, monoid)
+            dims = [r["dim_H"] for r in cohomology_table(deg, 3, monoid)]
             for n in (1, 2, 3):
                 _, elts = harmonic_complement(n, deg, monoid)
                 assert len(elts) == dims[n], (monoid, deg, n)

@@ -23,9 +23,9 @@ PUBLIC = sorted("""
     SPLIT Split TRIVIAL Trivial TruncationOverflow adjoint_module alpha_map
     alt associator_2jet beta_map borel_sl2 build_central_family
     build_kac_moody_borel build_test_family build_unit_family
-    check_associator_axioms check_coxeter_family cohomology_dims
-    cohomology_table compatible compose_basis decompose_cocycle dim_formula
-    drinfeld_double embed_slots enumerate_basis evaluate expand_to_assoc
+    check_associator_axioms check_coxeter_family cohomology_table
+    compatible compose_basis decompose_cocycle dim_formula drinfeld_double
+    embed_slots enumerate_basis evaluate expand_to_assoc
     face_map filter_window forget_split gauge hochschild_d
     hochschild_target_dim is_invariant kappa kappa_alpha
     lie_multilinear_basis maximal_nested_sets mns_union omega pbw_decompose
