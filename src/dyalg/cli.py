@@ -114,12 +114,15 @@ def cmd_invariant_check(args) -> int:
 
 
 def cmd_cohomology(args) -> int:
-    from .cohomology import cohomology_table
+    from .cohomology import _size_guard, cohomology_table
     from .monoids import TRIVIAL, monoid_from_json
     monoid = (_decode(lambda: json.loads(args.monoid), monoid_from_json)
               if args.monoid else TRIVIAL)
+    degrees = range(1, args.max_degree + 1)
+    for deg in degrees:  # refuse before computing any strand degree
+        _size_guard(deg, args.window, monoid)
     rows = []
-    for deg in range(1, args.max_degree + 1):
+    for deg in degrees:
         rows.extend(cohomology_table(deg, args.window, monoid))
     flagged = [r for r in rows if r["n"] <= 1 and r["dim_H"] != 0]
     _emit({"table": rows,

@@ -100,25 +100,20 @@ def _slice_dim(n: int, degree: int, monoid: DecorationMonoid) -> int:
     return dim_formula(n, degree) * len(monoid.elements()) ** degree
 
 
-def cohomology_table(degree: int, n_max: int,
-                     monoid: DecorationMonoid = TRIVIAL) -> list[dict]:
-    """Report rows for n = 0..n_max at one strand degree: slice dimension,
-    dim ker d_n, dim im d_{n-1}, cohomology, oracle, match.
+def _size_guard(degree: int, n_max: int, monoid: DecorationMonoid) -> None:
+    """Refuse a :func:`cohomology_table` call that would run too long.
 
-    The oracle comparison is contractual in cohomological degrees 2 and 3;
-    lower degrees report the computed value with oracle None.
-
-    Size guard, checked before any differential is built: strand degree at
-    most 4 (the oracle's limit, see :func:`dyalg.freelie.wedge_pair_dim`),
-    window at most 8, and at most 200,000 basis elements in the target
-    slice n_max + 1, which :func:`differential_columns` enumerates in full.
-    Cold-process times on a 2-core host (target slice size in brackets),
-    all matching the oracle: admitted are trivial (4, 4) [117,600] 10.5 s,
-    trivial (3, 8) [163,350] 8.3 s and cone(2,1) (3, 4) [198,450] 4.6 s;
-    refused are cone(2,1) (4, 2) [437,400] 24 s, split (4, 3) [470,400]
-    26 s, split (4, 4) 134 s, split (5, 1) 9.3 s and trivial (1, 50) 21 s.
-    The degree bound is separate because degree weighs more than slice
-    size; the window bound because the cost of a column grows with n.
+    Strand degree at most 4 (the oracle's limit, see
+    :func:`dyalg.freelie.wedge_pair_dim`), window at most 8, and at most
+    200,000 basis elements in the target slice n_max + 1, which
+    :func:`differential_columns` enumerates in full.  Cold-process times on
+    a 2-core host (target slice size in brackets), all matching the
+    oracle: admitted are trivial (4, 4) [117,600] 10.5 s, trivial (3, 8)
+    [163,350] 8.3 s and cone(2,1) (3, 4) [198,450] 4.6 s; refused are
+    cone(2,1) (4, 2) [437,400] 24 s, split (4, 3) [470,400] 26 s, split
+    (4, 4) 134 s, split (5, 1) 9.3 s and trivial (1, 50) 21 s.  The degree
+    bound is separate because degree weighs more than slice size; the
+    window bound because the cost of a column grows with n.
     """
     _natural(degree, "strand degree")
     _natural(n_max, "window")
@@ -126,6 +121,18 @@ def cohomology_table(degree: int, n_max: int,
             or _slice_dim(n_max + 1, degree, monoid) > 200_000):
         raise ValueError("size guard: strand degree <= 4, window <= 8 and "
                          "target slice dimension <= 200000")
+
+
+def cohomology_table(degree: int, n_max: int,
+                     monoid: DecorationMonoid = TRIVIAL) -> list[dict]:
+    """Report rows for n = 0..n_max at one strand degree: slice dimension,
+    dim ker d_n, dim im d_{n-1}, cohomology, oracle, match.
+
+    The oracle comparison is contractual in cohomological degrees 2 and 3;
+    lower degrees report the computed value with oracle None.
+    :func:`_size_guard` is checked before any differential is built.
+    """
+    _size_guard(degree, n_max, monoid)
     # ranks[n] is the rank of d_{n-1}.  d_0 is zero: both faces out of
     # cohomological degree 0 send a scalar to the unit, so the alternating
     # sum vanishes.

@@ -27,6 +27,8 @@ from .twists import gauge, residual_row, twist_equation_residual
 
 def subdiagram_pairs(dia: Diagram) -> list[tuple[frozenset, frozenset]]:
     """Nested pairs (B, B0) of subdiagram vertex sets with B0 proper."""
+    if not dia.vertices:
+        raise ValueError("empty diagram")
     verts = sorted(dia.vertices)
     out = []
     for r in range(1, len(verts) + 1):

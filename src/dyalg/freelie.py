@@ -10,10 +10,17 @@ These spaces are the dimension oracle for the cohomology layer: the target
 of the Hochschild computation in cohomological degree n and string degree N
 is the symmetric-group coinvariant space built from two copies of the
 n-th exterior power of the multilinear free Lie algebra and a decoration
-factor.  Its dimension is a character mean over S_N; nothing is eliminated,
-so the oracle shares no rank code with the ranks it checks.
+factor.  Its dimension is a character mean over S_N.  The characters need
+the coordinates of relabeled Lie monomials in the left-normed basis, and
+these are read off, not solved for: with v the least variable, the basis
+monomial ``[[v, s2], ..., sk]`` is the only one whose expansion holds the
+word ``v s2 ... sk``, with coefficient 1 (Reutenauer, Free Lie Algebras,
+1993), so the coordinates are the coefficients of the words that start
+with v.  Nothing on the oracle path is eliminated, so it shares no rank
+code with the ranks it checks.
 
-All linear algebra is over exact rationals.
+Expansions have integer coefficients; Fractions enter only where something
+is divided (symmetrisation and PBW coordinates).
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from .permutations import all_permutations, block_starts, cycle_count, sign
 
 # A Lie monomial is a nested-tuple binary tree whose leaves are variable
 # indices: 3, or (1, 2), or ((1, 2), 3).  An associative combination is a
-# dict mapping word tuples to Fractions.
+# dict mapping word tuples to ints (to Fractions once divided).
 
 Word = tuple
 AssocElt = dict
@@ -38,6 +45,15 @@ def variables(m) -> frozenset:
     if isinstance(m, int):
         return frozenset([m])
     return variables(m[0]) | variables(m[1])
+
+
+def _left_normed(word: tuple):
+    """The left-normed monomial [[w1, w2], ..., wk] on the letters of
+    ``word``."""
+    tree = word[0]
+    for letter in word[1:]:
+        tree = (tree, letter)
+    return tree
 
 
 def lie_multilinear_basis(n: int, vars: tuple | None = None) -> list:
@@ -52,26 +68,18 @@ def lie_multilinear_basis(n: int, vars: tuple | None = None) -> list:
         if not 1 <= n <= 6:
             raise ValueError("variable count out of range 1..6")
         vars = tuple(range(1, n + 1))
-    if len(vars) == 1:
-        return [vars[0]]
-    first, rest = vars[0], vars[1:]
-    out = []
-    for perm in itertools.permutations(rest):
-        m = (first, perm[0])
-        for v in perm[1:]:
-            m = (m, v)
-        out.append(m)
-    return out
+    return [_left_normed(vars[:1] + perm)
+            for perm in itertools.permutations(vars[1:])]
 
 
 def expand_to_assoc(m) -> AssocElt:
     """Expansion of a Lie monomial into signed words.
 
-    >>> expand_to_assoc((1, 2)) == {(1, 2): Fraction(1), (2, 1): Fraction(-1)}
-    True
+    >>> expand_to_assoc((1, 2))
+    {(1, 2): 1, (2, 1): -1}
     """
     if isinstance(m, int):
-        return {(m,): Fraction(1)}
+        return {(m,): 1}
     left, right = expand_to_assoc(m[0]), expand_to_assoc(m[1])
     out: AssocElt = {}
     for (wl, cl), (wr, cr) in itertools.product(left.items(), right.items()):
@@ -80,8 +88,8 @@ def expand_to_assoc(m) -> AssocElt:
     return out
 
 
-def _add(elt: AssocElt, word: Word, coeff: Fraction) -> None:
-    new = elt.get(word, Fraction(0)) + coeff
+def _add(elt: AssocElt, word: Word, coeff) -> None:
+    new = elt.get(word, 0) + coeff
     if new:
         elt[word] = new
     else:
@@ -140,12 +148,16 @@ def symmetrized_product(monomials: tuple) -> AssocElt:
     expanded = [expand_to_assoc(m) for m in monomials]
     out: AssocElt = {}
     for order in itertools.permutations(range(k)):
-        term = {(): Fraction(1)}
+        term = {(): 1}
         for i in order:
             term = assoc_product(term, expanded[i])
         for w, c in term.items():
-            _add(out, w, Fraction(c, math.factorial(k)))
-    return out
+            _add(out, w, c)
+    return {w: Fraction(c, math.factorial(k)) for w, c in out.items()}
+
+
+# variables -> (PBW basis, word index, Span of the symmetrized basis)
+_SOLVERS: dict[tuple, tuple] = {}
 
 
 def pbw_decompose(w: AssocElt, n_vars: int) -> dict:
@@ -162,30 +174,17 @@ def pbw_decompose(w: AssocElt, n_vars: int) -> dict:
     for word in w:
         if tuple(sorted(word)) != vars:
             raise ValueError("input is not multilinear in x_1..x_N")
-    dec = _multilinear_coords(w, vars, symmetrized_product, lambda vs: [
-        b for k in range(1, len(vs) + 1) for b in pbw_basis(vs, k)])
-    if dec is None:
-        raise ValueError("PBW system inconsistent")
-    return dec
-
-
-# (expansion, variables) -> (basis, word index, Span of the expanded basis)
-_SOLVERS: dict[tuple, tuple] = {}
-
-
-def _multilinear_coords(w: AssocElt, vars: tuple, expand, basis_of):
-    """Coordinates of the multilinear element ``w`` on ``vars`` in the basis
-    ``basis_of(vars)``, which ``expand`` takes to associative elements, or
-    None if ``w`` is outside its span."""
-    if (expand, vars) not in _SOLVERS:
-        basis = basis_of(vars)
+    if vars not in _SOLVERS:
+        basis = [b for k in range(1, n_vars + 1) for b in pbw_basis(vars, k)]
         widx = {wd: i for i, wd in enumerate(itertools.permutations(vars))}
-        _SOLVERS[expand, vars] = basis, widx, linalg.Span(
-            {widx[wd]: c for wd, c in expand(b).items()} for b in basis)
-    basis, widx, span = _SOLVERS[expand, vars]
+        _SOLVERS[vars] = basis, widx, linalg.Span(
+            {widx[wd]: c for wd, c in symmetrized_product(b).items()}
+            for b in basis)
+    basis, widx, span = _SOLVERS[vars]
     sol = span.coords({widx[wd]: c for wd, c in w.items()})
-    return None if sol is None else {
-        basis[j]: c for j, c in enumerate(sol) if c}
+    if sol is None:
+        raise ValueError("PBW system inconsistent")
+    return {basis[j]: c for j, c in enumerate(sol) if c}
 
 
 def pbw_decompose_blocks(w: dict, blocks: tuple[int, ...]) -> dict:
@@ -206,16 +205,16 @@ def pbw_decompose_blocks(w: dict, blocks: tuple[int, ...]) -> dict:
             expected = tuple(range(starts[b] + 1, starts[b] + blocks[b] + 1))
             if tuple(sorted(word)) != expected:
                 raise ValueError("block word uses wrong variables")
-            dec = pbw_decompose({tuple(x - starts[b] for x in word):
-                                 Fraction(1)}, blocks[b])
-            decs.append({_shift_monomials(key, starts[b]): c
-                         for key, c in dec.items()})
+            dec = pbw_decompose({tuple(x - starts[b] for x in word): 1},
+                                blocks[b])
+            decs.append({tuple(_relabel(m, lambda x: x + starts[b])
+                               for m in key): c for key, c in dec.items()})
         for key, c in _tensor(decs, coeff).items():
             _add(out, key, c)
     return out
 
 
-def _tensor(factors, coeff=Fraction(1)) -> dict:
+def _tensor(factors, coeff=1) -> dict:
     """Tensor product of coordinate dicts, scaled by ``coeff``: tuples of
     keys, one per factor, to products of coefficients."""
     out = {(): coeff}
@@ -225,13 +224,11 @@ def _tensor(factors, coeff=Fraction(1)) -> dict:
     return out
 
 
-def _shift_monomials(key: tuple, offset: int) -> tuple:
-    def shift(m):
-        if isinstance(m, int):
-            return m + offset
-        return (shift(m[0]), shift(m[1]))
-
-    return tuple(shift(m) for m in key)
+def _relabel(m, f):
+    """The Lie monomial ``m`` with each variable x replaced by f(x)."""
+    if isinstance(m, int):
+        return f(m)
+    return (_relabel(m[0], f), _relabel(m[1], f))
 
 
 def wedge_basis(n: int, n_vars: int) -> list[tuple]:
@@ -246,16 +243,10 @@ def _wedge_action(perm: tuple, wedge: tuple) -> dict:
     wedge basis: the relabeled factors, reordered by smallest variable with
     the sign of that reordering, each re-expanded in its block's Lie basis
     (a relabeled monomial is generally not a basis monomial)."""
-
-    def relabel(m):
-        if isinstance(m, int):
-            return perm[m - 1]
-        return (relabel(m[0]), relabel(m[1]))
-
-    factors = [relabel(m) for m in wedge]
+    factors = [_relabel(m, lambda x: perm[x - 1]) for m in wedge]
     order = sorted(range(len(factors)), key=lambda i: min(variables(factors[i])))
     return _tensor([_lie_coords(factors[i]) for i in order],
-                   Fraction(sign([o + 1 for o in order])))
+                   sign([o + 1 for o in order]))
 
 
 def wedge_multilinear_dim(n: int, n_vars: int,
@@ -302,7 +293,9 @@ def wedge_pair_dim(a: int, b: int, n_vars: int,
 
 def _lie_coords(m) -> dict:
     """Coordinates of a multilinear Lie monomial in the left-normed basis of
-    its variables."""
-    return _multilinear_coords(
-        expand_to_assoc(m), tuple(sorted(variables(m))), expand_to_assoc,
-        lambda vs: lie_multilinear_basis(0, vs))
+    its variables: the coefficients of its words that start with the least
+    variable, each keyed by the basis monomial that holds that word (see
+    the module docstring)."""
+    least = min(variables(m))
+    return {_left_normed(w): c for w, c in expand_to_assoc(m).items()
+            if w[0] == least}

@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from . import linalg
 from .bialgebra import LieBialgebraData, validate_bialgebra
-from .freelie import expand_to_assoc, lie_bracket_assoc
+from .freelie import _left_normed, expand_to_assoc, lie_bracket_assoc
 from .monoids import RootCone
 
 Weight = tuple  # multidegree over the simple roots
@@ -117,13 +117,6 @@ def _content(word: tuple, rank: int) -> Weight:
     for letter in word:
         w[letter - 1] += 1
     return tuple(w)
-
-
-def _left_normed(word: tuple):
-    tree = word[0]
-    for letter in word[1:]:
-        tree = (tree, letter)
-    return tree
 
 
 def _words_of(weight: Weight) -> list[tuple]:

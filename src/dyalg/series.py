@@ -22,7 +22,7 @@ class GradedSeries:
                  monoid: DecorationMonoid = TRIVIAL,
                  parts: dict[int, AlgebraElement] | None = None):
         self.n = n
-        self.order = order
+        self.order = _natural(order, "order")
         self.monoid = monoid
         self.parts = {}
         for d, x in (parts or {}).items():
@@ -143,7 +143,7 @@ class GradedSeries:
     @staticmethod
     def from_json(data: dict) -> "GradedSeries":
         from .monoids import monoid_from_json
-        n, order = _natural(data["n"], "n"), _natural(data["order"], "order")
+        n = _natural(data["n"], "n")
         monoid = monoid_from_json(data["monoid"])
         parts = {int(d): AlgebraElement.from_json(x)
                  for d, x in data["parts"].items()}
@@ -151,7 +151,7 @@ class GradedSeries:
             if x.n != n or x.monoid != monoid:
                 raise ValueError(f"part {d} is not in the series' algebra "
                                  f"(n = {n}, {monoid.name} monoid)")
-        return GradedSeries(n, order, monoid, parts)
+        return GradedSeries(n, data["order"], monoid, parts)
 
 
 def series_face(i: int, s: GradedSeries) -> GradedSeries:

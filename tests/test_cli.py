@@ -330,7 +330,7 @@ def test_associator_check_command():
     (["nested-sets", "{empty}"], "empty diagram"),
     (["--max-degree", "4", "associator-check"], "size guard: order <= 3"),
     (["--max-degree", "-1", "associator-check"],
-     "leading term is not the unit"),
+     "order must be a non-negative integer, got -1"),
     (["solve-gauge", "{zero}", "{zero}"], "twist must start at the unit"),
     (["--window", "-1", "cohomology"],
      "window must be a non-negative integer, got -1"),
@@ -342,10 +342,14 @@ def test_associator_check_command():
      "a 0-slot element acts on no module"),
     (["realize", "{scalar}", "{borel}"],
      "a 0-slot element acts on no module"),
+    (["coxeter-check", "{empty}"], "empty diagram"),
+    (["--max-degree", "-1", "coxeter-check", "{a1}"],
+     "order must be a non-negative integer, got -1"),
 ])
 def test_invalid_input_exits_4_without_traceback(tmp_path, args, message):
     files = {
         "empty": {"vertices": [], "edges": []},
+        "a1": {"vertices": [1], "edges": []},
         "zero": {"n": 2, "order": 2, "monoid": {"kind": "trivial"},
                  "parts": {}},
         "nothing": {"n": 0, "monoid": {"kind": "trivial"}, "terms": []},
@@ -358,6 +362,23 @@ def test_invalid_input_exits_4_without_traceback(tmp_path, args, message):
     assert proc.returncode == 4
     assert proc.stderr == f"validation failure: {message}\n"
     assert proc.stdout == ""
+
+
+def test_refused_cohomology_run_computes_nothing(monkeypatch, capsys):
+    # the guard refuses every requested strand degree before any is computed
+    from dyalg import cli, cohomology
+    calls = []
+    built = cohomology.differential_columns
+    monkeypatch.setattr(cohomology, "differential_columns",
+                        lambda *args: calls.append(args) or built(*args))
+    for args in (["--max-degree", "4", "--window", "4", "cohomology",
+                  "--monoid", '{"kind": "split"}'],
+                 ["--max-degree", "5", "--window", "3", "cohomology"]):
+        assert cli.main(args) == 4
+        assert calls == []
+    assert capsys.readouterr().out == ""
+    assert cli.main(["--max-degree", "1", "--window", "2", "cohomology"]) == 0
+    assert calls
 
 
 def test_gauge_obstruction_exits_1(tmp_path):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from dyalg import linalg
+from dyalg import freelie, linalg
 from dyalg.freelie import (assoc_product, expand_to_assoc,
                            hochschild_target_dim, lie_bracket_assoc,
                            lie_multilinear_basis, pbw_basis, pbw_decompose,
@@ -126,19 +126,17 @@ def _relabel(perm, m):
 
 
 def _left_normed_coords(m) -> dict:
-    """Coordinates of a Lie monomial in the left-normed basis [[v, s2], ...]
-    with v its least variable: the basis monomial [[v, s2], ..., sk] is the
-    only one whose expansion holds the word v s2 ... sk, with coefficient 1,
-    so the coordinates are the coefficients of the words starting with v."""
-    least = min(variables(m))
-    out = {}
-    for word, c in expand_to_assoc(m).items():
-        if word[0] == least:
-            key = word[0]
-            for v in word[1:]:
-                key = (key, v)
-            out[key] = c
-    return out
+    """Coordinates of a Lie monomial in the left-normed basis of its
+    variables, solved against the expanded basis with ``linalg.Span``.  The
+    package reads them off the words that start with the least variable
+    instead, so the two sides share no coordinate code."""
+    vars = tuple(sorted(variables(m)))
+    basis = lie_multilinear_basis(0, vars)
+    widx = {w: i for i, w in enumerate(itertools.permutations(vars))}
+    span = linalg.Span({widx[w]: c for w, c in expand_to_assoc(b).items()}
+                       for b in basis)
+    sol = span.coords({widx[w]: c for w, c in expand_to_assoc(m).items()})
+    return {b: c for b, c in zip(basis, sol) if c}
 
 
 def _act_on_wedge(perm, wedge) -> dict:
@@ -195,3 +193,43 @@ def test_wedge_pair_dim_pinned_at_four_strands():
         got = [[wedge_pair_dim(a, b, 4, monoid) for b in range(5)]
                for a in range(5)]
         assert got == [[0] * 5] + [[0] + row for row in table], monoid
+
+
+def test_oracle_runs_without_the_eliminator(monkeypatch):
+    # the oracle reads its Lie coordinates off first letters: it must run
+    # with no cached solver and with the eliminator unavailable
+    def no_span(*args, **kwargs):
+        raise AssertionError("the oracle called linalg.Span")
+
+    monkeypatch.setattr(freelie, "_SOLVERS", {})
+    monkeypatch.setattr(linalg, "Span", no_span)
+    # hochschild_target_dim(n, N, monoid), rows N = 1..4, columns n = 0..8
+    pinned = {
+        TRIVIAL: [[0, 0, 1, 0, 0, 0, 0, 0, 0], [0, 0, 1, 2, 1, 0, 0, 0, 0],
+                  [0, 0, 1, 2, 2, 2, 1, 0, 0], [0, 0, 2, 6, 8, 6, 3, 2, 1]],
+        SPLIT: [[0, 0, 2, 0, 0, 0, 0, 0, 0], [0, 0, 3, 6, 3, 0, 0, 0, 0],
+                [0, 0, 6, 16, 18, 12, 4, 0, 0],
+                [0, 0, 26, 90, 129, 100, 48, 18, 5]],
+        RootCone(2, 1): [[0, 0, 3, 0, 0, 0, 0, 0, 0],
+                         [0, 0, 6, 12, 6, 0, 0, 0, 0],
+                         [0, 0, 19, 54, 61, 36, 10, 0, 0],
+                         [0, 0, 126, 450, 654, 504, 231, 72, 15]],
+    }
+    for monoid, table in pinned.items():
+        got = [[hochschild_target_dim(n, n_vars, monoid) for n in range(9)]
+               for n_vars in range(1, 5)]
+        assert got == table, monoid
+
+
+def test_lie_coords_reconstruct_every_relabeled_basis_monomial():
+    for n in range(1, 6):
+        basis = lie_multilinear_basis(n)
+        for m, perm in itertools.product(
+                basis, itertools.permutations(range(1, n + 1))):
+            moved = _relabel(perm, m)
+            total = {}
+            for b, c in freelie._lie_coords(moved).items():
+                for w, v in expand_to_assoc(b).items():
+                    total[w] = total.get(w, 0) + c * v
+            assert ({w: c for w, c in total.items() if c}
+                    == expand_to_assoc(moved)), (m, perm)
