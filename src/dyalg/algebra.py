@@ -16,10 +16,13 @@ integer numerators ``num`` (none zero) over one denominator ``den`` > 0 with
 arithmetic is in Python ints.  ``terms`` is a Fraction view built on demand.
 Multiplication straightens the composite diagram (``x * y`` is "x after y")
 and is graded by the strand count N.  The diagrams form a PROP, so slot
-permutations act on each algebra as automorphisms; the structure constants
-are memoized per pair of keys, and a pair whose slot-permuted mate is
-already memoized is read off the mate instead of straightened.  The memo
-holds the same entries either way.
+permutations act on each algebra as automorphisms.  The PROP is self-dual:
+time reversal τ, which turns every arrow round, swaps coactions with
+actions, τ(co, ac, perm, dec) = (ac, co, perm⁻¹, dec') with dec'[q] =
+dec[perm[q] - 1], and is an anti-automorphism.  The structure constants
+are memoized per pair of keys, and a pair whose slot-permuted or reversed
+mate is already memoized is read off the mate instead of straightened.
+The memo holds the same entries either way.
 """
 
 from __future__ import annotations
@@ -302,11 +305,19 @@ def compose_basis(n: int, s_key: Key, t_key: Key,
 
     Slot permutations act on the n-slot algebra as automorphisms (the
     diagrams live in a PROP), so ``compose_basis(n, p.s, p.t)`` is p applied
-    to ``compose_basis(n, s, t)``.  A miss at n >= 2 therefore first looks
-    for a cached mate ``(p.s, p.t)``, p running over the non-identity slot
-    permutations, and maps its entry back through p's inverse; only a pair
-    with no cached mate is straightened.  Both ways go through the one
-    shape kernel (``_shape_keys``) and store the same entry.
+    to ``compose_basis(n, s, t)``.  Time reversal τ (``_reverse_key``)
+    turns every diagram round and is an anti-automorphism:
+    ``compose_basis(n, s, t)`` is τ applied key by key to
+    ``compose_basis(n, τt, τs)``, with no sign.  A miss therefore first
+    looks for a cached slot-permuted mate ``(p.s, p.t)``, p running over
+    the non-identity slot permutations, and maps its entry back through
+    p's inverse; then for a cached reversed mate ``(p.τt, p.τs)``, p
+    running over every slot permutation, and maps its entry back through
+    p's inverse and then τ.  Only a pair with no cached mate of either kind
+    is straightened.  The slots of every mate and of every entry read off
+    one go through the one shape kernel (``_shape_keys``); a key's slot
+    images and their reversals are memoized once per key (``_orbit``), so
+    a miss builds no mate.  Every way stores the same entry.
 
     The cache is observationally transparent: an entry is the canonical
     straightening output of its pair, so recomputing it gives the same
@@ -322,16 +333,19 @@ def compose_basis(n: int, s_key: Key, t_key: Key,
     hit = _CACHE.get(ck)
     if hit is not None:
         return hit
-    perms = all_permutations(n)
-    next(perms)  # the identity: (s, t) itself is the miss
-    for p in perms:
-        regroup = ("slots", ((p, 1),))
-        (ps,), (pt,) = (_shape_keys({s_key: 1}, regroup),
-                        _shape_keys({t_key: 1}, regroup))
-        mate = _CACHE.get((mk, n, ps, pt))
+    (ps, rs), (pt, rt) = _orbit(s_key), _orbit(t_key)
+    # the slot mates (p.s, p.t) for p != 1, as p = 1 gives the miss itself,
+    # then the reversed mates (p.τt, p.τs) = (τ(p.t), τ(p.s)) for every p
+    mates = ([(i, False, ps[i], pt[i]) for i in range(1, len(ps))]
+             + [(i, True, rt[i], rs[i]) for i in range(len(ps))])
+    for i, reverse, a, b in mates:
+        mate = _CACHE.get((mk, n, a, b))
         if mate is not None:
-            out = _CACHE[ck] = _shape_keys(mate,
-                                           ("slots", ((inverse(p), 1),)))
+            p = inverse(list(all_permutations(n))[i])
+            out = _shape_keys(mate, ("slots", ((p, 1),)))
+            if reverse:
+                out = {_reverse_key(k): c for k, c in out.items()}
+            _CACHE[ck] = out
             return out
     decorated = not monoid.is_trivial()
     term = rewrite.term_graph(rewrite.slices_of_key(t_key, decorated)
@@ -341,6 +355,22 @@ def compose_basis(n: int, s_key: Key, t_key: Key,
     assert all(key_degree(k) == deg for k in out), "grading violated"
     _CACHE[ck] = out
     return out
+
+
+# the slot orbit of every key a compose_basis miss has met
+_ORBITS: dict[Key, tuple] = {}
+
+
+def _orbit(key: Key) -> tuple:
+    """``(images, reversed)``: the images p.key of ``key`` under every slot
+    permutation p, in ``all_permutations`` order, and their time reversals
+    τ(p.key) = p.τ(key), as τ commutes with the slot maps; memoized."""
+    orbit = _ORBITS.get(key)
+    if orbit is None:
+        images = tuple(next(iter(_shape_keys({key: 1}, ("slots", ((p, 1),)))))
+                       for p in all_permutations(len(key[0])))
+        orbit = _ORBITS[key] = (images, tuple(map(_reverse_key, images)))
+    return orbit
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +454,18 @@ def _face_blocks(blocks: list, i: int) -> list:
             + blocks[i:]
             for r in range(len(block) + 1)
             for take in itertools.combinations(block, r)]
+
+
+def _reverse_key(key: Key) -> Key:
+    """Time reversal τ of a basis key: every arrow of the diagram turned
+    round, so coactions and actions trade places.
+
+    τ(co, ac, perm, dec) = (ac, co, perm⁻¹, dec'), where dec'[q] is the
+    decoration of the strand at coaction position q, ``dec[perm[q] - 1]``.
+    It is an involution and commutes with the slot maps.
+    """
+    co, ac, perm, dec = key
+    return (ac, co, inverse(perm), tuple([dec[p - 1] for p in perm]))
 
 
 def _shape_keys(num: dict[Key, int], regrouping: tuple) -> dict[Key, int]:

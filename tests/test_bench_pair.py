@@ -141,7 +141,8 @@ def test_cache_digest_compares_checkouts():
     # EXCHANGE copies for two of its three branches, ACT_MU for one of two
     assert type(run["copies"]) is int
     assert run["copies"] >= 2 * firings["exchange"] + firings["act_mu"]
-    # every entry is straightened or read off a slot-permuted mate
+    # every entry is straightened or read off a slot-permuted or reversed
+    # mate
     assert type(run["straightened"]) is int and run["straightened"] > 0
     assert run["straightened"] + run["read_off_mate"] == run["entries"]
     assert run["read_off_mate"] >= 0
@@ -165,13 +166,17 @@ def test_cache_digest_counts_entries_read_off_a_mate(monkeypatch):
     for s in keys:
         for t in keys:
             algebra.compose_basis(2, s, t)
-    # no degree-1 key is fixed by the slot swap, so the 16 pairs fall into
-    # 8 orbits of two: one of each is straightened, the other read off it
-    assert len(algebra._CACHE) == 16 and counts["straightened"] == 8
+    # a degree-1 key is a strand from coaction slot c to action slot a; the
+    # slot swap σ and the reversal R: (s, t) -> (τt, τs) with τ(c, a) =
+    # (a, c) generate a group of order 4 on the 16 pairs.  σ fixes no pair,
+    # R fixes the 4 with s = τt, σR the 4 with s = στt, so by Burnside the
+    # pairs fall into (16 + 0 + 4 + 4) / 4 = 6 orbits: the first pair of
+    # each is straightened, every later one read off a mate
+    assert len(algebra._CACHE) == 16 and counts["straightened"] == 6
     # a straightening outside compose_basis fills no entry and is not one
     rewrite.straighten_graph(rewrite.term_graph(
         rewrite.slices_of_key(keys[0], False), 2), algebra.TRIVIAL)
-    assert counts["straightened"] == 8
+    assert counts["straightened"] == 6
 
 
 def test_cache_digest_sees_every_constant(monkeypatch):

@@ -326,25 +326,41 @@ def test_associator_check_command():
     assert all(r["ok"] for r in json.loads(proc.stdout))
 
 
+# each case has an explicit id, so adding a case or changing a message
+# renames no other case; the first ten keep the names pytest gave them
+# when the ids were still generated from list position and message
 @pytest.mark.parametrize("args, message", [
-    (["nested-sets", "{empty}"], "empty diagram"),
-    (["--max-degree", "4", "associator-check"], "size guard: order <= 3"),
-    (["--max-degree", "-1", "associator-check"],
-     "order must be a non-negative integer, got -1"),
-    (["solve-gauge", "{zero}", "{zero}"], "twist must start at the unit"),
-    (["--window", "-1", "cohomology"],
-     "window must be a non-negative integer, got -1"),
-    (["--max-degree", "4", "--window", "3", "cohomology",
-      "--monoid", '{{"kind": "split"}}'],
-     "size guard: strand degree <= 4, window <= 8 and target slice "
-     "dimension <= 200000"),
-    (["realize", "{nothing}", "{borel}"],
-     "a 0-slot element acts on no module"),
-    (["realize", "{scalar}", "{borel}"],
-     "a 0-slot element acts on no module"),
-    (["coxeter-check", "{empty}"], "empty diagram"),
-    (["--max-degree", "-1", "coxeter-check", "{a1}"],
-     "order must be a non-negative integer, got -1"),
+    pytest.param(["nested-sets", "{empty}"], "empty diagram",
+                 id="args0-empty diagram"),
+    pytest.param(["--max-degree", "4", "associator-check"],
+                 "size guard: order <= 3",
+                 id="args1-size guard: order <= 3"),
+    pytest.param(["--max-degree", "-1", "associator-check"],
+                 "order must be a non-negative integer, got -1",
+                 id="args2-order must be a non-negative integer, got -1"),
+    pytest.param(["solve-gauge", "{zero}", "{zero}"],
+                 "twist must start at the unit",
+                 id="args3-twist must start at the unit"),
+    pytest.param(["--window", "-1", "cohomology"],
+                 "window must be a non-negative integer, got -1",
+                 id="args4-window must be a non-negative integer, got -1"),
+    pytest.param(["--max-degree", "4", "--window", "3", "cohomology",
+                  "--monoid", '{{"kind": "split"}}'],
+                 "size guard: strand degree <= 4, window <= 8 and target "
+                 "slice dimension <= 200000",
+                 id="args5-size guard: strand degree <= 4, window <= 8 and "
+                    "target slice dimension <= 200000"),
+    pytest.param(["realize", "{nothing}", "{borel}"],
+                 "a 0-slot element acts on no module",
+                 id="args6-a 0-slot element acts on no module"),
+    pytest.param(["realize", "{scalar}", "{borel}"],
+                 "a 0-slot element acts on no module",
+                 id="args7-a 0-slot element acts on no module"),
+    pytest.param(["coxeter-check", "{empty}"], "empty diagram",
+                 id="args8-empty diagram"),
+    pytest.param(["--max-degree", "-1", "coxeter-check", "{a1}"],
+                 "order must be a non-negative integer, got -1",
+                 id="args9-order must be a non-negative integer, got -1"),
 ])
 def test_invalid_input_exits_4_without_traceback(tmp_path, args, message):
     files = {

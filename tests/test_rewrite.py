@@ -305,18 +305,39 @@ ORBIT_CASES = (  # (monoid, slots, top strand degree of a product)
        for n in (2, 3)])
 
 
+def _orbits(n, pairs, monoid, reversal):
+    """The number of orbits of ``pairs`` under the slot permutations, and
+    under the reversal ``(s, t) -> (τt, τs)`` too if ``reversal``."""
+    perms = list(itertools.permutations(range(1, n + 1)))
+    image = {}
+    for k in {k for pair in pairs for k in pair}:
+        for p in perms:
+            (image[k, p],) = algebra.slot_permute(
+                AlgebraElement.basis(n, k, monoid), p).num
+    tau = algebra._reverse_key
+    orbits = set()
+    for s, t in pairs:
+        mates = [(s, t), (tau(t), tau(s))] if reversal else [(s, t)]
+        orbits.add(frozenset((image[a, p], image[b, p])
+                             for a, b in mates for p in perms))
+    return len(orbits)
+
+
 @pytest.mark.parametrize("monoid,n,top", ORBIT_CASES)
 def test_orbit_reads_equal_direct_straightening(monkeypatch, monoid, n, top):
     # every pair of keys of strand degree 1-2 whose product has degree at
-    # most top; slot permutations map this set onto itself, so each orbit's
-    # first pair is straightened and every later pair finds a mate cached
+    # most top; slot permutations and the reversal map this set onto itself,
+    # so each orbit's first pair is straightened and every later pair finds
+    # a mate cached, fewer straightenings than the slot orbits alone give
     monkeypatch.setattr(algebra, "_CACHE", {})
     keys = [k for d in (1, 2) for k in enumerate_basis(n, d, monoid)]
     pairs = [(s, t) for s in keys for t in keys
              if len(s[2]) + len(t[2]) <= top]
     calls = _counting_straightens(monkeypatch)
     got = [compose_basis(n, s, t, monoid) for s, t in pairs]
-    assert len(calls) < len(pairs) and len(algebra._CACHE) == len(pairs)
+    assert len(algebra._CACHE) == len(pairs)
+    assert len(calls) == _orbits(n, pairs, monoid, reversal=True)
+    assert len(calls) < _orbits(n, pairs, monoid, reversal=False)
     monkeypatch.undo()
     for (s, t), constants in zip(pairs, got):
         assert constants == _straightened(n, s, t, monoid), (s, t)
@@ -340,6 +361,64 @@ def test_a_permuted_pair_is_read_off_its_mate(monkeypatch):
         assert AlgebraElement.from_integers(n, monoid, image, 1) == (
             algebra.slot_permute(AlgebraElement.from_integers(
                 n, monoid, constants, 1), perm))
+
+
+def test_a_reversed_pair_is_read_off_its_mate(monkeypatch):
+    calls = _counting_straightens(monkeypatch)
+    tau = algebra._reverse_key
+    n, monoid = 3, SPLIT
+    # s acts twice on slot 2, while τt acts on slots 2 and 3, so no slot
+    # permutation maps (s, t) to a permuted (τt, τs): only the reversed
+    # mate can be found
+    s = ((1, 0, 1), (0, 2, 0), (2, 1), (1, 0))
+    t = ((0, 1, 1), (1, 0, 1), (1, 2), (0, 1))
+    for perm in itertools.permutations((1, 2, 3)):
+        # only (s, t) is cached when (τt, τs) permuted by perm is asked for
+        monkeypatch.setattr(algebra, "_CACHE", {})
+        calls.clear()
+        compose_basis(n, s, t, monoid)
+        (ps,), (pt,) = (algebra.slot_permute(
+            AlgebraElement.basis(n, tau(k), monoid), perm).num
+            for k in (t, s))
+        image = compose_basis(n, ps, pt, monoid)
+        assert len(calls) == 1 and len(algebra._CACHE) == 2
+        assert image == _straightened(n, ps, pt, monoid)
+
+
+# (monoid, slots, top strand degree of a product): each case takes every
+# pair of keys of strand degree 1-2 whose product has degree at most top.
+# top 4 is every such pair; the others keep each case under about 1.5 s of
+# direct straightening and the whole test under about 6 s on a 2-core host
+REVERSAL_CASES = (
+    [(monoid, 1, 4) for monoid in (TRIVIAL, SPLIT, RootCone(2, 1), QUOTIENT)]
+    + [(TRIVIAL, n, 4) for n in (2, 3)]
+    + [(monoid, 2, 3) for monoid in (SPLIT, RootCone(2, 1), QUOTIENT)]
+    + [(SPLIT, 3, 3), (QUOTIENT, 3, 3), (RootCone(2, 1), 3, 2)])
+
+
+def test_reversal_is_an_anti_automorphism():
+    # time reversal τ turns every diagram round: s after t straightens to τ
+    # of τt after τs, key by key, with no sign.  Both sides are straightened
+    # directly, so the cache's reversed-mate reads are checked against
+    # diagrams that never went through compose_basis
+    tau = algebra._reverse_key
+    for monoid, n, top in REVERSAL_CASES:
+        keys = [k for d in (1, 2) for k in enumerate_basis(n, d, monoid)]
+        for k in keys:
+            assert tau(tau(k)) == k
+            for perm in itertools.permutations(range(1, n + 1)):
+                (pk,), (p_tau_k,) = (algebra.slot_permute(
+                    AlgebraElement.basis(n, key, monoid), perm).num
+                    for key in (k, tau(k)))
+                assert tau(pk) == p_tau_k, (k, perm)
+        direct = {}
+        for s in keys:
+            for t in keys:
+                if len(s[2]) + len(t[2]) <= top:
+                    direct[s, t] = _straightened(n, s, t, monoid)
+        for (s, t), constants in direct.items():
+            mate = direct[tau(t), tau(s)]
+            assert constants == {tau(k): c for k, c in mate.items()}, (s, t)
 
 
 # -- stage 3 against stepwise rewriting --------------------------------------

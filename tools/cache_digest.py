@@ -15,7 +15,9 @@ COCYCLE, PUSH_MU) and how many working graphs were copied
 (``rewrite._Term.copy``), and how many cache entries were straightened
 (``straightened``, the calls ``algebra.compose_basis`` makes of
 ``rewrite.straighten_graph``) and how many were read off a cached
-slot-permuted mate (``read_off_mate``, the other entries).
+slot-permuted or reversed mate (``read_off_mate``, the other entries):
+a reversed mate of (s, t) is (p.τt, p.τs) for a slot permutation p, τ
+being time reversal, ``algebra._reverse_key``.
 
 A change that asks for fewer (or other) products can never give an equal
 digest, so each seed also compares the caches key by key (``keys``): how
