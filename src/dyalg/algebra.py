@@ -254,16 +254,34 @@ def _dec_json(d):
     return list(d) if isinstance(d, tuple) else d
 
 
+_DECORATIONS: dict[DecorationMonoid, dict] = {}
+
+
+def _decorations(monoid: DecorationMonoid) -> dict:
+    """The decorations a key on ``monoid`` may carry, each mapped to itself,
+    built once per monoid.  Arithmetic happens in the ambient cone of a
+    RootConeMod, so its table is the cone's."""
+    decors = _DECORATIONS.get(monoid)
+    if decors is None:
+        decors = _DECORATIONS[monoid] = {
+            d: d for d in (RootCone(monoid.rank, monoid.cap)
+                           if isinstance(monoid, RootConeMod)
+                           else monoid).elements()}
+    return decors
+
+
+def _outside(d, field: str, monoid: DecorationMonoid) -> ValueError:
+    return ValueError(f"{field} {d!r} is a decoration outside the "
+                      f"{monoid.name} monoid")
+
+
 def _decoration_reader(monoid: DecorationMonoid):
     """The reader ``read(d, field)`` of a JSON decoration on ``monoid``.
 
-    It returns the monoid element equal to ``d`` (1 for true), and raises a
-    ValueError naming ``field`` when there is none.  Arithmetic happens in
-    the ambient cone of a RootConeMod, so its reader accepts the cone.
+    It returns the member of :func:`_decorations` equal to ``d`` (1 for
+    true), and raises a ValueError naming ``field`` when there is none.
     """
-    decors = {d: d for d in (RootCone(monoid.rank, monoid.cap)
-                             if isinstance(monoid, RootConeMod)
-                             else monoid).elements()}
+    decors = _decorations(monoid)
 
     def read(d, field: str):
         try:
@@ -271,8 +289,7 @@ def _decoration_reader(monoid: DecorationMonoid):
         except TypeError:  # unhashable, e.g. a list inside the list
             dec = None
         if dec is None:
-            raise ValueError(f"{field} {d!r} is a decoration outside the "
-                             f"{monoid.name} monoid")
+            raise _outside(d, field, monoid)
         return dec
     return read
 
@@ -286,6 +303,10 @@ def _check_key(n: int, key: Key, monoid: DecorationMonoid) -> None:
         raise ValueError("inconsistent strand counts in key")
     if sorted(perm) != list(range(1, total + 1)):
         raise ValueError("perm is not a permutation")
+    decors = _decorations(monoid)
+    for d in dec:
+        if d not in decors:
+            raise _outside(d, "decor entry", monoid)
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +595,7 @@ def r_matrix(n: int, i: int, j: int,
     co = tuple(1 if k == j else 0 for k in range(1, n + 1))
     ac = tuple(1 if k == i else 0 for k in range(1, n + 1))
     dec = (decor if decor is not None else monoid.zero(),)
-    return AlgebraElement(n, monoid, {(co, ac, (1,), dec): 1})
+    return AlgebraElement.basis(n, (co, ac, (1,), dec), monoid)
 
 
 def omega(n: int, i: int, j: int,
@@ -590,7 +611,7 @@ def kappa(n: int, i: int, monoid: DecorationMonoid = TRIVIAL,
         raise ValueError("slot out of range")
     co = tuple(1 if k == i else 0 for k in range(1, n + 1))
     dec = (decor if decor is not None else monoid.zero(),)
-    return AlgebraElement(n, monoid, {(co, co, (1,), dec): 1})
+    return AlgebraElement.basis(n, (co, co, (1,), dec), monoid)
 
 
 def kappa_alpha(alpha, monoid: DecorationMonoid, n: int = 1,

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from . import linalg
 from .monoids import DecorationMonoid
-from .permutations import all_permutations, block_starts, cycle_count, sign
+from .permutations import all_permutations, cycle_count, sign
 
 # A Lie monomial is a nested-tuple binary tree whose leaves are variable
 # indices: 3, or (1, 2), or ((1, 2), 3).  An associative combination is a
@@ -185,33 +185,6 @@ def pbw_decompose(w: AssocElt, n_vars: int) -> dict:
     if sol is None:
         raise ValueError("PBW system inconsistent")
     return {basis[j]: c for j, c in enumerate(sol) if c}
-
-
-def pbw_decompose_blocks(w: dict, blocks: tuple[int, ...]) -> dict:
-    """Blockwise PBW decomposition of a multilinear tensor element.
-
-    ``w`` maps tuples of words (one word per block, using disjoint variable
-    ranges laid out consecutively per ``blocks``) to coefficients; each
-    block is decomposed independently and the results are tensored.
-    Returns a dict mapping tuples of per-block PBW keys to coefficients.
-    """
-    starts = block_starts(blocks)
-    out: dict = {}
-    for words, coeff in w.items():
-        if len(words) != len(blocks):
-            raise ValueError("word count does not match block count")
-        decs = []
-        for b, word in enumerate(words):
-            expected = tuple(range(starts[b] + 1, starts[b] + blocks[b] + 1))
-            if tuple(sorted(word)) != expected:
-                raise ValueError("block word uses wrong variables")
-            dec = pbw_decompose({tuple(x - starts[b] for x in word): 1},
-                                blocks[b])
-            decs.append({tuple(_relabel(m, lambda x: x + starts[b])
-                               for m in key): c for key, c in dec.items()})
-        for key, c in _tensor(decs, coeff).items():
-            _add(out, key, c)
-    return out
 
 
 def _tensor(factors, coeff=1) -> dict:

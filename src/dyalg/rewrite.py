@@ -120,8 +120,10 @@ Stage 3  No inversions remain: every line is sorted, and every cobracket
          idempotents), drops terms outside the allowed set in quotient
          mode, and sums the canonical basis keys.
 
-Randomized schedules vary the stage-1 resolution order and the stage-2
-pattern among the safe ones; all terminate by the same measures and the
+A :class:`Scheduler` picks the bracket resolved in stage 1 and the safe
+pattern exchanged in stage 2; the default takes the first candidate, and
+a seeded :class:`RandomScheduler` draws one, so every schedule is
+reproducible from its seed.  All terminate by the same measures and the
 canonical output is schedule independent (a tested contract).
 """
 
@@ -336,46 +338,22 @@ def _apply_push_mu(t: _Term, mid: int,
 
 class Scheduler:
     """Chooses among applicable redexes; the default takes the first of the
-    canonically sorted candidates.  ``record`` accumulates a replayable
-    trace as (tag, index) pairs."""
+    canonically sorted candidates."""
 
-    def __init__(self, record: list | None = None):
-        self.record = record
-
-    def choose(self, tag: str, candidates: list):
-        idx = self.pick(tag, len(candidates))
-        if self.record is not None:
-            self.record.append((tag, idx))
-        return candidates[idx]
-
-    def pick(self, tag: str, n: int) -> int:
-        return 0
+    def choose(self, candidates: list):
+        return candidates[0]
 
 
 class RandomScheduler(Scheduler):
-    def __init__(self, seed: int, record: list | None = None):
+    """Chooses uniformly from a seeded stream, so one seed gives one
+    schedule."""
+
+    def __init__(self, seed: int):
         import random
-        super().__init__(record)
         self.rng = random.Random(seed)
 
-    def pick(self, tag: str, n: int) -> int:
-        return self.rng.randrange(n)
-
-
-class ScriptedScheduler(Scheduler):
-    """Replays a recorded trace."""
-
-    def __init__(self, script: list):
-        super().__init__(None)
-        self.script = list(script)
-        self.at = 0
-
-    def pick(self, tag: str, n: int) -> int:
-        tag0, idx = self.script[self.at]
-        if tag0 != tag or not 0 <= idx < n:
-            raise ValueError("trace does not match term")
-        self.at += 1
-        return idx
+    def choose(self, candidates: list):
+        return candidates[self.rng.randrange(len(candidates))]
 
 
 def _resolve_bracket(t: _Term, mid: int, monoid: DecorationMonoid
@@ -410,7 +388,7 @@ def straighten_graph(t0: _Term, monoid: DecorationMonoid,
             t, c = work.pop()
             if t.mus:  # stage 1
                 work.extend((s, c * c2) for s, c2 in _resolve_bracket(
-                    t, sched.choose("mu", sorted(t.mus)), monoid))
+                    t, sched.choose(sorted(t.mus)), monoid))
                 continue
             if _readout(t, monoid, c, forms):  # stage 3
                 continue
@@ -423,7 +401,7 @@ def straighten_graph(t0: _Term, monoid: DecorationMonoid,
             safe = t.safe_patterns()
             assert safe, "no safe pattern despite inversions"
             work.extend((s, c * c2) for s, c2 in _apply_exchange(
-                t, *sched.choose("exchange", safe)))
+                t, *sched.choose(safe)))
         elif buckets:
             exchanges = list(buckets.pop(max(buckets)).values())
         else:

@@ -26,6 +26,9 @@ class GradedSeries:
         self.monoid = monoid
         self.parts = {}
         for d, x in (parts or {}).items():
+            if x.n != n or x.monoid != monoid:
+                raise ValueError(f"part {d} is not in the series' algebra "
+                                 f"(n = {n}, {monoid.name} monoid)")
             if d <= order and not x.is_zero():
                 if x.degrees() - {d}:
                     raise ValueError("component is not homogeneous")
@@ -147,10 +150,6 @@ class GradedSeries:
         monoid = monoid_from_json(data["monoid"])
         parts = {int(d): AlgebraElement.from_json(x)
                  for d, x in data["parts"].items()}
-        for d, x in parts.items():
-            if x.n != n or x.monoid != monoid:
-                raise ValueError(f"part {d} is not in the series' algebra "
-                                 f"(n = {n}, {monoid.name} monoid)")
         return GradedSeries(n, data["order"], monoid, parts)
 
 

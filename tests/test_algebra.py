@@ -664,10 +664,21 @@ def test_mismatch_errors():
      "window exceeds monoid cap"),
     (lambda: rho_tilde_pair(kappa(1, 1, SPLIT, decor=0), RootCone(2, 2),
                             {1}, {2}, 1), "supports not nested"),
+    (lambda: AlgebraElement.basis(1, ((1,), (1,), (1,), ((9, 9),))),
+     r"decor entry \(9, 9\) is a decoration outside the trivial monoid"),
+    (lambda: kappa(1, 1, SPLIT, decor=7),
+     "decor entry 7 is a decoration outside the split monoid"),
+    (lambda: r_matrix(2, 1, 2, SPLIT, decor=2),
+     "decor entry 2 is a decoration outside the split monoid"),
+    (lambda: kappa_alpha((1,), RootCone(2, 2)),
+     r"decor entry \(1,\) is a decoration outside the root_cone monoid"),
+    (lambda: kappa_alpha((4, 1), PAIR_MONOIDS[3]),
+     r"decor entry \(4, 1\) is a decoration outside the root_cone_mod"),
 ], ids=["composition-length", "strand-counts", "not-a-permutation",
         "slot-permutation", "uncovered-mapping", "repeated-targets",
         "r-matrix-slot", "kappa-slot", "alpha-of-split", "cone-window",
-        "supports-not-nested"])
+        "supports-not-nested", "basis-decoration", "kappa-decoration",
+        "r-matrix-decoration", "cone-decoration", "mod-decoration"])
 def test_input_checks(call, message):
     with pytest.raises(ValueError, match=f"^{message}"):
         call()
@@ -877,6 +888,10 @@ def test_from_json_rejects_decorations_outside_the_monoid():
                           (RootCone(2, 2), [1, 1])):
         x = AlgebraElement.from_json(_decorated_json(monoid, decor))
         assert x.to_json() == _decorated_json(monoid, decor)
+        # and a programmatic key takes the same decorations
+        dec = (tuple(decor) if isinstance(decor, list) else decor,)
+        assert 2 * x == AlgebraElement.basis(1, ((1,), (1,), (1,), dec),
+                                             monoid)
     # a JSON true is read as the decoration 1, and written back as 1
     x = AlgebraElement.from_json(_decorated_json(SPLIT, True))
     assert x.to_json() == _decorated_json(SPLIT, 1)

@@ -4,9 +4,8 @@ from fractions import Fraction
 import pytest
 
 from dyalg.algebra import AlgebraElement, kappa, omega
-from dyalg.monoids import SPLIT
+from dyalg.monoids import SPLIT, TRIVIAL
 from dyalg.series import GradedSeries
-from dyalg.freelie import pbw_decompose_blocks
 
 
 def test_series_json_round_trip():
@@ -29,13 +28,6 @@ def test_element_json_is_canonically_sorted():
     assert keys == sorted(keys, key=lambda k: (k[0], k[2], k[1]))
 
 
-def test_pbw_blocks():
-    w = {((1, 2), (3,)): Fraction(1)}
-    dec = pbw_decompose_blocks(w, (2, 1))
-    assert dec[(((1, 2),), (3,))] == Fraction(1, 2)
-    assert dec[((1, 2), (3,))] == Fraction(1)
-
-
 def test_inhomogeneous_component_rejected():
     mixed = kappa(1, 1) + kappa(1, 1) * kappa(1, 1)  # degrees 1 and 2
     with pytest.raises(ValueError, match="not homogeneous"):
@@ -46,3 +38,12 @@ def test_inhomogeneous_component_rejected():
         GradedSeries.from_json(data)
     # a component above the order is dropped before it is checked
     assert GradedSeries(1, 0, parts={1: mixed}).is_zero()
+
+
+def test_series_rejects_parts_from_another_algebra():
+    for parts, where in (({1: omega(3, 1, 2)}, "n = 2, trivial"),
+                         ({1: kappa(2, 1, SPLIT, decor=1)}, "n = 2, trivial"),
+                         ({5: omega(3, 1, 2)}, "n = 2, trivial")):
+        with pytest.raises(ValueError, match=rf"^part \d is not in the "
+                                             rf"series' algebra \({where}"):
+            GradedSeries(2, 3, TRIVIAL, parts)
