@@ -314,6 +314,9 @@ def _check_key(n: int, key: Key, monoid: DecorationMonoid) -> None:
 
 
 _CACHE: dict[tuple, dict[Key, int]] = {}
+# per slot count n, the slot regrouping by p's inverse for every slot
+# permutation p, in ``all_permutations`` order: it maps a mate's entry back
+_BACK: dict[int, tuple] = {}
 
 
 def compose_basis(n: int, s_key: Key, t_key: Key,
@@ -337,8 +340,9 @@ def compose_basis(n: int, s_key: Key, t_key: Key,
     p's inverse and then τ.  Only a pair with no cached mate of either kind
     is straightened.  The slots of every mate and of every entry read off
     one go through the one shape kernel (``_shape_keys``); a key's slot
-    images and their reversals are memoized once per key (``_orbit``), so
-    a miss builds no mate.  Every way stores the same entry.
+    images and their reversals are memoized once per key (``_orbit``) and
+    the regroupings by p's inverse once per slot count (``_BACK``), so a
+    miss builds no mate.  Every way stores the same entry.
 
     The cache is observationally transparent: an entry is the canonical
     straightening output of its pair, so recomputing it gives the same
@@ -355,18 +359,23 @@ def compose_basis(n: int, s_key: Key, t_key: Key,
     if hit is not None:
         return hit
     (ps, rs), (pt, rt) = _orbit(s_key), _orbit(t_key)
+    back = _BACK.get(n)
+    if back is None:
+        back = _BACK[n] = tuple(("slots", ((inverse(p), 1),))
+                                for p in all_permutations(n))
     # the slot mates (p.s, p.t) for p != 1, as p = 1 gives the miss itself,
     # then the reversed mates (p.τt, p.τs) = (τ(p.t), τ(p.s)) for every p
-    mates = ([(i, False, ps[i], pt[i]) for i in range(1, len(ps))]
-             + [(i, True, rt[i], rs[i]) for i in range(len(ps))])
-    for i, reverse, a, b in mates:
-        mate = _CACHE.get((mk, n, a, b))
+    for i in range(1, len(ps)):
+        mate = _CACHE.get((mk, n, ps[i], pt[i]))
         if mate is not None:
-            p = inverse(list(all_permutations(n))[i])
-            out = _shape_keys(mate, ("slots", ((p, 1),)))
-            if reverse:
-                out = {_reverse_key(k): c for k, c in out.items()}
-            _CACHE[ck] = out
+            out = _CACHE[ck] = _shape_keys(mate, back[i])
+            return out
+    for i in range(len(ps)):
+        mate = _CACHE.get((mk, n, rt[i], rs[i]))
+        if mate is not None:
+            # p = 1 (i = 0) maps every key to itself
+            out = _CACHE[ck] = {_reverse_key(k): c for k, c in (
+                _shape_keys(mate, back[i]) if i else mate).items()}
             return out
     decorated = not monoid.is_trivial()
     term = rewrite.term_graph(rewrite.slices_of_key(t_key, decorated)

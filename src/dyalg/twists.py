@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import AlgebraElement, beta_map, omega
+from .algebra import AlgebraElement, beta_map, hochschild_d, omega
 from .cohomology import NotClosed, decompose_cocycle
 from .monoids import SPLIT, TRIVIAL
 from .series import GradedSeries, series_face, series_slot_permute
@@ -42,6 +42,35 @@ def residual_row(check: str, series: GradedSeries, **fields) -> dict:
             "residual_terms": by_degree, "first_offender": first}
 
 
+def _split_top(s: GradedSeries, *others: GradedSeries
+               ) -> tuple[GradedSeries, AlgebraElement]:
+    """``(low, high)`` with s = low + high, for a residual that is a
+    polynomial in the face images of s and of ``others``.
+
+    N is the residual's order (the smallest order among s and ``others``)
+    and m the lowest positive degree present in any of them up to N.  A
+    component of s of degree above N - m can meet only degree-0 parts
+    below order N, so when every degree-0 part is the unit it enters the
+    residual linearly, through the alternating sum of its faces,
+    ``hochschild_d``.  ``high`` is the sum of those components up to N and
+    ``low`` keeps the others at s's order; with a degree-0 part other than
+    the unit, or no positive degree at all, ``high`` is zero.
+    """
+    series = (s, *others)
+    order = min(t.order for t in series)
+    degrees = [d for t in series for d in t.parts if 0 < d <= order]
+    high = AlgebraElement.zero(s.n, s.monoid)
+    if not degrees or any(t.component(0) != AlgebraElement.unit(t.n, t.monoid)
+                          for t in series):
+        return s, high
+    top = order - min(degrees)
+    for d, x in s.parts.items():
+        if top < d <= order:
+            high = high + x
+    return GradedSeries(s.n, s.order, s.monoid, {
+        d: x for d, x in s.parts.items() if d <= top}), high
+
+
 def check_associator_axioms(phi: GradedSeries, order: int | None = None
                             ) -> list[dict]:
     """Pentagon, both hexagons, duality, leading-terms shape, and the 2-jet
@@ -61,9 +90,13 @@ def check_associator_axioms(phi: GradedSeries, order: int | None = None
                            - GradedSeries.one(3, 1, phi.monoid))]
 
     # faces 0-4 of Phi are Phi^{2,3,4}, Phi^{12,3,4}, Phi^{1,23,4},
-    # Phi^{1,2,34} and Phi^{1,2,3}
-    f = [series_face(i, phi) for i in range(5)]
-    report.append(residual_row("pentagon", f[3] * f[1] - f[0] * f[2] * f[4]))
+    # Phi^{1,2,34} and Phi^{1,2,3}; Phi's top degrees enter through
+    # f3 + f1 - f0 - f2 - f4 = -d (see _split_top)
+    low, high = _split_top(phi)
+    f = [series_face(i, low) for i in range(5)]
+    report.append(residual_row("pentagon", f[3] * f[1] - f[0] * f[2] * f[4]
+                               - GradedSeries.of_element(hochschild_d(high),
+                                                         phi.order)))
 
     phi_inv = phi.inverse()
     # exp(Omega/2) once in two slots; faces are algebra maps, so its faces
@@ -107,9 +140,12 @@ def twist_equation_residual(j: GradedSeries, phi_big: GradedSeries,
                             phi_small: GradedSeries) -> GradedSeries:
     """Residual of the relative twist equation in product form,
     J^23 J^{1,23} Phi_big - Phi_small J^12 J^{12,3}, where J^23, J^{12,3},
-    J^{1,23} and J^12 are faces 0, 1, 2 and 3 of J."""
-    f = [series_face(i, j) for i in range(4)]
-    return f[0] * f[2] * phi_big - phi_small * f[3] * f[1]
+    J^{1,23} and J^12 are faces 0, 1, 2 and 3 of J.  J's top degrees
+    enter through f0 - f1 + f2 - f3 = d (see ``_split_top``)."""
+    low, high = _split_top(j, phi_big, phi_small)
+    f = [series_face(i, low) for i in range(4)]
+    return (f[0] * f[2] * phi_big - phi_small * f[3] * f[1]
+            + GradedSeries.of_element(hochschild_d(high), j.order))
 
 
 def gauge(u: GradedSeries, j: GradedSeries) -> GradedSeries:
@@ -118,7 +154,9 @@ def gauge(u: GradedSeries, j: GradedSeries) -> GradedSeries:
         raise ValueError("gauge needs a 1-slot series acting on a 2-slot one")
     if u.component(0) != AlgebraElement.unit(1, u.monoid):
         raise ValueError("non-unit leading term")
-    # the coproduct (face 1) is an algebra map: it carries u^-1 to (du)^-1
+    # the product drops every degree above j's order; the coproduct (face
+    # 1) is an algebra map: it carries u^-1 to (du)^-1
+    u = u.truncate(j.order)
     return (series_face(2, u) * series_face(0, u) * j
             * series_face(1, u.inverse()))
 
@@ -133,13 +171,19 @@ def solve_gauge(j1: GradedSeries, j2: GradedSeries, phi: GradedSeries,
     """The unique gauge u with gauge(u, j1) = j2, built degree by degree.
 
     Both inputs must satisfy the relative twist equation for ``phi`` (with
-    ``phi_small`` defaulting to ``phi``) to the working order; the
-    discrepancy at each degree is closed, and its harmonic part must vanish
-    or :class:`GaugeObstruction` is raised.
+    ``phi_small`` defaulting to ``phi``) to the working order, which none
+    of the four may fall short of; the discrepancy at each degree is
+    closed, and its harmonic part must vanish or
+    :class:`GaugeObstruction` is raised.
     """
     order = min(j1.order, j2.order) if order is None else order
-    j1, j2 = j1.truncate(order), j2.truncate(order)
     phi_small = phi if phi_small is None else phi_small
+    for name, s in (("j1", j1), ("j2", j2), ("phi", phi),
+                    ("phi_small", phi_small)):
+        if s.order < order:
+            raise ValueError(f"order {order} exceeds the order {s.order} "
+                             f"of {name}")
+    j1, j2 = j1.truncate(order), j2.truncate(order)
     for j in (j1, j2):
         if j.component(0) != AlgebraElement.unit(2, j.monoid):
             raise ValueError("twist must start at the unit")

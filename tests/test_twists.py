@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from dyalg import algebra, series
 from dyalg.algebra import AlgebraElement, beta_map, enumerate_basis, \
     hochschild_d, omega
 from dyalg.cohomology import harmonic_complement
@@ -10,8 +11,9 @@ from dyalg.monoids import RootCone, SPLIT, TRIVIAL
 from dyalg.permutations import all_permutations
 from dyalg.series import GradedSeries, series_face, series_slot_permute
 from dyalg.twists import (GaugeObstruction, associator_2jet,
-                          check_associator_axioms, gauge, solve_gauge,
-                          twist_conjugate, twist_equation_residual)
+                          check_associator_axioms, gauge, residual_row,
+                          solve_gauge, twist_conjugate,
+                          twist_equation_residual)
 
 
 def _random_unit_series(rng, order, monoid=SPLIT, nmax=2, n=1):
@@ -147,6 +149,10 @@ def test_gauge_and_conjugation_match_inverting_the_embedded_series():
             j = _random_unit_series(rng, order, monoid, nmax=3, n=2)
             phi = _random_unit_series(rng, order, monoid, nmax=3, n=3)
             assert gauge(u, j) == _gauge_reference(u, j)
+            # a u longer than J: the product keeps J's order
+            short = j.truncate(order - 1)
+            assert gauge(u, short).order == order - 1
+            assert gauge(u, short) == _gauge_reference(u, short)
             assert twist_conjugate(phi, j) == _twist_conjugate_reference(
                 phi, j)
 
@@ -258,3 +264,122 @@ def test_double_conjugation_composes():
     # conjugation by a gauged unit is conjugation by the product gauge
     composite = gauge(v * u, GradedSeries.one(2, order, SPLIT))
     assert twist_conjugate(phi, composite) == once
+
+
+def test_solve_gauge_rejects_orders_its_inputs_do_not_know():
+    rng = random.Random(35)
+    one2 = GradedSeries.one(2, 3, SPLIT)
+    one3 = GradedSeries.one(3, 3, SPLIT)
+    j2 = gauge(_random_unit_series(rng, 3), one2)
+    with pytest.raises(ValueError, match="^order 3 exceeds the order 1 of j2$"):
+        solve_gauge(one2, j2.truncate(1), one3, order=3)
+    with pytest.raises(ValueError, match="^order 3 exceeds the order 2 of j1$"):
+        solve_gauge(one2.truncate(2), j2, one3, order=3)
+    with pytest.raises(ValueError,
+                       match="^order 3 exceeds the order 1 of phi$"):
+        solve_gauge(one2, j2, one3.truncate(1))
+    with pytest.raises(ValueError,
+                       match="^order 3 exceeds the order 2 of phi_small$"):
+        solve_gauge(one2, j2, one3, phi_small=one3.truncate(2))
+    # a working order below every input's stays allowed
+    u = solve_gauge(one2, j2, one3.truncate(2), order=2)
+    assert u.order == 2 and gauge(u, one2.truncate(2)) == j2.truncate(2)
+
+
+# -- top degrees enter linearly: references that face every component ------
+
+
+def _four_face_residual(j, phi_big, phi_small):
+    """The twist residual from all four faces of every component of J."""
+    f = [series_face(i, j) for i in range(4)]
+    return f[0] * f[2] * phi_big - phi_small * f[3] * f[1]
+
+
+def _five_face_pentagon(phi):
+    """The pentagon residual from all five faces of every component of
+    Phi."""
+    f = [series_face(i, phi) for i in range(5)]
+    return f[3] * f[1] - f[0] * f[2] * f[4]
+
+
+def _lifted_2jet(order, monoid):
+    """The 2-jet with each strand summed over the monoid's decorations
+    (on the split monoid, its image under ``beta_map``)."""
+    pool = tuple(monoid.elements())
+    return GradedSeries(3, order, monoid, {
+        d: algebra._redecorate(x, monoid, lambda _: pool)
+        for d, x in associator_2jet(order).parts.items()})
+
+
+def _same(got, want):
+    return got.order == want.order and got.parts == want.parts
+
+
+def test_twist_residual_matches_all_four_faces():
+    rng = random.Random(37)
+    nonzero = 0
+    for monoid in (TRIVIAL, SPLIT, RootCone(2, 1)):
+        one2 = GradedSeries.one(2, 3, monoid)
+        one3 = GradedSeries.one(3, 3, monoid)
+        jet = _lifted_2jet(3, monoid)
+        j = _random_unit_series(rng, 3, monoid, nmax=3, n=2)
+        twists = [j,
+                  # J1 = 0: the lowest positive degree is 2
+                  j - GradedSeries.of_element(j.component(1), 3),
+                  gauge(_random_unit_series(rng, 3, monoid), one2),
+                  # a degree-0 part other than the unit: nothing is split
+                  2 * j,
+                  # longer than the associators: N is their order
+                  _random_unit_series(rng, 4, monoid, nmax=2, n=2)]
+        for big, small in ((one3, one3), (jet, jet), (jet, one3),
+                           (jet.truncate(2), jet)):
+            for twist in twists:
+                got = twist_equation_residual(twist, big, small)
+                assert _same(got, _four_face_residual(twist, big, small))
+                nonzero += not got.is_zero()
+        assert twist_equation_residual(twists[2], one3, one3).is_zero()
+    assert nonzero >= 30
+
+
+def test_pentagon_row_matches_all_five_faces():
+    rng = random.Random(38)
+    nonzero = 0
+    for monoid in (TRIVIAL, SPLIT):
+        for order in (2, 3):
+            jet = _lifted_2jet(order, monoid)
+            bump = (_random_unit_series(rng, order, monoid, nmax=2, n=3)
+                    - GradedSeries.one(3, order, monoid))
+            for phi in (GradedSeries.one(3, order, monoid), jet, jet + bump,
+                        jet + GradedSeries.of_element(
+                            bump.component(order), order)):
+                rows = {r["check"]: r
+                        for r in check_associator_axioms(phi, order)}
+                assert rows["pentagon"] == residual_row(
+                    "pentagon", _five_face_pentagon(phi))
+                nonzero += not rows["pentagon"]["ok"]
+    assert nonzero >= 6
+
+
+def test_top_degrees_are_never_faced(monkeypatch):
+    faced = []
+    face_map = series.face_map
+
+    def recording(i, x):
+        faced.append((x.n, max(x.degrees(), default=0)))
+        return face_map(i, x)
+
+    monkeypatch.setattr(series, "face_map", recording)
+    rng = random.Random(39)
+    one3 = GradedSeries.one(3, 3, SPLIT)
+    j = _random_unit_series(rng, 3, SPLIT, nmax=3, n=2)
+    no_j1 = j - GradedSeries.of_element(j.component(1), 3)
+    # N = 3; m = 1 with J1, so degree 3 is top and J2 the highest faced;
+    # m = 2 without, so degrees 2 and 3 are top and only the unit is faced
+    for twist, highest in ((j, 2), (no_j1, 0)):
+        faced.clear()
+        twist_equation_residual(twist, one3, one3)
+        assert faced and max(d for n, d in faced if n == 2) == highest
+    # the 2-jet's lowest positive degree is 2: only its unit is faced
+    faced.clear()
+    check_associator_axioms(_lifted_2jet(3, SPLIT), 3)
+    assert {d for n, d in faced if n == 3} == {0}
