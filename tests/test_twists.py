@@ -271,9 +271,11 @@ def test_solve_gauge_rejects_orders_its_inputs_do_not_know():
     one2 = GradedSeries.one(2, 3, SPLIT)
     one3 = GradedSeries.one(3, 3, SPLIT)
     j2 = gauge(_random_unit_series(rng, 3), one2)
-    with pytest.raises(ValueError, match="^order 3 exceeds the order 1 of j2$"):
+    with pytest.raises(ValueError,
+                       match="^order 3 exceeds the order 1 of j2$"):
         solve_gauge(one2, j2.truncate(1), one3, order=3)
-    with pytest.raises(ValueError, match="^order 3 exceeds the order 2 of j1$"):
+    with pytest.raises(ValueError,
+                       match="^order 3 exceeds the order 2 of j1$"):
         solve_gauge(one2.truncate(2), j2, one3, order=3)
     with pytest.raises(ValueError,
                        match="^order 3 exceeds the order 1 of phi$"):
