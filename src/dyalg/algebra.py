@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .monoids import (DecorationMonoid, RootCone, RootConeMod, SPLIT, Split,
@@ -760,11 +761,29 @@ def filter_window(x: AlgebraElement, window: int) -> AlgebraElement:
 def enumerate_basis(n: int, degree: int,
                     monoid: DecorationMonoid = TRIVIAL) -> list[Key]:
     """All basis keys of the given strand degree, canonically sorted."""
+    return _enumerate(n, degree, monoid, False)
+
+
+def enumerate_nondegenerate(n: int, degree: int,
+                            monoid: DecorationMonoid = TRIVIAL) -> list[Key]:
+    """The basis keys of the given strand degree with no empty slot
+    (co_k + ac_k > 0 for every slot k), canonically sorted.
+
+    They span the normalized subcomplex of the Hochschild complex (see
+    :mod:`dyalg.cohomology`).  The filter acts on the (co, ac) pairs, so
+    a slice with many empty slots is never built in full."""
+    return _enumerate(n, degree, monoid, True)
+
+
+def _enumerate(n: int, degree: int, monoid: DecorationMonoid,
+               nondegenerate: bool) -> list[Key]:
     decors = monoid.elements()
     keys = []
     comps = compositions(degree, n)
     for co in comps:
         for ac in comps:
+            if nondegenerate and not all(map(operator.add, co, ac)):
+                continue
             for perm in all_permutations(degree):
                 for dec in itertools.product(decors, repeat=degree):
                     keys.append((co, ac, tuple(perm), tuple(dec)))

@@ -369,16 +369,6 @@ def drinfeld_double(a: LieBialgebraData) -> LieBialgebraData:
     return LieBialgebraData(dim, bracket, cobracket, None, names)
 
 
-def double_pairing(dim_half: int):
-    """The canonical symmetric form on the double in the basis above."""
-    d2 = 2 * dim_half
-    form = [[Fraction(0)] * d2 for _ in range(d2)]
-    for i in range(dim_half):
-        form[i][dim_half + i] = Fraction(1)
-        form[dim_half + i][i] = Fraction(1)
-    return mat(form)
-
-
 def adjoint_module(a: LieBialgebraData) -> DYModuleData:
     """The double acting on itself; restriction along the two halves gives
     the Drinfeld-Yetter structure over the original bialgebra."""

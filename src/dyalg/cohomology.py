@@ -7,13 +7,28 @@ dimension oracle from :mod:`dyalg.freelie`: in cohomological degree n the
 expected dimension is that of two exterior powers of the multilinear free
 Lie algebra tensored with the decoration factor, taken modulo simultaneous
 permutation of the strands.
+
+Each slice C splits as a direct sum of two subcomplexes, N ⊕ D.  D is
+spanned by the keys with an empty slot (no coaction and no action leg),
+N by the keys with every slot non-empty
+(:func:`dyalg.algebra.enumerate_nondegenerate`).  A face map never fills
+an empty slot, so d(D) ⊂ D; the faces that would empty a slot of a key in
+N (the outer faces 0 and n + 1, and the corner splits of face i, which
+give face i - 1's shape with the opposite sign) cancel in
+:func:`dyalg.algebra.hochschild_d`, so d(N) ⊂ N.  N is the normalized
+cochain complex of the cosimplicial group: the common kernel of the
+codegeneracies, which delete an empty slot and kill a key with legs on
+it.  By the normalization theorem (Dold–Kan; Weibel, *An Introduction to
+Homological Algebra*, 1994, ch. 8) its inclusion is a quasi-isomorphism,
+so D ≅ C/N is acyclic.  :func:`cohomology_table` therefore eliminates
+only on N and reads the ranks of d on D off dimensions.
 """
 
 from __future__ import annotations
 
 from . import linalg
 from .algebra import (AlgebraElement, Key, alt, dim_formula, enumerate_basis,
-                      hochschild_d)
+                      enumerate_nondegenerate, hochschild_d)
 from .freelie import hochschild_target_dim
 from .monoids import DecorationMonoid, TRIVIAL
 from .permutations import _natural
@@ -30,13 +45,15 @@ def _coords(x: AlgebraElement, index: dict[Key, int]) -> dict[int, int]:
     return {index[k]: v for k, v in x.num.items()}
 
 
-def differential_columns(n: int, degree: int,
-                         monoid: DecorationMonoid) -> tuple[list, list]:
+def differential_columns(n: int, degree: int, monoid: DecorationMonoid,
+                         keys) -> tuple[list, list]:
     """Images of the slice basis under the differential, as sparse vectors
-    in the target slice coordinates, and the slice basis."""
-    basis = enumerate_basis(n, degree, monoid)
-    tindex = {k: i for i, k in enumerate(enumerate_basis(n + 1, degree,
-                                                         monoid))}
+    in the target slice coordinates, and the slice basis; ``keys`` is the
+    basis enumerator, :func:`enumerate_basis` for the whole slice or
+    :func:`enumerate_nondegenerate` for the normalized subcomplex, which
+    the differential maps into itself (:func:`_coords` checks it)."""
+    basis = keys(n, degree, monoid)
+    tindex = {k: i for i, k in enumerate(keys(n + 1, degree, monoid))}
     return ([_coords(hochschild_d(AlgebraElement.basis(n, k, monoid)), tindex)
              for k in basis], basis)
 
@@ -59,7 +76,7 @@ class _Slice:
             cols, self.src = [], []
             if self.n > 1:
                 cols, self.src = differential_columns(
-                    self.n - 1, self.degree, self.monoid)
+                    self.n - 1, self.degree, self.monoid, enumerate_basis)
             self._span = linalg.Span(cols)
         return self._span
 
@@ -68,11 +85,19 @@ class _Slice:
         the element's numerators."""
         if self._harmonic is None:
             n, monoid, basis = self.n, self.monoid, self.basis
-            alts = (alt(AlgebraElement.basis(n, k, monoid)) for k in basis)
-            cands = [a for a in alts
-                     if not a.is_zero() and hochschild_d(a).is_zero()]
+            # alt(p.k) = sign(p) alt(k), and a nonzero alt(k) is supported
+            # on the whole slot orbit of k: a key in an earlier alt's
+            # support repeats it up to sign, which add() would refuse
+            cands, seen = [], set()
+            for k in basis:
+                if k not in seen:
+                    a = alt(AlgebraElement.basis(n, k, monoid))
+                    seen.update(a.num)
+                    if not a.is_zero() and hochschild_d(a).is_zero():
+                        cands.append(a)
             # complete from the kernel of the outgoing differential
-            out_cols, _ = differential_columns(n, self.degree, monoid)
+            out_cols, _ = differential_columns(n, self.degree, monoid,
+                                               enumerate_basis)
             cands += [AlgebraElement(n, monoid, {
                 basis[i]: c for i, c in col.items()})
                 for col in linalg.kernel(out_cols)]
@@ -105,15 +130,16 @@ def _size_guard(degree: int, n_max: int, monoid: DecorationMonoid) -> None:
 
     Strand degree at most 4 (the oracle's limit, see
     :func:`dyalg.freelie.wedge_pair_dim`), window at most 8, and at most
-    200,000 basis elements in the target slice n_max + 1, which
-    :func:`differential_columns` enumerates in full.  Cold-process times on
-    a 2-core host (target slice size in brackets), all matching the
-    oracle: admitted are trivial (4, 4) [117,600] 10.5 s, trivial (3, 8)
-    [163,350] 8.3 s and cone(2,1) (3, 4) [198,450] 4.6 s; refused are
-    cone(2,1) (4, 2) [437,400] 24 s, split (4, 3) [470,400] 26 s, split
-    (4, 4) 134 s, split (5, 1) 9.3 s and trivial (1, 50) 21 s.  The degree
-    bound is separate because degree weighs more than slice size; the
-    window bound because the cost of a column grows with n.
+    200,000 basis elements in the whole target slice n_max + 1, although
+    only its non-degenerate keys are enumerated.  Cold-process times on a
+    2-core Intel Xeon (target slice size in brackets), all matching the
+    oracle: admitted are trivial (4, 4) [117,600] 5.1 s, trivial (3, 8)
+    [163,350] 0.17 s and cone(2,1) (3, 4) [198,450] 1.2 s; refused, timed
+    when every slice was eliminated in full, are cone(2,1) (4, 2) [437,400]
+    24 s, split (4, 3) [470,400] 26 s, split (4, 4) 134 s, split (5, 1)
+    9.3 s and trivial (1, 50) 21 s.  The degree bound is separate because
+    degree weighs more than slice size; the window bound because the cost
+    of a column grows with n.
     """
     _natural(degree, "strand degree")
     _natural(n_max, "window")
@@ -131,13 +157,23 @@ def cohomology_table(degree: int, n_max: int,
     The oracle comparison is contractual in cohomological degrees 2 and 3;
     lower degrees report the computed value with oracle None.
     :func:`_size_guard` is checked before any differential is built.
+
+    Only the normalized subcomplex N is eliminated (see the module
+    docstring): rank d_n = rank(d_n on N) + r_D(n), where r_D(n) is the
+    rank of d_n on the degenerate subcomplex D.  D is acyclic and D^0 = 0,
+    so r_D(0) = 0 and r_D(n) = dim D^n - r_D(n - 1), with dim D^n the
+    slice dimension less the number of keys in N.
     """
     _size_guard(degree, n_max, monoid)
     # ranks[n] is the rank of d_{n-1}.  d_0 is zero: both faces out of
     # cohomological degree 0 send a scalar to the unit, so the alternating
     # sum vanishes.
-    ranks = [0, 0] + [linalg.sparse_rank(differential_columns(
-        n, degree, monoid)[0]) for n in range(1, n_max + 1)]
+    ranks, r_d = [0, 0], 0
+    for n in range(1, n_max + 1):
+        cols, keys = differential_columns(n, degree, monoid,
+                                          enumerate_nondegenerate)
+        r_d = _slice_dim(n, degree, monoid) - len(keys) - r_d
+        ranks.append(linalg.sparse_rank(cols) + r_d)
     rows = []
     for n in range(n_max + 1):
         dim_n = _slice_dim(n, degree, monoid)

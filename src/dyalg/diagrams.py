@@ -125,17 +125,6 @@ def connected_subdiagrams(dia: Diagram) -> list[frozenset]:
     return out
 
 
-def is_nested_set(members, dia: Diagram) -> bool:
-    ms = [frozenset(m) for m in members]
-    for m in ms:
-        if not dia.induced(m).is_connected():
-            return False
-    for m1, m2 in itertools.combinations(ms, 2):
-        if not compatible(m1, m2, dia):
-            return False
-    return all(c in ms for c in dia.components())
-
-
 def maximal_nested_sets(dia: Diagram) -> list[frozenset]:
     """All maximal nested sets, each a frozenset of vertex sets.
 

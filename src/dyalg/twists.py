@@ -76,7 +76,11 @@ def check_associator_axioms(phi: GradedSeries, order: int | None = None
     """Pentagon, both hexagons, duality, leading-terms shape, and the 2-jet
     condition, each reported with residual sizes per degree.  The crossings
     and the 2-jet are lifted to the associator's monoid by summing each
-    strand over all decorations."""
+    strand over all decorations.
+
+    When Φ's degree-0 part is not the unit, Φ has no inverse: the report
+    then holds only the "shape" row, which fails, and the "pentagon" row,
+    and leaves out the rows that need Φ⁻¹."""
     if phi.n != 3:
         raise ValueError("associator must live in 3 slots")
     order = phi.order if order is None else order
@@ -98,6 +102,8 @@ def check_associator_axioms(phi: GradedSeries, order: int | None = None
                                - GradedSeries.of_element(hochschild_d(high),
                                                          phi.order)))
 
+    if phi.component(0) != AlgebraElement.unit(3, phi.monoid):
+        return report
     phi_inv = phi.inverse()
     # exp(Omega/2) once in two slots; faces are algebra maps, so its faces
     # 0-3 are exp of the crossings 23, (12)3, 1(23) and 12; 13 permutes 12

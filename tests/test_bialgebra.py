@@ -10,9 +10,9 @@ from dyalg.algebra import (AlgebraElement, alpha_map, beta_map,
                            enumerate_basis, face_map, kappa, r_matrix)
 from dyalg.bialgebra import (DYModuleData, LieBialgebraData, abelian_bialgebra,
                              adjoint_module, borel_sl2, cartan_of_borel_sl2,
-                             dense_of_sparse, double_pairing, drinfeld_double,
-                             evaluate, evaluate_slices, eye, kron, madd,
-                             matmul, mscale, restrict_module, tensor_module,
+                             dense_of_sparse, drinfeld_double, evaluate,
+                             evaluate_slices, eye, kron, madd, matmul,
+                             mscale, restrict_module, tensor_module,
                              trivial_module, validate_bialgebra,
                              validate_dy_module, zeros)
 from dyalg.kacmoody import build_kac_moody_borel
@@ -71,6 +71,17 @@ def test_seeded_jacobi_failure_named():
     report = validate_bialgebra(LieBialgebraData(3, bracket, zero))
     assert report == [f"Jacobi fails at ({i},{j},{k})"
                       for i, j, k in itertools.permutations(range(3))]
+
+
+def double_pairing(dim_half: int):
+    """The canonical symmetric form on the double in the basis of
+    drinfeld_double: the pairing of each basis element with its dual."""
+    d2 = 2 * dim_half
+    form = [[Fraction(0)] * d2 for _ in range(d2)]
+    for i in range(dim_half):
+        form[i][dim_half + i] = Fraction(1)
+        form[dim_half + i][i] = Fraction(1)
+    return form
 
 
 def test_double_structure():

@@ -4,9 +4,21 @@ import random
 import pytest
 
 from dyalg.diagrams import (Diagram, compatible, connected_subdiagrams,
-                            is_nested_set, lift_subdiagram,
-                            maximal_nested_sets, mns_union, orthogonal,
-                            quotient_diagram)
+                            lift_subdiagram, maximal_nested_sets, mns_union,
+                            orthogonal, quotient_diagram)
+
+
+def is_nested_set(members, dia: Diagram) -> bool:
+    """The oracle for maximal_nested_sets: connected, pairwise compatible
+    members that include every connected component."""
+    ms = [frozenset(m) for m in members]
+    for m in ms:
+        if not dia.induced(m).is_connected():
+            return False
+    for m1, m2 in itertools.combinations(ms, 2):
+        if not compatible(m1, m2, dia):
+            return False
+    return all(c in ms for c in dia.components())
 
 
 def test_compatibility_on_a3():

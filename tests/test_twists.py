@@ -106,6 +106,18 @@ def test_degree_one_term_flagged():
                            "key": repr(((0, 1, 0), (1, 0, 0), (1,), (0,)))}}
 
 
+def test_non_unit_leading_term_reports_shape_and_pentagon_only():
+    # 2·Φ has no inverse, so the rows that need Φ⁻¹ are left out
+    report = check_associator_axioms(2 * associator_2jet(3), 3)
+    assert report == [
+        {"check": "shape", "ok": False, "residual_terms": {0: 1},
+         "first_offender": {"degree": 0, "coeff": "1",
+                            "key": repr(((0, 0, 0), (0, 0, 0), (), ()))}},
+        {"check": "pentagon", "ok": False, "residual_terms": {0: 1, 2: 48},
+         "first_offender": {"degree": 0, "coeff": "-4",
+                            "key": repr(((0,) * 4, (0,) * 4, (), ()))}}]
+
+
 def test_twist_conjugate_by_unit():
     phi = associator_2jet(3)
     one2 = GradedSeries.one(2, 3)
