@@ -408,38 +408,43 @@ def _orbit(key: Key) -> tuple:
 # cosimplicial structure and slot maps: regroupings of a key's positions
 
 
-# the shapes of every regrouping: regrouping -> (co, ac) -> netted shapes
+# the netted shapes of every regrouping: regrouping -> (co, ac) -> shapes,
+# each paired from a coaction and an action half held in _HALVES
 _FACE_SHAPES: dict[tuple, dict[tuple, list]] = {}
+# the halves of one face or placement: (kind, arg, composition) -> halves,
+# shared by every regrouping that contains that face or placement
+_HALVES: dict[tuple, tuple] = {}
 
 
-def _shape(new_co: list, new_ac: list) -> tuple:
-    """The position shape of a regrouping of a key's slot blocks.
-
-    ``new_co`` and ``new_ac`` list, per new slot, the old 0-based coaction
-    and action positions placed there, in order.  The shape is
-    ``(co2, ac2, qinv, pmap, pinv)``: ``qinv`` gives, per new coaction
-    position, the old one; ``pinv`` gives, per new action position, the old
-    one; ``pmap`` is the inverse of ``pinv`` shifted to 1-based new
-    positions.  A key then maps to ``perm2 = (pmap[perm[q] - 1] for q in
-    qinv)`` and ``dec2 = (dec[p] for p in pinv)``, so a shape is
-    independent of the permutation and the decorations.
-
-    A regrouping that keeps the coaction order stores ``qinv`` as None, and
-    one that keeps the action order stores ``pmap`` and ``pinv`` as None:
-    the identity maps, which ``_shape_keys`` passes through.
+def _halves(kind: str, arg, comp: tuple) -> tuple:
+    """The halves ``(comp2, inv, invmap)`` of one face or placement on a
+    composition, one per regrouping of its slot blocks (every split of the
+    face, in ``_face_blocks`` order, or the placement); memoized.  ``comp2``
+    is the new composition, ``inv`` gives, per new position, the old 0-based
+    one, and ``invmap`` is its inverse, in 1-based new positions; both are
+    None when the order is kept.  One record serves both sides: ``(co2,
+    qinv, _)`` for the coactions, ``(ac2, pinv, pmap)`` for the actions.
     """
-    qinv = tuple(q for block in new_co for q in block)
-    pinv = tuple(p for block in new_ac for p in block)
-    identity = tuple(range(len(pinv)))
-    if pinv == identity:
-        pmap = pinv = None
-    else:
-        pmap = [0] * len(pinv)
-        for new_p, old_p in enumerate(pinv, 1):
-            pmap[old_p] = new_p
-        pmap = tuple(pmap)
-    return (tuple(map(len, new_co)), tuple(map(len, new_ac)),
-            None if qinv == identity else qinv, pmap, pinv)
+    halves = _HALVES.get((kind, arg, comp))
+    if halves is None:
+        blocks = _position_blocks(comp)
+        if kind == "faces":
+            regrouped = _face_blocks(blocks, arg)
+        else:
+            regrouped = [[blocks[s - 1] if s else [] for s in arg]]
+        identity = tuple(range(sum(comp)))
+        halves = []
+        for new in regrouped:
+            inv = tuple(p for block in new for p in block)
+            if inv == identity:
+                halves.append((tuple(map(len, new)), None, None))
+                continue
+            invmap = [0] * len(inv)
+            for new_p, old_p in enumerate(inv, 1):
+                invmap[old_p] = new_p
+            halves.append((tuple(map(len, new)), inv, tuple(invmap)))
+        halves = _HALVES[kind, arg, comp] = tuple(halves)
+    return halves
 
 
 def _shapes(regrouping: tuple, co: tuple, ac: tuple) -> list:
@@ -449,22 +454,22 @@ def _shapes(regrouping: tuple, co: tuple, ac: tuple) -> list:
     ``regrouping`` is ``("faces", ((i, sign), ...))``, a signed sum of face
     maps, or ``("slots", ((placement, sign), ...))``, a signed sum of slot
     maps, each moving old slot ``placement[k]`` to new slot k+1 (a 0 leaves
-    that new slot empty).  Each shape is ``_shape``'s tuple, with None for
-    an identity map, followed by the sum of the signs that give it; those
-    of weight 0 are dropped.
+    that new slot empty).  A shape is ``(co2, ac2, qinv, pmap, pinv)``,
+    paired from the coaction half of co and the action half of ac (see
+    ``_halves``): ``qinv`` gives, per new coaction position, the old one,
+    ``pinv`` per new action position the old one, and ``pmap`` is the
+    inverse of ``pinv``; None stands for an identity map.  A key maps to
+    ``perm2 = (pmap[perm[q] - 1] for q in qinv)`` and ``dec2 = (dec[p] for
+    p in pinv)``, so a shape is independent of the permutation and the
+    decorations.  Each is followed by the sum of the signs that give it;
+    those of weight 0 are dropped.
     """
     kind, signed = regrouping
-    co_blocks, ac_blocks = _position_blocks(co), _position_blocks(ac)
     weights: dict[tuple, int] = {}
     for arg, sgn in signed:
-        if kind == "faces":
-            pairs = itertools.product(_face_blocks(co_blocks, arg),
-                                      _face_blocks(ac_blocks, arg))
-        else:
-            pairs = [([co_blocks[s - 1] if s else [] for s in arg],
-                      [ac_blocks[s - 1] if s else [] for s in arg])]
-        for new_co, new_ac in pairs:
-            shape = _shape(new_co, new_ac)
+        for (co2, qinv, _), (ac2, pinv, pmap) in itertools.product(
+                _halves(kind, arg, co), _halves(kind, arg, ac)):
+            shape = (co2, ac2, qinv, pmap, pinv)
             weights[shape] = weights.get(shape, 0) + sgn
     return [shape + (w,) for shape, w in weights.items() if w]
 
@@ -504,12 +509,16 @@ def _shape_keys(num: dict[Key, int], regrouping: tuple) -> dict[Key, int]:
     of regroupings (see ``_shapes``); zeros are dropped.
 
     The netted shapes of each ``(co, ac)`` are built once and cached in
-    ``_FACE_SHAPES``; a shape of weight w maps a term ``c * key`` to
-    ``w * c`` times one image key.  A shape depends on neither the
-    permutation nor the decorations, so regroupings whose signs cancel on
-    a shape cancel on every key before any key is built.  An identity map
-    of the shape (None) reuses the key's own tuples: ``perm`` when both
-    orders are kept, ``dec`` whenever the action order is.
+    ``_FACE_SHAPES`` under the regrouping.  ``_shapes`` pairs them from
+    halves that ``_HALVES`` keys by ``(kind, arg, composition)`` alone, so
+    regroupings that share a face or a placement share its halves: face
+    i's serve ``face_map(i)`` and ``hochschild_d``, a slot permutation's
+    serve ``slot_permute`` and ``alt``.  A shape of weight w maps a term
+    ``c * key`` to ``w * c`` times one image key.  A shape depends on
+    neither the permutation nor the decorations, so regroupings whose signs
+    cancel on a shape cancel on every key before any key is built.  An
+    identity map of the shape (None) reuses the key's own tuples: ``perm``
+    when both orders are kept, ``dec`` whenever the action order is.
     """
     cache = _FACE_SHAPES.setdefault(regrouping, {})
     out: dict[Key, int] = {}

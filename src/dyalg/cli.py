@@ -11,6 +11,7 @@ process loads only what its command needs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -258,13 +259,35 @@ def _apply_config(parser: argparse.ArgumentParser, flags: list,
     parser.set_defaults(**defaults)
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's formatter, reading the terminal width when it first
+    formats text instead of when it is built.  argparse builds one in every
+    ``add_argument`` only to check the nargs, and the stock constructor
+    imports ``shutil`` (with ``bz2`` and ``lzma``) for the width; the width
+    itself is the stock formatter's, so the text is the stock text."""
+
+    def __init__(self, prog):
+        super().__init__(prog, width=0)
+        del self._width, self._max_help_position
+
+    def __getattr__(self, name):
+        if name not in ("_width", "_max_help_position"):
+            raise AttributeError(name)
+        stock = argparse.HelpFormatter(self._prog)
+        self._width = stock._width
+        self._max_help_position = stock._max_help_position
+        return getattr(self, name)
+
+
 def main(argv=None) -> int:
-    config_parser = argparse.ArgumentParser(add_help=False)
+    new_parser = functools.partial(argparse.ArgumentParser,
+                                   formatter_class=_HelpFormatter)
+    config_parser = new_parser(add_help=False)
     config_parser.add_argument(
         "--config", default=None,
         help="JSON file with defaults for --format, --seed, --max-degree "
              "and --window; flags given on the command line win")
-    parser = argparse.ArgumentParser(
+    parser = new_parser(
         prog="dyalg",
         description="exact computations in diagram algebras",
         parents=[config_parser])
@@ -274,7 +297,8 @@ def main(argv=None) -> int:
         parser.add_argument("--seed", type=int, default=0),
         parser.add_argument("--max-degree", type=int, default=2),
         parser.add_argument("--window", type=int, default=3)]
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=new_parser)
 
     p = sub.add_parser("multiply", help="product of two element files")
     p.add_argument("left")

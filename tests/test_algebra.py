@@ -201,9 +201,18 @@ def test_slot_maps_match_strandwise_reference():
     assert alt(kappa(3, 1)).is_zero()
 
 
+def _halves_of(cache):
+    """The half keys that the shape entries of ``cache`` are paired from:
+    ``(kind, arg, composition)`` for every face or placement of each
+    regrouping and both compositions of each entry."""
+    return {(kind, arg, comp) for (kind, signed), entries in cache.items()
+            for arg, _ in signed for pair in entries for comp in pair}
+
+
 def test_face_shape_cache_is_transparent_and_small():
-    cache = algebra._FACE_SHAPES
+    cache, halves = algebra._FACE_SHAPES, algebra._HALVES
     cache.clear()
+    halves.clear()
     met = set()
     for x in _small_basis_elements():
         dx = hochschild_d(x)
@@ -217,6 +226,10 @@ def test_face_shape_cache_is_transparent_and_small():
     assert all(set(entries) <= met for entries in cache.values())
     assert all(shape[-1] for entries in cache.values()
                for shapes in entries.values() for shape in shapes)
+    # the halves are keyed by the face i and one composition alone: the
+    # permutation and the decorations must stay out of them too
+    assert set(halves) == _halves_of(cache)
+    d_halves = dict(halves)
     cache.clear()
     for x in _small_basis_elements():
         for i in range(x.n + 2):
@@ -229,6 +242,10 @@ def test_face_shape_cache_is_transparent_and_small():
                for (kind, signed), entries in cache.items())
     triples = sum(len(co) + 2 for co, _ in pairs)
     assert sum(map(len, cache.values())) <= triples
+    # the single faces read the halves of d's faces without rebuilding them,
+    # and add only the halves that their own entries pair
+    assert all(halves[k] is v for k, v in d_halves.items())
+    assert set(halves) == set(d_halves) | _halves_of(cache)
 
     def maps(x):
         perms = list(itertools.permutations(range(1, x.n + 1)))
@@ -236,14 +253,20 @@ def test_face_shape_cache_is_transparent_and_small():
                 + [lambda: hochschild_d(x), lambda: alt(x)]
                 + [lambda p=p: slot_permute(x, p) for p in perms])
 
+    # cold shapes over warm halves, warm shapes over cold halves, and both
+    # cold give what the warm caches give
+    clears = (cache.clear, halves.clear,
+              lambda: (halves.clear(), cache.clear()))
     for x in itertools.chain(_small_basis_elements(max_degree=2),
                              _rational_combinations(seed=11, count=5)):
-        warm = [f() for f in maps(x)]
-        cold = []
-        for f in maps(x):
-            cache.clear()
-            cold.append(f())
-        assert [y.to_json() for y in cold] == [y.to_json() for y in warm]
+        warm = [f().to_json() for f in maps(x)]
+        for clear in clears:
+            cold = []
+            for f in maps(x):
+                clear()
+                cold.append(f().to_json())
+            assert cold == warm
+        assert set(halves) == _halves_of(cache)
 
 
 def test_netted_differential_is_the_alternating_sum_of_faces():
@@ -363,8 +386,9 @@ def test_shapes_store_none_exactly_for_identity_maps():
                     for monoid, (_, _, _, dec) in keys.items():
                         if pinv and tuple(dec[p] for p in pinv) != dec:
                             moved[monoid].add(kept)
-                assert full == _full_shapes(regrouping, co, ac), (
-                    regrouping, co, ac)
+                reference = _full_shapes(regrouping, co, ac)
+                assert full == reference, (regrouping, co, ac)
+                assert list(full) == list(reference), (regrouping, co, ac)
     assert classes == {(True, True), (True, False), (False, True),
                        (False, False)}
     # a reordering of the action positions moved the decorations of both

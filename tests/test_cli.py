@@ -461,3 +461,32 @@ def test_command_line_flag_beats_config(tmp_path, monkeypatch, capsys):
                     "seed-echo"]) == 5
     assert seed_of(["--seed", "5", "--config", str(config), "verify",
                     "seed-echo"]) == 5
+
+
+COMMANDS = ("multiply", "dH", "face", "invariant-check", "cohomology",
+            "nested-sets", "quotient-diagram", "realize", "km-build",
+            "associator-check", "solve-gauge", "coxeter-check", "verify")
+
+
+@pytest.mark.parametrize("columns", ["30", "80", "200"])
+def test_help_and_errors_match_stock_argparse(columns, monkeypatch, capsys):
+    import argparse
+    from dyalg import cli
+    monkeypatch.setenv("COLUMNS", columns)
+
+    def texts():
+        out = []
+        for args in (["--help"], *([c, "--help"] for c in COMMANDS),
+                     ["--format", "xml", "verify", "cybe"]):
+            with pytest.raises(SystemExit) as exit_:
+                cli.main(args)
+            out.append((args, exit_.value.code, capsys.readouterr()))
+        return out
+
+    lazy = texts()
+    monkeypatch.setattr(cli, "_HelpFormatter", argparse.HelpFormatter)
+    stock = texts()
+    assert lazy == stock
+    # the top-level help lists every subcommand, and the error is argparse's
+    assert all(c in stock[0][2].out for c in COMMANDS)
+    assert stock[-1][1] == 2 and "invalid choice: 'xml'" in stock[-1][2].err

@@ -80,6 +80,20 @@ def test_verify_cybe_loads_only_the_algebra_it_runs():
         {"dyalg.bialgebra", "dyalg.kacmoody", "dyalg.cohomology"})
 
 
+def test_parsed_commands_leave_shutil_unloaded(tmp_path):
+    # argparse's stock formatter imports shutil (with bz2 and lzma) for the
+    # terminal width; a command that parses prints no help and needs none
+    elt = tmp_path / "kappa.json"
+    elt.write_text(json.dumps({"n": 1, "monoid": {"kind": "trivial"},
+                               "terms": [{"coeff": "1", "coactions": [1],
+                                          "actions": [1], "perm": [1],
+                                          "decor": [0]}]}))
+    for args in (["verify", "cybe"], ["face", str(elt), "1"]):
+        modules = loaded_after(f"from dyalg.cli import main\n"
+                               f"assert main({args!r}) == 0")
+        assert modules.isdisjoint({"shutil", "bz2", "lzma"}), args
+
+
 def test_public_names_are_unchanged():
     assert sorted(dyalg.__all__) == PUBLIC
 
