@@ -22,7 +22,10 @@ actions, τ(co, ac, perm, dec) = (ac, co, perm⁻¹, dec') with dec'[q] =
 dec[perm[q] - 1], and is an anti-automorphism.  The structure constants
 are memoized per pair of keys, and a pair whose slot-permuted or reversed
 mate is already memoized is read off the mate instead of straightened.
-The memo holds the same entries either way.
+Straightening s after t never reads which coaction of t feeds which of
+its actions, so for one left factor the products with every wiring
+``perm`` of one right factor ``(co, ac, dec)`` are read off one run.  The
+memo holds the same entries either way.
 """
 
 from __future__ import annotations
@@ -175,9 +178,6 @@ class AlgebraElement:
             self.n, self.monoid,
             {k: v for k, v in self.num.items() if key_degree(k) == deg},
             self.den)
-
-    def counit(self) -> Fraction:
-        return Fraction(self.num.get(unit_key(self.n), 0), self.den)
 
     def sorted_terms(self) -> list[tuple[Key, Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: sort_key(kv[0]))
@@ -338,12 +338,24 @@ def compose_basis(n: int, s_key: Key, t_key: Key,
     the non-identity slot permutations, and maps its entry back through
     p's inverse; then for a cached reversed mate ``(p.τt, p.τs)``, p
     running over every slot permutation, and maps its entry back through
-    p's inverse and then τ.  Only a pair with no cached mate of either kind
-    is straightened.  The slots of every mate and of every entry read off
-    one go through the one shape kernel (``_shape_keys``); a key's slot
-    images and their reversals are memoized once per key (``_orbit``) and
-    the regroupings by p's inverse once per slot count (``_BACK``), so a
-    miss builds no mate.  Every way stores the same entry.
+    p's inverse and then τ.  The slots of every mate and of every entry
+    read off one go through the one shape kernel (``_shape_keys``); a key's
+    slot images and their reversals are memoized once per key (``_orbit``)
+    and the regroupings by p's inverse once per slot count (``_BACK``), so
+    a miss builds no mate.
+
+    A pair with no cached mate of either kind is read off a straightening
+    run of ``s after t_id``, where t_id = (co, ac, identity, dec) for
+    t = (co, ac, perm, dec).  t's coactions come first on their lines, so
+    the run for t is t_id's with t's coaction legs renamed: its readout
+    forms are t_id's with coaction q taking the options of t_id's coaction
+    perm[q] (``rewrite.rewire_forms``), and they expand to the entry that
+    straightening s after t gives, key order included.  ``_RUNS`` keeps
+    the runs of the last left factor that reached this path, by ``(co, ac,
+    dec)``, so each right-factor class is straightened once per left
+    factor.  ``add_product`` takes all right factors of a left one in turn,
+    so the runs of one factor catch nearly every repeat.  Every way stores
+    the same entry.
 
     The cache is observationally transparent: an entry is the canonical
     straightening output of its pair, so recomputing it gives the same
@@ -378,14 +390,32 @@ def compose_basis(n: int, s_key: Key, t_key: Key,
             out = _CACHE[ck] = {_reverse_key(k): c for k, c in (
                 _shape_keys(mate, back[i]) if i else mate).items()}
             return out
-    decorated = not monoid.is_trivial()
-    term = rewrite.term_graph(rewrite.slices_of_key(t_key, decorated)
-                              + rewrite.slices_of_key(s_key, decorated), n)
-    out = rewrite.straighten_graph(term, monoid)
+    co_t, ac_t, perm_t, dec_t = t_key
+    runs = _RUNS.get((mk, n, s_key))
+    if runs is None:
+        _RUNS.clear()
+        runs = _RUNS[mk, n, s_key] = {}
+    identity = tuple(range(1, len(perm_t) + 1))
+    forms = runs.get((co_t, ac_t, dec_t))
+    if forms is None:
+        decorated = not monoid.is_trivial()
+        term = rewrite.term_graph(
+            rewrite.slices_of_key((co_t, ac_t, identity, dec_t), decorated)
+            + rewrite.slices_of_key(s_key, decorated), n)
+        forms = runs[co_t, ac_t, dec_t] = rewrite.straighten_forms(term,
+                                                                  monoid)
+    if perm_t != identity:
+        forms = rewrite.rewire_forms(forms, co_t, perm_t)
+    out = rewrite.expand_forms(forms, monoid)
     deg = key_degree(s_key) + key_degree(t_key)
     assert all(key_degree(k) == deg for k in out), "grading violated"
     _CACHE[ck] = out
     return out
+
+
+# the readout forms of ``s after t_id`` for one left factor s, the last one
+# that reached a run: (monoid key, n, s) -> (co, ac, dec) of t -> forms
+_RUNS: dict[tuple, dict[tuple, dict]] = {}
 
 
 # the slot orbit of every key a compose_basis miss has met

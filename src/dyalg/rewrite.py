@@ -61,18 +61,18 @@ cobracket; the engine therefore runs a staged strategy whose stages each
 carry a strict measure.  Node count (actions + coactions + brackets +
 cobrackets) is invariant under every rule, which bounds everything else.
 
-One work list runs stage 1, and bracket-free terms are netted:
-:func:`straighten_graph` pops a term and resolves one bracket if it has
-any (stage 1).  The line walk of :func:`_readout` decides a bracket-free
-term's stage: a sorted term adds its coefficient to its readout form
-(stage 3); else one walk of :func:`_exchange_form` gives its stage-2
-measure P and its node-id-free form, which keys it in the bucket of P, and
-equal forms keep the first term and sum the coefficients.  When the work
-list is empty, the highest bucket is drained: one EXCHANGE per distinct
-term with a nonzero sum, its branches pushed back on the work list.  A
-term with a bracket is always resolved first, so each lineage of terms
-passes through stages 1, 2 and 3 in order, and each distinct bracket-free
-term is rewritten or read out once per call.
+One work list runs stage 1, and bracket-free terms are netted: the stage
+loop :func:`straighten_forms` pops a term and resolves one bracket if it
+has any (stage 1).  The line walk of :func:`_readout` decides a
+bracket-free term's stage: a sorted term adds its coefficient to its
+readout form (stage 3); else one walk of :func:`_exchange_form` gives its
+stage-2 measure P and its node-id-free form, which keys it in the bucket
+of P, and equal forms keep the first term and sum the coefficients.
+When the work list is empty, the highest bucket is drained: one EXCHANGE
+per distinct term with a nonzero sum, its branches pushed back on the
+work list.  A term with a bracket is always resolved first, so each
+lineage of terms passes through stages 1, 2 and 3 in order, and each
+distinct bracket-free term is rewritten or read out once per call.
 
 Stage 1  While the term has a bracket node, resolve one whose output feeds
          an action or cobracket (:func:`_resolve_bracket`; such exists:
@@ -109,16 +109,26 @@ Stage 2  While some action immediately precedes a coaction on a line,
 Stage 3  No inversions remain: every line is sorted, and every cobracket
          hangs in a finite latent tree under a coaction leg.  Nothing more
          is rewritten.  :func:`_readout` nets each sorted term by its
-         readout form: the compositions and, per coaction, the options of
-         :func:`_leaves`, with actions named by action position.  A split
-         coaction's two legs take its place on the line, so
-         :func:`_leaves`, a structural recursion over the finite tree,
-         gives the leaf orders and signs that DELTA_COACT after PUSH_DELTA
-         would.  When the call ends, :func:`_expand` reads the keys off
-         each form with a nonzero sum once: it expands undecorated legs
-         over the monoid (the identity is the sum of the decoration
-         idempotents), drops terms outside the allowed set in quotient
-         mode, and sums the canonical basis keys.
+         readout form: the action composition and, per line, the options
+         of :func:`_leaves` for each of its coactions in line order, with
+         actions named by action position.  A split coaction's two legs
+         take its place on the line, so :func:`_leaves`, a structural
+         recursion over the finite tree, gives the leaf orders and signs
+         that DELTA_COACT after PUSH_DELTA would.  When the stage loop
+         ends, :func:`expand_forms` reads the keys off each form with a
+         nonzero sum once: the coaction composition from the leaf counts,
+         then it expands undecorated legs over the monoid (the identity is
+         the sum of the decoration idempotents), drops terms outside the
+         allowed set in quotient mode, and sums the canonical basis keys.
+
+The run never reads which coaction feeds an action when the coactions
+come first on their lines, as a product's right factor's do: no rule fires
+at such a coaction, a rule only rewires the producer of an action's leg,
+and the scheduler and the netting forms see node ids, line order and the
+trees under legs.  Rewiring those coactions among themselves permutes
+their options in every form and changes nothing else, which
+``algebra.compose_basis`` uses to read a product off the run of another
+wiring of its right factor.
 
 A :class:`Scheduler` picks the bracket resolved in stage 1 and the safe
 pattern exchanged in stage 2; the default takes the first candidate, and
@@ -375,9 +385,18 @@ def straighten_graph(t0: _Term, monoid: DecorationMonoid,
                      sched: Scheduler | None = None) -> dict[tuple, int]:
     """Run the staged strategy on one work list; returns canonical basis
     keys -> integer coefficients.  Every rule multiplies by +-1, so the
-    coefficients are sums of signs, and a zero sum is dropped.  Equal
-    bracket-free terms are netted within the call, as the module docstring
-    describes: each distinct one is rewritten or read out once."""
+    coefficients are sums of signs, and a zero sum is dropped.  It is
+    :func:`expand_forms` of :func:`straighten_forms`."""
+    return expand_forms(straighten_forms(t0, monoid, sched), monoid)
+
+
+def straighten_forms(t0: _Term, monoid: DecorationMonoid,
+                     sched: Scheduler | None = None) -> dict[tuple, int]:
+    """The stage loop: the netted readout forms of ``t0`` (see
+    :func:`_readout`) -> the sums of their coefficients, in the order the
+    forms were first read.  Equal bracket-free terms are netted within the
+    call, as the module docstring describes: each distinct one is
+    rewritten or read out once."""
     sched = sched or Scheduler()
     work = [(t0, 1)]
     buckets: dict[int, dict[tuple, list]] = {}  # measure -> form -> [t, c]
@@ -405,7 +424,7 @@ def straighten_graph(t0: _Term, monoid: DecorationMonoid,
         elif buckets:
             exchanges = list(buckets.pop(max(buckets)).values())
         else:
-            return _expand(forms, monoid)
+            return forms
 
 
 # ---------------------------------------------------------------------------
@@ -491,11 +510,13 @@ def _readout(t: _Term, monoid: DecorationMonoid, coeff: int,
     before a coaction it stops and adds nothing; a sorted term that
     :func:`_leaves` kills adds nothing either, but counts as read.
 
-    The form is (coaction composition, action composition, one tuple of
-    :func:`_leaves` options per coaction in line order), with actions named
-    by action position: per slot, the last action has the lowest.  It
-    holds no node id, so equal sorted terms share it, and :func:`_expand`
-    reads the keys off each form once.
+    The form is (action composition, per line one tuple holding each of
+    its coactions' :func:`_leaves` options in line order), with actions
+    named by action position: per slot, the last action has the lowest.
+    Every coaction has at least one leaf, so the form fixes the coaction
+    composition (:func:`expand_forms` reads it off).  It holds no node id,
+    so equal sorted terms share it, and :func:`expand_forms` reads the keys
+    off each form once.
     """
     ac_comp, ac_pos, line_coacts = [], {}, []
     total = 0
@@ -509,45 +530,48 @@ def _readout(t: _Term, monoid: DecorationMonoid, coeff: int,
             ac_pos[x] = total + len(acts) - i
         total += len(acts)
         ac_comp.append(len(acts))
-    factors, co_comp = [], []  # per coaction: its _leaves options
+    lines = []  # per line, its coactions' _leaves options
     for coacts in line_coacts:
-        width = 0
+        factors = []
         for coact in coacts:
             options = _leaves(t, coact, None, monoid, ac_pos)
             if not options:
                 return True
-            width += len(options[0][0])
             factors.append(tuple(options))
-        co_comp.append(width)
-    assert sum(co_comp) == total, "unrooted cobracket at extraction"
-    form = (tuple(co_comp), tuple(ac_comp), tuple(factors))
+        lines.append(tuple(factors))
+    form = (tuple(ac_comp), tuple(lines))
     acc[form] = acc.get(form, 0) + coeff
     return True
 
 
-def _expand(forms: dict[tuple, int], monoid: DecorationMonoid
-            ) -> dict[tuple, int]:
-    """The canonical basis keys of the netted readout forms, zero sums
-    dropped.
+def expand_forms(forms: dict[tuple, int], monoid: DecorationMonoid
+                 ) -> dict[tuple, int]:
+    """The canonical basis keys of the netted readout forms (see
+    :func:`_readout`), zero sums dropped.
 
     Key layout: (coactions, actions, perm, decor) with compositions per
     slot, the permutation sending coaction position to action position,
     and decorations indexed by action position.  Each coaction contributes
-    the leaves of its latent tree in time order; undecorated legs expand
-    over the monoid, and quotient mode drops keys outside the allowed set.
+    the leaves of its latent tree in time order, so a line's coaction count
+    is the number of leaves of its options; undecorated legs expand over
+    the monoid, and quotient mode drops keys outside the allowed set.
     """
     out: dict[tuple, int] = {}
     trivial = monoid.is_trivial()
     if not trivial:
         quotient = isinstance(monoid, RootConeMod)
         elements = monoid.elements()
-    for (co_comp, ac_comp, factors), coeff in forms.items():
+    for (ac_comp, lines), coeff in forms.items():
+        total = sum(ac_comp)
+        co_comp = tuple([sum([len(options[0][0]) for options in factors])
+                         for factors in lines])
+        assert sum(co_comp) == total, "unrooted cobracket at extraction"
         if not coeff:
             continue
-        total = sum(ac_comp)
         if trivial:
             decors = [(monoid.zero(),) * total]
-        for combo in itertools.product(*factors):
+        for combo in itertools.product(*[options for factors in lines
+                                         for options in factors]):
             leaves: list = []
             sign = coeff
             for part, s in combo:
@@ -575,6 +599,31 @@ def _expand(forms: dict[tuple, int], monoid: DecorationMonoid
                     out[key] = new
                 else:
                     del out[key]
+    return out
+
+
+def rewire_forms(forms: dict[tuple, int], co: tuple, perm: tuple
+                 ) -> dict[tuple, int]:
+    """The readout forms of a term from those of the same term with its
+    leading coactions rewired.
+
+    Line k starts with ``co[k]`` coactions, numbered from 0 along the
+    lines; in the wanted term leading coaction q feeds what leading
+    coaction ``perm[q] - 1`` feeds in the term of ``forms``.  No rule fires
+    at a leading coaction (see the module docstring), so the two runs match
+    step by step, and in every form coaction q takes the options of
+    coaction ``perm[q] - 1``; every other option stays.  The forms keep
+    their order.
+    """
+    starts = block_starts(co)
+    out = {}
+    for (ac_comp, lines), coeff in forms.items():
+        leading = [options for k, factors in enumerate(lines)
+                   for options in factors[:co[k]]]
+        out[ac_comp, tuple([
+            tuple([leading[perm[q] - 1] for q in range(start, start + c)])
+            + factors[c:]
+            for start, c, factors in zip(starts, co, lines)])] = coeff
     return out
 
 

@@ -141,11 +141,13 @@ def test_cache_digest_compares_checkouts():
     # EXCHANGE copies for two of its three branches, ACT_MU for one of two
     assert type(run["copies"]) is int
     assert run["copies"] >= 2 * firings["exchange"] + firings["act_mu"]
-    # every entry is straightened or read off a slot-permuted or reversed
-    # mate
+    # every entry is straightened, read off the run of another wiring of
+    # its right factor, or read off a slot-permuted or reversed mate
     assert type(run["straightened"]) is int and run["straightened"] > 0
-    assert run["straightened"] + run["read_off_mate"] == run["entries"]
-    assert run["read_off_mate"] >= 0
+    assert type(run["read_off_wiring"]) is int
+    assert run["read_off_wiring"] >= 0 and run["read_off_mate"] >= 0
+    assert (run["straightened"] + run["read_off_wiring"]
+            + run["read_off_mate"] == run["entries"])
 
 
 def _digest_tool():
@@ -159,9 +161,12 @@ def test_cache_digest_counts_entries_read_off_a_mate(monkeypatch):
     from dyalg import algebra, rewrite
     tool = _digest_tool()
     monkeypatch.setattr(algebra, "_CACHE", {})
-    counts = {"straightened": 0}
-    monkeypatch.setattr(rewrite, "straighten_graph", tool._counted_entries(
-        counts, rewrite.straighten_graph))
+    monkeypatch.setattr(algebra, "_RUNS", {})
+    counts = {"straightened": 0, "expanded": 0}
+    for name, function in (("straightened", "straighten_forms"),
+                           ("expanded", "expand_forms")):
+        monkeypatch.setattr(rewrite, function, tool._counted_entries(
+            counts, (name,), getattr(rewrite, function)))
     keys = algebra.enumerate_basis(2, 1)
     for s in keys:
         for t in keys:
@@ -171,12 +176,21 @@ def test_cache_digest_counts_entries_read_off_a_mate(monkeypatch):
     # (a, c) generate a group of order 4 on the 16 pairs.  σ fixes no pair,
     # R fixes the 4 with s = τt, σR the 4 with s = στt, so by Burnside the
     # pairs fall into (16 + 0 + 4 + 4) / 4 = 6 orbits: the first pair of
-    # each is straightened, every later one read off a mate
-    assert len(algebra._CACHE) == 16 and counts["straightened"] == 6
+    # each is straightened, every later one read off a mate.  A degree-1
+    # key has one wiring, so no entry is read off another wiring's run
+    assert len(algebra._CACHE) == 16
+    assert counts == {"straightened": 6, "expanded": 6}
     # a straightening outside compose_basis fills no entry and is not one
     rewrite.straighten_graph(rewrite.term_graph(
         rewrite.slices_of_key(keys[0], False), 2), algebra.TRIVIAL)
-    assert counts["straightened"] == 6
+    assert counts == {"straightened": 6, "expanded": 6}
+    # the two wirings of one degree-2 right factor after one left factor:
+    # one run fills both entries, the second read off the first's wiring
+    s = algebra.enumerate_basis(1, 1)[0]
+    for t in algebra.enumerate_basis(1, 2):
+        algebra.compose_basis(1, s, t)
+    assert len(algebra._CACHE) == 18
+    assert counts == {"straightened": 7, "expanded": 8}
 
 
 def test_cache_digest_sees_every_constant(monkeypatch):

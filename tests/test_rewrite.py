@@ -298,15 +298,23 @@ def _straightened(n, s, t, monoid):
         + rewrite.slices_of_key(s, decorated), n), monoid)
 
 
-def _counting_straightens(monkeypatch) -> list:
+def _counting_straightens(monkeypatch, name="straighten_forms") -> list:
+    """The calls of ``rewrite.<name>`` made from now on, recorded by their
+    arguments: by default the straightening runs."""
     calls = []
-    straighten_graph = rewrite.straighten_graph
+    function = getattr(rewrite, name)
 
     def counted(*args):
         calls.append(args)
-        return straighten_graph(*args)
-    monkeypatch.setattr(rewrite, "straighten_graph", counted)
+        return function(*args)
+    monkeypatch.setattr(rewrite, name, counted)
     return calls
+
+
+def _cold_caches(monkeypatch) -> None:
+    """Empty structure constants and no kept straightening run."""
+    monkeypatch.setattr(algebra, "_CACHE", {})
+    monkeypatch.setattr(algebra, "_RUNS", {})
 
 
 QUOTIENT = RootConeMod(2, 1, frozenset({(0, 0), (1, 0)}))
@@ -316,9 +324,10 @@ ORBIT_CASES = (  # (monoid, slots, top strand degree of a product)
        for n in (2, 3)])
 
 
-def _orbits(n, pairs, monoid, reversal):
-    """The number of orbits of ``pairs`` under the slot permutations, and
-    under the reversal ``(s, t) -> (τt, τs)`` too if ``reversal``."""
+def _orbit_leaders(n, pairs, monoid, reversal):
+    """The pairs, in order, whose orbit under the slot permutations (and
+    under the reversal ``(s, t) -> (τt, τs)`` too if ``reversal``) holds no
+    earlier pair."""
     perms = list(itertools.permutations(range(1, n + 1)))
     image = {}
     for k in {k for pair in pairs for k in pair}:
@@ -326,29 +335,46 @@ def _orbits(n, pairs, monoid, reversal):
             (image[k, p],) = algebra.slot_permute(
                 AlgebraElement.basis(n, k, monoid), p).num
     tau = algebra._reverse_key
-    orbits = set()
+    orbits, leaders = set(), []
     for s, t in pairs:
         mates = [(s, t), (tau(t), tau(s))] if reversal else [(s, t)]
-        orbits.add(frozenset((image[a, p], image[b, p])
-                             for a, b in mates for p in perms))
-    return len(orbits)
+        orbit = frozenset((image[a, p], image[b, p])
+                          for a, b in mates for p in perms)
+        if orbit not in orbits:
+            orbits.add(orbit)
+            leaders.append((s, t))
+    return leaders
+
+
+def _runs(leaders):
+    """The straightening runs that the misses ``leaders`` make in turn: one
+    per right-factor class (co, ac, dec) of a left factor, the runs being
+    kept for the last left factor only."""
+    runs, factor, kept = 0, None, set()
+    for s, (co, ac, _, dec) in leaders:
+        if s != factor:
+            factor, kept = s, set()
+        runs += (co, ac, dec) not in kept
+        kept.add((co, ac, dec))
+    return runs
 
 
 @pytest.mark.parametrize("monoid,n,top", ORBIT_CASES)
 def test_orbit_reads_equal_direct_straightening(monkeypatch, monoid, n, top):
     # every pair of keys of strand degree 1-2 whose product has degree at
     # most top; slot permutations and the reversal map this set onto itself,
-    # so each orbit's first pair is straightened and every later pair finds
-    # a mate cached, fewer straightenings than the slot orbits alone give
-    monkeypatch.setattr(algebra, "_CACHE", {})
+    # so each orbit's first pair misses and every later pair finds a mate
+    # cached; a miss straightens only the first wiring of each right-factor
+    # class of its left factor, fewer runs than the slot orbits alone give
+    _cold_caches(monkeypatch)
     keys = [k for d in (1, 2) for k in enumerate_basis(n, d, monoid)]
     pairs = [(s, t) for s in keys for t in keys
              if len(s[2]) + len(t[2]) <= top]
     calls = _counting_straightens(monkeypatch)
     got = [compose_basis(n, s, t, monoid) for s, t in pairs]
     assert len(algebra._CACHE) == len(pairs)
-    assert len(calls) == _orbits(n, pairs, monoid, reversal=True)
-    assert len(calls) < _orbits(n, pairs, monoid, reversal=False)
+    assert len(calls) == _runs(_orbit_leaders(n, pairs, monoid, True))
+    assert len(calls) < len(_orbit_leaders(n, pairs, monoid, False))
     monkeypatch.undo()
     for (s, t), constants in zip(pairs, got):
         assert constants == _straightened(n, s, t, monoid), (s, t)
@@ -361,7 +387,7 @@ def test_a_permuted_pair_is_read_off_its_mate(monkeypatch):
     t = ((0, 1, 1), (1, 0, 1), (1, 2), (0, 1))
     for perm in itertools.permutations((1, 2, 3)):
         # only (s, t) is cached when its image under perm is asked for
-        monkeypatch.setattr(algebra, "_CACHE", {})
+        _cold_caches(monkeypatch)
         calls.clear()
         constants = compose_basis(n, s, t, monoid)
         (ps,), (pt,) = (algebra.slot_permute(
@@ -385,7 +411,7 @@ def test_a_reversed_pair_is_read_off_its_mate(monkeypatch):
     t = ((0, 1, 1), (1, 0, 1), (1, 2), (0, 1))
     for perm in itertools.permutations((1, 2, 3)):
         # only (s, t) is cached when (τt, τs) permuted by perm is asked for
-        monkeypatch.setattr(algebra, "_CACHE", {})
+        _cold_caches(monkeypatch)
         calls.clear()
         compose_basis(n, s, t, monoid)
         (ps,), (pt,) = (algebra.slot_permute(
@@ -394,6 +420,48 @@ def test_a_reversed_pair_is_read_off_its_mate(monkeypatch):
         image = compose_basis(n, ps, pt, monoid)
         assert len(calls) == 1 and len(algebra._CACHE) == 2
         assert image == _straightened(n, ps, pt, monoid)
+
+
+# per slot count, the compositions (co, ac) of a strand-degree-3 right
+# factor, and those of a degree-2 left factor whose slots all differ, so
+# that no slot permutation but the identity fixes it and no product of it
+# with the right factor has a cached slot-permuted or reversed mate
+WIRING_CASES = {1: (((3,), (3,)), ((2,), (2,))),
+                2: (((2, 1), (1, 2)), ((1, 1), (0, 2))),
+                3: (((2, 0, 1), (0, 1, 2)), ((1, 1, 0), (0, 1, 1)))}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("monoid", [TRIVIAL, SPLIT, RootCone(2, 1),
+                                    QUOTIENT],
+                         ids=["trivial", "split", "cone", "quotient"])
+def test_one_run_per_wiring_class(monkeypatch, monoid, n):
+    # every wiring perm of one right-factor class (co, ac, dec) after one
+    # left factor is filled by one straightening run, read off for each
+    # wiring by relabelling the run's readout forms
+    _cold_caches(monkeypatch)
+    elements = monoid.elements()
+    (co, ac), (s_co, s_ac) = WIRING_CASES[n]
+    dec = tuple(elements[i % len(elements)] for i in (1, 0, 2))
+    s = (s_co, s_ac, (2, 1), (elements[-1], elements[0]))
+    wirings = [(co, ac, perm, dec)
+               for perm in itertools.permutations((1, 2, 3))]
+    runs = _counting_straightens(monkeypatch)
+    expands = _counting_straightens(monkeypatch, "expand_forms")
+    got = [compose_basis(n, s, t, monoid) for t in wirings]
+    assert len(runs) == 1 and len(expands) == len(wirings)
+    assert list(algebra._RUNS) == [(monoid.key(), n, s)]
+    assert list(algebra._RUNS[monoid.key(), n, s]) == [(co, ac, dec)]
+    # a second left factor: the memo holds only its runs
+    s2 = (s_co, s_ac, (1, 2), s[3])
+    compose_basis(n, s2, wirings[-1], monoid)
+    assert len(runs) == 2
+    assert list(algebra._RUNS) == [(monoid.key(), n, s2)]
+    assert list(algebra._RUNS[monoid.key(), n, s2]) == [(co, ac, dec)]
+    monkeypatch.undo()
+    for t, constants in zip(wirings, got):
+        want = _straightened(n, s, t, monoid)
+        assert list(constants.items()) == list(want.items()), t
 
 
 # (monoid, slots, top strand degree of a product): each case takes every

@@ -12,12 +12,16 @@ entry, sorted.  Equal digests mean that both
 checkouts computed the same structure constants for the same products.
 It also counts how often each straightening rule fired (EXCHANGE, ACT_MU,
 COCYCLE, PUSH_MU) and how many working graphs were copied
-(``rewrite._Term.copy``), and how many cache entries were straightened
-(``straightened``, the calls ``algebra.compose_basis`` makes of
-``rewrite.straighten_graph``) and how many were read off a cached
-slot-permuted or reversed mate (``read_off_mate``, the other entries):
-a reversed mate of (s, t) is (p.τt, p.τs) for a slot permutation p, τ
-being time reversal, ``algebra._reverse_key``.
+(``rewrite._Term.copy``), and how the cache entries were filled: by a
+straightening run (``straightened``, the calls ``algebra.compose_basis``
+makes of ``rewrite.straighten_forms``), off the run kept for the same left
+factor and another wiring of the right factor (``read_off_wiring``, its
+other calls of ``rewrite.expand_forms``), or off a cached slot-permuted or
+reversed mate (``read_off_mate``, the remaining entries); the three add up
+to the entries.  A reversed mate of (s, t) is (p.τt, p.τs) for a slot
+permutation p, τ being time reversal, ``algebra._reverse_key``.  A
+checkout without ``straighten_forms`` straightens each entry through
+``rewrite.straighten_graph`` and reads none off a wiring.
 
 A change that asks for fewer (or other) products can never give an equal
 digest, so each seed also compares the caches key by key (``keys``): how
@@ -26,10 +30,10 @@ the change holds (``parent_only``, ``change_only``), and whether every
 common key has equal constants on both sides (``common_equal``).
 
 Prints one JSON object: the workload, the seeds, each side's digest, item
-count, verdict, rule firings, copies, straightened entries and entries read
-off a mate per seed, the key comparison per seed, whether the digests are
-identical (``identical``) and whether the rule firings are
-(``firings_identical``).
+count, verdict, rule firings, copies, and the entries straightened, read
+off a wiring and read off a mate per seed, the key comparison per seed,
+whether the digests are identical (``identical``) and whether the rule
+firings are (``firings_identical``).
 """
 
 from __future__ import annotations
@@ -79,31 +83,40 @@ def _counted(counts: dict, name: str, function):
     return wrapped
 
 
-def _counted_entries(counts: dict, function):
-    """``function`` (``rewrite.straighten_graph``), counting the calls that
-    fill a structure-constant cache entry: those from ``compose_basis``."""
+def _counted_entries(counts: dict, names: tuple, function):
+    """``function``, adding 1 to ``counts`` under each of ``names`` per call
+    that fills a structure-constant cache entry: a call from
+    ``compose_basis``."""
     from dyalg import algebra
     code = algebra.compose_basis.__code__
 
     def wrapped(*args):
         if sys._getframe(1).f_code is code:
-            counts["straightened"] += 1
+            for name in names:
+                counts[name] += 1
         return function(*args)
     return wrapped
 
 
 def run_items(workload: str, seed: int) -> dict:
     """Run every seeded item of ``workload`` in this process, counting the
-    rule firings, the working-graph copies and the straightened entries."""
+    rule firings, the working-graph copies and how the entries were
+    filled."""
     import workloads
     from dyalg import rewrite
-    counts = dict.fromkeys(RULES + ("copy", "straightened"), 0)
+    counts = dict.fromkeys(RULES + ("copy", "straightened", "expanded"), 0)
     for rule in RULES:
         name = f"_apply_{rule}"
         setattr(rewrite, name, _counted(counts, rule, getattr(rewrite, name)))
     rewrite._Term.copy = _counted(counts, "copy", rewrite._Term.copy)
-    rewrite.straighten_graph = _counted_entries(counts,
-                                                rewrite.straighten_graph)
+    if hasattr(rewrite, "straighten_forms"):
+        rewrite.straighten_forms = _counted_entries(
+            counts, ("straightened",), rewrite.straighten_forms)
+        rewrite.expand_forms = _counted_entries(
+            counts, ("expanded",), rewrite.expand_forms)
+    else:
+        rewrite.straighten_graph = _counted_entries(
+            counts, ("straightened", "expanded"), rewrite.straighten_graph)
     items = workloads.ITEMS[workload](random.Random(f"{workload}:{seed}"))
     correct = all(check() == expected for _, check, expected in items)
     entries = len(sys.modules["dyalg.algebra"]._CACHE)
@@ -114,7 +127,8 @@ def run_items(workload: str, seed: int) -> dict:
             "firings": {rule: counts[rule] for rule in RULES},
             "copies": counts["copy"],
             "straightened": counts["straightened"],
-            "read_off_mate": entries - counts["straightened"]}
+            "read_off_wiring": counts["expanded"] - counts["straightened"],
+            "read_off_mate": entries - counts["expanded"]}
 
 
 def run_side(checkout: str, workload: str, seed: int) -> dict:
