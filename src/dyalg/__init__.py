@@ -26,8 +26,8 @@ _EXPORTS = {
         "Diagram", "compatible", "maximal_nested_sets", "mns_union",
         "quotient_diagram"), "diagrams"),
     **dict.fromkeys((
-        "expand_to_assoc", "hochschild_target_dim", "lie_multilinear_basis",
-        "pbw_decompose", "wedge_multilinear_dim"), "freelie"),
+        "expand_to_assoc", "hochschild_target_dim", "lie_multilinear_basis"),
+        "freelie"),
     **dict.fromkeys((
         "KacMoodyBorel", "build_kac_moody_borel", "symmetrizer",
         "validate_bialgebra_windowed"), "kacmoody"),
@@ -38,9 +38,7 @@ _EXPORTS = {
         "MonodromyMismatch", "sl2_irrep", "solve_local_monodromy",
         "triple_exponential"), "monodromy"),
     "GradedSeries": "series",
-    **dict.fromkeys((
-        "random_term", "straighten", "term_from_json", "term_to_json"),
-        "terms"),
+    **dict.fromkeys(("random_term", "straighten"), "terms"),
     **dict.fromkeys((
         "GaugeObstruction", "associator_2jet", "check_associator_axioms",
         "gauge", "solve_gauge", "twist_conjugate",

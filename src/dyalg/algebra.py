@@ -209,14 +209,13 @@ class AlgebraElement:
     def from_json(data: dict) -> "AlgebraElement":
         monoid = monoid_from_json(data["monoid"])
         n = _natural(data["n"], "n")
-        decoration = _decoration_reader(monoid)
         terms: dict[Key, Fraction] = {}
         for t in data["terms"]:
-            dec = tuple(decoration(d, "decor entry") for d in t["decor"])
+            dec = tuple([_read_decoration(d, monoid) for d in t["decor"]])
             key = tuple(tuple([_natural(v, f"{f} entry") for v in t[f]])
                         for f in ("coactions", "actions", "perm")) + (dec,)
             _check_key(n, key, monoid)
-            terms[key] = terms.get(key, Fraction(0)) + Fraction(t["coeff"])
+            terms[key] = terms.get(key, 0) + _rational(t["coeff"], "coeff")
         return AlgebraElement(n, monoid, terms)
 
 
@@ -251,6 +250,15 @@ def add_product(acc: dict[Key, int], x: AlgebraElement, y: AlgebraElement,
                     del acc[k]
 
 
+def _rational(value, name: str) -> Fraction:
+    """``value`` read exactly: a string such as "2/3" or an int (a bool is
+    not one).  A float is refused, as it is seldom the number written."""
+    if type(value) is not int and not isinstance(value, str):
+        raise ValueError(f"{name} must be a string or an integer, "
+                         f"got {value!r}")
+    return Fraction(value)
+
+
 def _dec_json(d):
     return list(d) if isinstance(d, tuple) else d
 
@@ -271,28 +279,21 @@ def _decorations(monoid: DecorationMonoid) -> dict:
     return decors
 
 
-def _outside(d, field: str, monoid: DecorationMonoid) -> ValueError:
-    return ValueError(f"{field} {d!r} is a decoration outside the "
+def _outside(d, monoid: DecorationMonoid) -> ValueError:
+    return ValueError(f"decor entry {d!r} is a decoration outside the "
                       f"{monoid.name} monoid")
 
 
-def _decoration_reader(monoid: DecorationMonoid):
-    """The reader ``read(d, field)`` of a JSON decoration on ``monoid``.
-
-    It returns the member of :func:`_decorations` equal to ``d`` (1 for
-    true), and raises a ValueError naming ``field`` when there is none.
-    """
-    decors = _decorations(monoid)
-
-    def read(d, field: str):
-        try:
-            dec = decors.get(tuple(d) if isinstance(d, list) else d)
-        except TypeError:  # unhashable, e.g. a list inside the list
-            dec = None
-        if dec is None:
-            raise _outside(d, field, monoid)
-        return dec
-    return read
+def _read_decoration(d, monoid: DecorationMonoid):
+    """The member of :func:`_decorations` equal to the JSON decoration
+    ``d`` (1 for true); a ValueError when there is none."""
+    try:
+        dec = _decorations(monoid).get(tuple(d) if isinstance(d, list) else d)
+    except TypeError:  # unhashable, e.g. a list inside the list
+        dec = None
+    if dec is None:
+        raise _outside(d, monoid)
+    return dec
 
 
 def _check_key(n: int, key: Key, monoid: DecorationMonoid) -> None:
@@ -307,7 +308,7 @@ def _check_key(n: int, key: Key, monoid: DecorationMonoid) -> None:
     decors = _decorations(monoid)
     for d in dec:
         if d not in decors:
-            raise _outside(d, "decor entry", monoid)
+            raise _outside(d, monoid)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, _rational
 from .permutations import _natural
 from .rewrite import slices_of_key
 
@@ -187,9 +187,11 @@ class LieBialgebraData:
         weights = data.get("weights")
         if weights is not None:
             weights = [tuple(w) if isinstance(w, list) else w for w in weights]
-        return LieBialgebraData(data["dim"], data["bracket"],
-                                data["cobracket"], weights,
-                                data.get("basis_names"))
+        bracket, cobracket = (
+            [[[_rational(c, f"{field} entry") for c in row] for row in m]
+             for m in data[field]] for field in ("bracket", "cobracket"))
+        return LieBialgebraData(_natural(data["dim"], "dim"), bracket,
+                                cobracket, weights, data.get("basis_names"))
 
 
 # Each axiom is stated once, as a signed sum of slice terms with open legs

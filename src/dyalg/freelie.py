@@ -16,32 +16,35 @@ these are read off, not solved for: with v the least variable, the basis
 monomial ``[[v, s2], ..., sk]`` is the only one whose expansion holds the
 word ``v s2 ... sk``, with coefficient 1 (Reutenauer, Free Lie Algebras,
 1993), so the coordinates are the coefficients of the words that start
-with v.  Nothing on the oracle path is eliminated, so it shares no rank
-code with the ranks it checks.
+with v.  Nothing here is eliminated, so the oracle shares no rank code
+with the ranks it checks.
 
-Expansions have integer coefficients; Fractions enter only where something
-is divided (symmetrisation and PBW coordinates).
+Every coefficient is an integer: expansions and characters are signed
+sums, and the character mean over S_N is an exact integer quotient.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
-from . import linalg
 from .monoids import DecorationMonoid
 from .permutations import all_permutations, cycle_count, sign
 
 # A Lie monomial is a nested-tuple binary tree whose leaves are variable
 # indices: 3, or (1, 2), or ((1, 2), 3).  An associative combination is a
-# dict mapping word tuples to ints (to Fractions once divided).
+# dict mapping word tuples to ints.
 
 Word = tuple
 AssocElt = dict
 
 
 def variables(m) -> frozenset:
+    """The variable indices of a Lie monomial.
+
+    >>> sorted(variables(((1, 3), 2)))
+    [1, 2, 3]
+    """
     if isinstance(m, int):
         return frozenset([m])
     return variables(m[0]) | variables(m[1])
@@ -111,9 +114,9 @@ def lie_bracket_assoc(a: AssocElt, b: AssocElt) -> AssocElt:
 
 
 def _set_partitions(vars: tuple, blocks: int):
-    """Partitions of ``vars`` into ``blocks`` nonempty unordered parts,
-    each part a sorted tuple, parts sorted by smallest element."""
-    vars = tuple(sorted(vars))
+    """Partitions of the sorted tuple ``vars`` into ``blocks`` nonempty
+    unordered parts, each part a sorted tuple, parts sorted by smallest
+    element."""
     if blocks == 0:
         if not vars:
             yield ()
@@ -127,64 +130,6 @@ def _set_partitions(vars: tuple, blocks: int):
             remaining = tuple(v for v in rest if v not in companions)
             for tail in _set_partitions(remaining, blocks - 1):
                 yield (part,) + tail
-
-
-def pbw_basis(vars: tuple, blocks: int) -> list[tuple]:
-    """Multilinear PBW basis: unordered products of ``blocks`` Lie monomials
-    whose variable sets partition ``vars``.  Each basis element is a tuple of
-    Lie monomials, parts ordered by their smallest variable."""
-    out = []
-    for partition in _set_partitions(vars, blocks):
-        for choice in itertools.product(
-                *[lie_multilinear_basis(0, part) for part in partition]):
-            out.append(tuple(choice))
-    return out
-
-
-def symmetrized_product(monomials: tuple) -> AssocElt:
-    """Image of an unordered product of Lie monomials under symmetrisation:
-    the average of the products over all orderings of the factors."""
-    k = len(monomials)
-    expanded = [expand_to_assoc(m) for m in monomials]
-    out: AssocElt = {}
-    for order in itertools.permutations(range(k)):
-        term = {(): 1}
-        for i in order:
-            term = assoc_product(term, expanded[i])
-        for w, c in term.items():
-            _add(out, w, c)
-    return {w: Fraction(c, math.factorial(k)) for w, c in out.items()}
-
-
-# variables -> (PBW basis, word index, Span of the symmetrized basis)
-_SOLVERS: dict[tuple, tuple] = {}
-
-
-def pbw_decompose(w: AssocElt, n_vars: int) -> dict:
-    """Write a multilinear associative element in the symmetrized PBW basis.
-
-    Returns a dict mapping tuples of Lie monomials to coefficients; summing
-    ``coeff * symmetrized_product(monomials)`` recovers the input exactly.
-
-    >>> dec = pbw_decompose({(1, 2): Fraction(1)}, 2)
-    >>> dec[((1, 2),)]
-    Fraction(1, 2)
-    """
-    vars = tuple(range(1, n_vars + 1))
-    for word in w:
-        if tuple(sorted(word)) != vars:
-            raise ValueError("input is not multilinear in x_1..x_N")
-    if vars not in _SOLVERS:
-        basis = [b for k in range(1, n_vars + 1) for b in pbw_basis(vars, k)]
-        widx = {wd: i for i, wd in enumerate(itertools.permutations(vars))}
-        _SOLVERS[vars] = basis, widx, linalg.Span(
-            {widx[wd]: c for wd, c in symmetrized_product(b).items()}
-            for b in basis)
-    basis, widx, span = _SOLVERS[vars]
-    sol = span.coords({widx[wd]: c for wd, c in w.items()})
-    if sol is None:
-        raise ValueError("PBW system inconsistent")
-    return {basis[j]: c for j, c in enumerate(sol) if c}
 
 
 def _tensor(factors, coeff=1) -> dict:
@@ -208,7 +153,10 @@ def wedge_basis(n: int, n_vars: int) -> list[tuple]:
     """Basis of the n-th exterior power of the free Lie algebra, multilinear
     part: wedges of ``n`` Lie monomials with variable sets partitioning
     {1..N}, factors ordered by smallest variable."""
-    return pbw_basis(tuple(range(1, n_vars + 1)), n)
+    return [wedge
+            for partition in _set_partitions(tuple(range(1, n_vars + 1)), n)
+            for wedge in itertools.product(
+                *[lie_multilinear_basis(0, part) for part in partition])]
 
 
 def _wedge_action(perm: tuple, wedge: tuple) -> dict:
@@ -220,17 +168,6 @@ def _wedge_action(perm: tuple, wedge: tuple) -> dict:
     order = sorted(range(len(factors)), key=lambda i: min(variables(factors[i])))
     return _tensor([_lie_coords(factors[i]) for i in order],
                    sign([o + 1 for o in order]))
-
-
-def wedge_multilinear_dim(n: int, n_vars: int,
-                          monoid: DecorationMonoid) -> int:
-    """Dimension of the coinvariant space
-
-        [ wedge^n(multilinear Lie) (x) D^N (x) wedge^n(multilinear Lie) ]_{S_N}
-
-    computed as the trace of the averaging projector (``wedge_pair_dim``).
-    """
-    return wedge_pair_dim(n, n, n_vars, monoid)
 
 
 def hochschild_target_dim(n: int, n_vars: int,

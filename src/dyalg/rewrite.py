@@ -66,12 +66,12 @@ loop :func:`straighten_forms` pops a term and resolves one bracket if it
 has any (stage 1).  The line walk of :func:`_readout` decides a
 bracket-free term's stage: a sorted term adds its coefficient to its
 readout form (stage 3); else one walk of :func:`_exchange_form` gives its
-stage-2 measure P and its node-id-free form, which keys it in the bucket
-of P, and equal forms keep the first term and sum the coefficients.
-When the work list is empty, the highest bucket is drained: one EXCHANGE
-per distinct term with a nonzero sum, its branches pushed back on the
-work list.  A term with a bracket is always resolved first, so each
-lineage of terms passes through stages 1, 2 and 3 in order, and each
+stage-2 measure P, its safe patterns and its node-id-free form, which keys
+it in the bucket of P; equal forms keep the first term and sum the
+coefficients.  When the work list is empty, the highest bucket is drained:
+one EXCHANGE per distinct term with a nonzero sum, its branches pushed
+back on the work list.  A term with a bracket is always resolved first, so
+each lineage of terms passes through stages 1, 2 and 3 in order, and each
 distinct bracket-free term is rewritten or read out once per call.
 
 Stage 1  While the term has a bracket node, resolve one whose output feeds
@@ -87,12 +87,12 @@ Stage 1  While the term has a bracket node, resolve one whose output feeds
 Stage 2  While some action immediately precedes a coaction on a line,
          apply EXCHANGE at a safe pattern: one whose coaction's leg tree
          feeds only inversion-free actions (no coaction after them on
-         their line).  :meth:`_Term.safe_patterns` lists them in one scan,
-         and any safe pattern will do.  One always exists: the
-         pattern whose action is latest in a topological order of the
-         node graph (line order and legs) is safe, since any action fed by
-         its coaction comes later in that order, and a coaction after it
-         on its line would give a pattern with a later action still.
+         their line).  :func:`_exchange_form` lists them, and any safe
+         pattern will do.  One always exists: the pattern whose action is
+         latest in a topological order of the node graph (line order and
+         legs) is safe, since any action fed by its coaction comes later
+         in that order, and a coaction after it on its line would give a
+         pattern with a later action still.
          Measure: the number of pairs (action A, coaction C, A before C on
          a common line) drops by at least one in all three branches: the
          swap removes the pattern pair; the bracket branch deletes the
@@ -155,8 +155,8 @@ class _Term:
     and :meth:`unplug`.  A rule consumes its input: it edits copies for all
     its outputs but the last, which it builds on the input itself, so a
     term handed to a rule must not be used afterwards.  The stage of a
-    bracket-free term is read off the walks of :func:`_readout` and
-    :func:`_exchange_form`; :meth:`safe_patterns` is the one scan."""
+    bracket-free term and its safe patterns are read off the walks of
+    :func:`_readout` and :func:`_exchange_form`."""
 
     __slots__ = ("lines", "mus", "wire_to", "wire_from", "dec", "nxt")
 
@@ -210,42 +210,12 @@ class _Term:
 
     # -- inspection helpers -------------------------------------------------
 
-    def safe_patterns(self) -> list[tuple[int, int]]:
-        """The safe EXCHANGE patterns of a bracket-free term, as (action,
-        coaction) id pairs in line order: an action right before a coaction
-        whose leg tree feeds no action with a coaction after it on its
-        line.  One pass per line marks those actions and lists the
-        adjacent pairs."""
-        marked, pairs = set(), []
-        for line in self.lines:
-            pending = []  # the actions since the last coaction
-            for x in line:
-                if x[0] == "a":
-                    pending.append(x)
-                elif pending:
-                    pairs.append((pending[-1], x))
-                    marked.update(pending)
-                    pending = []
-        return [(a[1], c[1]) for a, c in pairs
-                if marked.isdisjoint(self.leaf_actions(c))]
-
     def locate(self, port: tuple) -> tuple[int, int]:
         """(line, position) of a port: one scan that stops at it."""
         for li, line in enumerate(self.lines):
             if port in line:
                 return li, line.index(port)
         raise AssertionError("node not on any line")
-
-    def leaf_actions(self, prod: tuple) -> list[tuple]:
-        """Action ports ultimately consuming a leg, via cobracket trees."""
-        cons = self.wire_to[prod]
-        if cons[0] == "a":
-            return [cons]
-        if cons[0] == "d":
-            did = cons[1]
-            return (self.leaf_actions(("d", did, 0))
-                    + self.leaf_actions(("d", did, 1)))
-        raise AssertionError("unexpected consumer in latent tree")
 
 
 def _merge_dec(term: _Term, prod: tuple, decor) -> bool:
@@ -399,7 +369,8 @@ def straighten_forms(t0: _Term, monoid: DecorationMonoid,
     rewritten or read out once."""
     sched = sched or Scheduler()
     work = [(t0, 1)]
-    buckets: dict[int, dict[tuple, list]] = {}  # measure -> form -> [t, c]
+    # measure -> form -> [t, c, the safe patterns of t]
+    buckets: dict[int, dict[tuple, list]] = {}
     exchanges: list = []  # the netted terms of the bucket being rewritten
     forms: dict[tuple, int] = {}
     while True:
@@ -411,13 +382,13 @@ def straighten_forms(t0: _Term, monoid: DecorationMonoid,
                 continue
             if _readout(t, monoid, c, forms):  # stage 3
                 continue
-            measure, form = _exchange_form(t)  # stage 2: net by form
-            buckets.setdefault(measure, {}).setdefault(form, [t, 0])[1] += c
+            measure, form, safe = _exchange_form(t)  # stage 2: net by form
+            buckets.setdefault(measure, {}).setdefault(
+                form, [t, 0, safe])[1] += c
         elif exchanges:
-            t, c = exchanges.pop()
+            t, c, safe = exchanges.pop()
             if not c:
                 continue
-            safe = t.safe_patterns()
             assert safe, "no safe pattern despite inversions"
             work.extend((s, c * c2) for s, c2 in _apply_exchange(
                 t, *sched.choose(safe)))
@@ -431,25 +402,39 @@ def straighten_forms(t0: _Term, monoid: DecorationMonoid,
 # stage 2: netting bracket-free terms
 
 
-def _exchange_form(t: _Term) -> tuple[int, tuple]:
+def _exchange_form(t: _Term) -> tuple[int, tuple, list[tuple[int, int]]]:
     """The stage-2 measure of a bracket-free term, the (action, coaction)
-    pairs with the action first on a line, and its node-id-free form: each
-    line's kinds, then each coaction's latent cobracket tree with its
+    pairs with the action first on a line; its node-id-free form: its
+    line shape, then each coaction's latent cobracket tree with its
     decorations, in line order, the leaves naming actions by their order
-    along the lines.  Two terms have one form iff they are equal up to node
-    ids."""
+    along the lines; and its safe EXCHANGE patterns, (action, coaction) id
+    pairs in line order.  The shape gives each coaction as the number of
+    actions named before it and each line's end as ~ that number, so two
+    terms have one form iff they are equal up to node ids.
+
+    A pattern is an action right before a coaction; it is safe when no
+    leaf of the coaction's tree precedes a coaction on its line (the walk
+    marks those actions)."""
     wire_to, dec = t.wire_to, t.dec
     name: dict[tuple, int] = {}
-    coacts, lines, pairs = [], [], 0
+    marked: set[int] = set()
+    coacts, shape, patterns, pairs = [], [], [], 0
     for line in t.lines:
-        first = len(name)  # the actions named before this line
-        for x in line:
+        first = last = len(name)  # the actions named before the line and
+        for x in line:            # before its last coaction
             if x[0] == "a":
                 name[x] = len(name)
+                act = x
             else:
+                if len(name) > last:  # an action since the last coaction
+                    patterns.append((act, len(coacts)))
                 coacts.append(x)
-                pairs += len(name) - first
-        lines.append("".join([x[0] for x in line]))
+                last = len(name)
+                shape.append(last)
+                pairs += last - first
+        if last > first:
+            marked.update(range(first, last))
+        shape.append(~len(name))
 
     def tree(prod):
         cons = wire_to[prod]
@@ -458,7 +443,15 @@ def _exchange_form(t: _Term) -> tuple[int, tuple]:
         did = cons[1]
         return dec.get(prod), tree(("d", did, 0)), tree(("d", did, 1))
 
-    return pairs, (tuple(lines), tuple([tree(c) for c in coacts]))
+    def feeds_marked(node):  # a leaf is (decoration, name)
+        if len(node) == 2:
+            return node[1] in marked
+        return feeds_marked(node[1]) or feeds_marked(node[2])
+
+    trees = [tree(c) for c in coacts]
+    safe = [(a[1], coacts[i][1]) for a, i in patterns
+            if not feeds_marked(trees[i])]
+    return pairs, (tuple(shape), tuple(trees)), safe
 
 
 # ---------------------------------------------------------------------------

@@ -148,8 +148,13 @@ class GradedSeries:
         from .monoids import monoid_from_json
         n = _natural(data["n"], "n")
         monoid = monoid_from_json(data["monoid"])
-        parts = {int(d): AlgebraElement.from_json(x)
-                 for d, x in data["parts"].items()}
+        parts = {}
+        for d, x in data["parts"].items():
+            if not (d.isdecimal() and str(int(d)) == d):
+                raise ValueError("part key must be a non-negative integer "
+                                 "in decimal without leading zeros, "
+                                 f"got {d!r}")
+            parts[int(d)] = AlgebraElement.from_json(x)
         return GradedSeries(n, data["order"], monoid, parts)
 
 

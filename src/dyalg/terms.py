@@ -1,4 +1,4 @@
-"""Slice terms: serializable composites of generators awaiting straightening.
+"""Slice terms: composites of generators awaiting straightening.
 
 A term on n module slots is a list of slices applied left to right (in time
 order) to the object (legs (x) V_1 (x) ... (x) V_n), with the open bialgebra
@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import random
 
-from .monoids import DecorationMonoid, TRIVIAL, monoid_from_json
-from .permutations import _natural
+from .monoids import DecorationMonoid, TRIVIAL
 from .rewrite import Scheduler, straighten_graph, term_graph
-from .algebra import AlgebraElement, _decoration_reader
+from .algebra import AlgebraElement
 
 
 def straighten(slices: list, n: int, monoid: DecorationMonoid = TRIVIAL,
@@ -37,43 +36,6 @@ def straighten(slices: list, n: int, monoid: DecorationMonoid = TRIVIAL,
         return AlgebraElement.zero(n, monoid)
     terms = straighten_graph(graph, monoid, scheduler)
     return AlgebraElement(n, monoid, terms)
-
-
-def term_to_json(slices: list, n: int,
-                 monoid: DecorationMonoid = TRIVIAL) -> dict:
-    nodes = []
-    for sl in slices:
-        node = {"kind": sl[0]}
-        if sl[0] in ("coaction", "action"):
-            node["slot"] = sl[1]
-        elif sl[0] == "perm":
-            node["perm"] = list(sl[1])
-        elif sl[0] == "decor":
-            node["position"] = sl[1]
-            node["alpha"] = list(sl[2]) if isinstance(sl[2], tuple) else sl[2]
-        nodes.append(node)
-    return {"n": n, "monoid": monoid.to_json(), "nodes": nodes}
-
-
-def term_from_json(data: dict) -> tuple[list, int, DecorationMonoid]:
-    monoid = monoid_from_json(data["monoid"])
-    decoration = _decoration_reader(monoid)
-    slices = []
-    for node in data["nodes"]:
-        kind = node["kind"]
-        if kind in ("coaction", "action"):
-            slices.append((kind, _natural(node["slot"], "slot")))
-        elif kind in ("mu", "delta"):
-            slices.append((kind,))
-        elif kind == "perm":
-            slices.append((kind, tuple([_natural(q, "perm entry")
-                                        for q in node["perm"]])))
-        elif kind == "decor":
-            slices.append((kind, _natural(node["position"], "position"),
-                           decoration(node["alpha"], "alpha")))
-        else:
-            raise ValueError(f"unknown node kind {kind!r}")
-    return slices, _natural(data["n"], "n"), monoid
 
 
 def random_term(n: int, rng: random.Random, max_nodes: int = 6,

@@ -63,9 +63,12 @@ def _one_strand(monoid, coeff="1", decor=0):
     ("dH", _one_strand("split", decor=7)),
     ("multiply", _one_strand("trivial", decor=3)),
     ("dH", _one_strand("split", decor=[[0]])),
+    ("dH", _one_strand("trivial", coeff=0.1)),
+    ("multiply", _one_strand("trivial", coeff=True)),
 ], ids=["malformed-json", "missing-key", "not-an-object", "zero-denominator",
         "split-decoration-7", "trivial-decoration-3",
-        "split-decoration-nested-list"])
+        "split-decoration-nested-list", "float-coefficient",
+        "bool-coefficient"])
 def test_parse_error_exit_code(tmp_path, command, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
@@ -111,6 +114,14 @@ def _series(n, order, monoid, parts):
      "part 0 is not in the series' algebra (n = 1, split monoid)"),
     ("solve-gauge", _series(2, -1, _TRIVIAL, {}),
      "order must be a non-negative integer, got -1"),
+    ("solve-gauge",
+     _series(2, 2, _TRIVIAL, {"01": _key_element(2, _TRIVIAL)}),
+     "part key must be a non-negative integer in decimal without leading "
+     "zeros, got '01'"),
+    ("solve-gauge",
+     _series(2, 2, _TRIVIAL, {"1_0": _key_element(2, _TRIVIAL)}),
+     "part key must be a non-negative integer in decimal without leading "
+     "zeros, got '1_0'"),
     ("nested-sets", {"vertices": [1, "a"], "edges": []},
      "vertex 'a' is not a non-negative integer"),
     ("nested-sets", {"vertices": [True, 2], "edges": [[True, 2]]},
@@ -132,7 +143,8 @@ def _series(n, order, monoid, parts):
                         decor=[[0, 0]]),
      "allowed coordinate must be a non-negative integer, got 0.5"),
 ], ids=["n-string", "n-float", "n-bool", "n-negative", "part-slot-count",
-        "part-monoid", "order-negative", "vertex-string", "vertex-bool",
+        "part-monoid", "order-negative", "part-key-leading-zero",
+        "part-key-underscore", "vertex-string", "vertex-bool",
         "key-negative", "key-bool", "key-float", "rank-float", "cap-bool",
         "allowed-float"])
 def test_malformed_integers_are_parse_errors(tmp_path, command, data,
@@ -189,6 +201,18 @@ def _nested_weight(data):
     data["weights"] = [[0], [[1]]]
 
 
+def _float_bracket_entry(data):
+    data["bracket"][0][1][1] = 2.0
+
+
+def _bool_cobracket_entry(data):
+    data["cobracket"][1][1][0] = True
+
+
+def _bool_dim(data):
+    data["dim"] = True
+
+
 @pytest.mark.parametrize("malform, message", [
     (_short_vectors, "bracket must be 2 x 2 x 2"),
     (_missing_row, "cobracket must be 2 matrices of 2 x 2"),
@@ -197,8 +221,14 @@ def _nested_weight(data):
      "weight 0 entry 0 must be a non-negative integer, got 'x'"),
     (_nested_weight,
      "weight 1 entry 0 must be a non-negative integer, got [1]"),
+    (_float_bracket_entry,
+     "bracket entry must be a string or an integer, got 2.0"),
+    (_bool_cobracket_entry,
+     "cobracket entry must be a string or an integer, got True"),
+    (_bool_dim, "dim must be a non-negative integer, got True"),
 ], ids=["short-bracket-vectors", "missing-cobracket-row", "short-weights",
-        "string-weight", "nested-weight"])
+        "string-weight", "nested-weight", "float-bracket-entry",
+        "bool-cobracket-entry", "bool-dim"])
 def test_malformed_bialgebra_is_parse_error(tmp_path, malform, message):
     elt = tmp_path / "elt.json"
     elt.write_text(json.dumps(kappa(1, 1).to_json()))

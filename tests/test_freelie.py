@@ -6,9 +6,8 @@ import pytest
 from dyalg import freelie, linalg
 from dyalg.freelie import (assoc_product, expand_to_assoc,
                            hochschild_target_dim, lie_bracket_assoc,
-                           lie_multilinear_basis, pbw_basis, pbw_decompose,
-                           symmetrized_product, variables, wedge_basis,
-                           wedge_multilinear_dim, wedge_pair_dim)
+                           lie_multilinear_basis, variables, wedge_basis,
+                           wedge_pair_dim)
 from dyalg.monoids import RootCone, SPLIT, TRIVIAL
 
 ORACLE_MONOIDS = (TRIVIAL, SPLIT, RootCone(2, 1))
@@ -62,40 +61,11 @@ def test_expansion_injective_on_basis():
         assert linalg.rank(matrix) == len(basis)
 
 
-def test_pbw_example():
-    dec = pbw_decompose({(1, 2): Fraction(1)}, 2)
-    assert dec[((1, 2),)] == Fraction(1, 2)
-    assert dec[(1, 2)] == Fraction(1)
-
-
-def test_pbw_symmetric_input_fixed():
-    sym = symmetrized_product((1, 2))
-    dec = pbw_decompose(sym, 2)
-    assert dec == {(1, 2): Fraction(1)}
-
-
-def test_pbw_round_trip_n3():
-    for word in itertools.permutations((1, 2, 3)):
-        target = {word: Fraction(1)}
-        dec = pbw_decompose(target, 3)
-        total = {}
-        for monos, coeff in dec.items():
-            for w, c in symmetrized_product(monos).items():
-                total[w] = total.get(w, Fraction(0)) + coeff * c
-        total = {w: c for w, c in total.items() if c}
-        assert total == target
-
-
-def test_pbw_rejects_non_multilinear():
-    with pytest.raises(ValueError):
-        pbw_decompose({(1, 1): Fraction(1)}, 2)
-
-
 def test_wedge_dims_small():
-    assert wedge_multilinear_dim(1, 1, TRIVIAL) == 1
-    assert wedge_multilinear_dim(2, 1, TRIVIAL) == 0
-    assert wedge_multilinear_dim(1, 2, TRIVIAL) == 1
-    assert wedge_multilinear_dim(2, 2, TRIVIAL) == 1
+    assert wedge_pair_dim(1, 1, 1, TRIVIAL) == 1
+    assert wedge_pair_dim(2, 2, 1, TRIVIAL) == 0
+    assert wedge_pair_dim(1, 1, 2, TRIVIAL) == 1
+    assert wedge_pair_dim(2, 2, 2, TRIVIAL) == 1
 
 
 def test_wedge_pair_dims():
@@ -110,7 +80,7 @@ def test_wedge_pair_dims():
 
 def test_wedge_guard():
     with pytest.raises(ValueError):
-        wedge_multilinear_dim(1, 5, TRIVIAL)
+        wedge_pair_dim(1, 1, 5, TRIVIAL)
 
 
 # The projector-rank reference: the S_N averaging projector on
@@ -197,11 +167,10 @@ def test_wedge_pair_dim_pinned_at_four_strands():
 
 def test_oracle_runs_without_the_eliminator(monkeypatch):
     # the oracle reads its Lie coordinates off first letters: it must run
-    # with no cached solver and with the eliminator unavailable
+    # with the eliminator unavailable
     def no_span(*args, **kwargs):
         raise AssertionError("the oracle called linalg.Span")
 
-    monkeypatch.setattr(freelie, "_SOLVERS", {})
     monkeypatch.setattr(linalg, "Span", no_span)
     # hochschild_target_dim(n, N, monoid), rows N = 1..4, columns n = 0..8
     pinned = {

@@ -28,13 +28,13 @@ PUBLIC = sorted("""
     embed_slots enumerate_basis evaluate expand_to_assoc
     face_map filter_window forget_split gauge hochschild_d
     hochschild_target_dim is_invariant kappa kappa_alpha
-    lie_multilinear_basis maximal_nested_sets mns_union omega pbw_decompose
+    lie_multilinear_basis maximal_nested_sets mns_union omega
     quotient_allowed quotient_diagram r_matrix random_term rho_tilde_b
     rho_tilde_pair sl2_irrep slot_permute solve_gauge solve_local_monodromy
-    straighten symmetrizer tensor_module term_from_json term_to_json
+    straighten symmetrizer tensor_module
     trivial_module triple_exponential twist_conjugate
     twist_equation_residual validate_bialgebra validate_bialgebra_windowed
-    validate_dy_module wedge_multilinear_dim
+    validate_dy_module
 """.split())
 
 
@@ -78,6 +78,13 @@ def test_verify_cybe_loads_only_the_algebra_it_runs():
     assert {"dyalg.suites", "dyalg.algebra"} <= modules
     assert modules.isdisjoint(
         {"dyalg.bialgebra", "dyalg.kacmoody", "dyalg.cohomology"})
+
+
+def test_oracle_does_not_load_the_eliminator():
+    # freelie is the independent check of the Hochschild ranks that linalg
+    # computes, so it runs without the eliminator and without Fraction
+    modules = loaded_after("import dyalg.freelie")
+    assert modules.isdisjoint({"dyalg.linalg", "fractions"})
 
 
 def test_parsed_commands_leave_shutil_unloaded(tmp_path):

@@ -9,7 +9,7 @@ from dyalg.algebra import AlgebraElement, compose_basis, enumerate_basis, \
     kappa, quotient_allowed
 from dyalg.monoids import RootCone, RootConeMod, SPLIT, TRIVIAL
 from dyalg.rewrite import RandomScheduler, term_graph
-from dyalg.terms import random_term, straighten, term_from_json, term_to_json
+from dyalg.terms import random_term, straighten
 
 
 def test_casimir_square():
@@ -122,40 +122,6 @@ def test_quotient_monoid_drops_non_allowed():
     cone = straighten(sl, 1, RootCone(1, 4))
     assert got == quotient_allowed(cone, mod)
     assert len(cone.terms) > len(got.terms)
-
-
-def test_term_json_round_trip():
-    rng = random.Random(3)
-    for _ in range(10):
-        slices = random_term(2, rng, max_nodes=5)
-        data = term_to_json(slices, 2)
-        back, n, monoid = term_from_json(data)
-        assert back == slices and n == 2
-
-
-@pytest.mark.parametrize("monoid, node, field, value", [
-    (SPLIT, None, "n", True), (SPLIT, 0, "slot", True),
-    (SPLIT, 0, "slot", "1"), (SPLIT, 1, "perm", [1.0]),
-    (SPLIT, 2, "position", True), (SPLIT, 2, "alpha", 5),
-    (RootCone(2, 2), 2, "alpha", [0, 7]), (TRIVIAL, 2, "alpha", True),
-    (SPLIT, 2, "alpha", [[0]]), (RootCone(2, 2), 2, "alpha", [[0], 1])])
-def test_term_from_json_rejects_malformed_fields(monoid, node, field, value):
-    zero = monoid.zero()
-    data = {"n": 1, "monoid": monoid.to_json(), "nodes": [
-        {"kind": "coaction", "slot": 1}, {"kind": "perm", "perm": [1]},
-        {"kind": "decor", "position": 1,
-         "alpha": list(zero) if isinstance(zero, tuple) else zero},
-        {"kind": "action", "slot": 1}]}
-    assert term_from_json(data)[0][2] == ("decor", 1, zero)
-    (data if node is None else data["nodes"][node])[field] = value
-    with pytest.raises(ValueError, match=rf"^{field}\b"):
-        term_from_json(data)
-
-
-def test_term_from_json_rejects_unknown_node_kind():
-    data = {"n": 1, "monoid": TRIVIAL.to_json(), "nodes": [{"kind": "twist"}]}
-    with pytest.raises(ValueError, match="^unknown node kind 'twist'"):
-        term_from_json(data)
 
 
 def test_ill_typed_terms_rejected():
@@ -745,11 +711,26 @@ def test_stage_two_measure_strictly_drops(monkeypatch):
     assert all(transitions)
 
 
+def _kinds(shape):
+    """The kinds along each line, read back off an ``_exchange_form``
+    shape."""
+    lines, line, named = [], "", 0
+    for entry in shape:
+        count = entry if entry >= 0 else ~entry
+        line += "a" * (count - named) + ("c" if entry >= 0 else "")
+        named = count
+        if entry < 0:
+            lines.append(line)
+            line = ""
+    return lines
+
+
 def test_one_walk_decides_the_stage():
     """On the bracket-free terms of stages 1 and 2 (each exchanged term's
-    branches resolved again), ``safe_patterns`` agrees with the reference,
-    ``_exchange_form`` counts the stage-2 measure, and ``_readout`` reads a
-    term exactly when it is sorted."""
+    branches resolved again), ``_exchange_form`` counts the stage-2 measure,
+    lists the safe patterns the reference lists and keeps each line's kinds
+    in its shape, and ``_readout`` reads a term exactly when it is
+    sorted."""
     rng = random.Random(67)
     seen = dict.fromkeys(("sorted", "unsorted", "unsafe"), 0)
     for trial in range(300):
@@ -760,10 +741,12 @@ def test_one_walk_decides_the_stage():
         while work:
             t = work.pop()
             pairs = _action_coaction_pairs(t)
-            safe = t.safe_patterns()
+            measure, (shape, _), safe = rewrite._exchange_form(t)
             assert safe == _safe_ref(t)
             assert bool(safe) == (pairs > 0)
-            assert rewrite._exchange_form(t)[0] == pairs
+            assert measure == pairs
+            assert _kinds(shape) == ["".join(x[0] for x in line)
+                                     for line in t.lines]
             acc = {}
             read = rewrite._readout(t, monoid, 1, acc)
             assert (not read and not acc) == (pairs > 0)

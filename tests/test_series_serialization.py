@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,19 @@ def test_series_json_round_trip():
     data = json.loads(json.dumps(s.to_json()))
     back = GradedSeries.from_json(data)
     assert back == s and back.order == s.order
+
+
+@pytest.mark.parametrize("key", ["01", "1_0", " 1", "+1", "-1", "1.0", "",
+                                 "\u0661"])
+def test_part_keys_are_degrees_as_written(key):
+    # only str(d) for a non-negative int d, as to_json writes it: "01"
+    # would overwrite part "1", and "1_0" would file part 1 at degree 10
+    data = GradedSeries.of_element(kappa(1, 1), 3).to_json()
+    assert GradedSeries.from_json(data).parts[1] == kappa(1, 1)
+    data["parts"][key] = data["parts"].pop("1")
+    with pytest.raises(ValueError, match=rf"^part key must be .*, got "
+                                         rf"{re.escape(repr(key))}$"):
+        GradedSeries.from_json(data)
 
 
 def test_decorated_series_round_trip():

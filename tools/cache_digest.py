@@ -19,9 +19,7 @@ factor and another wiring of the right factor (``read_off_wiring``, its
 other calls of ``rewrite.expand_forms``), or off a cached slot-permuted or
 reversed mate (``read_off_mate``, the remaining entries); the three add up
 to the entries.  A reversed mate of (s, t) is (p.τt, p.τs) for a slot
-permutation p, τ being time reversal, ``algebra._reverse_key``.  A
-checkout without ``straighten_forms`` straightens each entry through
-``rewrite.straighten_graph`` and reads none off a wiring.
+permutation p, τ being time reversal, ``algebra._reverse_key``.
 
 A change that asks for fewer (or other) products can never give an equal
 digest, so each seed also compares the caches key by key (``keys``): how
@@ -109,14 +107,10 @@ def run_items(workload: str, seed: int) -> dict:
         name = f"_apply_{rule}"
         setattr(rewrite, name, _counted(counts, rule, getattr(rewrite, name)))
     rewrite._Term.copy = _counted(counts, "copy", rewrite._Term.copy)
-    if hasattr(rewrite, "straighten_forms"):
-        rewrite.straighten_forms = _counted_entries(
-            counts, ("straightened",), rewrite.straighten_forms)
-        rewrite.expand_forms = _counted_entries(
-            counts, ("expanded",), rewrite.expand_forms)
-    else:
-        rewrite.straighten_graph = _counted_entries(
-            counts, ("straightened", "expanded"), rewrite.straighten_graph)
+    rewrite.straighten_forms = _counted_entries(
+        counts, ("straightened",), rewrite.straighten_forms)
+    rewrite.expand_forms = _counted_entries(
+        counts, ("expanded",), rewrite.expand_forms)
     items = workloads.ITEMS[workload](random.Random(f"{workload}:{seed}"))
     correct = all(check() == expected for _, check, expected in items)
     entries = len(sys.modules["dyalg.algebra"]._CACHE)
